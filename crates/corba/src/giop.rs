@@ -7,7 +7,9 @@
 //! because both ends use the dynamic interfaces (DSI/DII): there are no
 //! static stubs anywhere, just as in the paper's SDE/CDE pair.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+
+use httpd::ReadBuf;
 
 use jpie::Value;
 
@@ -402,7 +404,10 @@ pub fn write_close<W: Write>(w: &mut W) -> Result<(), CorbaError> {
     Ok(())
 }
 
-/// Reads one GIOP message: the type, raw body and byte order.
+/// Reads one GIOP message: the type, raw body and byte order. A
+/// one-shot convenience — bytes the stream had ready behind the message
+/// are discarded; to read a sequence of messages keep a [`ReadBuf`] and
+/// call [`read_message_into`].
 ///
 /// Returns `Ok(None)` on clean EOF before any header byte.
 ///
@@ -411,42 +416,62 @@ pub fn write_close<W: Write>(w: &mut W) -> Result<(), CorbaError> {
 /// `MARSHAL` on framing violations, [`CorbaError::Transport`] on I/O
 /// failure mid-message.
 pub fn read_message<R: Read>(r: &mut R) -> Result<Option<(MsgType, Vec<u8>, bool)>, CorbaError> {
-    let mut body = Vec::new();
-    Ok(read_message_into(r, &mut body)?.map(|(ty, be)| (ty, body, be)))
+    let mut buf = ReadBuf::new();
+    Ok(read_message_into(r, &mut buf)?
+        .map(|(ty, be, total)| (ty, buf.filled()[12..total].to_vec(), be)))
 }
 
-/// [`read_message`] reading the body into a caller-supplied buffer,
-/// whose capacity is reused across messages. Returns the message type
-/// and byte order; the body is left in `buf`.
+/// Reads until `buf` starts with one whole GIOP message and returns its
+/// type, byte order and total length: the frame is
+/// `buf.filled()[..total]`, its body `[12..total]`, and the caller
+/// [`ReadBuf::consume`]s `total` once done with it. Each `read` takes
+/// whatever the stream has ready, so a reply normally costs one syscall
+/// (not one each for the first byte, the header and the body), and
+/// bytes of a following message stay in `buf` for the next call.
+///
+/// Returns `Ok(None)` on clean EOF before any header byte.
 ///
 /// # Errors
 ///
 /// Same as [`read_message`].
 pub fn read_message_into<R: Read>(
     r: &mut R,
-    buf: &mut Vec<u8>,
-) -> Result<Option<(MsgType, bool)>, CorbaError> {
-    let mut header = [0u8; 12];
-    // Read the first byte separately to distinguish clean EOF.
-    let mut first = [0u8; 1];
-    match r.read(&mut first) {
-        Ok(0) => return Ok(None),
-        Ok(_) => header[0] = first[0],
-        Err(e) => return Err(e.into()),
+    buf: &mut ReadBuf,
+) -> Result<Option<(MsgType, bool, usize)>, CorbaError> {
+    loop {
+        if let Some(frame) = whole_frame(buf.filled())? {
+            return Ok(Some(frame));
+        }
+        match buf.read_from(r) {
+            Ok(0) if buf.is_empty() => return Ok(None),
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
-    r.read_exact(&mut header[1..])?;
-    let (msg_type, big_endian, size) = parse_frame_header(&header)?;
-    buf.clear();
-    buf.resize(size, 0);
-    r.read_exact(buf)?;
-    Ok(Some((msg_type, big_endian)))
+}
+
+/// Whether `have` starts with one whole GIOP message: its type, byte
+/// order and total length (header included), or `None` while bytes are
+/// still missing. Both the buffered blocking reader and the reactor
+/// engine reassemble frames with this.
+///
+/// # Errors
+///
+/// Same as [`parse_frame_header`], as soon as the header is there.
+pub fn whole_frame(have: &[u8]) -> Result<Option<(MsgType, bool, usize)>, CorbaError> {
+    let Some(header) = have.first_chunk::<12>() else {
+        return Ok(None);
+    };
+    let (msg_type, big_endian, size) = parse_frame_header(header)?;
+    let total = 12 + size;
+    Ok((have.len() >= total).then_some((msg_type, big_endian, total)))
 }
 
 /// Validates a 12-byte GIOP frame header, returning the message type,
-/// byte order (`true` = big-endian) and body size. The incremental
-/// (reactor) server path uses this to reassemble frames from whatever
-/// bytes have arrived so far; the blocking path goes through
-/// [`read_message_into`].
+/// byte order (`true` = big-endian) and body size ([`whole_frame`] is
+/// the usual way in).
 ///
 /// # Errors
 ///
@@ -785,6 +810,66 @@ mod tests {
             sys.into_result(),
             Err(CorbaError::System(SystemExceptionKind::Transient, _))
         ));
+    }
+
+    /// Counts `read` calls on the way through.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn buffered_read_takes_a_reply_in_one_read_and_keeps_the_next() {
+        let mut wire = Vec::new();
+        for request_id in [7, 8] {
+            let reply = ReplyMessage {
+                request_id,
+                body: ReplyBody::NoException(Value::Str("x".repeat(64))),
+            };
+            write_reply(&mut wire, &reply).unwrap();
+        }
+        let mut r = CountingReader {
+            bytes: &wire,
+            reads: 0,
+        };
+        let mut buf = ReadBuf::new();
+        for request_id in [7, 8] {
+            let (ty, be, total) = read_message_into(&mut r, &mut buf).unwrap().unwrap();
+            assert_eq!(ty, MsgType::Reply);
+            let reply = decode_reply(&buf.filled()[12..total], be).unwrap();
+            assert_eq!(reply.request_id, request_id);
+            buf.consume(total);
+        }
+        assert_eq!(r.reads, 1, "both frames arrived in the first read");
+        assert!(read_message_into(&mut r, &mut buf).unwrap().is_none());
+    }
+
+    #[test]
+    fn frame_larger_than_the_buffer_is_reassembled() {
+        let reply = ReplyMessage {
+            request_id: 1,
+            body: ReplyBody::NoException(Value::Str("y".repeat(100_000))),
+        };
+        let mut wire = Vec::new();
+        write_reply(&mut wire, &reply).unwrap();
+        let mut r = CountingReader {
+            bytes: &wire,
+            reads: 0,
+        };
+        let mut buf = ReadBuf::new();
+        let (_, be, total) = read_message_into(&mut r, &mut buf).unwrap().unwrap();
+        assert_eq!(total, wire.len());
+        assert_eq!(decode_reply(&buf.filled()[12..total], be).unwrap(), reply);
+        // The buffer grows with what arrives, not with what the header
+        // claims: doubling from 2 KiB takes 100 KB in a handful of reads.
+        assert!(r.reads <= 8, "{} reads", r.reads);
     }
 
     #[test]

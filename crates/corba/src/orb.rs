@@ -7,6 +7,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use httpd::transport::{connect_with, Listener, Stream};
+use httpd::ReadBuf;
 use jpie::Value;
 use obs::sync::Mutex;
 
@@ -340,20 +341,21 @@ fn serve_connection(
     let mut reader = stream;
     // One set of marshalling buffers per connection: after the first
     // request, the read/encode/frame cycle allocates nothing.
-    let mut body = Vec::new();
+    let mut inbuf = ReadBuf::new();
     let mut bufs = GiopBufs::default();
     loop {
-        let (msg_type, big_endian) = match read_message_into(&mut reader, &mut body) {
+        let (msg_type, big_endian, total) = match read_message_into(&mut reader, &mut inbuf) {
             Ok(Some(m)) => m,
             Ok(None) | Err(_) => return,
         };
+        let body = &inbuf.filled()[12..total];
         match msg_type {
             MsgType::CloseConnection => return,
             // Protocol violations from a client.
             MsgType::Reply | MsgType::LocateReply => return,
             MsgType::LocateRequest => {
                 giop_counters().1.inc();
-                let Ok((request_id, key)) = crate::giop::decode_locate_request(&body, big_endian)
+                let Ok((request_id, key)) = crate::giop::decode_locate_request(body, big_endian)
                 else {
                     return;
                 };
@@ -371,7 +373,7 @@ fn serve_connection(
                 let reply = request_reply(
                     implementation.as_ref(),
                     &served_key,
-                    &body,
+                    body,
                     big_endian,
                     &gate,
                 );
@@ -381,6 +383,7 @@ fn serve_connection(
                 }
             }
         }
+        inbuf.consume(total);
     }
 }
 
@@ -475,7 +478,7 @@ pub struct OrbConnection {
     // Recycled marshalling buffers: a warm connection makes calls
     // without allocating for the request frame or the reply body.
     bufs: GiopBufs,
-    read_buf: Vec<u8>,
+    read_buf: ReadBuf,
     peer_caches_replies: bool,
 }
 
@@ -505,7 +508,7 @@ impl OrbConnection {
             object_key: ior.object_key.clone(),
             next_request_id: AtomicU32::new(1),
             bufs: GiopBufs::default(),
-            read_buf: Vec::new(),
+            read_buf: ReadBuf::new(),
             peer_caches_replies: false,
         })
     }
@@ -552,15 +555,7 @@ impl OrbConnection {
             obs::tracectx::current(),
             &mut self.bufs,
         )?;
-        let (msg_type, big_endian) = read_message_into(&mut self.stream, &mut self.read_buf)?
-            .ok_or_else(|| CorbaError::Transport("connection closed awaiting reply".into()))?;
-        if msg_type != MsgType::Reply {
-            return Err(CorbaError::system(
-                SystemExceptionKind::Marshal,
-                format!("expected Reply, got {msg_type:?}"),
-            ));
-        }
-        let (reply, advertised) = decode_reply_flags(&self.read_buf, big_endian)?;
+        let (reply, advertised) = self.read_reply(MsgType::Reply, decode_reply_flags)?;
         if advertised {
             self.peer_caches_replies = true;
         }
@@ -573,6 +568,29 @@ impl OrbConnection {
         reply.into_result()
     }
 
+    /// Reads the next message, which must be of type `expected`, and
+    /// decodes its body; the frame leaves `read_buf` either way.
+    fn read_reply<T>(
+        &mut self,
+        expected: MsgType,
+        decode: impl FnOnce(&[u8], bool) -> Result<T, CorbaError>,
+    ) -> Result<T, CorbaError> {
+        let (msg_type, big_endian, total) =
+            read_message_into(&mut self.stream, &mut self.read_buf)?.ok_or_else(|| {
+                CorbaError::Transport(format!("connection closed awaiting {expected:?}"))
+            })?;
+        let decoded = if msg_type == expected {
+            decode(&self.read_buf.filled()[12..total], big_endian)
+        } else {
+            Err(CorbaError::system(
+                SystemExceptionKind::Marshal,
+                format!("expected {expected:?}, got {msg_type:?}"),
+            ))
+        };
+        self.read_buf.consume(total);
+        decoded
+    }
+
     /// Probes whether the server actually serves this connection's object
     /// key (GIOP LocateRequest/LocateReply).
     ///
@@ -582,15 +600,8 @@ impl OrbConnection {
     pub fn locate(&mut self) -> Result<crate::giop::LocateStatus, CorbaError> {
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         crate::giop::write_locate_request(&mut self.stream, request_id, &self.object_key)?;
-        let (msg_type, big_endian) = read_message_into(&mut self.stream, &mut self.read_buf)?
-            .ok_or_else(|| CorbaError::Transport("connection closed awaiting locate".into()))?;
-        if msg_type != MsgType::LocateReply {
-            return Err(CorbaError::system(
-                SystemExceptionKind::Marshal,
-                format!("expected LocateReply, got {msg_type:?}"),
-            ));
-        }
-        let (reply_id, status) = crate::giop::decode_locate_reply(&self.read_buf, big_endian)?;
+        let (reply_id, status) =
+            self.read_reply(MsgType::LocateReply, crate::giop::decode_locate_reply)?;
         if reply_id != request_id {
             return Err(CorbaError::system(
                 SystemExceptionKind::Marshal,

@@ -4,7 +4,7 @@
 //! Mirrors `httpd`'s reactor engine: a blocking acceptor registers each
 //! connection with the process-global [`reactor`] pool, GIOP frames are
 //! reassembled incrementally from whatever bytes have arrived
-//! ([`crate::giop::parse_frame_header`]), `LocateRequest`s are answered
+//! ([`crate::giop::whole_frame`]), `LocateRequest`s are answered
 //! inline on the reactor thread, and `Request`s hop to a bounded
 //! dispatch pool where the [`DynamicImplementation`] runs. An idle
 //! connection is a parked fd plus one idle-deadline timer — no thread,
@@ -14,7 +14,7 @@
 
 use std::any::Any;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,18 +22,17 @@ use std::thread::JoinHandle;
 
 use httpd::fault::{self, ChaosMode, FaultSide, Injected};
 use httpd::transport::{Listener, Stream};
+use httpd::ReadBuf;
 use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 
 use crate::error::SystemExceptionKind;
 use crate::giop::{
-    decode_locate_request, parse_frame_header, write_locate_reply, write_reply_advertising,
-    GiopBufs, LocateStatus, MsgType, ReplyBody, ReplyMessage,
+    decode_locate_request, whole_frame, write_locate_reply, write_reply_advertising, GiopBufs,
+    LocateStatus, MsgType, ReplyBody, ReplyMessage,
 };
 use crate::orb::{
     giop_counters, request_reply, DynamicImplementation, OrbGate, SERVER_IDLE_TIMEOUT,
 };
-
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Reactor-engine state a [`crate::ServerOrb`] owns: the id its
 /// connections are registered under and the handler pool.
@@ -155,13 +154,16 @@ fn accept_loop(
             (GState::Reading, Interest::Read, Some(SERVER_IDLE_TIMEOUT))
         };
         let conn = GiopConn {
-            stream,
+            io: Some(GiopIo {
+                stream,
+                bufs: GiopBufs::default(),
+                out: Vec::new(),
+                frame: ReadBuf::new(),
+            }),
             shared: shared.clone(),
             server_id,
             state,
-            inbuf: Vec::new(),
-            bufs: GiopBufs::default(),
-            out: Vec::new(),
+            inbuf: ReadBuf::new(),
         };
         reactor::pool()
             .next_handle()
@@ -183,34 +185,45 @@ enum GState {
     Blackholed,
 }
 
-/// What a dispatch worker hands back through `resume`. The recycled
-/// per-connection buffers ride along so a warm connection still
-/// marshals without allocating.
+/// The socket and the recycled buffers of one connection. The whole
+/// bundle goes on loan to the dispatch worker for the duration of a
+/// request (the suspended source needs none of it) and comes back with
+/// the outcome, so a warm connection serves a call without a `dup`, an
+/// allocation, or a copy of the frame.
+struct GiopIo {
+    stream: Stream,
+    /// Marshalling buffers.
+    bufs: GiopBufs,
+    /// The reply frame being written.
+    out: Vec<u8>,
+    /// The request frame, split off `inbuf` for the worker; its storage
+    /// becomes `inbuf`'s at the next split.
+    frame: ReadBuf,
+}
+
+/// What a dispatch worker hands back through `resume`.
 enum GiopOutcome {
-    Done {
-        bufs: GiopBufs,
-        out: Vec<u8>,
-    },
-    Pending {
-        bufs: GiopBufs,
-        out: Vec<u8>,
-        pos: usize,
-    },
-    Failed,
+    Done(GiopIo),
+    /// `WouldBlock` after `pos` bytes of the reply.
+    Pending(GiopIo, usize),
+    /// The connection is to close. The socket still comes home first:
+    /// it must stay open until the reactor has taken its fd off epoll,
+    /// or a connection accepted meanwhile could reuse the fd number and
+    /// lose its registration instead.
+    Failed(GiopIo),
 }
 
 struct GiopConn {
-    stream: Stream,
+    /// `None` exactly while `Dispatched`.
+    io: Option<GiopIo>,
     shared: Arc<OrbShared>,
     server_id: u64,
     state: GState,
-    /// Accumulated frame bytes (recycled across requests).
-    inbuf: Vec<u8>,
-    /// Recycled marshalling buffers, loaned to the dispatch worker.
-    bufs: GiopBufs,
-    /// The reply frame being written, recycled like `bufs`.
-    out: Vec<u8>,
+    /// Received bytes not yet parsed into a frame.
+    inbuf: ReadBuf,
 }
+
+const IO_HOME: &str = "connection I/O is on loan only while Dispatched";
 
 /// Drains `buf[*pos..]` through a nonblocking writer. `Ok(true)` =
 /// fully written, `Ok(false)` = `WouldBlock` with `pos` advanced.
@@ -228,41 +241,21 @@ fn drain_frame(stream: &mut Stream, buf: &[u8], pos: &mut usize) -> io::Result<b
 }
 
 impl GiopConn {
-    fn fill_inbuf(&mut self) -> bool {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-    }
-
     fn run(&mut self, ctl: &mut Ctl<'_>) -> Action {
         loop {
             match self.state {
                 GState::Reading => {
-                    if self.inbuf.len() < 12 {
-                        // Waiting for a frame header; the idle deadline
-                        // replaces the old per-thread read timeout.
-                        return Action::Rearm(Interest::Read, Some(SERVER_IDLE_TIMEOUT));
-                    }
-                    let header: [u8; 12] = self.inbuf[..12].try_into().expect("12 bytes");
-                    let Ok((msg_type, big_endian, size)) = parse_frame_header(&header) else {
-                        return Action::Close; // framing violation
+                    let have = self.inbuf.filled();
+                    let (msg_type, big_endian, total) = match whole_frame(have) {
+                        Ok(Some(frame)) => frame,
+                        // Waiting for the rest of a frame; the idle
+                        // deadline replaces the old per-thread read
+                        // timeout.
+                        Ok(None) => {
+                            return Action::Rearm(Interest::Read, Some(SERVER_IDLE_TIMEOUT));
+                        }
+                        Err(_) => return Action::Close, // framing violation
                     };
-                    let total = 12 + size;
-                    if self.inbuf.len() < total {
-                        return Action::Rearm(Interest::Read, Some(SERVER_IDLE_TIMEOUT));
-                    }
                     match msg_type {
                         // CloseConnection, or protocol violations from
                         // a client (only servers send replies).
@@ -274,7 +267,7 @@ impl GiopConn {
                         MsgType::LocateRequest => {
                             giop_counters().1.inc();
                             let Ok((request_id, key)) =
-                                decode_locate_request(&self.inbuf[12..total], big_endian)
+                                decode_locate_request(&have[12..total], big_endian)
                             else {
                                 return Action::Close;
                             };
@@ -283,9 +276,10 @@ impl GiopConn {
                             } else {
                                 LocateStatus::UnknownObject
                             };
-                            self.inbuf.drain(..total);
-                            self.out.clear();
-                            if write_locate_reply(&mut self.out, request_id, status).is_err() {
+                            self.inbuf.consume(total);
+                            let io = self.io.as_mut().expect(IO_HOME);
+                            io.out.clear();
+                            if write_locate_reply(&mut io.out, request_id, status).is_err() {
                                 return Action::Close;
                             }
                             self.state = GState::Writing { pos: 0 };
@@ -294,38 +288,33 @@ impl GiopConn {
                         // dispatch pool with the source suspended.
                         MsgType::Request => {
                             giop_counters().0.inc();
-                            let Ok(writer) = self.stream.try_clone() else {
-                                return Action::Close;
-                            };
-                            let body = self.inbuf[12..total].to_vec();
-                            let shared = self.shared.clone();
-                            let handle = ctl.handle();
-                            let token = ctl.token();
-                            let bufs = std::mem::take(&mut self.bufs);
-                            let out = std::mem::take(&mut self.out);
-                            let accepted = self.shared.dispatch.try_submit(move || {
-                                let outcome =
-                                    execute_request(&shared, &body, big_endian, writer, bufs, out);
-                                handle.resume(token, Box::new(outcome));
+                            let accepted = self.shared.dispatch.try_submit(|| {
+                                let mut io = self.io.take().expect(IO_HOME);
+                                let spare = std::mem::take(&mut io.frame);
+                                io.frame = self.inbuf.split_front(total, spare);
+                                let shared = self.shared.clone();
+                                let handle = ctl.handle();
+                                let token = ctl.token();
+                                move || {
+                                    let outcome = execute_request(&shared, big_endian, io);
+                                    handle.resume(token, Box::new(outcome));
+                                }
                             });
                             if accepted {
-                                self.inbuf.drain(..total);
                                 self.state = GState::Dispatched;
                                 return Action::Suspend;
                             }
                             // Dispatch queue saturated: answer with a
                             // retryable TRANSIENT instead of queueing
-                            // unboundedly. The loaned buffers went down
-                            // with the rejected closure; re-seed them.
-                            self.bufs = GiopBufs::default();
-                            self.out = Vec::new();
-                            // The frame is still buffered (drained only
-                            // on accept), so the shed reply can carry
-                            // the real request id.
-                            let request_id =
-                                crate::giop::peek_request_id(&self.inbuf[12..total], big_endian)
-                                    .unwrap_or(0);
-                            self.inbuf.drain(..total);
+                            // unboundedly. Nothing went on loan, so the
+                            // frame is still here and the shed reply
+                            // carries the real request id.
+                            let request_id = crate::giop::peek_request_id(
+                                &self.inbuf.filled()[12..total],
+                                big_endian,
+                            )
+                            .unwrap_or(0);
+                            self.inbuf.consume(total);
                             let reply = ReplyMessage {
                                 request_id,
                                 body: ReplyBody::SystemException {
@@ -333,11 +322,13 @@ impl GiopConn {
                                     reason: "server busy".into(),
                                 },
                             };
+                            let io = self.io.as_mut().expect(IO_HOME);
+                            io.out.clear();
                             if write_reply_advertising(
-                                &mut self.out,
+                                &mut io.out,
                                 &reply,
                                 self.shared.implementation.caches_replies(),
-                                &mut self.bufs,
+                                &mut io.bufs,
                             )
                             .is_err()
                             {
@@ -347,14 +338,10 @@ impl GiopConn {
                         }
                     }
                 }
-                GState::Writing { pos } => {
-                    let mut pos = pos;
-                    let out = std::mem::take(&mut self.out);
-                    let res = drain_frame(&mut self.stream, &out, &mut pos);
-                    self.out = out;
-                    match res {
+                GState::Writing { mut pos } => {
+                    let io = self.io.as_mut().expect(IO_HOME);
+                    match drain_frame(&mut io.stream, &io.out, &mut pos) {
                         Ok(true) => {
-                            self.out.clear();
                             self.state = GState::Reading;
                             continue;
                         }
@@ -377,7 +364,9 @@ impl GiopConn {
 
 impl EventSource for GiopConn {
     fn fd(&self) -> RawFd {
-        self.stream.raw_fd().unwrap_or(-1)
+        // Asked once, at registration, when the I/O is home.
+        let io = self.io.as_ref().expect(IO_HOME);
+        io.stream.raw_fd().unwrap_or(-1)
     }
 
     fn server_id(&self) -> u64 {
@@ -387,8 +376,11 @@ impl EventSource for GiopConn {
     fn on_ready(&mut self, ready: Readiness, ctl: &mut Ctl<'_>) -> Action {
         match self.state {
             GState::Reading => {
-                if (ready.readable || ready.hangup) && !self.fill_inbuf() {
-                    return Action::Close;
+                if ready.readable || ready.hangup {
+                    let io = self.io.as_mut().expect(IO_HOME);
+                    if !self.inbuf.fill_from(&mut io.stream) {
+                        return Action::Close;
+                    }
                 }
                 self.run(ctl)
             }
@@ -414,50 +406,44 @@ impl EventSource for GiopConn {
             return Action::Close;
         };
         match *outcome {
-            GiopOutcome::Done { bufs, out } => {
-                self.bufs = bufs;
-                self.out = out;
+            GiopOutcome::Done(io) => {
+                self.io = Some(io);
                 self.state = GState::Reading;
                 // Pipelined frames may already be buffered.
                 self.run(ctl)
             }
-            GiopOutcome::Pending { bufs, out, pos } => {
-                self.bufs = bufs;
-                self.out = out;
+            GiopOutcome::Pending(io, pos) => {
+                self.io = Some(io);
                 self.state = GState::Writing { pos };
                 Action::Rearm(Interest::Write, None)
             }
-            GiopOutcome::Failed => Action::Close,
+            GiopOutcome::Failed(io) => {
+                self.io = Some(io);
+                Action::Close
+            }
         }
     }
 }
 
 /// Runs on a dispatch worker: servant invocation, reply marshalling,
 /// and the first write attempt.
-fn execute_request(
-    shared: &Arc<OrbShared>,
-    body: &[u8],
-    big_endian: bool,
-    mut writer: Stream,
-    mut bufs: GiopBufs,
-    mut out: Vec<u8>,
-) -> GiopOutcome {
+fn execute_request(shared: &OrbShared, big_endian: bool, mut io: GiopIo) -> GiopOutcome {
     let reply = request_reply(
         shared.implementation.as_ref(),
         &shared.served_key,
-        body,
+        &io.frame.filled()[12..],
         big_endian,
         &shared.gate,
     );
     let advertise = shared.implementation.caches_replies();
-    out.clear();
-    if write_reply_advertising(&mut out, &reply, advertise, &mut bufs).is_err() {
-        return GiopOutcome::Failed;
+    io.out.clear();
+    if write_reply_advertising(&mut io.out, &reply, advertise, &mut io.bufs).is_err() {
+        return GiopOutcome::Failed(io);
     }
     let mut pos = 0;
-    match drain_frame(&mut writer, &out, &mut pos) {
-        Ok(true) => GiopOutcome::Done { bufs, out },
-        Ok(false) => GiopOutcome::Pending { bufs, out, pos },
-        Err(_) => GiopOutcome::Failed,
+    match drain_frame(&mut io.stream, &io.out, &mut pos) {
+        Ok(true) => GiopOutcome::Done(io),
+        Ok(false) => GiopOutcome::Pending(io, pos),
+        Err(_) => GiopOutcome::Failed(io),
     }
 }

@@ -40,6 +40,7 @@ mod error;
 pub mod fault;
 mod message;
 mod pool;
+mod readbuf;
 #[cfg(target_os = "linux")]
 mod rserver;
 mod server;
@@ -50,4 +51,5 @@ pub use error::HttpError;
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSide};
 pub use message::{Headers, Limits, Method, Request, Response, Status};
 pub use pool::ConnectionPool;
+pub use readbuf::ReadBuf;
 pub use server::{Handler, HttpServer, PoolConfig, ServerGate};

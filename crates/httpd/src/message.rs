@@ -263,8 +263,9 @@ impl Request {
             head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        // One vectored write: a request that leaves in two segments
+        // makes the server parse (and allocate for) the head twice.
+        write_all_vectored(&mut w, head.as_bytes(), &self.body)?;
         w.flush()?;
         Ok(())
     }

@@ -176,18 +176,20 @@ mod tests {
 
     #[test]
     fn sequential_requests_reuse_one_connection() {
+        // An active fault plan makes the pool connect per request.
+        let _no_chaos = crate::fault::test_guard();
         let server = HttpServer::bind("mem://pool-reuse", Echo).unwrap();
-        let pool = ConnectionPool::new(HttpClient::new());
-        let (hits, misses) = pool_counters();
-        let (h0, m0) = (hits.get(), misses.get());
+        // Room to park every connection the pool could open: a request
+        // that did not take the parked one would leave two behind. (The
+        // process-wide `wire_pool_*` counters cannot show this here —
+        // sibling tests' pools bump them concurrently.)
+        let pool = ConnectionPool::new(HttpClient::new()).with_max_idle(5);
         for i in 0..5 {
             let req = Request::post("/", format!("r{i}").into_bytes(), "text/plain");
             let resp = pool.send(&server.base_url(), &req).unwrap();
             assert_eq!(resp.body(), format!("r{i}").as_bytes());
+            assert_eq!(pool.idle_count(&server.base_url()), 1, "after request {i}");
         }
-        assert_eq!(pool.idle_count(&server.base_url()), 1);
-        assert_eq!(misses.get() - m0, 1, "one fresh connect");
-        assert_eq!(hits.get() - h0, 4, "four reuses");
         server.shutdown();
     }
 

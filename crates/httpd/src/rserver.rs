@@ -31,7 +31,7 @@
 #![cfg(target_os = "linux")]
 
 use std::any::Any;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,11 +45,9 @@ use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 use crate::error::HttpError;
 use crate::fault::{self, ChaosMode, FaultSide, Injected};
 use crate::message::{Body, Limits, Request, Response, Status};
+use crate::readbuf::ReadBuf;
 use crate::server::{http_metrics, Handler, PoolConfig};
 use crate::transport::{Addr, Listener, Stream};
-
-/// Read chunk size while assembling a request.
-const READ_CHUNK: usize = 16 * 1024;
 
 pub(crate) struct ReactorServer {
     addr: Addr,
@@ -198,12 +196,14 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, server_id: u64) {
             (ConnState::Reading, Interest::Read, None)
         };
         let conn = HttpConn {
-            stream,
+            io: Some(HttpIo {
+                stream,
+                head: Vec::with_capacity(256),
+            }),
             shared: shared.clone(),
             server_id,
             state,
-            inbuf: Vec::new(),
-            head_buf: Vec::with_capacity(256),
+            inbuf: ReadBuf::new(),
         };
         reactor::pool()
             .next_handle()
@@ -211,9 +211,20 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, server_id: u64) {
     }
 }
 
-/// A response in flight through a nonblocking fd.
-struct PendingWrite {
+/// The socket and the recycled response-head buffer of one connection.
+/// The bundle goes on loan to the dispatch worker for the duration of a
+/// request (the suspended source needs neither) and comes back with
+/// the outcome, so serving a request costs no `dup` of the socket.
+struct HttpIo {
+    stream: Stream,
+    /// The response head being written (the body rides in
+    /// [`PendingWrite`]).
     head: Vec<u8>,
+}
+
+/// The rest of a response in flight through a nonblocking fd; the head
+/// is in [`HttpIo::head`].
+struct PendingWrite {
     body: Body,
     pos: usize,
     close: bool,
@@ -221,12 +232,15 @@ struct PendingWrite {
 
 /// What a dispatch worker hands back through `resume`.
 enum WriteOutcome {
-    /// Response fully written; `head` is the recycled head buffer.
-    Done { head: Vec<u8>, close: bool },
+    /// Response fully written.
+    Done { io: HttpIo, close: bool },
     /// Partial write; the reactor drives the rest on write readiness.
-    Pending(PendingWrite),
-    /// Write failed; tear the connection down.
-    Failed,
+    Pending(HttpIo, PendingWrite),
+    /// Write failed; tear the connection down. The socket still comes
+    /// home first: it must stay open until the reactor has taken its fd
+    /// off epoll, or a connection accepted meanwhile could reuse the fd
+    /// number and lose its registration instead.
+    Failed(HttpIo),
 }
 
 enum ConnState {
@@ -241,16 +255,16 @@ enum ConnState {
 }
 
 struct HttpConn {
-    stream: Stream,
+    /// `None` exactly while `Dispatched`.
+    io: Option<HttpIo>,
     shared: Arc<Shared>,
     server_id: u64,
     state: ConnState,
-    /// Accumulated request bytes (recycled across requests).
-    inbuf: Vec<u8>,
-    /// Recycled response-head buffer, loaned to the dispatch worker for
-    /// the duration of a request.
-    head_buf: Vec<u8>,
+    /// Received bytes not yet parsed into a request.
+    inbuf: ReadBuf,
 }
+
+const IO_HOME: &str = "connection I/O is on loan only while Dispatched";
 
 /// Drains `head` then `body` through a nonblocking writer from `pos`.
 /// `Ok(true)` = fully written, `Ok(false)` = `WouldBlock` with `pos`
@@ -289,33 +303,13 @@ impl HttpConn {
         }
     }
 
-    /// Pulls everything currently readable into `inbuf`. Returns false
-    /// when the connection is done for (EOF or hard error).
-    fn fill_inbuf(&mut self) -> bool {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-    }
-
     /// The state-machine crank: processes buffered bytes and in-flight
     /// writes until the connection must wait for readiness again.
     fn run(&mut self, ctl: &mut Ctl<'_>) -> Action {
         loop {
             match &mut self.state {
                 ConnState::Reading => {
-                    match Request::parse_buffered(&self.inbuf, &self.limits()) {
+                    match Request::parse_buffered(self.inbuf.filled(), &self.limits()) {
                         Ok(None) => {
                             // Partial request: arm the slow-loris clock.
                             // Empty buffer: park with no timer at all.
@@ -327,7 +321,7 @@ impl HttpConn {
                             return Action::Rearm(Interest::Read, deadline);
                         }
                         Ok(Some((req, consumed))) => {
-                            self.inbuf.drain(..consumed);
+                            self.inbuf.consume(consumed);
                             match self.begin_request(req, ctl) {
                                 Step::Continue => continue,
                                 Step::Act(a) => return a,
@@ -343,13 +337,10 @@ impl HttpConn {
                     }
                 }
                 ConnState::Writing(pw) => {
-                    match drain_write(&mut self.stream, &pw.head, pw.body.as_slice(), &mut pw.pos) {
+                    let io = self.io.as_mut().expect(IO_HOME);
+                    match drain_write(&mut io.stream, &io.head, pw.body.as_slice(), &mut pw.pos) {
                         Ok(true) => {
-                            let close = pw.close;
-                            // Reclaim the head buffer for the next
-                            // response on this connection.
-                            self.head_buf = std::mem::take(&mut pw.head);
-                            if close {
+                            if pw.close {
                                 return Action::Close;
                             }
                             self.state = ConnState::Reading;
@@ -376,10 +367,9 @@ impl HttpConn {
         if close {
             resp.headers_mut().set("Connection", "close");
         }
-        let mut head = std::mem::take(&mut self.head_buf);
-        let body = resp.into_write_parts(&mut head);
+        let io = self.io.as_mut().expect(IO_HOME);
+        let body = resp.into_write_parts(&mut io.head);
         self.state = ConnState::Writing(PendingWrite {
-            head,
             body,
             pos: 0,
             close,
@@ -398,18 +388,16 @@ impl HttpConn {
             self.start_write(resp, close);
             return Step::Continue;
         }
-        let writer = match self.stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return Step::Act(Action::Close),
-        };
-        let shared = self.shared.clone();
-        let handle = ctl.handle();
-        let token = ctl.token();
-        let head = std::mem::take(&mut self.head_buf);
-        let enqueued_at = Instant::now();
-        let accepted = self.shared.dispatch.try_submit(move || {
-            let outcome = execute_request(&shared, req, close, head, writer, enqueued_at);
-            handle.resume(token, Box::new(outcome));
+        let accepted = self.shared.dispatch.try_submit(|| {
+            let io = self.io.take().expect(IO_HOME);
+            let shared = self.shared.clone();
+            let handle = ctl.handle();
+            let token = ctl.token();
+            let enqueued_at = Instant::now();
+            move || {
+                let outcome = execute_request(&shared, req, close, io, enqueued_at);
+                handle.resume(token, Box::new(outcome));
+            }
         });
         if accepted {
             self.state = ConnState::Dispatched;
@@ -418,7 +406,6 @@ impl HttpConn {
             // Dispatch queue saturated: shed exactly like the threaded
             // engine's full accept queue.
             self.shared.rejected.inc();
-            self.head_buf = Vec::with_capacity(256); // loaned buf went with the closure
             self.start_write(
                 Response::unavailable("server busy", self.shared.cfg.retry_after),
                 true,
@@ -431,11 +418,10 @@ impl HttpConn {
 /// Runs on a dispatch worker: handler execution, response
 /// serialization, and the first write attempt.
 fn execute_request(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     req: Request,
     close: bool,
-    mut head: Vec<u8>,
-    mut writer: Stream,
+    mut io: HttpIo,
     enqueued_at: Instant,
 ) -> WriteOutcome {
     let metrics = http_metrics();
@@ -449,11 +435,11 @@ fn execute_request(
         shared.deadline_shed.inc();
         let mut r = Response::unavailable("request deadline exceeded", shared.cfg.retry_after);
         r.headers_mut().set("Connection", "close");
-        let body = r.into_write_parts(&mut head);
+        let body = r.into_write_parts(&mut io.head);
         let mut pos = 0;
-        let _ = drain_write(&mut writer, &head, body.as_slice(), &mut pos);
+        let _ = drain_write(&mut io.stream, &io.head, body.as_slice(), &mut pos);
         // The connection closes either way; a partial shed reply is fine.
-        return WriteOutcome::Failed;
+        return WriteOutcome::Failed(io);
     }
     let mut resp = {
         metrics.requests.inc();
@@ -476,17 +462,12 @@ fn execute_request(
     if close {
         resp.headers_mut().set("Connection", "close");
     }
-    let body = resp.into_write_parts(&mut head);
+    let body = resp.into_write_parts(&mut io.head);
     let mut pos = 0;
-    match drain_write(&mut writer, &head, body.as_slice(), &mut pos) {
-        Ok(true) => WriteOutcome::Done { head, close },
-        Ok(false) => WriteOutcome::Pending(PendingWrite {
-            head,
-            body,
-            pos,
-            close,
-        }),
-        Err(_) => WriteOutcome::Failed,
+    match drain_write(&mut io.stream, &io.head, body.as_slice(), &mut pos) {
+        Ok(true) => WriteOutcome::Done { io, close },
+        Ok(false) => WriteOutcome::Pending(io, PendingWrite { body, pos, close }),
+        Err(_) => WriteOutcome::Failed(io),
     }
 }
 
@@ -526,7 +507,9 @@ pub(crate) fn builtin_response(req: &Request) -> Option<Response> {
 
 impl EventSource for HttpConn {
     fn fd(&self) -> RawFd {
-        self.stream.raw_fd().unwrap_or(-1)
+        // Asked once, at registration, when the I/O is home.
+        let io = self.io.as_ref().expect(IO_HOME);
+        io.stream.raw_fd().unwrap_or(-1)
     }
 
     fn server_id(&self) -> u64 {
@@ -536,8 +519,11 @@ impl EventSource for HttpConn {
     fn on_ready(&mut self, ready: Readiness, ctl: &mut Ctl<'_>) -> Action {
         match self.state {
             ConnState::Reading => {
-                if (ready.readable || ready.hangup) && !self.fill_inbuf() {
-                    return Action::Close;
+                if ready.readable || ready.hangup {
+                    let io = self.io.as_mut().expect(IO_HOME);
+                    if !self.inbuf.fill_from(&mut io.stream) {
+                        return Action::Close;
+                    }
                 }
                 self.run(ctl)
             }
@@ -580,8 +566,8 @@ impl EventSource for HttpConn {
             return Action::Close;
         };
         match *outcome {
-            WriteOutcome::Done { head, close } => {
-                self.head_buf = head;
+            WriteOutcome::Done { io, close } => {
+                self.io = Some(io);
                 if close {
                     return Action::Close;
                 }
@@ -591,11 +577,15 @@ impl EventSource for HttpConn {
                 // arrive.
                 self.run(ctl)
             }
-            WriteOutcome::Pending(pw) => {
+            WriteOutcome::Pending(io, pw) => {
+                self.io = Some(io);
                 self.state = ConnState::Writing(pw);
                 Action::Rearm(Interest::Write, None)
             }
-            WriteOutcome::Failed => Action::Close,
+            WriteOutcome::Failed(io) => {
+                self.io = Some(io);
+                Action::Close
+            }
         }
     }
 }
@@ -606,6 +596,7 @@ mod tests {
     use crate::client::HttpClient;
     use crate::fault::{FaultPlan, FaultRule};
     use crate::server::HttpServer;
+    use std::io::Read;
     use std::time::Duration;
 
     fn echo_handler(req: &Request) -> Response {
@@ -721,6 +712,7 @@ mod tests {
         assert_eq!(resp.status(), 200);
         let text = resp.body_str().to_string();
         assert!(text.contains("reactor_fds_registered"), "{text}");
+        assert!(text.contains("reactor_timers_armed"), "{text}");
         assert!(!text.contains("GET /metrics"));
         server.shutdown();
     }

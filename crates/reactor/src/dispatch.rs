@@ -74,7 +74,17 @@ impl DispatchPool {
     /// Enqueues a job unless the queue is full or the pool is shutting
     /// down. Returns whether the job was accepted — a `false` is the
     /// caller's cue to shed load.
-    pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> bool {
+    ///
+    /// Jobs take resources on loan from the caller (the connection's
+    /// socket and buffers), so the job is *built* by `make_job`, which
+    /// runs — briefly, under the queue lock — only once the queue slot
+    /// is certain: a shed request leaves the caller holding everything
+    /// it had.
+    pub fn try_submit<M, F>(&self, make_job: M) -> bool
+    where
+        M: FnOnce() -> F,
+        F: FnOnce() + Send + 'static,
+    {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return false;
         }
@@ -83,7 +93,7 @@ impl DispatchPool {
             if q.len() >= self.inner.capacity {
                 return false;
             }
-            q.push_back(Box::new(job));
+            q.push_back(Box::new(make_job()));
             self.inner.depth.store(q.len(), Ordering::Release);
             if let Some(g) = &self.inner.depth_gauge {
                 g.set(q.len() as i64);
@@ -208,7 +218,7 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         for _ in 0..8 {
             let count = count.clone();
-            assert!(pool.try_submit(move || {
+            assert!(pool.try_submit(|| move || {
                 count.fetch_add(1, Ordering::SeqCst);
             }));
         }
@@ -226,7 +236,7 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         // Occupy the single worker...
         let g = gate.clone();
-        assert!(pool.try_submit(move || {
+        assert!(pool.try_submit(|| move || {
             let mut open = g.0.lock();
             while !*open {
                 g.1.wait(&mut open);
@@ -238,18 +248,31 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         // ...then fill the queue to capacity and overflow it.
-        assert!(pool.try_submit(|| {}));
-        assert!(pool.try_submit(|| {}));
-        assert!(!pool.try_submit(|| {}), "queue at capacity must shed");
+        assert!(pool.try_submit(|| || {}));
+        assert!(pool.try_submit(|| || {}));
+        assert!(!pool.try_submit(|| || {}), "queue at capacity must shed");
         *gate.0.lock() = true;
         gate.1.notify_all();
         pool.shutdown();
     }
 
     #[test]
+    fn shed_job_is_never_built() {
+        let pool = DispatchPool::new("dp-loan", 1, 1, None);
+        pool.shutdown();
+        let mut loan = Some(vec![1u8, 2, 3]);
+        let accepted = pool.try_submit(|| {
+            let taken = loan.take();
+            move || drop(taken)
+        });
+        assert!(!accepted);
+        assert_eq!(loan, Some(vec![1, 2, 3]), "a shed request keeps its loan");
+    }
+
+    #[test]
     fn rejects_after_shutdown() {
         let pool = DispatchPool::new("dp-shut", 1, 4, None);
         pool.shutdown();
-        assert!(!pool.try_submit(|| {}));
+        assert!(!pool.try_submit(|| || {}));
     }
 }

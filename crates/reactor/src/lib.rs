@@ -97,8 +97,11 @@ pub enum Action {
 /// A registered connection/listener state machine. All callbacks run on
 /// the reactor thread and must not block.
 pub trait EventSource: Send {
-    /// The fd to register with epoll. Must stay valid until the source
-    /// is dropped.
+    /// The fd to register with epoll, read once at registration. It
+    /// must stay open for as long as the source is registered — also
+    /// while the source is suspended and a worker has the socket on
+    /// loan — so that the fd number cannot be reused before the reactor
+    /// has taken it off epoll.
     fn fd(&self) -> RawFd;
 
     /// Groups sources for [`ReactorPool::close_server`] sweeps
@@ -162,6 +165,7 @@ struct ReactorMetrics {
     batches: Arc<Counter>,
     events: Arc<Counter>,
     timer_fires: Arc<Counter>,
+    timers_armed: Arc<Gauge>,
     wakeups: Arc<Counter>,
 }
 
@@ -175,6 +179,7 @@ fn metrics() -> &'static ReactorMetrics {
             batches: r.counter("reactor_ready_batches_total"),
             events: r.counter("reactor_events_total"),
             timer_fires: r.counter("reactor_timer_fires_total"),
+            timers_armed: r.gauge("reactor_timers_armed"),
             wakeups: r.counter("reactor_wakeups_total"),
         }
     })
@@ -185,9 +190,10 @@ fn metrics() -> &'static ReactorMetrics {
 pub fn metrics_summary() -> String {
     let m = metrics();
     format!(
-        "reactor: shards={} fds_registered={} ready_batches={} events={} timer_fires={} wakeups={}",
+        "reactor: shards={} fds_registered={} timers_armed={} ready_batches={} events={} timer_fires={} wakeups={}",
         m.shards.get(),
         m.fds.get(),
+        m.timers_armed.get(),
         m.batches.get(),
         m.events.get(),
         m.timer_fires.get(),
@@ -332,9 +338,6 @@ const MAX_EVENTS: usize = 256;
 struct Slot {
     source: Option<Box<dyn EventSource>>,
     generation: u32,
-    /// Bumped on every rearm/suspend/close so stale timer entries and
-    /// resumes are discarded.
-    timer_generation: u64,
     suspended: bool,
     fd: RawFd,
     server_id: u64,
@@ -343,7 +346,37 @@ struct Slot {
 struct LoopState {
     slots: Vec<Slot>,
     free: Vec<u32>,
+    /// Holds each slot's deadline, keyed by slot index.
     wheel: TimerWheel,
+}
+
+/// This shard's share of the `reactor_timers_armed` gauge.
+struct TimersArmed(i64);
+
+impl TimersArmed {
+    fn sync(&mut self, filed: usize) {
+        let filed = filed as i64;
+        if filed != self.0 {
+            metrics().timers_armed.add(filed - self.0);
+            self.0 = filed;
+        }
+    }
+}
+
+impl Drop for TimersArmed {
+    fn drop(&mut self) {
+        self.sync(0);
+    }
+}
+
+/// The `epoll_wait` timeout for the wheel's answer: `-1` blocks
+/// forever; otherwise whole milliseconds rounded *up*, so the last
+/// sub-millisecond before a deadline is slept, not spun through.
+fn epoll_timeout_ms(next: Option<Duration>) -> i32 {
+    match next {
+        None => -1,
+        Some(d) => d.as_micros().div_ceil(1000).min(60_000) as i32,
+    }
 }
 
 fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
@@ -362,6 +395,7 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
     let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
     let mut fired = Vec::new();
     let mut ops = Vec::new();
+    let mut timers_armed = TimersArmed(0);
     loop {
         // 1. Drain injected operations (registrations, resumes, closes).
         ops.clear();
@@ -420,13 +454,8 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
         }
 
         // 2. Wait for readiness, bounded by the nearest timer deadline.
-        let now = Instant::now();
-        let timeout_ms = match st.wheel.next_timeout(now) {
-            None => -1,
-            Some(d) => i64::try_from(d.as_millis().div_ceil(1))
-                .unwrap_or(i64::MAX)
-                .min(60_000) as i32,
-        };
+        timers_armed.sync(st.wheel.filed());
+        let timeout_ms = epoll_timeout_ms(st.wheel.next_timeout(Instant::now()));
         let n = match epoll.wait(&mut events, timeout_ms) {
             Ok(n) => n,
             Err(_) => return,
@@ -465,15 +494,14 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
         // 3. Fire due timers.
         fired.clear();
         st.wheel.advance(Instant::now(), &mut fired);
-        for f in &fired {
-            let token = Token::decode(f.token);
-            let Some(idx) = live_index(&st, token) else {
-                continue;
+        for &index in &fired {
+            // The wheel fires only deadlines that are still armed:
+            // suspending or closing a slot clears its deadline.
+            let idx = index as usize;
+            let token = Token {
+                index,
+                generation: st.slots[idx].generation,
             };
-            let slot = &st.slots[idx];
-            if slot.suspended || slot.timer_generation != f.generation {
-                continue; // disarmed or re-armed since scheduling
-            }
             m.timer_fires.inc();
             let mut source = st.slots[idx].source.take().expect("live slot has source");
             let mut ctl = Ctl { token, handle };
@@ -505,7 +533,6 @@ fn register_source(
             st.slots.push(Slot {
                 source: None,
                 generation: 0,
-                timer_generation: 0,
                 suspended: false,
                 fd: -1,
                 server_id: 0,
@@ -528,11 +555,8 @@ fn register_source(
     slot.suspended = false;
     slot.fd = fd;
     slot.server_id = server_id;
-    slot.timer_generation += 1;
-    if let Some(t) = timeout {
-        st.wheel
-            .schedule(Instant::now() + t, token.encode(), slot.timer_generation);
-    }
+    st.wheel
+        .set(idx as u32, timeout.map(|t| Instant::now() + t));
     metrics().fds.add(1);
 }
 
@@ -548,19 +572,14 @@ fn apply_action(epoll: &Epoll, st: &mut LoopState, idx: usize, action: Action) {
                 close_slot(epoll, st, idx);
                 return;
             }
-            // Bump first: any previously armed deadline is now stale.
-            st.slots[idx].timer_generation += 1;
-            if let Some(t) = timeout {
-                let generation = st.slots[idx].timer_generation;
-                st.wheel
-                    .schedule(Instant::now() + t, token.encode(), generation);
-            }
+            st.wheel
+                .set(idx as u32, timeout.map(|t| Instant::now() + t));
         }
         Action::Suspend => {
-            // ONESHOT already disarmed the fd; just invalidate timers
+            // ONESHOT already disarmed the fd; just clear the deadline
             // and mark the slot so stale events are ignored.
             st.slots[idx].suspended = true;
-            st.slots[idx].timer_generation += 1;
+            st.wheel.set(idx as u32, None);
         }
         Action::Close => close_slot(epoll, st, idx),
     }
@@ -574,8 +593,8 @@ fn close_slot(epoll: &Epoll, st: &mut LoopState, idx: usize) {
     let _ = epoll.delete(slot.fd);
     slot.source = None; // drop closes the fd
     slot.generation = slot.generation.wrapping_add(1);
-    slot.timer_generation += 1;
     slot.suspended = false;
+    st.wheel.remove(idx as u32);
     st.free.push(idx as u32);
     metrics().fds.add(-1);
 }
@@ -759,6 +778,99 @@ mod tests {
         client.read_to_end(&mut got).unwrap();
         assert_eq!(got, b"timer");
         assert!(start.elapsed() >= Duration::from_millis(25), "fired early");
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn epoll_timeout_rounds_up_to_whole_milliseconds() {
+        assert_eq!(epoll_timeout_ms(None), -1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::ZERO)), 0);
+        // 300 µs short of a deadline is a 1 ms sleep, not a spin on
+        // `epoll_wait(0)`.
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_micros(300))), 1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_micros(1000))), 1);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_micros(1001))), 2);
+        assert_eq!(epoll_timeout_ms(Some(Duration::from_secs(3600))), 60_000);
+    }
+
+    /// Echoes every chunk and re-arms an idle deadline each time, like
+    /// the ORB engine; closes when the deadline fires.
+    struct IdleEcho {
+        stream: TcpStream,
+        idle: Duration,
+    }
+
+    impl EventSource for IdleEcho {
+        fn fd(&self) -> RawFd {
+            self.stream.as_raw_fd()
+        }
+
+        fn on_ready(&mut self, _ready: Readiness, _ctl: &mut Ctl<'_>) -> Action {
+            let mut buf = [0u8; 64];
+            match self.stream.read(&mut buf) {
+                Ok(0) => Action::Close,
+                Ok(n) => {
+                    let _ = self.stream.write_all(&buf[..n]);
+                    Action::Rearm(Interest::Read, Some(self.idle))
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    Action::Rearm(Interest::Read, Some(self.idle))
+                }
+                Err(_) => Action::Close,
+            }
+        }
+
+        fn on_timer(&mut self, _ctl: &mut Ctl<'_>) -> Action {
+            Action::Close
+        }
+
+        fn on_resume(&mut self, _payload: Box<dyn Any + Send>, _ctl: &mut Ctl<'_>) -> Action {
+            Action::Close
+        }
+    }
+
+    #[test]
+    fn rearmed_idle_deadline_counts_from_the_last_rearm() {
+        let idle = Duration::from_millis(150);
+        let reactor = Reactor::spawn("reactor-test-idle").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        reactor.handle().register(
+            Box::new(IdleEcho {
+                stream: server,
+                idle,
+            }),
+            Interest::Read,
+            Some(idle),
+        );
+        // Keep the connection busy for well over one idle period: every
+        // echo re-arms the deadline, so none of the superseded ones may
+        // close it.
+        let start = Instant::now();
+        let mut buf = [0u8; 1];
+        let mut rearms = 0;
+        while start.elapsed() < 3 * idle {
+            client.write_all(b"x").unwrap();
+            client.read_exact(&mut buf).unwrap();
+            rearms += 1;
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(rearms > 10, "only {rearms} round trips");
+        // Then go quiet: the close comes one idle period after the
+        // last re-arm, not before.
+        let quiet = Instant::now();
+        assert_eq!(client.read(&mut buf).unwrap(), 0, "expected EOF");
+        let waited = quiet.elapsed();
+        assert!(
+            waited >= idle - Duration::from_millis(10),
+            "closed {waited:?} after the last request, idle period is {idle:?}"
+        );
+        assert!(
+            waited < idle + Duration::from_secs(2),
+            "closed late: {waited:?}"
+        );
         reactor.shutdown();
     }
 

@@ -1328,6 +1328,7 @@ mod tests {
         assert!(stats.contains("reactor: shards="), "{stats}");
         let reactor_line = run(&mut repl, "stats reactor:");
         assert!(reactor_line.contains("fds_registered="), "{reactor_line}");
+        assert!(reactor_line.contains("timers_armed="), "{reactor_line}");
         let filtered = run(&mut repl, "stats ReplObs");
         assert!(
             filtered.contains("sde_requests_total{class=\"ReplObs\"}"),
