@@ -1,6 +1,6 @@
 //! Micro-benchmark companion to the Table 1 harness: per-call RTT of the
-//! four server/client configurations over the deterministic in-memory
-//! transport (so CI noise doesn't drown the SDE-vs-static delta).
+//! four server/client configurations over the in-process `mem://`
+//! transport (no ports, no TCP stack in the SDE-vs-static delta).
 //!
 //! Run with `cargo bench --bench rtt`. Pass `--json <path>` (after the
 //! cargo `--` separator) to also write the results as a machine-readable

@@ -454,8 +454,8 @@ pub fn read_message_into<R: Read>(
 
 /// Whether `have` starts with one whole GIOP message: its type, byte
 /// order and total length (header included), or `None` while bytes are
-/// still missing. Both the buffered blocking reader and the reactor
-/// engine reassemble frames with this.
+/// still missing. Both the buffered blocking reader and the server's
+/// connection state machine reassemble frames with this.
 ///
 /// # Errors
 ///
@@ -513,9 +513,8 @@ pub fn parse_frame_header(header: &[u8; 12]) -> Result<(MsgType, bool, usize), C
 }
 
 /// Reads just the request id from a Request body, skipping the service
-/// contexts. The reactor engine's load-shed path uses this to answer a
-/// saturated-queue `TRANSIENT` with the correct id without paying for a
-/// full unmarshal.
+/// contexts. The server uses this to refuse a request it will not
+/// unmarshal (saturated queue, panicked servant) under the correct id.
 ///
 /// # Errors
 ///

@@ -49,12 +49,9 @@ pub mod giop;
 pub mod idl;
 mod ior;
 mod orb;
-#[cfg(target_os = "linux")]
 mod rorb;
 
 pub use error::{CorbaError, SystemExceptionKind};
 pub use idl::{IdlInterface, IdlModule, IdlOperation};
 pub use ior::Ior;
-pub use orb::{
-    DiiRequest, DynamicImplementation, OrbConnection, OrbGate, ServerOrb, ServerRequest,
-};
+pub use orb::{DiiRequest, DynamicImplementation, OrbConnection, ServerOrb, ServerRequest};

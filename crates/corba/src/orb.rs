@@ -1,20 +1,20 @@
 //! Object Request Brokers: the server ORB with DSI dispatch and the
 //! client-side DII request API.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use httpd::transport::{connect_with, Listener, Stream};
-use httpd::ReadBuf;
+use httpd::{ReadBuf, ServerGate};
 use jpie::Value;
 use obs::sync::Mutex;
 
 use crate::error::{CorbaError, SystemExceptionKind};
 use crate::giop::{
-    decode_reply_flags, decode_request, read_message_into, write_reply_advertising,
-    write_request_parts, GiopBufs, MsgType, ReplyBody, ReplyMessage,
+    decode_reply_flags, decode_request, read_message_into, write_request_parts, GiopBufs, MsgType,
+    ReplyBody, ReplyMessage,
 };
 use crate::ior::Ior;
 
@@ -84,50 +84,11 @@ impl ServerRequest {
     }
 }
 
-/// Drain gate and in-flight accounting for a server ORB, shared by the
-/// threaded and reactor engines.
-///
-/// The CORBA analogue of `httpd::ServerGate`: planned reconfiguration
-/// needs to drive an ORB to quiescence (Matevska-Meyer) — refuse *new*
-/// requests with the retryable `TRANSIENT` system exception (carrying a
-/// `retry_after_ms=N` pacing hint in the reason) while requests already
-/// dispatched run to completion, observable through an exact in-flight
-/// count. Admission increments before checking the flag (SeqCst both
-/// sides), so a drainer that set the flag and then read a zero count
-/// knows no request can still be racing into the servant.
-#[derive(Debug, Default)]
-pub struct OrbGate {
-    in_flight: AtomicU64,
-    draining: AtomicBool,
-    retry_after_ms: AtomicU64,
-}
-
-impl OrbGate {
-    /// Requests currently executing inside the servant.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Starts refusing new requests with `TRANSIENT`, hinting clients to
-    /// retry after `retry_after_ms`; dispatched requests complete.
-    pub fn begin_drain(&self, retry_after_ms: u64) {
-        self.retry_after_ms.store(retry_after_ms, Ordering::SeqCst);
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Resumes normal admission.
-    pub fn end_drain(&self) {
-        self.draining.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the gate is currently refusing new requests.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-}
-
 /// A running server ORB bound to one transport endpoint, dispatching every
 /// request through a [`DynamicImplementation`].
+///
+/// Connections — `tcp://` or `mem://` — are reactor state machines (see
+/// `rorb.rs`); servants run on a bounded dispatch pool.
 ///
 /// # Examples
 ///
@@ -138,53 +99,13 @@ pub struct ServerOrb {
     shutdown: Arc<AtomicBool>,
     listener: Arc<Listener>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
-    conns: Arc<ConnTracker>,
-    gate: Arc<OrbGate>,
-    /// Present when the reactor engine serves this ORB (`tcp://` on
-    /// Linux); `None` on the threaded `mem://` path.
-    #[cfg(target_os = "linux")]
-    reactor: Option<crate::rorb::ReactorState>,
-}
-
-/// Live connections of the threaded engine, so [`ServerOrb::shutdown`]
-/// can sever them. Without this a "dead" ORB would keep answering GIOP
-/// on established connections — a zombie a failover front could never
-/// fence off.
-#[derive(Debug, Default)]
-struct ConnTracker {
-    streams: Mutex<std::collections::HashMap<u64, Stream>>,
-    next: std::sync::atomic::AtomicU64,
-}
-
-impl ConnTracker {
-    /// Registers a duplicate handle to `stream`; returns the slot id.
-    fn track(&self, stream: &Stream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, clone);
-        Some(id)
-    }
-
-    fn untrack(&self, id: u64) {
-        self.streams.lock().remove(&id);
-    }
-
-    /// Severs every live connection; their serve threads exit on the
-    /// resulting read error.
-    fn sever_all(&self) {
-        for (_, s) in self.streams.lock().drain() {
-            s.shutdown();
-        }
-    }
+    gate: Arc<ServerGate>,
+    reactor: crate::rorb::ReactorState,
 }
 
 impl ServerOrb {
     /// Binds `addr` (e.g. `tcp://127.0.0.1:0` or `mem://calc-orb`) and
     /// starts dispatching to `implementation`.
-    ///
-    /// `tcp://` endpoints are served by the event-driven reactor engine
-    /// (set `ORB_THREADED_TCP=1` to force the thread-per-connection
-    /// engine); `mem://` endpoints always use the threaded engine.
     ///
     /// # Errors
     ///
@@ -197,79 +118,23 @@ impl ServerOrb {
         let listener = Arc::new(Listener::bind(addr)?);
         let local = listener.local_addr().to_string();
         let object_key = format!("{type_id}#key").into_bytes();
-        let served_key = object_key.clone();
-        let ior = Ior::new(type_id, local, object_key);
+        let ior = Ior::new(type_id, local, object_key.clone());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let implementation: Arc<dyn DynamicImplementation> = Arc::new(implementation);
-        let gate = Arc::new(OrbGate::default());
-
-        #[cfg(target_os = "linux")]
-        if matches!(&*listener, Listener::Tcp(_)) && std::env::var_os("ORB_THREADED_TCP").is_none()
-        {
-            let (state, accept_thread) = crate::rorb::start(
-                listener.clone(),
-                shutdown.clone(),
-                implementation,
-                served_key,
-                gate.clone(),
-            );
-            return Ok(ServerOrb {
-                ior,
-                shutdown,
-                listener,
-                accept_thread: Mutex::new(Some(accept_thread)),
-                conns: Arc::new(ConnTracker::default()),
-                gate,
-                reactor: Some(state),
-            });
-        }
-
-        let conns = Arc::new(ConnTracker::default());
-        let accept_listener = listener.clone();
-        let accept_shutdown = shutdown.clone();
-        let accept_conns = conns.clone();
-        let accept_gate = gate.clone();
-        let accept_thread = thread::Builder::new()
-            .name("orb-accept".into())
-            .spawn(move || {
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    let mut stream = match accept_listener.accept() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    };
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        stream.shutdown();
-                        break;
-                    }
-                    // A connection that goes silent (or was blackholed)
-                    // must not pin its serve thread forever.
-                    let _ = stream.set_read_timeout(Some(SERVER_IDLE_TIMEOUT));
-                    let implementation = implementation.clone();
-                    let conn_key = served_key.clone();
-                    let conn_gate = accept_gate.clone();
-                    let tracked = accept_conns.track(&stream);
-                    let thread_conns = accept_conns.clone();
-                    let _ = thread::Builder::new()
-                        .name("orb-conn".into())
-                        .spawn(move || {
-                            serve_connection(stream, implementation, conn_key, conn_gate);
-                            if let Some(id) = tracked {
-                                thread_conns.untrack(id);
-                            }
-                        });
-                }
-            })
-            .expect("spawn orb accept thread");
-
+        let gate = Arc::new(ServerGate::default());
+        let (reactor, accept_thread) = crate::rorb::start(
+            listener.clone(),
+            shutdown.clone(),
+            Arc::new(implementation),
+            object_key,
+            gate.clone(),
+        );
         Ok(ServerOrb {
             ior,
             shutdown,
             listener,
             accept_thread: Mutex::new(Some(accept_thread)),
-            conns,
             gate,
-            #[cfg(target_os = "linux")]
-            reactor: None,
+            reactor,
         })
     }
 
@@ -278,25 +143,26 @@ impl ServerOrb {
         self.ior.clone()
     }
 
-    /// The ORB's drain gate (in-flight accounting + drain-mode
-    /// `TRANSIENT` refusals), engine-independent.
-    pub fn gate(&self) -> &Arc<OrbGate> {
+    /// The ORB's drain gate: in-flight accounting, and while draining
+    /// new requests are refused with the retryable `TRANSIENT` system
+    /// exception carrying a `retry_after_ms=N` pacing hint in its
+    /// reason (the servant never ran, so a client retry is always
+    /// safe).
+    pub fn gate(&self) -> &Arc<ServerGate> {
         &self.gate
     }
 
     /// Stops accepting connections, sweeps every live connection off
-    /// its engine, and joins the threads this ORB spawned.
+    /// the reactor — a "dead" ORB that kept answering GIOP on
+    /// established connections would be a zombie a failover front could
+    /// never fence off — and joins the threads this ORB spawned.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.listener.close();
         if let Some(t) = self.accept_thread.lock().take() {
             let _ = t.join();
         }
-        self.conns.sever_all();
-        #[cfg(target_os = "linux")]
-        if let Some(r) = &self.reactor {
-            r.shutdown();
-        }
+        self.reactor.shutdown();
     }
 }
 
@@ -307,14 +173,14 @@ impl Drop for ServerOrb {
 }
 
 /// How long a server-side connection may sit idle (or mid-message)
-/// before its serve thread (or reactor deadline timer) gives up on it.
+/// before its reactor deadline timer gives up on it.
 pub(crate) const SERVER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default client-side reply timeout: a server that accepts and never
 /// replies surfaces as a transport error instead of a hang.
 const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// GIOP message counters, resolved once — `serve_connection` is the RMI
+/// GIOP message counters, resolved once — serving a request is the RMI
 /// hot path the Table-1 RTT benchmark measures.
 pub(crate) fn giop_counters() -> &'static (Arc<obs::Counter>, Arc<obs::Counter>) {
     static COUNTERS: std::sync::OnceLock<(Arc<obs::Counter>, Arc<obs::Counter>)> =
@@ -328,125 +194,59 @@ pub(crate) fn giop_counters() -> &'static (Arc<obs::Counter>, Arc<obs::Counter>)
     })
 }
 
-fn serve_connection(
-    stream: Stream,
-    implementation: Arc<dyn DynamicImplementation>,
-    served_key: Vec<u8>,
-    gate: Arc<OrbGate>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    // One set of marshalling buffers per connection: after the first
-    // request, the read/encode/frame cycle allocates nothing.
-    let mut inbuf = ReadBuf::new();
-    let mut bufs = GiopBufs::default();
-    loop {
-        let (msg_type, big_endian, total) = match read_message_into(&mut reader, &mut inbuf) {
-            Ok(Some(m)) => m,
-            Ok(None) | Err(_) => return,
-        };
-        let body = &inbuf.filled()[12..total];
-        match msg_type {
-            MsgType::CloseConnection => return,
-            // Protocol violations from a client.
-            MsgType::Reply | MsgType::LocateReply => return,
-            MsgType::LocateRequest => {
-                giop_counters().1.inc();
-                let Ok((request_id, key)) = crate::giop::decode_locate_request(body, big_endian)
-                else {
-                    return;
-                };
-                let status = if key == served_key {
-                    crate::giop::LocateStatus::ObjectHere
-                } else {
-                    crate::giop::LocateStatus::UnknownObject
-                };
-                if crate::giop::write_locate_reply(&mut writer, request_id, status).is_err() {
-                    return;
-                }
-            }
-            MsgType::Request => {
-                giop_counters().0.inc();
-                let reply = request_reply(
-                    implementation.as_ref(),
-                    &served_key,
-                    body,
-                    big_endian,
-                    &gate,
-                );
-                let advertise = implementation.caches_replies();
-                if write_reply_advertising(&mut writer, &reply, advertise, &mut bufs).is_err() {
-                    return;
-                }
-            }
-        }
-        inbuf.consume(total);
-    }
-}
-
 /// Decode one GIOP `Request` body, dispatch it through the servant's DSI
-/// `invoke`, and produce the `ReplyMessage` to send back. Shared by the
-/// threaded serve loop and the reactor engine.
+/// `invoke`, and produce the `ReplyMessage` to send back.
 pub(crate) fn request_reply(
     implementation: &dyn DynamicImplementation,
     served_key: &[u8],
     body: &[u8],
     big_endian: bool,
-    gate: &OrbGate,
+    gate: &ServerGate,
 ) -> ReplyMessage {
-    let (request_id, reply_body) = match decode_request(body, big_endian) {
+    let (request_id, outcome) = match decode_request(body, big_endian) {
+        // A real ORB dispatches by object key; an unknown key is
+        // OBJECT_NOT_EXIST, not a servant call.
+        Ok(req) if req.object_key != served_key => (
+            req.request_id,
+            Err(CorbaError::system(
+                SystemExceptionKind::ObjectNotExist,
+                "unknown object key",
+            )),
+        ),
         Ok(req) => {
             let id = req.request_id;
-            // A real ORB dispatches by object key; an unknown
-            // key is OBJECT_NOT_EXIST, not a servant call.
-            if req.object_key != served_key {
-                let outcome = Err(CorbaError::system(
-                    SystemExceptionKind::ObjectNotExist,
-                    "unknown object key",
-                ));
-                (id, outcome_to_reply(outcome))
-            } else {
-                // Increment before checking the drain flag (see
-                // [`OrbGate`]): a drained-but-admitted request is
-                // refused with TRANSIENT — the servant never ran, so a
-                // client retry is always safe.
-                gate.in_flight.fetch_add(1, Ordering::SeqCst);
-                let outcome = if gate.draining.load(Ordering::SeqCst) {
-                    Err(CorbaError::system(
-                        SystemExceptionKind::Transient,
-                        format!(
-                            "orb draining; retry_after_ms={}",
-                            gate.retry_after_ms.load(Ordering::SeqCst)
-                        ),
-                    ))
-                } else {
-                    let mut sreq = ServerRequest {
-                        operation: req.operation,
-                        args: req.args,
-                        call_id: req.call_id,
-                        trace: req.trace,
-                        outcome: None,
-                    };
-                    implementation.invoke(&mut sreq);
-                    sreq.outcome.unwrap_or_else(|| {
-                        Err(CorbaError::system(
-                            SystemExceptionKind::NoImplement,
-                            "servant set no result",
-                        ))
-                    })
+            let invoke = || {
+                let mut sreq = ServerRequest {
+                    operation: req.operation,
+                    args: req.args,
+                    call_id: req.call_id,
+                    trace: req.trace,
+                    outcome: None,
                 };
-                gate.in_flight.fetch_sub(1, Ordering::SeqCst);
-                (id, outcome_to_reply(outcome))
-            }
+                implementation.invoke(&mut sreq);
+                sreq.outcome.unwrap_or_else(|| {
+                    Err(CorbaError::system(
+                        SystemExceptionKind::NoImplement,
+                        "servant set no result",
+                    ))
+                })
+            };
+            let outcome = gate.enter(invoke).unwrap_or_else(|retry_after| {
+                Err(CorbaError::system(
+                    SystemExceptionKind::Transient,
+                    format!(
+                        "orb draining; retry_after_ms={}",
+                        retry_after.as_millis().max(1)
+                    ),
+                ))
+            });
+            (id, outcome)
         }
-        Err(e) => (0, outcome_to_reply(Err(e))),
+        Err(e) => (0, Err(e)),
     };
     ReplyMessage {
         request_id,
-        body: reply_body,
+        body: outcome_to_reply(outcome),
     }
 }
 
@@ -673,6 +473,7 @@ impl DiiRequest {
 mod tests {
     use super::*;
     use jpie::TypeDesc;
+    use std::thread;
 
     struct Arith;
     impl DynamicImplementation for Arith {

@@ -1,44 +1,39 @@
-//! The event-driven GIOP server engine: `tcp://` ORB connections as
-//! reactor state machines.
+//! The GIOP server engine: ORB connections as reactor state machines.
 //!
-//! Mirrors `httpd`'s reactor engine: a blocking acceptor registers each
+//! Mirrors `httpd`'s server engine: a blocking acceptor registers each
 //! connection with the process-global [`reactor`] pool, GIOP frames are
 //! reassembled incrementally from whatever bytes have arrived
 //! ([`crate::giop::whole_frame`]), `LocateRequest`s are answered
 //! inline on the reactor thread, and `Request`s hop to a bounded
 //! dispatch pool where the [`DynamicImplementation`] runs. An idle
-//! connection is a parked fd plus one idle-deadline timer — no thread,
-//! matching the old per-connection `SERVER_IDLE_TIMEOUT` read timeout.
-
-#![cfg(target_os = "linux")]
+//! connection is a parked fd plus one idle-deadline timer
+//! (`SERVER_IDLE_TIMEOUT`) — no thread.
 
 use std::any::Any;
 use std::fmt;
 use std::io::{self, Write};
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use httpd::fault::{self, ChaosMode, FaultSide, Injected};
-use httpd::transport::{Listener, Stream};
-use httpd::ReadBuf;
+use httpd::transport::{Listener, Start, Stream};
+use httpd::{ReadBuf, ServerGate};
 use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 
 use crate::error::SystemExceptionKind;
 use crate::giop::{
-    decode_locate_request, whole_frame, write_locate_reply, write_reply_advertising, GiopBufs,
-    LocateStatus, MsgType, ReplyBody, ReplyMessage,
+    decode_locate_request, peek_request_id, whole_frame, write_locate_reply,
+    write_reply_advertising, GiopBufs, LocateStatus, MsgType, ReplyBody, ReplyMessage,
 };
-use crate::orb::{
-    giop_counters, request_reply, DynamicImplementation, OrbGate, SERVER_IDLE_TIMEOUT,
-};
+use crate::orb::{giop_counters, request_reply, DynamicImplementation, SERVER_IDLE_TIMEOUT};
 
-/// Reactor-engine state a [`crate::ServerOrb`] owns: the id its
-/// connections are registered under and the handler pool.
+/// The reactor side of a [`crate::ServerOrb`]: the id its connections
+/// are registered under and the servant pool.
 pub(crate) struct ReactorState {
-    pub(crate) server_id: u64,
-    pub(crate) dispatch: Arc<DispatchPool>,
+    server_id: u64,
+    dispatch: Arc<DispatchPool>,
 }
 
 impl fmt::Debug for ReactorState {
@@ -60,17 +55,17 @@ struct OrbShared {
     implementation: Arc<dyn DynamicImplementation>,
     served_key: Vec<u8>,
     dispatch: Arc<DispatchPool>,
-    gate: Arc<OrbGate>,
+    gate: Arc<ServerGate>,
 }
 
-/// Starts the reactor engine for a bound `tcp://` listener: spawns the
-/// acceptor thread and the dispatch pool.
+/// Starts serving a bound listener: spawns the acceptor thread and the
+/// dispatch pool.
 pub(crate) fn start(
     listener: Arc<Listener>,
     shutdown: Arc<AtomicBool>,
     implementation: Arc<dyn DynamicImplementation>,
     served_key: Vec<u8>,
-    gate: Arc<OrbGate>,
+    gate: Arc<ServerGate>,
 ) -> (ReactorState, JoinHandle<()>) {
     let label = listener.local_addr().to_string();
     let workers = std::thread::available_parallelism()
@@ -92,7 +87,11 @@ pub(crate) fn start(
     });
     let accept_thread = std::thread::Builder::new()
         .name("orb-accept".into())
-        .spawn(move || accept_loop(&listener, &shutdown, &shared, server_id))
+        .spawn(move || {
+            listener.accept_loop(&shutdown, |stream, start| {
+                register(&shared, server_id, stream, start);
+            });
+        })
         .expect("spawn orb accept thread");
     (
         ReactorState {
@@ -103,72 +102,28 @@ pub(crate) fn start(
     )
 }
 
-fn accept_loop(
-    listener: &Listener,
-    shutdown: &AtomicBool,
-    shared: &Arc<OrbShared>,
-    server_id: u64,
-) {
-    let Listener::Tcp(tcp) = listener else {
-        return; // mem:// stays on the threaded engine
+/// Puts one accepted, nonblocking connection on a reactor shard.
+fn register(shared: &Arc<OrbShared>, server_id: u64, stream: Stream, start: Start) {
+    let (state, interest, timeout) = match start {
+        Start::Reading => (GState::Reading, Interest::Read, Some(SERVER_IDLE_TIMEOUT)),
+        Start::Delayed(d) => (GState::DelayedStart, Interest::None, Some(d)),
+        Start::Blackholed => (GState::Blackholed, Interest::None, None),
     };
-    let label = listener.local_addr().to_string();
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match tcp.accept() {
-            Ok((s, _)) => {
-                s.set_nodelay(true).ok();
-                Stream::Tcp(s)
-            }
-            Err(_) => break,
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            stream.shutdown();
-            break;
-        }
-        // Accept-side chaos: a Delay becomes a reactor timer, a
-        // blackholed connection is parked off epoll (its reads block on
-        // a condvar and must never run on a reactor thread).
-        let mut stream = stream;
-        let mut delay = None;
-        if fault::active() {
-            match fault::inject(&label, FaultSide::Accept) {
-                Some(Injected::Refuse) => {
-                    stream.shutdown();
-                    continue;
-                }
-                Some(Injected::Delay(d)) => delay = Some(d),
-                Some(Injected::Wrap(mode)) => stream = fault::wrap(stream, mode),
-                None => {}
-            }
-        }
-        if stream.set_nonblocking(true).is_err() {
-            stream.shutdown();
-            continue;
-        }
-        let blackholed = stream.chaos_mode() == Some(ChaosMode::Blackhole);
-        let (state, interest, timeout) = if blackholed {
-            (GState::Blackholed, Interest::None, None)
-        } else if let Some(d) = delay {
-            (GState::DelayedStart, Interest::None, Some(d))
-        } else {
-            (GState::Reading, Interest::Read, Some(SERVER_IDLE_TIMEOUT))
-        };
-        let conn = GiopConn {
-            io: Some(GiopIo {
-                stream,
-                bufs: GiopBufs::default(),
-                out: Vec::new(),
-                frame: ReadBuf::new(),
-            }),
-            shared: shared.clone(),
-            server_id,
-            state,
-            inbuf: ReadBuf::new(),
-        };
-        reactor::pool()
-            .next_handle()
-            .register(Box::new(conn), interest, timeout);
-    }
+    let conn = GiopConn {
+        io: Some(GiopIo {
+            stream,
+            bufs: GiopBufs::default(),
+            out: Vec::new(),
+            frame: ReadBuf::new(),
+        }),
+        shared: shared.clone(),
+        server_id,
+        state,
+        inbuf: ReadBuf::new(),
+    };
+    reactor::pool()
+        .next_handle()
+        .register(Box::new(conn), interest, timeout);
 }
 
 enum GState {
@@ -248,9 +203,8 @@ impl GiopConn {
                     let have = self.inbuf.filled();
                     let (msg_type, big_endian, total) = match whole_frame(have) {
                         Ok(Some(frame)) => frame,
-                        // Waiting for the rest of a frame; the idle
-                        // deadline replaces the old per-thread read
-                        // timeout.
+                        // Waiting for the rest of a frame, or for the
+                        // next one — until the idle deadline.
                         Ok(None) => {
                             return Action::Rearm(Interest::Read, Some(SERVER_IDLE_TIMEOUT));
                         }
@@ -309,19 +263,13 @@ impl GiopConn {
                             // unboundedly. Nothing went on loan, so the
                             // frame is still here and the shed reply
                             // carries the real request id.
-                            let request_id = crate::giop::peek_request_id(
+                            let reply = refusal(
                                 &self.inbuf.filled()[12..total],
                                 big_endian,
-                            )
-                            .unwrap_or(0);
+                                SystemExceptionKind::Transient,
+                                "server busy",
+                            );
                             self.inbuf.consume(total);
-                            let reply = ReplyMessage {
-                                request_id,
-                                body: ReplyBody::SystemException {
-                                    kind: SystemExceptionKind::Transient,
-                                    reason: "server busy".into(),
-                                },
-                            };
                             let io = self.io.as_mut().expect(IO_HOME);
                             io.out.clear();
                             if write_reply_advertising(
@@ -365,8 +313,7 @@ impl GiopConn {
 impl EventSource for GiopConn {
     fn fd(&self) -> RawFd {
         // Asked once, at registration, when the I/O is home.
-        let io = self.io.as_ref().expect(IO_HOME);
-        io.stream.raw_fd().unwrap_or(-1)
+        self.io.as_ref().expect(IO_HOME).stream.raw_fd()
     }
 
     fn server_id(&self) -> u64 {
@@ -395,8 +342,7 @@ impl EventSource for GiopConn {
                 self.state = GState::Reading;
                 self.run(ctl)
             }
-            // Idle (or mid-frame) past the deadline: same outcome as
-            // the old engine's read timeout — drop the connection.
+            // Idle (or mid-frame) past the deadline: drop the connection.
             _ => Action::Close,
         }
     }
@@ -425,16 +371,48 @@ impl EventSource for GiopConn {
     }
 }
 
+/// The system-exception reply to a request the servant will not see
+/// (shed) or did not survive (panicked), carrying the request's own id.
+fn refusal(
+    request_body: &[u8],
+    big_endian: bool,
+    kind: SystemExceptionKind,
+    reason: &str,
+) -> ReplyMessage {
+    ReplyMessage {
+        request_id: peek_request_id(request_body, big_endian).unwrap_or(0),
+        body: ReplyBody::SystemException {
+            kind,
+            reason: reason.into(),
+        },
+    }
+}
+
 /// Runs on a dispatch worker: servant invocation, reply marshalling,
 /// and the first write attempt.
 fn execute_request(shared: &OrbShared, big_endian: bool, mut io: GiopIo) -> GiopOutcome {
-    let reply = request_reply(
-        shared.implementation.as_ref(),
-        &shared.served_key,
-        &io.frame.filled()[12..],
-        big_endian,
-        &shared.gate,
-    );
+    let body = &io.frame.filled()[12..];
+    // A panicking servant costs this request, not this worker: the
+    // unwind stops here, the caller gets UNKNOWN, and the connection
+    // closes after the reply.
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        request_reply(
+            shared.implementation.as_ref(),
+            &shared.served_key,
+            body,
+            big_endian,
+            &shared.gate,
+        )
+    }));
+    let panicked = served.is_err();
+    let reply = served.unwrap_or_else(|_| {
+        refusal(
+            body,
+            big_endian,
+            SystemExceptionKind::Unknown,
+            "servant panicked",
+        )
+    });
     let advertise = shared.implementation.caches_replies();
     io.out.clear();
     if write_reply_advertising(&mut io.out, &reply, advertise, &mut io.bufs).is_err() {
@@ -442,6 +420,8 @@ fn execute_request(shared: &OrbShared, big_endian: bool, mut io: GiopIo) -> Giop
     }
     let mut pos = 0;
     match drain_frame(&mut io.stream, &io.out, &mut pos) {
+        // The connection closes whether or not the whole reply left.
+        _ if panicked => GiopOutcome::Failed(io),
         Ok(true) => GiopOutcome::Done(io),
         Ok(false) => GiopOutcome::Pending(io, pos),
         Err(_) => GiopOutcome::Failed(io),

@@ -1,10 +1,8 @@
-//! The idle deadline of a busy `tcp://` ORB connection must cost one
+//! The idle deadline of a busy ORB connection (either scheme) must cost one
 //! filed timer, however many requests re-arm it: `reactor_timers_armed`
 //! (filed wheel entries) stays at or below `reactor_fds_registered`.
 //! Before the wheel kept one entry per source, every request left a
 //! dead entry filed for 30 s and this gauge would have read ~10 000.
-
-#![cfg(target_os = "linux")]
 
 use std::time::{Duration, Instant};
 
@@ -21,7 +19,13 @@ impl DynamicImplementation for Echo {
 
 #[test]
 fn ten_thousand_calls_on_one_connection_file_one_timer() {
-    let orb = ServerOrb::init("tcp://127.0.0.1:0", "IDL:Echo:1.0", Echo).unwrap();
+    for addr in ["mem://orb-timers", "tcp://127.0.0.1:0"] {
+        one_connection_files_one_timer(addr);
+    }
+}
+
+fn one_connection_files_one_timer(addr: &str) {
+    let orb = ServerOrb::init(addr, "IDL:Echo:1.0", Echo).unwrap();
     let mut conn = OrbConnection::connect(&orb.ior()).unwrap();
     for i in 0..10_000 {
         let got = conn.call("echo", &[Value::Int(i)]).unwrap();

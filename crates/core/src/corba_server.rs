@@ -127,7 +127,7 @@ impl CorbaServer {
 
     /// The ORB's drain gate: in-flight accounting and drain-mode
     /// `TRANSIENT` refusals, for planned-migration quiescence.
-    pub fn gate(&self) -> &Arc<corba::OrbGate> {
+    pub fn gate(&self) -> &Arc<httpd::ServerGate> {
         self.orb.gate()
     }
 

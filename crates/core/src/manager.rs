@@ -22,8 +22,8 @@ use crate::wal::VersionWal;
 /// Which transport newly deployed endpoints use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-memory endpoints (deterministic; used by tests and the
-    /// consistency experiments).
+    /// In-process endpoints: process-private `mem://` names, no ports
+    /// (used by tests and the consistency experiments).
     Mem,
     /// TCP loopback endpoints (used by the RTT benchmarks, mirroring the
     /// paper's LAN testbed).

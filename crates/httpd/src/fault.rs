@@ -302,13 +302,7 @@ pub fn status() -> String {
 }
 
 /// What the injector decided for one connection.
-///
-/// Public so reactor-based accept loops (the httpd TCP engine and the
-/// server ORB) can roll accept-side faults themselves and translate a
-/// `Delay` into a timer instead of a thread sleep; not meant for
-/// application code.
-#[doc(hidden)]
-pub enum Injected {
+pub(crate) enum Injected {
     Refuse,
     Delay(Duration),
     Wrap(ChaosMode),
@@ -316,11 +310,7 @@ pub enum Injected {
 
 /// Rolls the installed plan for a connection to `endpoint` on `side`.
 /// Returns `None` when no rule fires.
-///
-/// Public for reactor accept loops (see [`Injected`]); not meant for
-/// application code.
-#[doc(hidden)]
-pub fn inject(endpoint: &str, side: FaultSide) -> Option<Injected> {
+pub(crate) fn inject(endpoint: &str, side: FaultSide) -> Option<Injected> {
     let inj = injector();
     let mut st = inj.state.lock();
     let ps = st.as_mut()?;
@@ -418,11 +408,8 @@ pub struct ChaosStream {
     read_timeout: Option<Duration>,
 }
 
-/// Wraps `stream` in a [`ChaosStream`] injecting `mode`. Public for
-/// reactor accept loops (see [`Injected`]); not meant for application
-/// code.
-#[doc(hidden)]
-pub fn wrap(stream: Stream, mode: ChaosMode) -> Stream {
+/// Wraps `stream` in a [`ChaosStream`] injecting `mode`.
+pub(crate) fn wrap(stream: Stream, mode: ChaosMode) -> Stream {
     Stream::Chaos(ChaosStream {
         inner: Box::new(stream),
         shared: Arc::new(ChaosShared {
@@ -565,7 +552,7 @@ impl Write for ChaosStream {
 }
 
 /// Serializes tests that mutate the process-global injector (also used
-/// by the reactor-engine chaos tests in `rserver`).
+/// by the server's chaos tests).
 #[cfg(test)]
 pub(crate) fn test_guard() -> obs::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::OnceLock<obs::sync::Mutex<()>> = std::sync::OnceLock::new();

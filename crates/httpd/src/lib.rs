@@ -6,11 +6,13 @@
 //!
 //! * [`transport`] — a byte-stream transport abstraction with two
 //!   implementations: real TCP (used by the benchmark harness, mirroring
-//!   the paper's LAN testbed) and a deterministic in-memory duplex pipe
-//!   (used by tests and the consistency-matrix experiments),
+//!   the paper's LAN testbed) and in-process socket pairs behind
+//!   process-private `mem://` names (no ports; used by tests and the
+//!   consistency-matrix experiments),
 //! * [`Request`] / [`Response`] — HTTP/1.1 message types with parsing and
 //!   serialization,
-//! * [`HttpServer`] — a threaded server dispatching to a [`Handler`],
+//! * [`HttpServer`] — a reactor-driven server dispatching to a
+//!   [`Handler`] on a bounded worker pool,
 //! * [`HttpClient`] — a blocking client.
 //!
 //! # Examples
@@ -41,7 +43,6 @@ pub mod fault;
 mod message;
 mod pool;
 mod readbuf;
-#[cfg(target_os = "linux")]
 mod rserver;
 mod server;
 pub mod transport;

@@ -270,58 +270,6 @@ impl Request {
         Ok(())
     }
 
-    /// Reads one request from `r`.
-    ///
-    /// Returns `Ok(None)` on a clean EOF before any bytes (the peer closed
-    /// a keep-alive connection).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HttpError::Malformed`] on protocol violations and
-    /// [`HttpError::UnexpectedEof`] on truncation mid-message.
-    pub fn read_from<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
-        Self::read_from_limited(r, &Limits::default())
-    }
-
-    /// Reads one request from `r` under explicit [`Limits`]; the server
-    /// uses this with its configured bounds so a hostile peer cannot
-    /// grow headers or the body without bound.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Request::read_from`]; exceeding a limit is
-    /// [`HttpError::Malformed`].
-    pub fn read_from_limited<R: BufRead>(
-        r: &mut R,
-        limits: &Limits,
-    ) -> Result<Option<Request>, HttpError> {
-        let mut head_budget = limits.max_header_bytes;
-        let line = match read_line_limited(r, &mut head_budget)? {
-            None => return Ok(None),
-            Some(l) => l,
-        };
-        let mut parts = line.split_whitespace();
-        let method = Method::parse(parts.next().unwrap_or(""))?;
-        let path = parts
-            .next()
-            .ok_or_else(|| HttpError::Malformed("missing request path".into()))?
-            .to_string();
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed(format!(
-                "bad http version {version:?}"
-            )));
-        }
-        let headers = read_headers_limited(r, &mut head_budget)?;
-        let body = read_body(r, &headers, limits.max_body_bytes)?;
-        Ok(Some(Request {
-            method,
-            path,
-            headers,
-            body,
-        }))
-    }
-
     /// Incremental (non-blocking) parse: attempts to extract one
     /// complete request from the front of `buf`.
     ///
@@ -334,9 +282,9 @@ impl Request {
     /// # Errors
     ///
     /// [`HttpError::Malformed`] on protocol violations, including a
-    /// header section or declared body that exceeds `limits` — unlike
-    /// the blocking path, an over-limit prefix is detected as soon as
-    /// the bytes are in the buffer.
+    /// header section or declared body that exceeds `limits` — an
+    /// over-limit prefix is detected as soon as the bytes are in the
+    /// buffer, terminator or not.
     pub fn parse_buffered(
         buf: &[u8],
         limits: &Limits,
@@ -776,9 +724,11 @@ mod tests {
     fn roundtrip_request(req: &Request) -> Request {
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        Request::read_from(&mut BufReader::new(&buf[..]))
+        let (got, consumed) = Request::parse_buffered(&buf, &Limits::default())
             .unwrap()
-            .unwrap()
+            .unwrap();
+        assert_eq!(consumed, buf.len());
+        got
     }
 
     fn roundtrip_response(resp: &Response) -> Response {
@@ -844,15 +794,19 @@ mod tests {
 
     #[test]
     fn eof_before_request_is_none() {
-        let mut r = BufReader::new(&b""[..]);
-        assert!(Request::read_from(&mut r).unwrap().is_none());
+        assert!(Request::parse_buffered(b"", &Limits::default())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
-    fn truncated_body_is_eof_error() {
+    fn truncated_body_is_incomplete() {
+        // The parser keeps waiting for the declared body; the server
+        // closes the connection when the peer's EOF arrives instead.
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        let err = Request::read_from(&mut BufReader::new(&raw[..])).unwrap_err();
-        assert!(matches!(err, HttpError::UnexpectedEof));
+        assert!(Request::parse_buffered(raw, &Limits::default())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -863,9 +817,13 @@ mod tests {
             &b"GET / SPDY/9\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-Bytes: \xff\xfe\r\n\r\n"[..],
         ] {
             assert!(
-                Request::read_from(&mut BufReader::new(raw)).is_err(),
+                matches!(
+                    Request::parse_buffered(raw, &Limits::default()),
+                    Err(HttpError::Malformed(_))
+                ),
                 "{}",
                 String::from_utf8_lossy(raw)
             );
@@ -875,7 +833,10 @@ mod tests {
     #[test]
     fn oversized_content_length_rejected() {
         let raw = b"GET / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n";
-        assert!(Request::read_from(&mut BufReader::new(&raw[..])).is_err());
+        assert!(Request::parse_buffered(raw, &Limits::default()).is_err());
+        // Too large for any integer: rejected, not wrapped.
+        let raw = b"GET / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n";
+        assert!(Request::parse_buffered(raw, &Limits::default()).is_err());
     }
 
     #[test]
@@ -890,24 +851,21 @@ mod tests {
             max_header_bytes: 64,
             max_body_bytes: 1024,
         };
-        // A single endless header line is cut off at the budget, not
-        // buffered unboundedly.
+        // A single endless header line is cut off at the budget...
         let raw = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(1024));
-        let err =
-            Request::read_from_limited(&mut BufReader::new(raw.as_bytes()), &limits).unwrap_err();
+        let err = Request::parse_buffered(raw.as_bytes(), &limits).unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)));
+        // ...even before its terminator has arrived.
+        let raw = format!("GET / HTTP/1.1\r\nX-Big: {}", "a".repeat(256));
+        let err = Request::parse_buffered(raw.as_bytes(), &limits).unwrap_err();
         assert!(matches!(err, HttpError::Malformed(_)));
         // Many small headers exceed the shared budget the same way.
         let raw = format!("GET / HTTP/1.1\r\n{}\r\n", "X-H: v\r\n".repeat(32));
-        let err =
-            Request::read_from_limited(&mut BufReader::new(raw.as_bytes()), &limits).unwrap_err();
+        let err = Request::parse_buffered(raw.as_bytes(), &limits).unwrap_err();
         assert!(matches!(err, HttpError::Malformed(_)));
         // A request inside the budget still parses.
         let raw = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n";
-        assert!(
-            Request::read_from_limited(&mut BufReader::new(&raw[..]), &limits)
-                .unwrap()
-                .is_some()
-        );
+        assert!(Request::parse_buffered(raw, &limits).unwrap().is_some());
     }
 
     #[test]
@@ -916,9 +874,17 @@ mod tests {
             max_header_bytes: 1024,
             max_body_bytes: 4,
         };
-        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let err = Request::read_from_limited(&mut BufReader::new(&raw[..]), &limits).unwrap_err();
-        assert!(matches!(err, HttpError::Malformed(_)));
+        // Rejected from the declared length alone, body or no body.
+        for raw in [
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\n"[..],
+        ] {
+            let err = Request::parse_buffered(raw, &limits).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)));
+        }
+        // A body at the limit is served.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nhell";
+        assert!(Request::parse_buffered(raw, &limits).unwrap().is_some());
     }
 
     #[test]
@@ -963,23 +929,6 @@ mod tests {
         two.extend_from_slice(&raw);
         let (_, consumed) = Request::parse_buffered(&two, &limits).unwrap().unwrap();
         assert_eq!(consumed, raw.len());
-    }
-
-    #[test]
-    fn parse_buffered_enforces_limits() {
-        let limits = Limits {
-            max_header_bytes: 64,
-            max_body_bytes: 8,
-        };
-        // Oversized headers are rejected as soon as the prefix exceeds
-        // the cap, even with no terminator in sight.
-        let raw = format!("GET / HTTP/1.1\r\nX-Big: {}", "a".repeat(256));
-        assert!(Request::parse_buffered(raw.as_bytes(), &limits).is_err());
-        // A declared body over the cap is rejected at header time.
-        let raw = b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n";
-        assert!(Request::parse_buffered(raw, &limits).is_err());
-        // Malformed request lines fail immediately.
-        assert!(Request::parse_buffered(b"BREW / HTTP/1.1\r\n\r\n", &limits).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A recycled receive buffer that reads straight into its own spare
 //! room.
 //!
-//! Both reactor engines (and the GIOP client) reassemble messages from
+//! Both servers (and the GIOP client) reassemble messages from
 //! whatever bytes a socket has: a `read` lands behind the bytes already
 //! held, the parser looks at [`ReadBuf::filled`], and a finished message
 //! is [`ReadBuf::consume`]d. The storage is zeroed once, when it grows —

@@ -1,28 +1,33 @@
-//! Byte-stream transports: TCP and an in-memory duplex pipe.
+//! Byte-stream transports: TCP and in-process socket pairs.
 //!
 //! Addresses are URL-like strings:
 //!
 //! * `tcp://127.0.0.1:8080` — a real TCP socket (use port `0` to let the OS
 //!   pick a free port; the bound address is reported by
 //!   [`Listener::local_addr`]),
-//! * `mem://name` — a named endpoint in a process-global registry backed by
-//!   lock-and-condvar byte pipes. The in-memory transport is fully
-//!   deterministic, which the consistency-matrix experiments rely on.
+//! * `mem://name` — a named endpoint in a process-private registry. A
+//!   connection is one `socketpair(2)`: the connector keeps one end and
+//!   the listener is handed the other. No port, no file-system name, and
+//!   nothing outside the process can reach it.
 //!
-//! Both produce a [`Stream`] implementing [`Read`] + [`Write`], so every
-//! protocol layer above (HTTP, GIOP) is transport-agnostic.
+//! Both produce a [`Stream`] implementing [`Read`] + [`Write`] over a
+//! real file descriptor, so every protocol layer above (HTTP, GIOP) —
+//! and the reactor that serves them — is transport-agnostic.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use obs::sync::{Condvar, Mutex};
 
 use crate::error::HttpError;
-use crate::fault::{self, ChaosStream, FaultSide, Injected};
+use crate::fault::{self, ChaosMode, ChaosStream, FaultSide, Injected};
 
 /// Address of a transport endpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -80,7 +85,7 @@ impl fmt::Display for Addr {
 pub enum Stream {
     /// A TCP connection.
     Tcp(TcpStream),
-    /// An in-memory duplex connection.
+    /// One end of an in-process socket pair.
     Mem(MemStream),
     /// A connection wrapped by the fault-injection layer (see
     /// [`crate::fault`]).
@@ -92,10 +97,7 @@ impl Stream {
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(timeout),
-            Stream::Mem(s) => {
-                s.read_timeout = timeout;
-                Ok(())
-            }
+            Stream::Mem(s) => s.0.set_read_timeout(timeout),
             Stream::Chaos(s) => s.set_read_timeout(timeout),
         }
     }
@@ -105,7 +107,7 @@ impl Stream {
     pub fn try_clone(&self) -> io::Result<Stream> {
         match self {
             Stream::Tcp(s) => Ok(Stream::Tcp(s.try_clone()?)),
-            Stream::Mem(s) => Ok(Stream::Mem(s.clone())),
+            Stream::Mem(s) => Ok(Stream::Mem(MemStream(s.0.try_clone()?))),
             Stream::Chaos(s) => Ok(Stream::Chaos(s.try_clone()?)),
         }
     }
@@ -114,46 +116,27 @@ impl Stream {
     pub fn shutdown(&self) {
         match self {
             Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
+                let _ = s.shutdown(Shutdown::Both);
             }
             Stream::Mem(s) => s.close(),
             Stream::Chaos(s) => s.shutdown(),
         }
     }
 
-    /// The underlying socket fd, if the stream is backed by one — what
-    /// the reactor registers with epoll. `mem://` streams have no fd
-    /// and are always served by the threaded engine.
-    #[cfg(target_os = "linux")]
-    pub fn raw_fd(&self) -> Option<std::os::unix::io::RawFd> {
-        use std::os::unix::io::AsRawFd;
+    /// The underlying socket fd — what the reactor registers with epoll.
+    pub fn raw_fd(&self) -> RawFd {
         match self {
-            Stream::Tcp(s) => Some(s.as_raw_fd()),
-            Stream::Mem(_) => None,
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Mem(s) => s.0.as_raw_fd(),
             Stream::Chaos(s) => s.inner().raw_fd(),
         }
     }
 
-    /// Switches the underlying socket between blocking and nonblocking
-    /// mode. No-op for `mem://` streams (their reads take explicit
-    /// timeouts instead).
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
-            Stream::Mem(_) => Ok(()),
+            Stream::Mem(s) => s.0.set_nonblocking(nonblocking),
             Stream::Chaos(s) => s.inner().set_nonblocking(nonblocking),
-        }
-    }
-
-    /// The chaos perturbation wrapped around this stream, if any. The
-    /// reactor engine special-cases [`crate::fault::ChaosMode::Blackhole`]:
-    /// its read parks on a condvar, which must never happen on a
-    /// reactor thread, so blackholed connections are parked off epoll
-    /// instead of read.
-    pub fn chaos_mode(&self) -> Option<crate::fault::ChaosMode> {
-        match self {
-            Stream::Chaos(s) => Some(s.mode()),
-            _ => None,
         }
     }
 }
@@ -246,17 +229,13 @@ impl Listener {
         }
     }
 
-    /// Blocks until a client connects.
-    ///
-    /// When a [`crate::fault`] plan is installed, accept-side rules are
-    /// rolled per accepted connection: refused connections are closed
-    /// immediately (and the accept loop continues), others may be
-    /// delayed or wrapped in a chaos stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error once the listener is closed.
-    pub fn accept(&self) -> Result<Stream, HttpError> {
+    /// Accepts one connection and rolls the installed [`crate::fault`]
+    /// plan's accept-side rules for it — the one place they are rolled.
+    /// Refused connections are closed and the wait continues; a wrapped
+    /// stream comes back wrapped; a delay comes back as the time the
+    /// caller owes before it serves the connection (a blocking caller
+    /// sleeps, a reactor server arms a timer).
+    fn accept_rolled(&self) -> Result<(Stream, Option<Duration>), HttpError> {
         loop {
             let stream = match self {
                 Listener::Tcp(l) => {
@@ -266,21 +245,57 @@ impl Listener {
                 }
                 Listener::Mem(l) => l.accept()?,
             };
-            if fault::active() {
-                match fault::inject(&self.local_addr().to_string(), FaultSide::Accept) {
-                    Some(Injected::Refuse) => {
-                        stream.shutdown();
-                        continue;
-                    }
-                    Some(Injected::Delay(d)) => {
-                        std::thread::sleep(d);
-                        return Ok(stream);
-                    }
-                    Some(Injected::Wrap(mode)) => return Ok(fault::wrap(stream, mode)),
-                    None => {}
-                }
+            if !fault::active() {
+                return Ok((stream, None));
             }
-            return Ok(stream);
+            match fault::inject(&self.local_addr().to_string(), FaultSide::Accept) {
+                Some(Injected::Refuse) => stream.shutdown(),
+                Some(Injected::Delay(d)) => return Ok((stream, Some(d))),
+                Some(Injected::Wrap(mode)) => return Ok((fault::wrap(stream, mode), None)),
+                None => return Ok((stream, None)),
+            }
+        }
+    }
+
+    /// Blocks until a client connects (and any injected accept delay
+    /// has passed).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error once the listener is closed.
+    pub fn accept(&self) -> Result<Stream, HttpError> {
+        let (stream, delay) = self.accept_rolled()?;
+        if let Some(d) = delay {
+            std::thread::sleep(d);
+        }
+        Ok(stream)
+    }
+
+    /// The accept loop of a reactor server (HTTP and GIOP alike): hands
+    /// `register` each accepted connection, already nonblocking, with
+    /// the [`Start`] its state machine begins in. Returns when the
+    /// listener is closed or `shutdown` is set.
+    pub fn accept_loop(&self, shutdown: &AtomicBool, mut register: impl FnMut(Stream, Start)) {
+        while !shutdown.load(Ordering::SeqCst) {
+            let Ok((stream, delay)) = self.accept_rolled() else {
+                break;
+            };
+            if shutdown.load(Ordering::SeqCst) {
+                stream.shutdown();
+                break;
+            }
+            if stream.set_nonblocking(true).is_err() {
+                stream.shutdown();
+                continue;
+            }
+            let blackholed =
+                matches!(&stream, Stream::Chaos(s) if s.mode() == ChaosMode::Blackhole);
+            let start = if blackholed {
+                Start::Blackholed
+            } else {
+                delay.map_or(Start::Reading, Start::Delayed)
+            };
+            register(stream, start);
         }
     }
 
@@ -293,34 +308,33 @@ impl Listener {
     /// server still looks alive to connect-only health probes.
     pub fn close(&self) {
         match self {
-            Listener::Tcp(l) => {
-                // `shutdown(2)` on the listening socket makes the kernel
-                // refuse new connects and wakes a thread blocked in
-                // `accept` (EINVAL) — without closing the fd out from
-                // under that thread.
-                #[cfg(unix)]
-                {
-                    use std::os::unix::io::AsRawFd;
-                    sys_shutdown_socket(l.as_raw_fd());
-                }
-                // Elsewhere `shutdown` on a listening socket is not
-                // portable (POSIX says ENOTCONN); fall back to waking
-                // the accept loop, which then sees the shutdown flag.
-                #[cfg(not(unix))]
-                if let Ok(a) = l.local_addr() {
-                    let _ = TcpStream::connect_timeout(&a, Duration::from_millis(100));
-                }
-            }
+            // `shutdown(2)` on the listening socket makes the kernel
+            // refuse new connects and wakes a thread blocked in
+            // `accept` (EINVAL) — without closing the fd out from
+            // under that thread.
+            Listener::Tcp(l) => sys_shutdown_socket(l.as_raw_fd()),
             Listener::Mem(l) => l.close(),
         }
     }
 }
 
+/// How a connection accepted by [`Listener::accept_loop`] begins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// Serve it: wait for the first request.
+    Reading,
+    /// Chaos delay: leave it alone until a timer of this length fires.
+    Delayed(Duration),
+    /// Chaos blackhole: never read it (a blackholed read parks on a
+    /// condvar, which must not happen on a reactor thread) and never
+    /// answer; it stays parked until the server shuts down.
+    Blackholed,
+}
+
 /// Raw `shutdown(2)`. The workspace is dependency-free by design, so
 /// the symbol is declared directly — it comes from the libc `std`
 /// already links against (same pattern as `reactor::sys`).
-#[cfg(unix)]
-fn sys_shutdown_socket(fd: std::os::unix::io::RawFd) {
+fn sys_shutdown_socket(fd: RawFd) {
     const SHUT_RDWR: i32 = 2;
     extern "C" {
         fn shutdown(fd: i32, how: i32) -> i32;
@@ -393,119 +407,43 @@ pub fn connect_with(addr: &str, read_timeout: Option<Duration>) -> Result<Stream
 // In-memory transport
 // ---------------------------------------------------------------------------
 
-/// One direction of a duplex in-memory connection.
-#[derive(Debug, Default)]
-struct Pipe {
-    state: Mutex<PipeState>,
-    cond: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct PipeState {
-    buf: VecDeque<u8>,
-    closed: bool,
-}
-
-impl Pipe {
-    fn write(&self, data: &[u8]) -> io::Result<usize> {
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-        }
-        st.buf.extend(data);
-        self.cond.notify_all();
-        Ok(data.len())
-    }
-
-    fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
-        let mut st = self.state.lock();
-        loop {
-            if !st.buf.is_empty() {
-                let n = buf.len().min(st.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().expect("len checked");
-                }
-                return Ok(n);
-            }
-            if st.closed {
-                return Ok(0); // EOF
-            }
-            match timeout {
-                Some(t) => {
-                    if self.cond.wait_for(&mut st, t).timed_out() && st.buf.is_empty() && !st.closed
-                    {
-                        return Err(io::Error::new(io::ErrorKind::WouldBlock, "read timed out"));
-                    }
-                }
-                None => self.cond.wait(&mut st),
-            }
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.cond.notify_all();
-    }
-}
-
-/// An in-memory duplex byte stream (one endpoint of a connection).
-#[derive(Debug, Clone)]
-pub struct MemStream {
-    rx: Arc<Pipe>,
-    tx: Arc<Pipe>,
-    read_timeout: Option<Duration>,
-}
+/// One end of an in-process `socketpair(2)` — a `mem://` connection.
+#[derive(Debug)]
+pub struct MemStream(UnixStream);
 
 impl MemStream {
-    /// Creates a connected pair of in-memory streams.
+    /// Creates a connected pair of in-process streams.
+    ///
+    /// # Panics
+    ///
+    /// If the process cannot open two more file descriptors.
     pub fn pair() -> (MemStream, MemStream) {
-        let a = Arc::new(Pipe::default());
-        let b = Arc::new(Pipe::default());
-        (
-            MemStream {
-                rx: a.clone(),
-                tx: b.clone(),
-                read_timeout: None,
-            },
-            MemStream {
-                rx: b,
-                tx: a,
-                read_timeout: None,
-            },
-        )
+        Self::try_pair().expect("socketpair for an in-process stream pair")
+    }
+
+    fn try_pair() -> io::Result<(MemStream, MemStream)> {
+        let (a, b) = UnixStream::pair()?;
+        Ok((MemStream(a), MemStream(b)))
     }
 
     fn close(&self) {
-        self.rx.close();
-        self.tx.close();
+        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
 impl Read for MemStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.rx.read(buf, self.read_timeout)
+        self.0.read(buf)
     }
 }
 
 impl Write for MemStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.tx.write(buf)
+        self.0.write(buf)
     }
 
     fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        // All slices land under one lock acquisition and one reader
-        // wakeup — the in-memory analogue of a single writev syscall.
-        let mut st = self.tx.state.lock();
-        if st.closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-        }
-        let mut n = 0;
-        for buf in bufs {
-            st.buf.extend(buf.iter().copied());
-            n += buf.len();
-        }
-        self.tx.cond.notify_all();
-        Ok(n)
+        self.0.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -547,10 +485,14 @@ impl MemListener {
     }
 
     fn close(&self) {
-        {
+        // Connections nobody accepted are dropped here, so their
+        // connectors see end of stream instead of waiting on a dead name.
+        let unaccepted = {
             let mut st = self.inbox.state.lock();
             st.closed = true;
-        }
+            std::mem::take(&mut st.pending)
+        };
+        drop(unaccepted);
         self.inbox.cond.notify_all();
         mem_registry().unbind(&self.name, &self.inbox);
     }
@@ -599,7 +541,7 @@ impl MemRegistry {
             .get(name)
             .cloned()
             .ok_or_else(|| HttpError::ConnectionRefused(name.to_string()))?;
-        let (client, server) = MemStream::pair();
+        let (client, server) = MemStream::try_pair().map_err(HttpError::Io)?;
         {
             let mut st = inbox.state.lock();
             if st.closed {
@@ -711,6 +653,30 @@ mod tests {
         let mut buf = [0u8; 1];
         assert_eq!(a.read(&mut buf).unwrap(), 0);
         assert!(a.write(b"x").is_err());
+    }
+
+    #[test]
+    fn mem_drop_without_shutdown_is_eof() {
+        // The streams own their fds: dropping one is enough for the
+        // peer to see end of stream, through a listener too.
+        let (mut a, b) = MemStream::pair();
+        drop(b);
+        let mut buf = [0u8; 1];
+        assert_eq!(a.read(&mut buf).unwrap(), 0);
+
+        let l = Listener::bind("mem://t-drop-eof").unwrap();
+        let mut client = connect("mem://t-drop-eof").unwrap();
+        drop(l.accept().unwrap());
+        assert_eq!(client.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn mem_unaccepted_connection_sees_eof_on_close() {
+        let l = Listener::bind("mem://t-unaccepted").unwrap();
+        let mut client = connect("mem://t-unaccepted").unwrap();
+        l.close();
+        let mut buf = [0u8; 1];
+        assert_eq!(client.read(&mut buf).unwrap(), 0);
     }
 
     #[test]

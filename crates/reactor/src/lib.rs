@@ -1,6 +1,6 @@
 //! # reactor — dependency-free readiness-driven event loop
 //!
-//! The transport core behind `httpd`'s TCP engine and the server ORB:
+//! The transport core behind `httpd`'s server and the server ORB:
 //! instead of one blocked thread per connection, a small fixed set of
 //! reactor threads multiplexes every connection through epoll. Each
 //! connection is a resumable state machine (an [`EventSource`]); parked
@@ -26,7 +26,10 @@
 //! while dispatched the source is [`Action::Suspend`]ed — off epoll —
 //! and the worker re-enters it with [`ReactorHandle::resume`].
 
-#![cfg(target_os = "linux")]
+// The one statement of the platform: epoll and eventfd here, and every
+// server in the workspace is served by this crate.
+#[cfg(not(target_os = "linux"))]
+compile_error!("live-rmi targets Linux: its servers run on epoll (crates/reactor)");
 
 pub mod sys;
 pub mod timer;
@@ -186,7 +189,7 @@ fn metrics() -> &'static ReactorMetrics {
 }
 
 /// One-line reactor status for the REPL `stats` command, from the live
-/// metric handles (all zeros until the first TCP server starts).
+/// metric handles (all zeros until the first server starts).
 pub fn metrics_summary() -> String {
     let m = metrics();
     format!(

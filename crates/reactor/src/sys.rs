@@ -16,8 +16,6 @@
 //! * File descriptors are owned by the safe wrappers ([`Epoll`],
 //!   [`EventFd`]) and closed exactly once on drop.
 
-#![cfg(target_os = "linux")]
-
 use std::io;
 use std::os::unix::io::RawFd;
 

@@ -255,20 +255,19 @@ pub(crate) fn run_migration(
     // its route before our flag flipped — or a CORBA call, which rides
     // the GIOP proxy and never sees the front gate — gets a retryable
     // refusal from the source itself.
-    let soap_gate = src_manager.soap_server(class).map(|s| s.gate().clone());
-    let orb_gate = src_manager.corba_server(class).map(|s| s.gate().clone());
+    let backend_gates: Vec<_> = [
+        src_manager.soap_server(class).map(|s| s.gate().clone()),
+        src_manager.corba_server(class).map(|s| s.gate().clone()),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
     gate.draining.store(true, Ordering::SeqCst);
-    if let Some(g) = &soap_gate {
+    for g in &backend_gates {
         g.begin_drain(inner.cfg.retry_after);
     }
-    if let Some(g) = &orb_gate {
-        g.begin_drain(inner.cfg.retry_after.as_millis().max(1) as u64);
-    }
     let reopen = || {
-        if let Some(g) = &soap_gate {
-            g.end_drain();
-        }
-        if let Some(g) = &orb_gate {
+        for g in &backend_gates {
             g.end_drain();
         }
         gate.draining.store(false, Ordering::SeqCst);
@@ -278,8 +277,7 @@ pub(crate) fn run_migration(
     // inside the source backend's servers.
     loop {
         let quiescent = gate.in_flight.load(Ordering::SeqCst) == 0
-            && soap_gate.as_ref().is_none_or(|g| g.in_flight() == 0)
-            && orb_gate.as_ref().is_none_or(|g| g.in_flight() == 0);
+            && backend_gates.iter().all(|g| g.in_flight() == 0);
         if quiescent {
             break;
         }

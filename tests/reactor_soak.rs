@@ -13,8 +13,6 @@
 //! process); it is gated behind `REACTOR_SOAK=1`. The 1k and 5k
 //! variants run everywhere, including CI.
 
-#![cfg(target_os = "linux")]
-
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, OnceLock};
