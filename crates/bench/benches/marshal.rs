@@ -117,6 +117,19 @@ fn bench_dispatch_overhead() {
     run("dispatch_dynamic_class", || {
         black_box(instance.invoke_distributed("echo", &arg).expect("invoke"));
     });
+    // The interpreter itself: the ledger's `corba.compute` body, 600 loop
+    // iterations per call.
+    let class = jpie::parse::parse_class(
+        "class L { distributed int sum(int n) { \
+         let i = 0; let s = 0; \
+         while (i < n) { s = s + i; i = i + 1; } return s; } }",
+    )
+    .expect("class");
+    let looping = class.instantiate().expect("instance");
+    let n = [Value::Int(600)];
+    run("dispatch_dynamic_loop", || {
+        black_box(looping.invoke_distributed("sum", &n).expect("invoke"));
+    });
     let direct = |args: &[Value]| -> Value { args[0].clone() };
     run("dispatch_static_closure", || {
         black_box(direct(black_box(&arg)));

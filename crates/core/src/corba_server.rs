@@ -185,9 +185,10 @@ impl DynamicImplementation for CorbaCallHandler {
         // delivery already ran — replay the stored outcome instead of
         // executing again. Admission also claims an in-flight sentinel,
         // so a duplicate racing a still-executing first delivery waits
-        // for its result instead of executing a second copy.
-        let mut call_id = request.call_id();
-        if let Some(id) = call_id {
+        // for its result instead of executing a second copy. `claim`
+        // holds this delivery's right (and duty) to record the outcome.
+        let mut claim = None;
+        if let Some(id) = request.call_id() {
             let admit_span = obs::tracectx::child("replycache.admit");
             match self.core.reply_cache().admit(id) {
                 Admission::Replay(CachedReply::Value(v)) => {
@@ -208,7 +209,6 @@ impl DynamicImplementation for CorbaCallHandler {
                     // A SOAP-flavoured entry can only exist if two
                     // gateways shared one cache — they never do. Execute
                     // without exactly-once bookkeeping rather than panic.
-                    call_id = None;
                 }
                 Admission::InFlight => {
                     // The original delivery outlasted the wait bound:
@@ -223,7 +223,14 @@ impl DynamicImplementation for CorbaCallHandler {
                     ));
                     return;
                 }
-                Admission::Execute => {}
+                Admission::Execute => {
+                    // A handler that unwinds mid-call may have run the
+                    // body: its retry replays a failure, like any thrown
+                    // exception.
+                    claim = Some(self.core.reply_cache().claim(id, || {
+                        CachedReply::Exception("call handler panicked".into())
+                    }));
+                }
             }
         }
         // CORBA arguments are positional: wrap with empty names.
@@ -234,18 +241,16 @@ impl DynamicImplementation for CorbaCallHandler {
             .collect();
         match self.core.dispatch(request.operation(), &args) {
             Ok(value) => {
-                if let Some(id) = call_id {
-                    self.core
-                        .reply_cache()
-                        .complete(id, CachedReply::Value(value.clone()));
+                if let Some(claim) = claim {
+                    claim.complete(CachedReply::Value(value.clone()));
                 }
                 request.set_result(value)
             }
             Err(InvokeFailure::NotInitialized) => {
                 // Dispatch never entered the method body: release the
                 // claim uncached.
-                if let Some(id) = call_id {
-                    self.core.reply_cache().abort(id);
+                if let Some(claim) = claim {
+                    claim.abort();
                 }
                 server_span.fail("server-not-initialized");
                 fault_counter("object_not_exist").inc();
@@ -257,8 +262,8 @@ impl DynamicImplementation for CorbaCallHandler {
             Err(InvokeFailure::NoMatch) => {
                 // §5.7 already forced publication inside dispatch. The
                 // body never ran, so the claim is released uncached.
-                if let Some(id) = call_id {
-                    self.core.reply_cache().abort(id);
+                if let Some(claim) = claim {
+                    claim.abort();
                 }
                 server_span.fail("non-existent-method");
                 fault_counter("non_existent_method").inc();
@@ -282,10 +287,8 @@ impl DynamicImplementation for CorbaCallHandler {
                 // license a re-execution.
                 server_span.fail("application-exception");
                 fault_counter("user_exception").inc();
-                if let Some(id) = call_id {
-                    self.core
-                        .reply_cache()
-                        .complete(id, CachedReply::Exception(msg.clone()));
+                if let Some(claim) = claim {
+                    claim.complete(CachedReply::Exception(msg.clone()));
                 }
                 request.set_exception(CorbaError::user_exception(msg))
             }
@@ -426,6 +429,61 @@ mod tests {
         let instance = server.instance().unwrap();
         assert_eq!(instance.field("n").unwrap(), Value::Int(1));
         assert_eq!(server.reply_cache_stats().hits, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn panicking_body_settles_its_call_id_as_a_cached_failure() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static RUNS: AtomicU32 = AtomicU32::new(0);
+        let server = deploy_calc("unwind");
+        server
+            .class()
+            .add_method(
+                MethodBuilder::new("crash", TypeDesc::Void)
+                    .distributed(true)
+                    .body_native(|_fields, _args| {
+                        RUNS.fetch_add(1, Ordering::SeqCst);
+                        panic!("native body panicked on purpose");
+                    }),
+            )
+            .unwrap();
+        server.create_instance().unwrap();
+
+        let id = obs::CallId::fresh();
+        // First delivery: the ORB's panic containment answers UNKNOWN
+        // (and closes that connection).
+        let first = corba::OrbConnection::connect(&server.ior())
+            .unwrap()
+            .call_with_id("crash", &[], Some(id))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &first,
+                CorbaError::System(corba::SystemExceptionKind::Unknown, _)
+            ),
+            "{first:?}"
+        );
+        // The retry replays a failure at once — a stranded claim would
+        // hold it for the 5 s in-flight wait and then refuse it TRANSIENT
+        // — and the body does not run again.
+        let mut conn = corba::OrbConnection::connect(&server.ior()).unwrap();
+        let started = std::time::Instant::now();
+        let retry = conn.call_with_id("crash", &[], Some(id)).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(2), "retry waited");
+        assert!(matches!(&retry, CorbaError::User { .. }), "{retry:?}");
+        assert_eq!(RUNS.load(Ordering::SeqCst), 1);
+        let stats = server.reply_cache_stats();
+        assert_eq!((stats.in_flight, stats.hits), (0, 1));
+        // A fresh id on the same server executes normally.
+        let sum = conn
+            .call_with_id(
+                "add",
+                &[Value::Int(20), Value::Int(22)],
+                Some(obs::CallId::fresh()),
+            )
+            .unwrap();
+        assert_eq!(sum, Value::Int(42));
         server.shutdown();
     }
 

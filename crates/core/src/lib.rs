@@ -43,7 +43,7 @@ pub use error::SdeError;
 pub use gateway::{GatewayCore, HandlerMetrics, InvokeFailure, SdeServerGateway, Technology};
 pub use manager::{ClassExport, SdeConfig, SdeManager, TransportKind};
 pub use publish::{GeneratedDoc, PublicationStrategy, PublisherCore, PublisherMetrics};
-pub use replycache::{Admission, CachedReply, ReplyCache, ReplyCacheStats};
+pub use replycache::{Admission, CachedReply, Claim, ReplyCache, ReplyCacheStats};
 pub use soap_server::SoapServer;
 pub use wal::VersionWal;
 pub use walrepl::{WalFollower, WalReplicator};

@@ -21,7 +21,9 @@
 //! Admission is two-phase to close the in-flight window: the handler
 //! calls [`ReplyCache::admit`] *before* dispatch, which installs an
 //! in-progress sentinel, and [`ReplyCache::complete`] (or
-//! [`ReplyCache::abort`], when dispatch did not execute the body) after.
+//! [`ReplyCache::abort`], when dispatch did not execute the body) after —
+//! through a [`Claim`] guard, so that a handler that unwinds in between
+//! still settles its id.
 //! A duplicate delivery that arrives while the first is still executing
 //! waits briefly for its result instead of executing a second copy; if
 //! the first delivery outlasts the wait, the duplicate is rejected with
@@ -316,6 +318,21 @@ impl ReplyCache {
         self.resolved.notify_all();
     }
 
+    /// Wraps the claim an [`Admission::Execute`] handed out in a guard
+    /// that cannot strand it: settle it with [`Claim::complete`] or
+    /// [`Claim::abort`]; a guard dropped unsettled — the handler unwound —
+    /// completes the id with `if_dropped()`. The body may have run and
+    /// mutated state before it panicked, so the failure is cached like a
+    /// thrown exception: a retry replays it at once instead of waiting
+    /// out the in-flight bound, and never re-runs the side effects.
+    pub fn claim(&self, id: CallId, if_dropped: fn() -> CachedReply) -> Claim<'_> {
+        Claim {
+            cache: self,
+            id,
+            if_dropped,
+        }
+    }
+
     /// Snapshot of every completed reply, for planned migration: the
     /// reply cache must travel with the class, or a client whose first
     /// attempt executed on the old shard (reply lost in flight) would
@@ -373,6 +390,36 @@ impl ReplyCache {
     }
 }
 
+/// An admitted execution's hold on its call id (see
+/// [`ReplyCache::claim`]).
+#[derive(Debug)]
+#[must_use = "dropping a claim records the call as failed"]
+pub struct Claim<'a> {
+    cache: &'a ReplyCache,
+    id: CallId,
+    if_dropped: fn() -> CachedReply,
+}
+
+impl Claim<'_> {
+    /// [`ReplyCache::complete`] for this claim's id.
+    pub fn complete(self, reply: CachedReply) {
+        self.cache.complete(self.id, reply);
+        std::mem::forget(self);
+    }
+
+    /// [`ReplyCache::abort`] for this claim's id.
+    pub fn abort(self) {
+        self.cache.abort(self.id);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.complete(self.id, (self.if_dropped)());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,6 +471,38 @@ mod tests {
         assert!(matches!(cache.admit(id(1)), Admission::Execute));
         let s = cache.stats();
         assert_eq!((s.stores, s.hits), (0, 0));
+    }
+
+    #[test]
+    fn claim_dropped_in_an_unwind_settles_the_id_as_failed() {
+        let cache = ReplyCache::new("RcUnwind", 16, Duration::from_secs(60))
+            .with_inflight_wait(Duration::from_secs(30));
+        assert!(matches!(cache.admit(id(1)), Admission::Execute));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _claim = cache.claim(id(1), || CachedReply::Exception("unwound".into()));
+            panic!("handler died mid-call");
+        }));
+        assert!(unwound.is_err());
+        // Replayed at once (a stranded sentinel would park this admit for
+        // the 30 s in-flight wait), not re-executed.
+        match cache.admit(id(1)) {
+            Admission::Replay(CachedReply::Exception(m)) => assert_eq!(m, "unwound"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(cache.stats().in_flight, 0);
+
+        // Settled claims do not fire the drop path.
+        assert!(matches!(cache.admit(id(2)), Admission::Execute));
+        cache
+            .claim(id(2), || unreachable!("settled"))
+            .complete(CachedReply::Value(jpie::Value::Int(2)));
+        assert!(matches!(cache.admit(id(3)), Admission::Execute));
+        cache.claim(id(3), || unreachable!("settled")).abort();
+        assert!(matches!(
+            cache.admit(id(2)),
+            Admission::Replay(CachedReply::Value(jpie::Value::Int(2)))
+        ));
+        assert!(matches!(cache.admit(id(3)), Admission::Execute));
     }
 
     #[test]

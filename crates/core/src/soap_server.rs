@@ -174,7 +174,7 @@ impl Handler for SoapCallHandler {
 impl SoapCallHandler {
     fn handle_inner(&self, req: &Request) -> Response {
         let xml = req.body_str();
-        let (soap_req, mut call_id, trace_ctx) = match soap::decode_request_traced(&xml) {
+        let (soap_req, call_id, trace_ctx) = match soap::decode_request_traced(&xml) {
             Ok(r) => r,
             Err(e) => {
                 // "If the parsing reveals a malformed SOAP Request, a SOAP
@@ -191,7 +191,9 @@ impl SoapCallHandler {
         // replay the stored reply instead of executing again. Admission
         // also claims an in-flight sentinel, so a duplicate racing a
         // still-executing first delivery waits for its result instead of
-        // executing a second copy.
+        // executing a second copy. `claim` holds this delivery's right
+        // (and duty) to record the outcome.
+        let mut claim = None;
         if let Some(id) = call_id {
             let admit_span = obs::tracectx::child("replycache.admit");
             match self.core.reply_cache().admit(id) {
@@ -209,7 +211,6 @@ impl SoapCallHandler {
                     // A CORBA-flavoured entry can only exist if two
                     // gateways shared one cache — they never do. Execute
                     // without exactly-once bookkeeping rather than panic.
-                    call_id = None;
                 }
                 Admission::InFlight => {
                     // The original delivery outlasted the wait bound.
@@ -224,7 +225,9 @@ impl SoapCallHandler {
                         std::time::Duration::from_millis(100),
                     );
                 }
-                Admission::Execute => {}
+                Admission::Execute => {
+                    claim = Some(self.core.reply_cache().claim(id, unwound_reply));
+                }
             }
         }
         match self.core.dispatch(soap_req.method(), soap_req.args()) {
@@ -235,14 +238,12 @@ impl SoapCallHandler {
                 let mut body = Vec::with_capacity(256);
                 soap::encode_ok_into(soap_req.method(), soap_req.namespace(), &value, &mut body);
                 drop(marshal_span);
-                match call_id {
-                    Some(id) => {
+                match claim {
+                    Some(claim) => {
                         // Shared body: the cache entry and the response
                         // replay the same allocation.
                         let shared: Arc<[u8]> = body.into();
-                        self.core
-                            .reply_cache()
-                            .complete(id, CachedReply::SoapBody(shared.clone()));
+                        claim.complete(CachedReply::SoapBody(shared.clone()));
                         Response::ok_shared(shared, "text/xml")
                     }
                     None => Response::ok(body, "text/xml"),
@@ -252,8 +253,8 @@ impl SoapCallHandler {
                 // Dispatch never entered the method body: release the
                 // claim uncached so a retry after the server heals
                 // executes normally.
-                if let Some(id) = call_id {
-                    self.core.reply_cache().abort(id);
+                if let Some(claim) = claim {
+                    claim.abort();
                 }
                 server_span.fail("server-not-initialized");
                 fault_counter("server_not_initialized").inc();
@@ -263,8 +264,8 @@ impl SoapCallHandler {
                 // §5.7 ran inside dispatch (stall + forced publication);
                 // now the exception goes back. The body never ran, so
                 // the claim is released uncached.
-                if let Some(id) = call_id {
-                    self.core.reply_cache().abort(id);
+                if let Some(claim) = claim {
+                    claim.abort();
                 }
                 server_span.fail("non-existent-method");
                 fault_counter("non_existent_method").inc();
@@ -288,12 +289,10 @@ impl SoapCallHandler {
                 fault_counter("application_exception").inc();
                 let mut body = Vec::with_capacity(256);
                 soap::encode_fault_into(&SoapFault::application_exception(msg), &mut body);
-                match call_id {
-                    Some(id) => {
+                match claim {
+                    Some(claim) => {
                         let shared: Arc<[u8]> = body.into();
-                        self.core
-                            .reply_cache()
-                            .complete(id, CachedReply::SoapFault(shared.clone()));
+                        claim.complete(CachedReply::SoapFault(shared.clone()));
                         Response::new_shared(Status::INTERNAL_SERVER_ERROR, shared, "text/xml")
                     }
                     None => Response::new(Status::INTERNAL_SERVER_ERROR, body, "text/xml"),
@@ -301,6 +300,17 @@ impl SoapCallHandler {
             }
         }
     }
+}
+
+/// What a retry of a call whose handler unwound is answered with: the
+/// body may have run, so the failure replays like any thrown exception.
+fn unwound_reply() -> CachedReply {
+    let mut body = Vec::with_capacity(256);
+    soap::encode_fault_into(
+        &SoapFault::application_exception("call handler panicked"),
+        &mut body,
+    );
+    CachedReply::SoapFault(body.into())
 }
 
 /// Stamps the reply-cache advertisement header on a response.
@@ -505,6 +515,67 @@ mod tests {
         let instance = server.instance().unwrap();
         assert_eq!(instance.field("n").unwrap(), Value::Int(1));
         assert_eq!(server.reply_cache_stats().hits, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn panicking_body_settles_its_call_id_as_a_cached_failure() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static RUNS: AtomicU32 = AtomicU32::new(0);
+        let server = deploy_calc("unwind");
+        server
+            .class()
+            .add_method(
+                MethodBuilder::new("crash", TypeDesc::Void)
+                    .distributed(true)
+                    .body_native(|_fields, _args| {
+                        RUNS.fetch_add(1, Ordering::SeqCst);
+                        panic!("native body panicked on purpose");
+                    }),
+            )
+            .unwrap();
+        server.create_instance().unwrap();
+
+        let post = |method: &str, args: &[(&str, Value)], id| {
+            let mut body = Vec::new();
+            soap::encode_request_with_id_into(
+                "urn:Calc",
+                method,
+                args.iter().map(|(n, v)| (*n, v)),
+                Some(id),
+                &mut body,
+            );
+            HttpClient::new()
+                .post(&server.endpoint_url(), body, "text/xml")
+                .unwrap()
+        };
+        let id = obs::CallId::fresh();
+        // First delivery: the engine's panic containment answers.
+        assert_eq!(post("crash", &[], id).status(), 500);
+        // The retry replays a failure at once — a stranded claim would
+        // hold it for the 5 s in-flight wait and then refuse it with 503
+        // — and the body does not run again.
+        let started = std::time::Instant::now();
+        let retry = post("crash", &[], id);
+        assert!(started.elapsed() < Duration::from_secs(2), "retry waited");
+        assert_eq!(retry.status(), 500);
+        match soap::decode_response(&retry.body_str()).unwrap() {
+            SoapResponse::Fault(f) => assert_eq!(f.fault_string, "Application Exception"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(RUNS.load(Ordering::SeqCst), 1);
+        let stats = server.reply_cache_stats();
+        assert_eq!((stats.in_flight, stats.hits), (0, 1));
+        // A fresh id on the same server executes normally.
+        let ok = post(
+            "add",
+            &[("a", Value::Int(20)), ("b", Value::Int(22))],
+            obs::CallId::fresh(),
+        );
+        assert_eq!(
+            soap::decode_response(&ok.body_str()).unwrap(),
+            SoapResponse::Ok(Value::Int(42))
+        );
         server.shutdown();
     }
 

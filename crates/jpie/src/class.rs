@@ -11,8 +11,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use crate::edit::{EditLabel, EditRecord};
 use crate::error::JpieError;
 use crate::event::{ClassEvent, EventKind};
-use crate::expr::{walk_block_mut, Block, Expr, Stmt};
+use crate::expr::{block_any, walk_block_mut, Block, Expr, Stmt};
 use crate::instance::{Fields, Instance};
+use crate::lower::{lower_methods, LoweredMethod};
 use crate::value::{TypeDesc, Value};
 
 /// Stable identity of a dynamic method. Survives renames and signature
@@ -95,8 +96,10 @@ pub type NativeFn =
 /// A method body.
 #[derive(Clone)]
 pub(crate) enum MethodBody {
-    /// Interpreted statements — fully live-editable.
-    Interpreted(Block),
+    /// Interpreted statements — fully live-editable. Shared, copy-on-write:
+    /// the undo history holds every version of a body it has seen, and an
+    /// edit copies only the bodies it changes.
+    Interpreted(Arc<Block>),
     /// A compiled Rust closure (JPie's interop with compiled classes).
     Native(Arc<NativeFn>),
     /// Declared but not yet implemented; invoking raises an exception.
@@ -121,16 +124,17 @@ pub(crate) struct DynamicMethod {
     pub(crate) body: MethodBody,
 }
 
-/// An immutable snapshot of a class's method table plus the declared
-/// fields, shared by `Arc` between the class and its live [`Instance`].
+/// An immutable snapshot of a class's method table — signatures and
+/// *lowered* bodies (see [`crate::lower`]) — plus the declared fields,
+/// shared by `Arc` between the class and its live [`Instance`].
 ///
 /// Snapshots are rebuilt lazily after an edit (see
 /// [`ClassHandle::edit_epoch`]); between edits every invocation reuses
 /// the same allocation, so the steady-state dispatch path never clones
-/// the method `Vec`.
+/// the method `Vec` and never resolves a name.
 #[derive(Debug)]
 pub(crate) struct MethodTable {
-    pub(crate) methods: Vec<DynamicMethod>,
+    pub(crate) methods: Vec<LoweredMethod>,
     pub(crate) fields: Vec<(String, TypeDesc)>,
 }
 
@@ -214,14 +218,13 @@ impl MethodBuilder {
     }
 
     /// Sets an interpreted body consisting of a single `return expr`.
-    pub fn body_expr(mut self, expr: Expr) -> MethodBuilder {
-        self.body = MethodBody::Interpreted(vec![Stmt::Return(Some(expr))]);
-        self
+    pub fn body_expr(self, expr: Expr) -> MethodBuilder {
+        self.body_block(vec![Stmt::Return(Some(expr))])
     }
 
     /// Sets an interpreted body of statements.
     pub fn body_block(mut self, block: Block) -> MethodBuilder {
-        self.body = MethodBody::Interpreted(block);
+        self.body = MethodBody::Interpreted(Arc::new(block));
         self
     }
 
@@ -232,12 +235,11 @@ impl MethodBuilder {
     /// # Errors
     ///
     /// Fails on a syntax error in `src`.
-    pub fn body_source(mut self, src: &str) -> Result<MethodBuilder, JpieError> {
+    pub fn body_source(self, src: &str) -> Result<MethodBuilder, JpieError> {
         let mut block = crate::parse::parse_block(src)?;
         let names: Vec<String> = self.params.iter().map(|(n, _)| n.clone()).collect();
         crate::parse::resolve_params(&mut block, &names);
-        self.body = MethodBody::Interpreted(block);
-        Ok(self)
+        Ok(self.body_block(block))
     }
 
     /// Sets a native (compiled) body.
@@ -311,12 +313,24 @@ impl ClassInner {
         fp
     }
 
-    fn rewrite_all_bodies(&mut self, f: &mut dyn FnMut(&mut Expr)) {
+    /// Applies `f` to every expression of every interpreted body that
+    /// contains an expression `affected` holds for; the other bodies stay
+    /// shared with the undo history.
+    fn rewrite_bodies(&mut self, affected: &dyn Fn(&Expr) -> bool, f: &mut dyn FnMut(&mut Expr)) {
         for m in &mut self.methods {
             if let MethodBody::Interpreted(block) = &mut m.body {
-                walk_block_mut(block, f);
+                rewrite_shared(block, affected, f);
             }
         }
+    }
+
+    /// [`ClassInner::rewrite_bodies`] for the call-site rewrites, which
+    /// all concern the calls of one method.
+    fn rewrite_calls_of(&mut self, method: &str, f: &mut dyn FnMut(&mut Expr)) {
+        self.rewrite_bodies(
+            &|e| matches!(e, Expr::SelfCall { method: m, .. } if m == method),
+            f,
+        );
     }
 }
 
@@ -584,7 +598,7 @@ impl ClassHandle {
                 }
                 let old = inner.method(id)?.signature.name.clone();
                 inner.method_mut(id)?.signature.name = new_name.clone();
-                inner.rewrite_all_bodies(&mut |e| {
+                inner.rewrite_calls_of(&old, &mut |e| {
                     e.rename_method_uses(&old, &new_name);
                 });
                 Ok(())
@@ -662,7 +676,7 @@ impl ClassHandle {
                     name: name.clone(),
                     ty,
                 });
-                inner.rewrite_all_bodies(&mut |e| {
+                inner.rewrite_calls_of(&method_name, &mut |e| {
                     e.add_param_uses(&method_name, &name, &default);
                 });
                 Ok(pid)
@@ -694,7 +708,7 @@ impl ClassHandle {
                     .signature
                     .params
                     .retain(|p| p.id != pid);
-                inner.rewrite_all_bodies(&mut |e| {
+                inner.rewrite_calls_of(&method_name, &mut |e| {
                     e.remove_param_uses(&method_name, &param_name);
                 });
                 Ok(())
@@ -740,16 +754,20 @@ impl ClassHandle {
                 }
                 // References inside the renamed method's own body.
                 if let MethodBody::Interpreted(block) = &mut inner.method_mut(id)?.body {
-                    walk_block_mut(block, &mut |e| {
-                        if let Expr::Param(n) = e {
-                            if *n == old {
-                                *n = new_name.clone();
+                    rewrite_shared(
+                        block,
+                        &|e| matches!(e, Expr::Param(n) if *n == old),
+                        &mut |e| {
+                            if let Expr::Param(n) = e {
+                                if *n == old {
+                                    *n = new_name.clone();
+                                }
                             }
-                        }
-                    });
+                        },
+                    );
                 }
                 // Named arguments at every call site.
-                inner.rewrite_all_bodies(&mut |e| {
+                inner.rewrite_calls_of(&method_name, &mut |e| {
                     e.rename_param_uses(&method_name, &old, &new_name);
                 });
                 Ok(())
@@ -897,7 +915,7 @@ impl ClassHandle {
             EditLabel::SetBody(id),
             |_| EventKind::BodyChanged(id),
             move |inner| {
-                inner.method_mut(id)?.body = MethodBody::Interpreted(block);
+                inner.method_mut(id)?.body = MethodBody::Interpreted(Arc::new(block));
                 Ok(())
             },
         )
@@ -975,7 +993,7 @@ impl ClassHandle {
                     }
                 }
                 // Field reads inside expressions.
-                inner.rewrite_all_bodies(&mut |e| {
+                inner.rewrite_bodies(&|e| matches!(e, Expr::FieldRef(n) if *n == old), &mut |e| {
                     if let Expr::FieldRef(n) = e {
                         if *n == old {
                             *n = new.clone();
@@ -983,10 +1001,12 @@ impl ClassHandle {
                     }
                 });
                 // Field writes are statements, not expressions: walk the
-                // statement tree of every interpreted body.
+                // statement tree of every interpreted body that has one.
                 for m in &mut inner.methods {
                     if let MethodBody::Interpreted(block) = &mut m.body {
-                        rename_setfield_targets(block, &old, &new);
+                        if sets_field(block, &old) {
+                            rename_setfield_targets(Arc::make_mut(block), &old, &new);
+                        }
                     }
                 }
                 // Migrate the live instance's stored value.
@@ -1132,8 +1152,11 @@ impl ClassHandle {
             Some(t) => t.clone(),
             None => {
                 obs::registry().counter("jpie_table_rebuilds_total").inc();
+                // Lowered here, under the class lock that already
+                // serialises rebuilds: once per edit epoch, however many
+                // callers race to the first call after the edit.
                 let t = Arc::new(MethodTable {
-                    methods: inner.methods.clone(),
+                    methods: lower_methods(&inner.methods),
                     fields: inner.fields.clone(),
                 });
                 inner.table_cache = Some(t.clone());
@@ -1141,6 +1164,12 @@ impl ClassHandle {
             }
         };
         (self.epoch.load(Ordering::Relaxed), table)
+    }
+
+    /// The source form of the methods, for the differential oracle.
+    #[cfg(test)]
+    pub(crate) fn source_methods(&self) -> Vec<DynamicMethod> {
+        self.inner.read().methods.clone()
     }
 
     /// The current `(epoch, distributed signatures)` snapshot, shared
@@ -1219,6 +1248,32 @@ impl ClassHandle {
         inner.instantiated = false;
         inner.live_fields = None;
     }
+}
+
+/// Applies `f` to every expression of `block` if `affected` holds for one
+/// of them; a block the rewrite would not change is left shared, not
+/// copied.
+fn rewrite_shared(
+    block: &mut Arc<Block>,
+    affected: &dyn Fn(&Expr) -> bool,
+    f: &mut dyn FnMut(&mut Expr),
+) {
+    if block_any(block, affected) {
+        walk_block_mut(Arc::make_mut(block), f);
+    }
+}
+
+/// Whether `block` assigns the field `name` anywhere, nested blocks
+/// included.
+fn sets_field(block: &Block, name: &str) -> bool {
+    block.iter().any(|stmt| match stmt {
+        Stmt::SetField(n, _) => n == name,
+        Stmt::If {
+            then, otherwise, ..
+        } => sets_field(then, name) || sets_field(otherwise, name),
+        Stmt::While { body, .. } => sets_field(body, name),
+        _ => false,
+    })
 }
 
 /// Rewrites `SetField` statement targets from `old` to `new`, recursing
@@ -1343,6 +1398,39 @@ mod tests {
         // g's body must now call plus_one — verified by executing it.
         let inst = class.instantiate().unwrap();
         assert_eq!(inst.invoke_id(g, &[]).unwrap(), Value::Int(42));
+    }
+
+    #[test]
+    fn an_edit_copies_only_the_bodies_it_rewrites() {
+        let (class, f) = simple_class();
+        for (name, body) in [
+            ("caller", Expr::self_call("f", vec![("a", Expr::lit(1))])),
+            ("bystander", Expr::lit(7)),
+        ] {
+            class
+                .add_method(MethodBuilder::new(name, TypeDesc::Int).body_expr(body))
+                .unwrap();
+        }
+        let shares_body = |before: &[DynamicMethod], after: &[DynamicMethod], i: usize| match (
+            &before[i].body,
+            &after[i].body,
+        ) {
+            (MethodBody::Interpreted(a), MethodBody::Interpreted(b)) => Arc::ptr_eq(a, b),
+            _ => unreachable!("all three bodies are interpreted"),
+        };
+        let before = class.source_methods();
+        class.rename_method(f, "g").unwrap();
+        let after = class.source_methods();
+        assert!(shares_body(&before, &after, 0), "f's own body has no call");
+        assert!(
+            !shares_body(&before, &after, 1),
+            "the call site is rewritten"
+        );
+        assert!(shares_body(&before, &after, 2), "bystander was copied");
+        // Undo hands the old blocks back rather than rebuilding them.
+        class.undo().unwrap();
+        let undone = class.source_methods();
+        assert!((0..3).all(|i| shares_body(&before, &undone, i)));
     }
 
     #[test]

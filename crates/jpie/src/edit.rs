@@ -2,8 +2,9 @@
 //!
 //! Each edit snapshots the method table and field declarations before and
 //! after the mutation; undo restores the *before* image, redo the *after*
-//! image. Snapshots are cheap: interpreted bodies are small ASTs and
-//! native bodies are `Arc`-shared closures.
+//! image. Snapshots are cheap: interpreted bodies are `Arc`-shared,
+//! copy-on-write blocks and native bodies are `Arc`-shared closures, so a
+//! record holds signatures plus references.
 
 use crate::class::{DynamicMethod, MethodId, ParamId};
 use crate::value::TypeDesc;

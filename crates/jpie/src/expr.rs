@@ -285,6 +285,22 @@ impl Expr {
         n
     }
 
+    /// Whether `pred` holds for this expression or any sub-expression.
+    pub(crate) fn any(&self, pred: &dyn Fn(&Expr) -> bool) -> bool {
+        if pred(self) {
+            return true;
+        }
+        match self {
+            Expr::Lit(_) | Expr::Param(_) | Expr::FieldRef(_) | Expr::Local(_) => false,
+            Expr::SelfCall { args, .. } => args.iter().any(|(_, a)| a.any(pred)),
+            Expr::Binary { lhs, rhs, .. } => lhs.any(pred) || rhs.any(pred),
+            Expr::Unary { expr, .. } => expr.any(pred),
+            Expr::Call { args, .. } => args.iter().any(|a| a.any(pred)),
+            Expr::MakeStruct { fields, .. } => fields.iter().any(|(_, e)| e.any(pred)),
+            Expr::MakeSeq { items, .. } => items.iter().any(|e| e.any(pred)),
+        }
+    }
+
     /// Applies `f` to this expression and all sub-expressions.
     pub(crate) fn walk_mut(&mut self, f: &mut dyn FnMut(&mut Expr)) {
         f(self);
@@ -427,6 +443,26 @@ pub(crate) fn walk_block_mut(block: &mut Block, f: &mut dyn FnMut(&mut Expr)) {
             Stmt::Expr(e) => e.walk_mut(f),
         }
     }
+}
+
+/// Whether `pred` holds for any expression in a block — the read-only
+/// twin of [`walk_block_mut`], asked before a shared body is copied for a
+/// rewrite.
+pub(crate) fn block_any(block: &Block, pred: &dyn Fn(&Expr) -> bool) -> bool {
+    block.iter().any(|stmt| match stmt {
+        Stmt::Let(_, e)
+        | Stmt::Assign(_, e)
+        | Stmt::SetField(_, e)
+        | Stmt::Throw(e)
+        | Stmt::Expr(e) => e.any(pred),
+        Stmt::If {
+            cond,
+            then,
+            otherwise,
+        } => cond.any(pred) || block_any(then, pred) || block_any(otherwise, pred),
+        Stmt::While { cond, body } => cond.any(pred) || block_any(body, pred),
+        Stmt::Return(e) => e.as_ref().is_some_and(|e| e.any(pred)),
+    })
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use obs::sync::Mutex;
 
-use crate::class::{ClassHandle, DynamicMethod, MethodId, MethodTable};
+use crate::class::{ClassHandle, MethodId, MethodTable};
 use crate::error::JpieError;
 use crate::interp::Interp;
+use crate::lower::LoweredMethod;
 use crate::value::Value;
 
 /// The mutable field store of a live instance.
@@ -229,7 +230,7 @@ impl Instance {
 
     fn snapshot_and_find(
         &self,
-        pred: impl Fn(&DynamicMethod) -> bool,
+        pred: impl Fn(&LoweredMethod) -> bool,
         name: &str,
     ) -> Result<(Arc<MethodTable>, usize), JpieError> {
         let table = self.current_table();
@@ -242,8 +243,7 @@ impl Instance {
     }
 
     fn run(&self, snapshot: &MethodTable, idx: usize, args: &[Value]) -> Result<Value, JpieError> {
-        let method = &snapshot.methods[idx];
-        let sig = &method.signature;
+        let sig = &snapshot.methods[idx].signature;
         if args.len() != sig.params.len() {
             return Err(JpieError::ArgumentMismatch(format!(
                 "{} expects {} argument(s), got {}",
@@ -252,22 +252,22 @@ impl Instance {
                 args.len()
             )));
         }
-        let mut widened = Vec::with_capacity(args.len());
-        for (p, a) in sig.params.iter().zip(args) {
-            let v = a.widen_to(&p.ty).ok_or_else(|| {
+        let span = obs::trace::Span::timed(invoke_ns_histogram().clone());
+        let mut interp = Interp::new(&snapshot.methods, &self.fields);
+        let out = interp.invoke(idx, args.len(), |_, p, i| {
+            args[i].widen_to(&p.ty).ok_or_else(|| {
                 JpieError::ArgumentMismatch(format!(
                     "{}.{}: expected {}, got {}",
                     sig.name,
                     p.name,
                     p.ty,
-                    a.type_desc()
+                    args[i].type_desc()
                 ))
-            })?;
-            widened.push(v);
-        }
-        let span = obs::trace::Span::timed(invoke_ns_histogram().clone());
-        let out = Interp::new(&snapshot.methods, &self.fields).invoke(method, &widened);
+            })
+        });
         span.finish();
+        #[cfg(test)]
+        crate::oracle::LOWERED_STEPS.set(interp.steps());
         out
     }
 }

@@ -1,27 +1,32 @@
-//! Evaluator for interpreted method bodies.
+//! Evaluator for lowered method bodies.
 //!
-//! Invocation snapshots the class's method table (an `Arc`-cheap clone)
-//! so an execution in flight is internally consistent even while the class
-//! is being edited live; the *next* call observes the edits, which is the
-//! "changes take effect immediately upon existing instances" semantics the
-//! paper relies on.
+//! An invocation runs against one method-table snapshot (an `Arc` the
+//! caller holds for the duration), so an execution in flight is internally
+//! consistent even while the class is being edited live; the *next* call
+//! observes the edits, which is the "changes take effect immediately upon
+//! existing instances" semantics the paper relies on.
+//!
+//! The snapshot carries resolved code (see [`crate::lower`]): locals and
+//! parameters are slots of a dense frame, a self-call is an index into the
+//! same snapshot. Expression evaluation never writes the frame, so slot
+//! and literal operands are read by reference; only statements bind.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use obs::metrics::Gauge;
 use obs::sync::Mutex;
 
-use crate::class::{DynamicMethod, MethodBody, MethodSignature};
+use crate::class::{MethodSignature, Param};
 use crate::error::JpieError;
-use crate::expr::{BinOp, Block, Builtin, Expr, Stmt, UnOp};
+use crate::expr::{BinOp, Builtin, UnOp};
 use crate::instance::Fields;
+use crate::lower::{Code, LExpr, LStmt, LoweredBody, LoweredMethod};
 use crate::value::{StructValue, TypeDesc, Value};
 
 /// Upper bound on interpreter steps per top-level invocation; a live edit
 /// can easily introduce an accidental infinite loop, and the server must
 /// survive it.
-const STEP_LIMIT: u64 = 1_000_000;
+pub(crate) const STEP_LIMIT: u64 = 1_000_000;
 
 /// Upper bound on self-call depth. The interpreter recurses on the native
 /// stack, so unbounded recursion in a live body (e.g. a method calling
@@ -29,7 +34,7 @@ const STEP_LIMIT: u64 = 1_000_000;
 /// of raising a catchable error. The limit is conservative because call
 /// handlers run on default-sized (2 MiB) threads and debug-build frames
 /// are large.
-const DEPTH_LIMIT: u32 = 64;
+pub(crate) const DEPTH_LIMIT: u32 = 64;
 
 /// High-water mark of interpreter self-call depth, process-wide
 /// (`jpie_eval_depth_max`). Resolved once; the hot path is one relaxed
@@ -40,10 +45,27 @@ fn eval_depth_gauge() -> &'static Arc<Gauge> {
 }
 
 pub(crate) struct Interp<'a> {
-    methods: &'a [DynamicMethod],
+    methods: &'a [LoweredMethod],
     fields: &'a Mutex<Fields>,
     steps: u64,
     depth: u32,
+}
+
+/// One activation: the slot storage, with the slot → name table of the
+/// code it runs beside it (names are needed only for error messages).
+struct Frame<'c> {
+    names: &'c [String],
+    slots: Vec<Option<Value>>,
+}
+
+impl Frame<'_> {
+    fn get(&self, slot: usize) -> Result<&Value, JpieError> {
+        self.slots[slot].as_ref().ok_or_else(|| self.unbound(slot))
+    }
+
+    fn unbound(&self, slot: usize) -> JpieError {
+        JpieError::TypeError(format!("unbound name {:?}", self.names[slot]))
+    }
 }
 
 enum Flow {
@@ -52,7 +74,7 @@ enum Flow {
 }
 
 impl<'a> Interp<'a> {
-    pub(crate) fn new(methods: &'a [DynamicMethod], fields: &'a Mutex<Fields>) -> Interp<'a> {
+    pub(crate) fn new(methods: &'a [LoweredMethod], fields: &'a Mutex<Fields>) -> Interp<'a> {
         Interp {
             methods,
             fields,
@@ -61,54 +83,104 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Invokes `method` with positional `args` (already arity/type checked
-    /// and widened by the caller).
+    /// Steps taken so far — the differential test compares them with the
+    /// oracle's, tick for tick.
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Invokes `methods[idx]`. `arg(self, param, i)` produces the `i`-th
+    /// positional argument, already widened to `param`'s type; it is asked
+    /// for the first `supplied` parameters in declaration order, and a
+    /// call that supplies fewer than the method declares fails *after*
+    /// those were evaluated (a self-call that omits a named argument).
+    // Kept out of line: inlined into `eval`, its locals would be paid for
+    // at every level of expression nesting, and the interpreter recurses
+    // on the native stack (see `DEPTH_LIMIT`).
+    #[inline(never)]
     pub(crate) fn invoke(
         &mut self,
-        method: &DynamicMethod,
-        args: &[Value],
+        idx: usize,
+        supplied: usize,
+        mut arg: impl FnMut(&mut Self, &Param, usize) -> Result<Value, JpieError>,
     ) -> Result<Value, JpieError> {
+        let methods = self.methods;
+        let method = &methods[idx];
+        let sig = &method.signature;
+        // Arguments are moved straight into the store the body wants: the
+        // frame's first slots for code, a flat slice for a native closure.
+        let code = match &method.body {
+            LoweredBody::Code(code) => Some(code),
+            _ => None,
+        };
+        let (mut slots, mut flat) = (Vec::new(), Vec::new());
+        match code {
+            Some(code) => slots.reserve_exact(code.slots.len()),
+            None => flat.reserve_exact(supplied),
+        }
+        for (i, p) in sig.params.iter().take(supplied).enumerate() {
+            let v = arg(self, p, i)?;
+            match code {
+                Some(_) => slots.push(Some(v)),
+                None => flat.push(v),
+            }
+        }
+        if let Some(missing) = sig.params.get(supplied) {
+            return Err(JpieError::ArgumentMismatch(format!(
+                "call to {} is missing argument {:?}",
+                sig.name, missing.name
+            )));
+        }
         self.depth += 1;
         if self.depth > DEPTH_LIMIT {
             self.depth -= 1;
             return Err(JpieError::Exception(format!(
                 "recursion depth limit ({DEPTH_LIMIT}) exceeded in {}",
-                method.signature.name
+                sig.name
             )));
         }
         eval_depth_gauge().set_max(i64::from(self.depth));
-        let out = self.invoke_inner(method, args);
+        let out = match &method.body {
+            LoweredBody::Empty => Err(JpieError::Exception(format!(
+                "method {} has no body",
+                sig.name
+            ))),
+            LoweredBody::Native(f) => {
+                let mut fields = self.fields.lock();
+                f(&mut fields, &flat)
+            }
+            LoweredBody::Code(code) => {
+                slots.resize_with(code.slots.len(), || None);
+                self.run(code, slots, sig)
+            }
+        };
         self.depth -= 1;
         out
     }
 
-    fn invoke_inner(&mut self, method: &DynamicMethod, args: &[Value]) -> Result<Value, JpieError> {
-        let mut scope: HashMap<String, Value> = HashMap::new();
-        for (p, v) in method.signature.params.iter().zip(args) {
-            scope.insert(p.name.clone(), v.clone());
-        }
-        match &method.body {
-            MethodBody::Empty => Err(JpieError::Exception(format!(
-                "method {} has no body",
-                method.signature.name
-            ))),
-            MethodBody::Native(f) => {
-                let mut fields = self.fields.lock();
-                f(&mut fields, args)
-            }
-            MethodBody::Interpreted(block) => match self.eval_block(block, &mut scope)? {
-                Flow::Return(v) => coerce_return(v, &method.signature),
-                Flow::Normal => {
-                    if method.signature.return_ty == TypeDesc::Void {
-                        Ok(Value::Null)
-                    } else {
-                        Err(JpieError::TypeError(format!(
-                            "method {} fell off the end without returning {}",
-                            method.signature.name, method.signature.return_ty
-                        )))
-                    }
+    fn run(
+        &mut self,
+        code: &Code,
+        slots: Vec<Option<Value>>,
+        sig: &MethodSignature,
+    ) -> Result<Value, JpieError> {
+        let mut frame = Frame {
+            names: &code.slots,
+            slots,
+        };
+        match self.exec_block(&code.block, &mut frame)? {
+            Flow::Return(v) => coerce_return(v, sig),
+            Flow::Normal => {
+                if sig.return_ty == TypeDesc::Void {
+                    Ok(Value::Null)
+                } else {
+                    Err(JpieError::TypeError(format!(
+                        "method {} fell off the end without returning {}",
+                        sig.name, sig.return_ty
+                    )))
                 }
-            },
+            }
         }
     }
 
@@ -121,106 +193,117 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn eval_block(
-        &mut self,
-        block: &Block,
-        scope: &mut HashMap<String, Value>,
-    ) -> Result<Flow, JpieError> {
+    fn exec_block(&mut self, block: &[LStmt], frame: &mut Frame<'_>) -> Result<Flow, JpieError> {
         for stmt in block {
             self.tick()?;
             match stmt {
-                Stmt::Let(name, e) => {
-                    let v = self.eval(e, scope)?;
-                    scope.insert(name.clone(), v);
+                LStmt::Let(slot, e) => {
+                    let v = self.eval(e, frame)?;
+                    frame.slots[*slot] = Some(v);
                 }
-                Stmt::Assign(name, e) => {
-                    let v = self.eval(e, scope)?;
-                    if !scope.contains_key(name) {
+                LStmt::Assign(slot, e) => {
+                    let v = self.eval(e, frame)?;
+                    if frame.slots[*slot].is_none() {
                         return Err(JpieError::TypeError(format!(
-                            "assignment to undeclared local {name:?}"
+                            "assignment to undeclared local {:?}",
+                            frame.names[*slot]
                         )));
                     }
-                    scope.insert(name.clone(), v);
+                    frame.slots[*slot] = Some(v);
                 }
-                Stmt::SetField(name, e) => {
-                    let v = self.eval(e, scope)?;
+                LStmt::SetField(name, e) => {
+                    let v = self.eval(e, frame)?;
                     self.fields.lock().set(name, v)?;
                 }
-                Stmt::If {
+                LStmt::If {
                     cond,
                     then,
                     otherwise,
                 } => {
-                    let branch = if self.eval(cond, scope)?.as_bool()? {
+                    let branch = if self.eval_bool(cond, frame)? {
                         then
                     } else {
                         otherwise
                     };
-                    if let Flow::Return(v) = self.eval_block(branch, scope)? {
+                    if let Flow::Return(v) = self.exec_block(branch, frame)? {
                         return Ok(Flow::Return(v));
                     }
                 }
-                Stmt::While { cond, body } => {
-                    while self.eval(cond, scope)?.as_bool()? {
+                LStmt::While { cond, body } => {
+                    while self.eval_bool(cond, frame)? {
                         self.tick()?;
-                        if let Flow::Return(v) = self.eval_block(body, scope)? {
+                        if let Flow::Return(v) = self.exec_block(body, frame)? {
                             return Ok(Flow::Return(v));
                         }
                     }
                 }
-                Stmt::Return(e) => {
+                // The frame dies with the return, so a returned variable
+                // is moved out of its slot instead of cloned.
+                LStmt::Return(Some(LExpr::Slot(slot))) => {
+                    self.tick()?;
+                    let v = frame.slots[*slot].take();
+                    return v.map(Flow::Return).ok_or_else(|| frame.unbound(*slot));
+                }
+                LStmt::Return(e) => {
                     let v = match e {
-                        Some(e) => self.eval(e, scope)?,
+                        Some(e) => self.eval(e, frame)?,
                         None => Value::Null,
                     };
                     return Ok(Flow::Return(v));
                 }
-                Stmt::Throw(e) => {
-                    let v = self.eval(e, scope)?;
+                LStmt::Throw(e) => {
+                    let mut tmp = None;
+                    let v = self.operand(e, frame, &mut tmp)?;
                     return Err(JpieError::Exception(v.to_string()));
                 }
-                Stmt::Expr(e) => {
-                    self.eval(e, scope)?;
+                LStmt::Expr(e) => {
+                    self.eval(e, frame)?;
                 }
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn eval(
+    /// Evaluates `expr` for inspection only. A variable or literal is read
+    /// in place; anything else is computed into `tmp` and borrowed from
+    /// there. Ticks exactly as [`Interp::eval`] does.
+    fn operand<'f>(
         &mut self,
-        expr: &Expr,
-        scope: &mut HashMap<String, Value>,
-    ) -> Result<Value, JpieError> {
+        expr: &'f LExpr,
+        frame: &'f Frame<'_>,
+        tmp: &'f mut Option<Value>,
+    ) -> Result<&'f Value, JpieError> {
+        match expr {
+            LExpr::Lit(v) => {
+                self.tick()?;
+                Ok(v)
+            }
+            LExpr::Slot(slot) => {
+                self.tick()?;
+                frame.get(*slot)
+            }
+            _ => Ok(tmp.insert(self.eval(expr, frame)?)),
+        }
+    }
+
+    fn eval_bool(&mut self, expr: &LExpr, frame: &Frame<'_>) -> Result<bool, JpieError> {
+        let mut tmp = None;
+        self.operand(expr, frame, &mut tmp)?.as_bool()
+    }
+
+    fn eval(&mut self, expr: &LExpr, frame: &Frame<'_>) -> Result<Value, JpieError> {
         self.tick()?;
         match expr {
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Param(name) | Expr::Local(name) => scope
-                .get(name)
-                .cloned()
-                .ok_or_else(|| JpieError::TypeError(format!("unbound name {name:?}"))),
-            Expr::FieldRef(name) => self.fields.lock().get(name),
-            Expr::SelfCall { method, args } => {
-                let callee = self
-                    .methods
-                    .iter()
-                    .find(|m| m.signature.name == *method)
-                    .ok_or_else(|| JpieError::NoSuchMethod(method.clone()))?
-                    .clone();
-                let mut positional = Vec::with_capacity(callee.signature.params.len());
-                for p in &callee.signature.params {
-                    let arg = args
-                        .iter()
-                        .find(|(n, _)| n == &p.name)
-                        .map(|(_, e)| e)
-                        .ok_or_else(|| {
-                            JpieError::ArgumentMismatch(format!(
-                                "call to {} is missing argument {:?}",
-                                method, p.name
-                            ))
-                        })?;
-                    let v = self.eval(arg, scope)?;
-                    let v = v.widen_to(&p.ty).ok_or_else(|| {
+            LExpr::Lit(v) => Ok(v.clone()),
+            LExpr::Slot(slot) => frame.get(*slot).cloned(),
+            LExpr::FieldRef(name) => self.fields.lock().get(name),
+            LExpr::NoSuchMethod(name) => Err(JpieError::NoSuchMethod(name.clone())),
+            LExpr::SelfCall { callee, args } => {
+                let methods = self.methods;
+                let method = &methods[*callee].signature.name;
+                self.invoke(*callee, args.len(), |this, p, i| {
+                    let v = this.eval(&args[i], frame)?;
+                    v.widen_into(&p.ty).map_err(|v| {
                         JpieError::ArgumentMismatch(format!(
                             "argument {:?} of {}: expected {}, got {}",
                             p.name,
@@ -228,83 +311,51 @@ impl<'a> Interp<'a> {
                             p.ty,
                             v.type_desc()
                         ))
-                    })?;
-                    positional.push(v);
-                }
-                self.invoke(&callee, &positional)
+                    })
+                })
             }
-            Expr::Binary { op, lhs, rhs } => {
+            LExpr::Binary { op, lhs, rhs } => match op {
                 // Short-circuit logical operators.
-                match op {
-                    BinOp::And => {
-                        return if !self.eval(lhs, scope)?.as_bool()? {
-                            Ok(Value::Bool(false))
-                        } else {
-                            Ok(Value::Bool(self.eval(rhs, scope)?.as_bool()?))
-                        }
-                    }
-                    BinOp::Or => {
-                        return if self.eval(lhs, scope)?.as_bool()? {
-                            Ok(Value::Bool(true))
-                        } else {
-                            Ok(Value::Bool(self.eval(rhs, scope)?.as_bool()?))
-                        }
-                    }
-                    _ => {}
+                BinOp::And => Ok(Value::Bool(
+                    self.eval_bool(lhs, frame)? && self.eval_bool(rhs, frame)?,
+                )),
+                BinOp::Or => Ok(Value::Bool(
+                    self.eval_bool(lhs, frame)? || self.eval_bool(rhs, frame)?,
+                )),
+                _ => {
+                    let (mut l, mut r) = (None, None);
+                    let l = self.operand(lhs, frame, &mut l)?;
+                    let r = self.operand(rhs, frame, &mut r)?;
+                    eval_binary(*op, l, r)
                 }
-                let l = self.eval(lhs, scope)?;
-                let r = self.eval(rhs, scope)?;
-                eval_binary(*op, l, r)
+            },
+            LExpr::Unary { op, expr } => {
+                let mut tmp = None;
+                eval_unary(*op, self.operand(expr, frame, &mut tmp)?)
             }
-            Expr::Unary { op, expr } => {
-                let v = self.eval(expr, scope)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                    UnOp::Neg => match v {
-                        Value::Int(i) => i
-                            .checked_neg()
-                            .map(Value::Int)
-                            .ok_or_else(|| JpieError::Arithmetic("int overflow".into())),
-                        Value::Long(l) => l
-                            .checked_neg()
-                            .map(Value::Long)
-                            .ok_or_else(|| JpieError::Arithmetic("long overflow".into())),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        Value::Double(x) => Ok(Value::Double(-x)),
-                        other => Err(JpieError::TypeError(format!(
-                            "cannot negate {}",
-                            other.type_desc()
-                        ))),
-                    },
+            LExpr::Call { builtin, args } => {
+                let mut vals = Vec::with_capacity(args.len());
+                for a in args {
+                    vals.push(self.eval(a, frame)?);
                 }
+                let literal_name = match args.get(1) {
+                    Some(LExpr::Lit(Value::Str(name))) => Some(name.as_str()),
+                    _ => None,
+                };
+                eval_builtin(*builtin, literal_name, vals)
             }
-            Expr::Call { builtin, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.eval(a, scope))
-                    .collect::<Result<_, _>>()?;
-                eval_builtin(*builtin, args, vals)
-            }
-            Expr::MakeStruct { type_name, fields } => {
+            LExpr::MakeStruct { type_name, fields } => {
                 let mut s = StructValue::new(type_name.clone());
                 for (n, e) in fields {
-                    let v = self.eval(e, scope)?;
+                    let v = self.eval(e, frame)?;
                     s.fields.push((n.clone(), v));
                 }
                 Ok(Value::Struct(s))
             }
-            Expr::MakeSeq { elem, items } => {
+            LExpr::MakeSeq { elem, items } => {
                 let mut vals = Vec::with_capacity(items.len());
                 for e in items {
-                    let v = self.eval(e, scope)?;
-                    let v = v.widen_to(elem).ok_or_else(|| {
-                        JpieError::TypeError(format!(
-                            "sequence of {} cannot hold {}",
-                            elem,
-                            v.type_desc()
-                        ))
-                    })?;
-                    vals.push(v);
+                    vals.push(widen_seq_item(self.eval(e, frame)?, elem)?);
                 }
                 Ok(Value::Seq(elem.clone(), vals))
             }
@@ -312,11 +363,21 @@ impl<'a> Interp<'a> {
     }
 }
 
-fn coerce_return(v: Value, sig: &MethodSignature) -> Result<Value, JpieError> {
+pub(crate) fn widen_seq_item(v: Value, elem: &TypeDesc) -> Result<Value, JpieError> {
+    v.widen_into(elem).map_err(|v| {
+        JpieError::TypeError(format!(
+            "sequence of {} cannot hold {}",
+            elem,
+            v.type_desc()
+        ))
+    })
+}
+
+pub(crate) fn coerce_return(v: Value, sig: &MethodSignature) -> Result<Value, JpieError> {
     if sig.return_ty == TypeDesc::Void {
         return Ok(Value::Null);
     }
-    v.widen_to(&sig.return_ty).ok_or_else(|| {
+    v.widen_into(&sig.return_ty).map_err(|v| {
         JpieError::TypeError(format!(
             "method {} returned {}, expected {}",
             sig.name,
@@ -324,6 +385,28 @@ fn coerce_return(v: Value, sig: &MethodSignature) -> Result<Value, JpieError> {
             sig.return_ty
         ))
     })
+}
+
+pub(crate) fn eval_unary(op: UnOp, v: &Value) -> Result<Value, JpieError> {
+    match op {
+        UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
+        UnOp::Neg => match v {
+            Value::Int(i) => i
+                .checked_neg()
+                .map(Value::Int)
+                .ok_or_else(|| JpieError::Arithmetic("int overflow".into())),
+            Value::Long(l) => l
+                .checked_neg()
+                .map(Value::Long)
+                .ok_or_else(|| JpieError::Arithmetic("long overflow".into())),
+            Value::Float(x) => Ok(Value::Float(-x)),
+            Value::Double(x) => Ok(Value::Double(-x)),
+            other => Err(JpieError::TypeError(format!(
+                "cannot negate {}",
+                other.type_desc()
+            ))),
+        },
+    }
 }
 
 /// Numeric tower used by arithmetic: both operands are promoted to the
@@ -335,7 +418,7 @@ enum Num {
     Double(f64),
 }
 
-fn promote(l: Value, r: Value) -> Option<(Num, Num)> {
+fn promote(l: &Value, r: &Value) -> Option<(Num, Num)> {
     use Value::*;
     let rank = |v: &Value| match v {
         Int(_) => Some(0),
@@ -344,34 +427,69 @@ fn promote(l: Value, r: Value) -> Option<(Num, Num)> {
         Double(_) => Some(3),
         _ => None,
     };
-    let target = rank(&l)?.max(rank(&r)?);
-    let conv = |v: Value| -> Num {
+    let target = rank(l)?.max(rank(r)?);
+    let conv = |v: &Value| -> Num {
         match (v, target) {
-            (Int(i), 0) => Num::Int(i),
-            (Int(i), 1) => Num::Long(i64::from(i)),
-            (Int(i), 2) => Num::Float(i as f32),
-            (Int(i), 3) => Num::Double(f64::from(i)),
-            (Long(x), 1) => Num::Long(x),
-            (Long(x), 2) => Num::Float(x as f32),
-            (Long(x), 3) => Num::Double(x as f64),
-            (Float(x), 2) => Num::Float(x),
-            (Float(x), 3) => Num::Double(f64::from(x)),
-            (Double(x), 3) => Num::Double(x),
+            (Int(i), 0) => Num::Int(*i),
+            (Int(i), 1) => Num::Long(i64::from(*i)),
+            (Int(i), 2) => Num::Float(*i as f32),
+            (Int(i), 3) => Num::Double(f64::from(*i)),
+            (Long(x), 1) => Num::Long(*x),
+            (Long(x), 2) => Num::Float(*x as f32),
+            (Long(x), 3) => Num::Double(*x as f64),
+            (Float(x), 2) => Num::Float(*x),
+            (Float(x), 3) => Num::Double(f64::from(*x)),
+            (Double(x), 3) => Num::Double(*x),
             _ => unreachable!("rank computed above"),
         }
     };
     Some((conv(l), conv(r)))
 }
 
-fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, JpieError> {
+/// A non-short-circuit binary operator on two evaluated operands.
+///
+/// Same-width integers — every loop counter and accumulator — are decided
+/// first; everything else goes through [`eval_binary_generic`], which also
+/// handles them and stays the definition of the semantics.
+pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, JpieError> {
+    match (l, r) {
+        (Value::Int(a), Value::Int(b)) => int_op(op, *a, *b),
+        (Value::Long(a), Value::Long(b)) => long_op(op, *a, *b),
+        _ => eval_binary_generic(op, l, r),
+    }
+}
+
+/// Java's `int` arithmetic: two's-complement wrapping, division by zero
+/// raises. (The generic tower reaches the same results by computing in 64
+/// bits and truncating.)
+fn int_op(op: BinOp, a: i32, b: i32) -> Result<Value, JpieError> {
+    use BinOp::*;
+    Ok(match op {
+        Add => Value::Int(a.wrapping_add(b)),
+        Sub => Value::Int(a.wrapping_sub(b)),
+        Mul => Value::Int(a.wrapping_mul(b)),
+        Div | Rem if b == 0 => return Err(JpieError::Arithmetic("division by zero".into())),
+        Div => Value::Int(a.wrapping_div(b)),
+        Rem => Value::Int(a.wrapping_rem(b)),
+        Eq => Value::Bool(a == b),
+        Ne => Value::Bool(a != b),
+        Lt => Value::Bool(a < b),
+        Le => Value::Bool(a <= b),
+        Gt => Value::Bool(a > b),
+        Ge => Value::Bool(a >= b),
+        And | Or => unreachable!("short-circuit operators are never applied to values"),
+    })
+}
+
+pub(crate) fn eval_binary_generic(op: BinOp, l: &Value, r: &Value) -> Result<Value, JpieError> {
     use BinOp::*;
     // String concatenation: Java's `+` semantics when either side is a
     // string.
     if op == Add {
-        if let Value::Str(ls) = &l {
+        if let Value::Str(ls) = l {
             return Ok(Value::Str(format!("{ls}{r}")));
         }
-        if let Value::Str(rs) = &r {
+        if let Value::Str(rs) = r {
             return Ok(Value::Str(format!("{l}{rs}")));
         }
     }
@@ -382,7 +500,7 @@ fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, JpieError> {
     }
     // Ordering on strings and chars.
     if matches!(op, Lt | Le | Gt | Ge) {
-        match (&l, &r) {
+        match (l, r) {
             (Value::Str(a), Value::Str(b)) => return Ok(Value::Bool(cmp_ord(op, a.cmp(b)))),
             (Value::Char(a), Value::Char(b)) => return Ok(Value::Bool(cmp_ord(op, a.cmp(b)))),
             _ => {}
@@ -396,13 +514,13 @@ fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, JpieError> {
             r.type_desc()
         ))
     };
-    let (ln, rn) = promote(l.clone(), r.clone()).ok_or_else(type_err)?;
+    let (ln, rn) = promote(l, r).ok_or_else(type_err)?;
     match (ln, rn) {
-        (Num::Int(a), Num::Int(b)) => int_op(op, i64::from(a), i64::from(b)).map(|v| match v {
+        (Num::Int(a), Num::Int(b)) => long_op(op, i64::from(a), i64::from(b)).map(|v| match v {
             Value::Long(x) => Value::Int(x as i32),
             other => other,
         }),
-        (Num::Long(a), Num::Long(b)) => int_op(op, a, b),
+        (Num::Long(a), Num::Long(b)) => long_op(op, a, b),
         (Num::Float(a), Num::Float(b)) => {
             float_op(op, f64::from(a), f64::from(b)).map(|v| match v {
                 Value::Double(x) => Value::Float(x as f32),
@@ -425,7 +543,7 @@ fn cmp_ord(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-fn int_op(op: BinOp, a: i64, b: i64) -> Result<Value, JpieError> {
+fn long_op(op: BinOp, a: i64, b: i64) -> Result<Value, JpieError> {
     use BinOp::*;
     let overflow = || JpieError::Arithmetic("integer overflow".into());
     match op {
@@ -450,7 +568,9 @@ fn int_op(op: BinOp, a: i64, b: i64) -> Result<Value, JpieError> {
         Le => Ok(Value::Bool(a <= b)),
         Gt => Ok(Value::Bool(a > b)),
         Ge => Ok(Value::Bool(a >= b)),
-        Eq | Ne | And | Or => unreachable!("handled earlier"),
+        Eq => Ok(Value::Bool(a == b)),
+        Ne => Ok(Value::Bool(a != b)),
+        And | Or => unreachable!("short-circuit operators are never applied to values"),
     }
 }
 
@@ -470,9 +590,12 @@ fn float_op(op: BinOp, a: f64, b: f64) -> Result<Value, JpieError> {
     }
 }
 
-fn eval_builtin(
+/// Applies a built-in to its evaluated arguments. `literal_name` is the
+/// second argument's text when it is a string *literal* in the source
+/// (`field(struct, "name")` accepts nothing else).
+pub(crate) fn eval_builtin(
     builtin: Builtin,
-    arg_exprs: &[Expr],
+    literal_name: Option<&str>,
     vals: Vec<Value>,
 ) -> Result<Value, JpieError> {
     let arity_err = |want: usize| {
@@ -537,7 +660,7 @@ fn eval_builtin(
             let [v, _] = &vals[..] else {
                 return Err(arity_err(2));
             };
-            let Some(Expr::Lit(Value::Str(name))) = arg_exprs.get(1) else {
+            let Some(name) = literal_name else {
                 return Err(JpieError::TypeError(
                     "field(struct, name) requires a literal field name".into(),
                 ));
@@ -560,7 +683,9 @@ mod tests {
     use super::*;
 
     fn bin(op: BinOp, l: Value, r: Value) -> Result<Value, JpieError> {
-        eval_binary(op, l, r)
+        let fast = eval_binary(op, &l, &r);
+        assert_eq!(fast, eval_binary_generic(op, &l, &r), "fast path diverged");
+        fast
     }
 
     #[test]

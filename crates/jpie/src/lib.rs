@@ -60,9 +60,20 @@ mod event;
 pub mod expr;
 mod instance;
 mod interp;
+mod lower;
+#[cfg(test)]
+mod oracle;
 pub mod parse;
 mod registry;
+#[cfg(test)]
+#[allow(dead_code)] // `tests/props.rs` uses the entry points this crate's own test does not
+mod script_gen;
 mod value;
+
+// `script_gen.rs` is also compiled into the root `tests/props.rs`, so it
+// names this crate the way an outside user does.
+#[cfg(test)]
+extern crate self as jpie;
 
 pub use class::{
     ClassHandle, MethodBuilder, MethodId, MethodSignature, Param, ParamId, SignatureView,

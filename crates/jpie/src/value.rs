@@ -195,6 +195,22 @@ impl Value {
         if target.admits(self) {
             return Some(self.clone());
         }
+        self.converted_to(target)
+    }
+
+    /// [`Value::widen_to`] for a value the caller owns: a value that
+    /// already inhabits `target` is handed back, not copied. `Err` returns
+    /// the unconvertible value for the caller's diagnostic.
+    pub(crate) fn widen_into(self, target: &TypeDesc) -> Result<Value, Value> {
+        if target.admits(&self) {
+            return Ok(self);
+        }
+        self.converted_to(target).ok_or(self)
+    }
+
+    /// The widening conversions proper (the value does not inhabit
+    /// `target` as it is).
+    fn converted_to(&self, target: &TypeDesc) -> Option<Value> {
         match (self, target) {
             (Value::Int(i), TypeDesc::Long) => Some(Value::Long(i64::from(*i))),
             (Value::Int(i), TypeDesc::Double) => Some(Value::Double(f64::from(*i))),

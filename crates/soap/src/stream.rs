@@ -896,6 +896,8 @@ mod tests {
         let before = encode_bytes_counter().get();
         let mut buf = Vec::new();
         encode_ok_into("m", "urn:x", &Value::Null, &mut buf);
-        assert_eq!(encode_bytes_counter().get(), before + buf.len() as u64);
+        // Process-global counter, sibling tests encode concurrently: this
+        // encode's bytes are in it, whatever else is.
+        assert!(encode_bytes_counter().get() >= before + buf.len() as u64);
     }
 }

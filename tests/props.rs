@@ -564,72 +564,29 @@ fn xml_parser_never_panics() {
 // JPie-script source round trip
 // ---------------------------------------------------------------------------
 
-fn gen_script_string(rng: &mut XorShift64) -> String {
-    // Printable ASCII without `"` or `\` (the script grammar's string set).
-    let len = rng.gen_usize(9);
-    (0..len)
-        .map(|_| loop {
-            let c = char::from(rng.gen_range(0x20, 0x7F) as u8);
-            if c != '"' && c != '\\' {
-                break c;
-            }
-        })
-        .collect()
-}
+// The tree generator is shared with jpie's differential evaluator test
+// (which runs what it generates); here it only feeds the printer.
+#[path = "../crates/jpie/src/script_gen.rs"]
+mod script_gen;
+use script_gen::{gen_script_block, gen_script_expr, Vocab};
 
-fn gen_script_expr(rng: &mut XorShift64, depth: usize) -> jpie::expr::Expr {
-    use jpie::expr::{BinOp, Builtin, Expr, UnOp};
-    if depth == 0 {
-        return match rng.gen_usize(5) {
-            0 => Expr::Lit(Value::Int(rng.gen_range(0, 1000) as i32)),
-            1 => Expr::Lit(Value::Bool(rng.gen_bool(0.5))),
-            2 => Expr::Lit(Value::Str(gen_script_string(rng))),
-            3 => Expr::Local(gen_ident(rng)),
-            _ => Expr::FieldRef(gen_ident(rng)),
-        };
-    }
-    match rng.gen_usize(5) {
-        0 => {
-            const OPS: &[BinOp] = &[
-                BinOp::Add,
-                BinOp::Sub,
-                BinOp::Mul,
-                BinOp::Div,
-                BinOp::Lt,
-                BinOp::And,
-                BinOp::Or,
-            ];
-            Expr::Binary {
-                op: *rng.choose(OPS),
-                lhs: Box::new(gen_script_expr(rng, depth - 1)),
-                rhs: Box::new(gen_script_expr(rng, depth - 1)),
-            }
-        }
-        1 => Expr::Unary {
-            op: UnOp::Neg,
-            expr: Box::new(gen_script_expr(rng, depth - 1)),
-        },
-        2 => {
-            let mut seen = std::collections::HashSet::new();
-            let mut args = Vec::new();
-            for _ in 0..rng.gen_usize(3) {
-                let name = gen_ident(rng);
-                if seen.insert(name.clone()) {
-                    args.push((name, gen_script_expr(rng, depth - 1)));
-                }
-            }
-            Expr::SelfCall {
-                method: gen_ident(rng),
-                args,
-            }
-        }
-        3 => Expr::Call {
-            builtin: Builtin::ToStr,
-            args: (0..rng.gen_usize(2))
-                .map(|_| gen_script_expr(rng, depth - 1))
-                .collect(),
-        },
-        _ => gen_script_expr(rng, 0),
+/// Random identifiers throughout, shapes the printer reproduces.
+fn gen_printable_vocab(rng: &mut XorShift64) -> Vocab {
+    let idents = |rng: &mut XorShift64, n: usize| -> Vec<String> {
+        (0..n).map(|_| gen_member_ident(rng)).collect()
+    };
+    Vocab {
+        vars: idents(rng, 4),
+        fields: idents(rng, 3),
+        methods: (0..3)
+            .map(|_| {
+                let mut params = idents(rng, 2);
+                params.dedup();
+                (gen_member_ident(rng), params)
+            })
+            .collect(),
+        types: vec![gen_type_name(rng)],
+        full: false,
     }
 }
 
@@ -639,12 +596,29 @@ fn jpie_script_print_parse_roundtrip() {
         // Binary comparisons are non-associative in the grammar (no
         // chained `a < b < c`), so only shapes the printer can emit are
         // generated above. Print → parse must reproduce the tree.
-        let expr = gen_script_expr(rng, 3);
+        let vocab = gen_printable_vocab(rng);
+        let expr = gen_script_expr(rng, &vocab, 3);
         let src = jpie::parse::expr_to_source(&expr);
         let reparsed = jpie::parse::parse_expr(&src)
             .unwrap_or_else(|e| panic!("case {case}: reparse of {src:?} failed: {e}"));
         assert_eq!(reparsed, expr, "case {case}");
     });
+}
+
+#[test]
+fn jpie_script_block_print_parse_roundtrip() {
+    for_cases(
+        "jpie_script_block_print_parse_roundtrip",
+        96,
+        |rng, case| {
+            let vocab = gen_printable_vocab(rng);
+            let block = gen_script_block(rng, &vocab, 3);
+            let src = jpie::parse::block_to_source(&block);
+            let reparsed = jpie::parse::parse_block(&src)
+                .unwrap_or_else(|e| panic!("case {case}: reparse of {src:?} failed: {e}"));
+            assert_eq!(reparsed, block, "case {case}:\n{src}");
+        },
+    );
 }
 
 #[test]
