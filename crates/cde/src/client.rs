@@ -333,11 +333,9 @@ impl ClientEnvironment {
                 });
             }
             counters.0.inc();
-            obs::trace::verbose_event(
-                "cde::client",
-                "retry",
-                format!("method={method} attempt={attempt} wait={retry_wait:?}"),
-            );
+            obs::trace::verbose_event("cde::client", "retry", || {
+                format!("method={method} attempt={attempt} wait={retry_wait:?}")
+            });
             std::thread::sleep(retry_wait);
         }
     }

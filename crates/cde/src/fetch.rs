@@ -85,7 +85,7 @@ impl DocFetcher {
             if !breaker.try_acquire() {
                 if self.seen.lock().contains(url) {
                     obs::registry().counter("cde_stale_served_total").inc();
-                    obs::trace::verbose_event("cde::fetch", "stale-serve", format!("url={url}"));
+                    obs::trace::verbose_event("cde::fetch", "stale-serve", || format!("url={url}"));
                     return Ok(Fetched::Stale);
                 }
                 return Err(HttpError::Malformed(format!(

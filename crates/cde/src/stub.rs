@@ -184,11 +184,9 @@ impl DynamicStub {
         obs::registry().counter("cde_refreshes_total").inc();
         let refreshed = self.refresh_inner();
         if refreshed.is_ok() {
-            obs::trace::verbose_event(
-                "cde::stub",
-                "refresh",
-                format!("version={}", self.view.read().version),
-            );
+            obs::trace::verbose_event("cde::stub", "refresh", || {
+                format!("version={}", self.view.read().version)
+            });
         } else {
             obs::registry().counter("cde_refresh_failures_total").inc();
         }

@@ -1,15 +1,14 @@
 //! Object Request Brokers: the server ORB with DSI dispatch and the
 //! client-side DII request API.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use httpd::engine::Serving;
 use httpd::transport::{connect_with, Listener, Stream};
 use httpd::{ReadBuf, ServerGate};
 use jpie::Value;
-use obs::sync::Mutex;
 
 use crate::error::{CorbaError, SystemExceptionKind};
 use crate::giop::{
@@ -17,6 +16,7 @@ use crate::giop::{
     ReplyBody, ReplyMessage,
 };
 use crate::ior::Ior;
+use crate::rorb::GiopWire;
 
 /// The Dynamic Skeleton Interface: servant logic that receives untyped
 /// requests.
@@ -87,8 +87,9 @@ impl ServerRequest {
 /// A running server ORB bound to one transport endpoint, dispatching every
 /// request through a [`DynamicImplementation`].
 ///
-/// Connections — `tcp://` or `mem://` — are reactor state machines (see
-/// `rorb.rs`); servants run on a bounded dispatch pool.
+/// Connections — `tcp://` or `mem://` — are [`httpd::engine`] state
+/// machines speaking the GIOP wire (`rorb.rs`); servants run on a
+/// bounded dispatch pool.
 ///
 /// # Examples
 ///
@@ -96,11 +97,8 @@ impl ServerRequest {
 #[derive(Debug)]
 pub struct ServerOrb {
     ior: Ior,
-    shutdown: Arc<AtomicBool>,
-    listener: Arc<Listener>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
     gate: Arc<ServerGate>,
-    reactor: crate::rorb::ReactorState,
+    serving: Serving<GiopWire>,
 }
 
 impl ServerOrb {
@@ -115,26 +113,24 @@ impl ServerOrb {
         type_id: &str,
         implementation: I,
     ) -> Result<ServerOrb, CorbaError> {
-        let listener = Arc::new(Listener::bind(addr)?);
+        let listener = Listener::bind(addr)?;
         let local = listener.local_addr().to_string();
         let object_key = format!("{type_id}#key").into_bytes();
         let ior = Ior::new(type_id, local, object_key.clone());
-        let shutdown = Arc::new(AtomicBool::new(false));
         let gate = Arc::new(ServerGate::default());
-        let (reactor, accept_thread) = crate::rorb::start(
-            listener.clone(),
-            shutdown.clone(),
-            Arc::new(implementation),
-            object_key,
-            gate.clone(),
-        );
+        let wire = GiopWire {
+            implementation: Arc::new(implementation),
+            served_key: object_key,
+            gate: gate.clone(),
+        };
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .clamp(2, 8);
         Ok(ServerOrb {
             ior,
-            shutdown,
-            listener,
-            accept_thread: Mutex::new(Some(accept_thread)),
             gate,
-            reactor,
+            serving: Serving::start("orb", listener, wire, workers, 64, "orb_dispatch_depth"),
         })
     }
 
@@ -157,18 +153,7 @@ impl ServerOrb {
     /// established connections would be a zombie a failover front could
     /// never fence off — and joins the threads this ORB spawned.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
-        self.reactor.shutdown();
-    }
-}
-
-impl Drop for ServerOrb {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.serving.shutdown();
     }
 }
 
@@ -602,14 +587,6 @@ mod tests {
             .unwrap();
         assert_eq!(got, v);
         orb.shutdown();
-    }
-
-    #[test]
-    fn connect_after_shutdown_fails() {
-        let orb = ServerOrb::init("mem://orb-dead", "IDL:Arith:1.0", Arith).unwrap();
-        let ior = orb.ior();
-        orb.shutdown();
-        assert!(OrbConnection::connect(&ior).is_err());
     }
 
     #[test]

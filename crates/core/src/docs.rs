@@ -120,11 +120,9 @@ impl DocumentStore {
             .or_default()
             .push(version);
         obs::registry().counter("sde_docs_published_total").inc();
-        obs::trace::verbose_event(
-            "sde::docs",
-            "publish",
-            format!("path={path} version={version}"),
-        );
+        obs::trace::verbose_event("sde::docs", "publish", || {
+            format!("path={path} version={version}")
+        });
         true
     }
 

@@ -352,11 +352,9 @@ pub(crate) fn inject(endpoint: &str, side: FaultSide) -> Option<Injected> {
             );
         }
     }
-    obs::trace::verbose_event(
-        "httpd::fault",
-        "inject",
-        format!("endpoint={endpoint} kind={}", kind.label()),
-    );
+    obs::trace::verbose_event("httpd::fault", "inject", || {
+        format!("endpoint={endpoint} kind={}", kind.label())
+    });
     Some(match kind {
         FaultKind::Refuse => Injected::Refuse,
         FaultKind::Delay => Injected::Delay(delay),

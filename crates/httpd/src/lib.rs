@@ -11,7 +11,9 @@
 //!   consistency-matrix experiments),
 //! * [`Request`] / [`Response`] — HTTP/1.1 message types with parsing and
 //!   serialization,
-//! * [`HttpServer`] — a reactor-driven server dispatching to a
+//! * [`engine`] — the one connection state machine and server lifecycle
+//!   every reactor server runs on, generic over a [`engine::Wire`],
+//! * [`HttpServer`] — the HTTP wire on that engine, dispatching to a
 //!   [`Handler`] on a bounded worker pool,
 //! * [`HttpClient`] — a blocking client.
 //!
@@ -38,6 +40,7 @@
 //! ```
 
 mod client;
+pub mod engine;
 mod error;
 pub mod fault;
 mod message;

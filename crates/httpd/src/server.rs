@@ -1,13 +1,13 @@
 //! The HTTP server: connections as reactor state machines, requests
 //! dispatched to a [`Handler`] on a bounded worker pool.
 //!
-//! One engine serves every address. An accept thread hands each
-//! connection — a TCP socket or one end of a `mem://` socket pair — to
-//! the process-wide [`reactor`] shards (see `rserver.rs`), and
-//! application requests hop to a fixed set of worker threads through a
-//! bounded queue. When the queue is full the server sheds load with
-//! `503 Service Unavailable` + `Retry-After` instead of queueing without
-//! bound — backpressure is observable through the
+//! One engine serves every address (see [`crate::engine`]; `rserver.rs`
+//! is its HTTP wire). An accept thread hands each connection — a TCP
+//! socket or one end of a `mem://` socket pair — to the process-wide
+//! [`reactor`] shards, and application requests hop to a fixed set of
+//! worker threads through a bounded queue. When the queue is full the
+//! server sheds load with `503 Service Unavailable` + `Retry-After`
+//! instead of queueing without bound — backpressure is observable through the
 //! `http_queue_depth{server=...}` gauge and the
 //! `http_rejected_total{server=...}` counter.
 //!
@@ -18,15 +18,15 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 use obs::metrics::{Counter, Histogram};
-use obs::sync::Mutex;
 
+use crate::engine::Serving;
 use crate::error::HttpError;
 use crate::message::{Limits, Request, Response};
-use crate::rserver::{self, Shared};
+use crate::rserver::HttpWire;
 use crate::transport::{Addr, Listener};
 
 /// Metric handles resolved once; the per-request path is atomic ops only.
@@ -243,12 +243,7 @@ impl PoolConfig {
 /// See the [crate-level documentation](crate).
 pub struct HttpServer {
     addr: Addr,
-    shared: Arc<Shared>,
-    listener: Arc<Listener>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    /// The id this server's connections are registered under on the
-    /// reactor shards.
-    server_id: u64,
+    serving: Serving<HttpWire>,
     gate: Arc<ServerGate>,
 }
 
@@ -256,8 +251,8 @@ impl fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HttpServer")
             .field("addr", &self.addr)
-            .field("workers", &self.shared.cfg.workers)
-            .field("queue_depth", &self.shared.cfg.queue_depth)
+            .field("workers", &self.pool_config().workers)
+            .field("queue_depth", &self.pool_config().queue_depth)
             .finish_non_exhaustive()
     }
 }
@@ -294,26 +289,19 @@ impl HttpServer {
             inner: Arc::new(handler),
             gate: gate.clone(),
         });
-        let listener = Arc::new(Listener::bind(addr)?);
+        let listener = Listener::bind(addr)?;
         let local = listener.local_addr();
-        let shared = Arc::new(Shared::new(&local.to_string(), cfg, handler));
-        let server_id = reactor::pool().allocate_server_id();
-        let accept_listener = listener.clone();
-        let accept_shared = shared.clone();
-        let accept_thread = thread::Builder::new()
-            .name(format!("httpd-accept-{local}"))
-            .spawn(move || {
-                accept_listener.accept_loop(&accept_shared.shutdown, |stream, start| {
-                    rserver::register(&accept_shared, server_id, stream, start);
-                });
-            })
-            .expect("spawn accept thread");
+        let wire = HttpWire::new(&local.to_string(), cfg, handler);
         Ok(HttpServer {
             addr: local,
-            shared,
-            listener,
-            accept_thread: Mutex::new(Some(accept_thread)),
-            server_id,
+            serving: Serving::start(
+                "httpd",
+                listener,
+                wire,
+                cfg.workers,
+                cfg.queue_depth,
+                "http_queue_depth",
+            ),
             gate,
         })
     }
@@ -341,29 +329,14 @@ impl HttpServer {
 
     /// The pool configuration this server runs with.
     pub fn pool_config(&self) -> PoolConfig {
-        self.shared.cfg
+        self.serving.wire().cfg
     }
 
     /// Stops the server promptly and leak-free: closes the listener,
     /// sweeps every live connection off the reactor shards, and joins
     /// every thread the server spawned. Idempotent.
     pub fn shutdown(&self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
-        // Returns after the sweeps ran; then stop the handler pool.
-        reactor::pool().close_server(self.server_id);
-        self.shared.dispatch.shutdown();
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.serving.shutdown();
     }
 }
 
@@ -371,9 +344,8 @@ impl Drop for HttpServer {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
-    use crate::fault::{self, FaultPlan, FaultRule};
     use crate::message::Status;
-    use obs::sync::Condvar;
+    use obs::sync::{Condvar, Mutex};
     use std::io::{Read, Write};
     use std::time::Instant;
 
@@ -519,43 +491,6 @@ mod tests {
                 .unwrap();
             assert_eq!(miss.status(), 404);
             server.shutdown();
-        });
-    }
-
-    #[test]
-    fn connect_after_shutdown_refused() {
-        // For TCP this needs the listener to actually leave LISTEN
-        // state on shutdown: a socket that merely stops accepting in
-        // userspace keeps completing handshakes into the kernel backlog,
-        // so a dead server still passes connect-only health probes.
-        on_both_schemes("srv-dead", |addr| {
-            let server = HttpServer::bind(addr, echo_handler).unwrap();
-            let url = server.base_url();
-            assert!(HttpClient::new().get(&url).is_ok(), "reachable while up");
-            server.shutdown();
-            assert!(
-                HttpClient::new()
-                    .with_read_timeout(Duration::from_millis(500))
-                    .get(&url)
-                    .is_err(),
-                "connects must be refused after shutdown"
-            );
-        });
-    }
-
-    #[test]
-    fn shutdown_closes_idle_keep_alive_connections() {
-        on_both_schemes("srv-prompt", |addr| {
-            let server = HttpServer::bind(addr, echo_handler).unwrap();
-            let mut conn = HttpClient::new().connect(&server.base_url()).unwrap();
-            conn.send(&Request::get("/warm")).unwrap();
-            let start = Instant::now();
-            server.shutdown(); // joins the acceptor and all workers
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "shutdown blocked on a parked connection"
-            );
-            assert!(conn.send(&Request::get("/dead")).is_err());
         });
     }
 
@@ -710,97 +645,6 @@ mod tests {
             let mut conn = HttpClient::new().connect(&server.base_url()).unwrap();
             let resp = conn.send(&req).unwrap();
             assert_eq!(resp.status(), 400);
-            server.shutdown();
-        });
-    }
-
-    #[test]
-    fn accept_delay_fault_served_via_timer() {
-        let _g = fault::test_guard();
-        on_both_schemes("srv-delay", |addr| {
-            let server = HttpServer::bind(addr, echo_handler).unwrap();
-            let base = server.base_url();
-            FaultPlan::seeded(3)
-                .rule(
-                    FaultRule::delay(&base, 1.0, Duration::from_millis(120), Duration::ZERO)
-                        .on_accept(),
-                )
-                .install();
-            let start = Instant::now();
-            let resp = HttpClient::new().get(&format!("{base}/delayed")).unwrap();
-            fault::clear();
-            assert_eq!(resp.status(), 200);
-            assert!(
-                start.elapsed() >= Duration::from_millis(100),
-                "delay fault not applied: {:?}",
-                start.elapsed()
-            );
-            server.shutdown();
-        });
-    }
-
-    #[test]
-    fn blackholed_connection_parks_without_stalling_others() {
-        let _g = fault::test_guard();
-        on_both_schemes("srv-blackhole", |addr| {
-            let server = HttpServer::bind(addr, echo_handler).unwrap();
-            let base = server.base_url();
-            let blackholes = || {
-                obs::registry().snapshot().counter(&obs::metrics::key(
-                    "faults_injected_total",
-                    &[("kind", "blackhole")],
-                ))
-            };
-            let before = blackholes();
-            FaultPlan::seeded(5)
-                .rule(FaultRule::blackhole(&base, 1.0).on_accept())
-                .install();
-            // This connection is blackholed server-side: the request is
-            // swallowed and no reply ever comes.
-            let mut victim = crate::transport::connect(&base).unwrap();
-            victim
-                .set_read_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            victim.write_all(b"GET /lost HTTP/1.1\r\n\r\n").unwrap();
-            // Wait for the accept thread to roll the fault before lifting
-            // the plan, or the fresh connection below would be swallowed
-            // too (and a late accept would miss the blackhole entirely).
-            wait_until(|| blackholes() > before);
-            fault::clear();
-            let mut buf = [0u8; 64];
-            let err = victim.read(&mut buf).unwrap_err();
-            assert!(
-                matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ),
-                "blackholed read should time out, got {err:?}"
-            );
-            // Meanwhile the reactor serves a clean connection instantly —
-            // the blackholed one is parked, not pinning a thread or loop.
-            let resp = HttpClient::new().get(&format!("{base}/fine")).unwrap();
-            assert_eq!(resp.body_str(), "GET /fine");
-            server.shutdown();
-        });
-    }
-
-    #[test]
-    fn pipelined_requests_all_answered() {
-        on_both_schemes("srv-pipeline", |addr| {
-            let server = HttpServer::bind(addr, echo_handler).unwrap();
-            let mut stream = crate::transport::connect(&server.base_url()).unwrap();
-            // Two requests in one write; both must be answered in order.
-            stream
-                .write_all(
-                    b"GET /one HTTP/1.1\r\n\r\nGET /two HTTP/1.1\r\nConnection: close\r\n\r\n",
-                )
-                .unwrap();
-            let mut buf = Vec::new();
-            stream.read_to_end(&mut buf).unwrap();
-            let text = String::from_utf8_lossy(&buf);
-            let one = text.find("GET /one").expect("first response");
-            let two = text.find("GET /two").expect("second response");
-            assert!(one < two, "{text}");
             server.shutdown();
         });
     }

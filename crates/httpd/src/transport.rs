@@ -274,11 +274,25 @@ impl Listener {
     /// The accept loop of a reactor server (HTTP and GIOP alike): hands
     /// `register` each accepted connection, already nonblocking, with
     /// the [`Start`] its state machine begins in. Returns when the
-    /// listener is closed or `shutdown` is set.
+    /// listener is closed or `shutdown` is set — and for nothing else:
+    /// an `accept` that fails for want of a resource (`EMFILE`,
+    /// `ENFILE`, `ENOBUFS`) or because the peer already gave up
+    /// (`ECONNABORTED`) is counted in `accept_errors_total{server}` and
+    /// retried after a short pause, or one such error would leave a
+    /// live server deaf to every later connect.
     pub fn accept_loop(&self, shutdown: &AtomicBool, mut register: impl FnMut(Stream, Start)) {
         while !shutdown.load(Ordering::SeqCst) {
-            let Ok((stream, delay)) = self.accept_rolled() else {
-                break;
+            let (stream, delay) = match self.accept_rolled() {
+                Ok(accepted) => accepted,
+                Err(HttpError::Io(e)) if !listener_gone(&e) => {
+                    let label = self.local_addr().to_string();
+                    obs::registry()
+                        .counter_with("accept_errors_total", &[("server", &label)])
+                        .inc();
+                    std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                    continue;
+                }
+                Err(_) => break,
             };
             if shutdown.load(Ordering::SeqCst) {
                 stream.shutdown();
@@ -316,6 +330,21 @@ impl Listener {
             Listener::Mem(l) => l.close(),
         }
     }
+}
+
+/// How long [`Listener::accept_loop`] waits before retrying a failed
+/// `accept`: the pending connection stays in the backlog, so without a
+/// pause an exhausted fd table would be a busy loop.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(5);
+
+/// Whether `accept` failed because the listening socket itself is no
+/// more (`Listener::close` shuts it down: `EINVAL`), as opposed to this
+/// one connection or this moment's resources.
+fn listener_gone(e: &io::Error) -> bool {
+    const EBADF: i32 = 9;
+    const EINVAL: i32 = 22;
+    const ENOTSOCK: i32 = 88;
+    matches!(e.raw_os_error(), Some(EBADF | EINVAL | ENOTSOCK))
 }
 
 /// How a connection accepted by [`Listener::accept_loop`] begins.

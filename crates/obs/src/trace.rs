@@ -66,10 +66,15 @@ pub fn event(target: &'static str, name: impl Into<String>, detail: impl Into<St
     ring.push_back(ev);
 }
 
-/// Record a per-request event only when verbose tracing is on.
-pub fn verbose_event(target: &'static str, name: impl Into<String>, detail: impl Into<String>) {
+/// Record a per-request event only when verbose tracing is on; `detail`
+/// is not even built otherwise.
+pub fn verbose_event<D: Into<String>>(
+    target: &'static str,
+    name: impl Into<String>,
+    detail: impl FnOnce() -> D,
+) {
     if verbose() {
-        event(target, name, detail);
+        event(target, name, detail());
     }
 }
 
@@ -191,10 +196,12 @@ mod tests {
         let _g = TEST_LOCK.lock();
         clear();
         set_verbose(false);
-        verbose_event("test", "hot", "skipped");
+        verbose_event("test", "hot", || -> &str {
+            unreachable!("built while verbose is off")
+        });
         assert!(recent(usize::MAX).is_empty());
         set_verbose(true);
-        verbose_event("test", "hot", "kept");
+        verbose_event("test", "hot", || "kept");
         assert_eq!(recent(usize::MAX).len(), 1);
         set_verbose(false);
         clear();
