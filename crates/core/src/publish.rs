@@ -34,7 +34,7 @@
 //! before the call.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -214,9 +214,12 @@ impl PublisherCore {
         );
         core.state.lock().published_version = initial.version;
 
-        // Listener thread: subscribes to class change events.
+        // Listener thread: subscribes to class change events. It holds
+        // the publisher weakly: the class's event sender lives as long as
+        // the class, and a strong hold here would keep the publisher —
+        // its sink, the document store and the store's WAL — alive with it.
         let events = class.subscribe();
-        let listener_core = core.clone();
+        let listener_core = Arc::downgrade(&core);
         let listener = thread::Builder::new()
             .name(format!("dl-listener-{}", class.name()))
             .spawn(move || listener_loop(listener_core, events))
@@ -396,8 +399,11 @@ impl PublisherCore {
     }
 }
 
-fn listener_loop(core: Arc<PublisherCore>, events: Receiver<ClassEvent>) {
+fn listener_loop(core: Weak<PublisherCore>, events: Receiver<ClassEvent>) {
     while let Ok(event) = events.recv() {
+        let Some(core) = core.upgrade() else {
+            return;
+        };
         core.on_change(&event);
         if core.state.lock().shutdown {
             return;

@@ -10,18 +10,21 @@
 //! DelayedStart  Reading      Blackholed (parked, no interest)
 //!  (timer) ────►  │ ▲
 //!                 │ │ keep-alive: park at zero thread cost
-//!        framed   │ │
-//!                 ▼ │
-//!            Dispatched (suspended; I/O on loan to a dispatch worker)
-//!                 │
-//!           reply │ (worker writes; WouldBlock hands the tail back)
-//!                 ▼
-//!              Writing ──► Reading │ Close
+//!        framed   │ │            forward
+//!        ┌────────┘ └─────────────────────────┐
+//!        ▼                                    ▼
+//!   Dispatched (suspended; I/O on         Forwarding (the request goes
+//!        │   loan to a dispatch worker)       │   out on the linked
+//!  reply │ (worker writes; WouldBlock         │   upstream fd, the
+//!        │  hands the tail back)              │   answer comes back)
+//!        ▼                                    │
+//!     Writing ──► Reading │ Close ◄───────────┘ relayed
 //! ```
 //!
 //! What differs between the wires is behind [`Wire`]: how bytes become
-//! requests, how a request is served, how one is refused, and how long
-//! a peer may stall. Everything else lives here, once:
+//! requests, how a request is served, how one is refused, how an
+//! upstream's answer is framed, and how long a peer may stall.
+//! Everything else lives here, once:
 //!
 //! * **I/O on loan ⇔ `Dispatched`.** The socket and the recycled buffers
 //!   travel to the worker with the request and come home with the
@@ -29,14 +32,30 @@
 //! * **The fd comes home before it closes.** Even a failed write returns
 //!   the socket: it must stay open until the reactor has taken its fd
 //!   off epoll, or a connection accepted meanwhile could reuse the fd
-//!   number and lose its registration instead.
+//!   number and lose its registration instead. The upstream is detached
+//!   from epoll before it is dropped, for the same reason.
 //! * **A job is built only under a certain queue slot**, so a shed
 //!   request still holds everything it needs to refuse itself.
 //! * **Deadlines per state.** `Reading`: [`Wire::deadline`]. `Writing`:
 //!   the same clock, re-armed only when the peer took bytes. Expiry
 //!   closes (after [`Wire::timed_out`]'s last words, if any).
+//!   `Forwarding`: 5 s per step of the upstream exchange; expiry fails
+//!   the forward.
 //! * **Pipelined bytes are cranked before re-arming**, so they are not
 //!   stranded until new bytes arrive.
+//! * **A forward stays on the shard.** [`Framed::Forward`] relays the
+//!   request's bytes, split off the receive buffer, over a nonblocking
+//!   upstream connection that is the source's linked fd
+//!   ([`Ctl::attach`]); the answer's body is split off the upstream's
+//!   buffer. The upstream is *sticky*: kept across requests while they
+//!   go to the same target `Arc`, so the connect — on a dispatch worker,
+//!   where the chaos layer's connect rolls may sleep — happens once per
+//!   connection and target (per forward while a fault plan is active,
+//!   so the plan's rates hold). A failure before the first byte of
+//!   answer on a reused upstream is retried once on a fresh one (it may
+//!   have closed while idle); any other failure is the wire's
+//!   [`Wire::unrelayed`] answer. A forward's [`Forward`] lives in the
+//!   state, so its target is released however the forward ends.
 //!
 //! [`Serving`] is the lifecycle both servers hold: listener, accept
 //! thread, reactor server id, dispatch pool, and the shutdown sequence.
@@ -44,19 +63,27 @@
 use std::any::Any;
 use std::fmt;
 use std::io::{self, IoSlice, Write};
+use std::ops::Range;
 use std::os::unix::io::RawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use obs::metrics::Counter;
 use obs::sync::Mutex;
 use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 
+use crate::error::HttpError;
 use crate::message::Body;
 use crate::readbuf::ReadBuf;
-use crate::transport::{Listener, Start, Stream};
+use crate::server::Upstream;
+use crate::transport::{connect_with, Listener, Start, Stream};
+
+/// How long an upstream may take over each step of a forward: taking
+/// the request, producing the next bytes of its answer.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What a server speaks: the part of serving a connection that differs
 /// between HTTP and GIOP. Callbacks never see the connection's state,
@@ -108,6 +135,20 @@ pub trait Wire: Send + Sync + 'static {
     /// The read deadline expired; the connection closes after whatever
     /// last words this leaves in `reply` (none by default).
     fn timed_out(&self, _reply: &mut Reply) {}
+
+    /// Looks for the upstream's whole answer to `fwd` at the front of
+    /// `bytes` and, once it is there, puts what the peer gets ahead of
+    /// the body in `reply`. Runs on a reactor thread. Asked only of a
+    /// wire whose `frame` forwards.
+    fn relay(&self, _bytes: &[u8], _fwd: &Forward, _reply: &mut Reply) -> Relayed {
+        Relayed::Invalid
+    }
+
+    /// The forward `fwd` failed with `why`: answer the peer in `reply`
+    /// (by default, close without a word).
+    fn unrelayed(&self, _fwd: &Forward, _why: &HttpError, reply: &mut Reply) {
+        reply.last = true;
+    }
 }
 
 /// What [`Wire::frame`] found at the front of the received bytes.
@@ -119,8 +160,58 @@ pub enum Framed<C> {
     Inline(usize),
     /// The first `.0` bytes are a request for a dispatch worker.
     Handoff(usize, C),
+    /// The first `.0` bytes are a request to relay upstream.
+    Forward(usize, Forward),
     /// Close without a word (framing violation, or the peer said bye).
     Close,
+}
+
+/// A request the engine relays to an upstream instead of serving it.
+/// Dropping it releases the target ([`Upstream::release`]).
+pub struct Forward {
+    /// Where the request goes.
+    pub target: Arc<dyn Upstream>,
+    /// The request's bytes that stay on this hop (a hop-by-hop header);
+    /// everything else goes upstream as it came.
+    pub skip: Range<usize>,
+    /// The peer asked for the connection to close behind the answer.
+    pub close: bool,
+    /// The answer is a head without a body (the request was a `HEAD`).
+    pub head_only: bool,
+    /// When the request was framed.
+    pub framed_at: Instant,
+}
+
+impl Drop for Forward {
+    fn drop(&mut self) {
+        self.target.release();
+    }
+}
+
+impl fmt::Debug for Forward {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Forward")
+            .field("upstream", &self.target.authority())
+            .field("skip", &self.skip)
+            .field("close", &self.close)
+            .finish_non_exhaustive()
+    }
+}
+
+/// What [`Wire::relay`] found at the front of the upstream's bytes.
+#[derive(Debug)]
+pub enum Relayed {
+    /// Not a whole answer yet.
+    Partial,
+    /// The first `len` bytes are the answer, its body from `body` on;
+    /// `reuse` = the upstream connection may carry another request.
+    Whole {
+        body: usize,
+        len: usize,
+        reuse: bool,
+    },
+    /// Not an answer at all: the forward fails.
+    Invalid,
 }
 
 /// Why a framed request is refused.
@@ -141,12 +232,17 @@ pub struct Reply {
     pub(crate) body: Body,
     /// The connection closes once this reply has left.
     pub last: bool,
+    /// A relayed body's buffer once it has left: the next answer's
+    /// upstream buffer.
+    spare: ReadBuf,
 }
 
 impl Reply {
     fn clear(&mut self) {
         self.head.clear();
-        self.body = Body::Owned(Vec::new());
+        if let Body::Relayed(buf) = std::mem::replace(&mut self.body, Body::Owned(Vec::new())) {
+            self.spare = buf;
+        }
         self.last = false;
     }
 }
@@ -266,6 +362,7 @@ fn register<W: Wire>(server: &Arc<Server<W>>, stream: Stream, start: Start) {
                 head: Vec::with_capacity(256),
                 body: Body::Owned(Vec::new()),
                 last: false,
+                spare: ReadBuf::new(),
             },
             frame: ReadBuf::new(),
             scratch: wire.connection(),
@@ -273,6 +370,8 @@ fn register<W: Wire>(server: &Arc<Server<W>>, stream: Stream, start: Start) {
         server: server.clone(),
         state,
         inbuf: ReadBuf::new(),
+        link: None,
+        relay: None,
     };
     reactor::pool()
         .next_handle()
@@ -285,8 +384,8 @@ fn register<W: Wire>(server: &Arc<Server<W>>, stream: Stream, start: Start) {
 struct Io<W: Wire> {
     stream: Stream,
     reply: Reply,
-    /// Under [`Wire::RAW_FRAME`], the request split off `inbuf`; its
-    /// storage becomes `inbuf`'s at the next split.
+    /// Under [`Wire::RAW_FRAME`], and for a forward, the request split
+    /// off `inbuf`; its storage becomes `inbuf`'s at the next split.
     frame: ReadBuf,
     scratch: W::Scratch,
 }
@@ -295,6 +394,12 @@ struct Io<W: Wire> {
 struct Returned<W: Wire> {
     io: Io<W>,
     next: Next,
+}
+
+/// A dispatch worker's upstream connect, handed back through `resume`.
+struct Connected {
+    target: Arc<dyn Upstream>,
+    stream: Result<Stream, HttpError>,
 }
 
 /// How far a reply got.
@@ -314,6 +419,8 @@ enum State {
     Reading,
     /// The request is with a dispatch worker; the source is suspended.
     Dispatched,
+    /// The request is being relayed (see `Conn::relay`).
+    Forwarding(Leg),
     /// `pos` bytes of the reply have left; the peer has until `expires`
     /// to take more.
     Writing {
@@ -324,6 +431,37 @@ enum State {
     Blackholed,
 }
 
+/// Where a forward is. Only the upstream's fd is armed while
+/// `Sending` or `Receiving`.
+#[derive(Clone, Copy)]
+enum Leg {
+    /// A dispatch worker is connecting the upstream; the source is
+    /// suspended.
+    Connecting,
+    /// `.0` bytes of the request have left.
+    Sending(usize),
+    /// The request has left; the answer is arriving.
+    Receiving,
+}
+
+/// A connection's sticky upstream. Its fd is the source's linked fd.
+struct Link {
+    target: Arc<dyn Upstream>,
+    stream: Stream,
+    /// The answer, as it arrives.
+    buf: ReadBuf,
+    /// Carried a whole exchange: a failure before the next answer's
+    /// first byte may only mean it was closed while idle.
+    reused: bool,
+}
+
+/// The forward in progress. Dropping it releases its target.
+struct Relay {
+    fwd: Forward,
+    /// A reused upstream already failed this forward once.
+    retried: bool,
+}
+
 struct Conn<W: Wire> {
     /// `None` exactly while `Dispatched`.
     io: Option<Io<W>>,
@@ -331,9 +469,22 @@ struct Conn<W: Wire> {
     state: State,
     /// Received bytes not yet framed.
     inbuf: ReadBuf,
+    /// The upstream, kept while forwards go to its target.
+    link: Option<Link>,
+    /// `Some` exactly while `Forwarding`.
+    relay: Option<Relay>,
 }
 
 const IO_HOME: &str = "connection I/O is on loan only while Dispatched";
+const RELAYING: &str = "a forward is in progress while Forwarding";
+const LINKED: &str = "the upstream is linked while Sending or Receiving";
+
+/// `router_upstream_connects_total`: upstream connections opened for
+/// forwards.
+fn upstream_connects() -> &'static Counter {
+    static CONNECTS: OnceLock<Arc<Counter>> = OnceLock::new();
+    CONNECTS.get_or_init(|| obs::registry().counter("router_upstream_connects_total"))
+}
 
 /// Drains `head` then `body` through a nonblocking writer from `pos`:
 /// one `writev` while both remain, `write` for what is left of either.
@@ -361,7 +512,9 @@ fn drain_write(stream: &mut Stream, head: &[u8], body: &[u8], pos: &mut usize) -
 
 /// Writes as much of `io.reply` from `pos` as the socket takes now.
 fn flush<W: Wire>(io: &mut Io<W>, mut pos: usize) -> Next {
-    let Reply { head, body, last } = &io.reply;
+    let Reply {
+        head, body, last, ..
+    } = &io.reply;
     match drain_write(&mut io.stream, head, body.as_slice(), &mut pos) {
         Ok(true) => {
             let last = *last;
@@ -390,10 +543,18 @@ fn execute<W: Wire>(wire: &W, call: W::Call, mut io: Io<W>) -> Returned<W> {
     Returned { io, next }
 }
 
+/// Runs on a dispatch worker: a fresh upstream connection, nonblocking.
+fn connect_upstream(authority: &str) -> Result<Stream, HttpError> {
+    upstream_connects().inc();
+    let stream = connect_with(authority, None)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
 impl<W: Wire> Conn<W> {
     /// Picks up after a write attempt (`next`), then frames and answers
     /// buffered requests until the connection must wait: for bytes, for
-    /// a worker, or for the peer to drain a reply.
+    /// a worker, for an upstream, or for the peer to drain a reply.
     fn crank(&mut self, mut next: Option<Next>, ctl: &mut Ctl<'_>) -> Action {
         loop {
             match next {
@@ -412,6 +573,17 @@ impl<W: Wire> Conn<W> {
                 Framed::Handoff(len, call) => {
                     if self.hand_off(len, call, ctl) {
                         return Action::Suspend;
+                    }
+                }
+                Framed::Forward(len, fwd) => {
+                    let spare = std::mem::take(&mut io.frame);
+                    io.frame = self.inbuf.split_front(len, spare);
+                    self.relay = Some(Relay {
+                        fwd,
+                        retried: false,
+                    });
+                    if let Some(wait) = self.dial(ctl) {
+                        return wait;
                     }
                 }
             }
@@ -466,6 +638,182 @@ impl<W: Wire> Conn<W> {
         let left = expires.map(|at| at.saturating_duration_since(now));
         Action::Rearm(Interest::Write, left)
     }
+
+    // A forward moves in steps. Each returns what to wait for next, or
+    // `None` once the forward is over and its answer — relayed, or the
+    // wire's word on its failure — is in the reply.
+
+    /// Sends the forward's request on the upstream when it goes to the
+    /// same target (and no fault plan wants a connect per forward), or
+    /// connects a fresh one.
+    fn dial(&mut self, ctl: &mut Ctl<'_>) -> Option<Action> {
+        let target = &self.relay.as_ref().expect(RELAYING).fwd.target;
+        let sticky = self
+            .link
+            .as_ref()
+            .is_some_and(|link| Arc::ptr_eq(&link.target, target));
+        if sticky && !crate::fault::active() {
+            self.send(0, ctl)
+        } else {
+            self.connect(ctl)
+        }
+    }
+
+    /// Connects a fresh upstream on a dispatch worker, so the connect —
+    /// and the chaos layer's connect rolls: a delay sleeps — stays off
+    /// the shard. A full queue fails the forward.
+    fn connect(&mut self, ctl: &mut Ctl<'_>) -> Option<Action> {
+        self.unlink(ctl);
+        let target = self.relay.as_ref().expect(RELAYING).fwd.target.clone();
+        let queued = self.server.dispatch.try_submit(|| {
+            let (handle, token) = (ctl.handle(), ctl.token());
+            move || {
+                let stream = connect_upstream(target.authority());
+                handle.resume(token, Box::new(Connected { target, stream }));
+            }
+        });
+        if queued {
+            self.state = State::Forwarding(Leg::Connecting);
+            return Some(Action::Suspend);
+        }
+        self.unrelayed(HttpError::Io(io::Error::other("dispatch queue full")));
+        None
+    }
+
+    /// A worker connected the upstream (or failed to).
+    fn linked(&mut self, connected: Connected, ctl: &mut Ctl<'_>) -> Option<Action> {
+        let attached = connected.stream.and_then(|stream| {
+            ctl.attach(stream.raw_fd())
+                .map(|()| stream)
+                .map_err(HttpError::Io)
+        });
+        match attached {
+            Ok(stream) => {
+                self.link = Some(Link {
+                    target: connected.target,
+                    stream,
+                    buf: ReadBuf::new(),
+                    reused: false,
+                });
+                self.send(0, ctl)
+            }
+            Err(why) => {
+                self.unrelayed(why);
+                None
+            }
+        }
+    }
+
+    /// Writes the request upstream from `pos` — all of it but the bytes
+    /// that stay on this hop — then waits for the answer.
+    fn send(&mut self, mut pos: usize, ctl: &mut Ctl<'_>) -> Option<Action> {
+        let link = self.link.as_mut().expect(LINKED);
+        let skip = &self.relay.as_ref().expect(RELAYING).fwd.skip;
+        let request = self.io.as_ref().expect(IO_HOME).frame.filled();
+        let (before, after) = (&request[..skip.start], &request[skip.end..]);
+        match drain_write(&mut link.stream, before, after, &mut pos) {
+            Ok(true) => {
+                self.state = State::Forwarding(Leg::Receiving);
+                // A blackholed upstream is never read: only its deadline
+                // can end the forward.
+                let interest = if link.stream.is_blackholed() {
+                    Interest::None
+                } else {
+                    Interest::Read
+                };
+                Some(Action::RearmLinked(interest, Some(UPSTREAM_TIMEOUT)))
+            }
+            Ok(false) => {
+                self.state = State::Forwarding(Leg::Sending(pos));
+                Some(Action::RearmLinked(Interest::Write, Some(UPSTREAM_TIMEOUT)))
+            }
+            Err(e) => self.upstream_failed(HttpError::Io(e), ctl),
+        }
+    }
+
+    /// Reads the upstream's answer; once it is whole, its body is split
+    /// off the upstream's buffer into the reply.
+    fn receive(&mut self, ctl: &mut Ctl<'_>) -> Option<Action> {
+        let link = self.link.as_mut().expect(LINKED);
+        if link.stream.is_blackholed() {
+            // A hangup under the blackhole; reading would park.
+            return self.upstream_failed(HttpError::UnexpectedEof, ctl);
+        }
+        let open = link.buf.fill_from(&mut link.stream);
+        let io = self.io.as_mut().expect(IO_HOME);
+        let fwd = &self.relay.as_ref().expect(RELAYING).fwd;
+        match self
+            .server
+            .wire
+            .relay(link.buf.filled(), fwd, &mut io.reply)
+        {
+            Relayed::Partial if open => {
+                Some(Action::RearmLinked(Interest::Read, Some(UPSTREAM_TIMEOUT)))
+            }
+            Relayed::Partial => self.upstream_failed(HttpError::UnexpectedEof, ctl),
+            Relayed::Invalid => {
+                let why = HttpError::Malformed("upstream answer".into());
+                self.upstream_failed(why, ctl)
+            }
+            Relayed::Whole { body, len, reuse } => {
+                link.buf.consume(body);
+                let spare = std::mem::take(&mut io.reply.spare);
+                io.reply.body = Body::Relayed(link.buf.split_front(len - body, spare));
+                link.reused = true;
+                let keep = open && reuse && link.buf.is_empty();
+                self.relay = None;
+                if !keep {
+                    self.unlink(ctl);
+                }
+                None
+            }
+        }
+    }
+
+    /// The upstream failed the forward. Before the first byte of answer
+    /// on a reused connection that may only mean it was closed while
+    /// idle: retry once on a fresh one. Otherwise the peer hears of it.
+    fn upstream_failed(&mut self, why: HttpError, ctl: &mut Ctl<'_>) -> Option<Action> {
+        let stale = self
+            .link
+            .as_ref()
+            .is_some_and(|link| link.reused && link.buf.is_empty());
+        self.unlink(ctl);
+        let relay = self.relay.as_mut().expect(RELAYING);
+        if stale && !relay.retried {
+            relay.retried = true;
+            return self.connect(ctl);
+        }
+        self.unrelayed(why);
+        None
+    }
+
+    /// Ends a failed forward with the wire's answer in the reply.
+    fn unrelayed(&mut self, why: HttpError) {
+        let relay = self.relay.take().expect(RELAYING);
+        let io = self.io.as_mut().expect(IO_HOME);
+        self.server.wire.unrelayed(&relay.fwd, &why, &mut io.reply);
+    }
+
+    /// Drops the upstream, its fd off epoll first.
+    fn unlink(&mut self, ctl: &mut Ctl<'_>) {
+        if let Some(link) = self.link.take() {
+            ctl.detach();
+            drop(link);
+        }
+    }
+
+    /// After a forward step: wait as it says, or write the answer it
+    /// left in the reply and crank on.
+    fn proceed(&mut self, step: Option<Action>, ctl: &mut Ctl<'_>) -> Action {
+        match step {
+            Some(wait) => wait,
+            None => {
+                let next = flush(self.io.as_mut().expect(IO_HOME), 0);
+                self.crank(Some(next), ctl)
+            }
+        }
+    }
 }
 
 impl<W: Wire> EventSource for Conn<W> {
@@ -493,9 +841,21 @@ impl<W: Wire> EventSource for Conn<W> {
                 let next = flush(self.io.as_mut().expect(IO_HOME), pos);
                 self.crank(Some(next), ctl)
             }
+            // The upstream's fd is the one armed.
+            State::Forwarding(Leg::Sending(pos)) => {
+                let step = self.send(pos, ctl);
+                self.proceed(step, ctl)
+            }
+            State::Forwarding(Leg::Receiving) => {
+                let step = self.receive(ctl);
+                self.proceed(step, ctl)
+            }
             // No interest is armed in these states; a stray event is a
             // hangup-only notification — drop the connection.
-            State::DelayedStart | State::Blackholed | State::Dispatched => Action::Close,
+            State::DelayedStart
+            | State::Blackholed
+            | State::Dispatched
+            | State::Forwarding(Leg::Connecting) => Action::Close,
         }
     }
 
@@ -510,17 +870,31 @@ impl<W: Wire> EventSource for Conn<W> {
                 let next = flush(io, 0);
                 self.crank(Some(next), ctl)
             }
+            // The upstream went quiet.
+            State::Forwarding(_) => {
+                let step = self.upstream_failed(HttpError::Timeout, ctl);
+                self.proceed(step, ctl)
+            }
             // Writing: the peer stopped draining its reply.
             _ => Action::Close,
         }
     }
 
     fn on_resume(&mut self, payload: Box<dyn Any + Send>, ctl: &mut Ctl<'_>) -> Action {
-        let Ok(returned) = payload.downcast::<Returned<W>>() else {
-            return Action::Close;
+        let payload = match payload.downcast::<Returned<W>>() {
+            Ok(returned) => {
+                let Returned { io, next } = *returned;
+                self.io = Some(io);
+                return self.crank(Some(next), ctl);
+            }
+            Err(payload) => payload,
         };
-        let Returned { io, next } = *returned;
-        self.io = Some(io);
-        self.crank(Some(next), ctl)
+        match payload.downcast::<Connected>() {
+            Ok(connected) => {
+                let step = self.linked(*connected, ctl);
+                self.proceed(step, ctl)
+            }
+            Err(_) => Action::Close,
+        }
     }
 }

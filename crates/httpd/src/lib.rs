@@ -14,7 +14,8 @@
 //! * [`engine`] — the one connection state machine and server lifecycle
 //!   every reactor server runs on, generic over a [`engine::Wire`],
 //! * [`HttpServer`] — the HTTP wire on that engine, dispatching to a
-//!   [`Handler`] on a bounded worker pool,
+//!   [`Handler`] on a bounded worker pool, or relaying what
+//!   [`Handler::forward`] claims to an [`Upstream`] from the shard thread,
 //! * [`HttpClient`] — a blocking client.
 //!
 //! # Examples
@@ -56,4 +57,4 @@ pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSide};
 pub use message::{Headers, Limits, Method, Request, Response, Status};
 pub use pool::ConnectionPool;
 pub use readbuf::ReadBuf;
-pub use server::{Handler, HttpServer, PoolConfig, ServerGate};
+pub use server::{Handler, HttpServer, PoolConfig, ServerGate, Upstream};

@@ -8,9 +8,11 @@
 
 use std::fmt;
 use std::io::{BufRead, IoSlice, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::HttpError;
+use crate::readbuf::ReadBuf;
 
 /// HTTP request method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -289,35 +291,59 @@ impl Request {
         buf: &[u8],
         limits: &Limits,
     ) -> Result<Option<(Request, usize)>, HttpError> {
-        // Find the end of the header section.
-        let head_cap = limits.max_header_bytes + 4;
-        let window = &buf[..buf.len().min(head_cap)];
-        let Some(head_end) = find_crlf_crlf(window) else {
-            if buf.len() >= head_cap {
-                return Err(HttpError::Malformed(
-                    "header section exceeds size limit".into(),
-                ));
-            }
+        match RequestHead::scan(buf, limits)? {
+            Some(head) => head.parse(buf, limits),
+            None => Ok(None),
+        }
+    }
+}
+
+/// A request's head at the front of a buffer, scanned in place as far
+/// as its request line: enough to route it, nothing built.
+pub(crate) struct RequestHead<'a> {
+    pub(crate) method: Method,
+    pub(crate) path: &'a str,
+    head: Head<'a>,
+}
+
+impl<'a> RequestHead<'a> {
+    /// `Ok(None)` until the whole head is in `buf`.
+    ///
+    /// # Errors
+    ///
+    /// [`HttpError::Malformed`] as [`Request::parse_buffered`] says.
+    pub(crate) fn scan(buf: &'a [u8], limits: &Limits) -> Result<Option<Self>, HttpError> {
+        let Some(head) = Head::split(buf, limits.max_header_bytes, "non-utf8 request head")? else {
             return Ok(None);
         };
-        let head = std::str::from_utf8(&buf[..head_end])
-            .map_err(|_| HttpError::Malformed("non-utf8 request head".into()))?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().unwrap_or("");
-        let mut parts = request_line.split_whitespace();
+        let mut parts = head.first.split_whitespace();
         let method = Method::parse(parts.next().unwrap_or(""))?;
         let path = parts
             .next()
-            .ok_or_else(|| HttpError::Malformed("missing request path".into()))?
-            .to_string();
+            .ok_or_else(|| HttpError::Malformed("missing request path".into()))?;
         let version = parts.next().unwrap_or("");
         if !version.starts_with("HTTP/1.") {
             return Err(HttpError::Malformed(format!(
                 "bad http version {version:?}"
             )));
         }
+        Ok(Some(RequestHead { method, path, head }))
+    }
+
+    /// The owned request — its headers, and a copy of its body — and
+    /// its length; `Ok(None)` until the declared body is in `buf` too.
+    ///
+    /// # Errors
+    ///
+    /// [`HttpError::Malformed`] as [`Request::parse_buffered`] says.
+    pub(crate) fn parse(
+        &self,
+        buf: &[u8],
+        limits: &Limits,
+    ) -> Result<Option<(Request, usize)>, HttpError> {
+        let path = self.path.to_string();
         let mut headers = Headers::new();
-        for line in lines {
+        for line in self.head.lines.split("\r\n") {
             if line.is_empty() {
                 continue;
             }
@@ -337,14 +363,14 @@ impl Request {
                 "content-length {body_len} exceeds limit"
             )));
         }
-        let total = head_end + 4 + body_len;
+        let total = self.head.body_at + body_len;
         if buf.len() < total {
             return Ok(None);
         }
-        let body = buf[head_end + 4..total].to_vec();
+        let body = buf[self.head.body_at..total].to_vec();
         Ok(Some((
             Request {
-                method,
+                method: self.method,
                 path,
                 headers,
                 body,
@@ -352,16 +378,167 @@ impl Request {
             total,
         )))
     }
+
+    /// What relaying the request takes, read in place, and its length;
+    /// `Ok(None)` until the declared body is in `buf` too.
+    ///
+    /// # Errors
+    ///
+    /// [`HttpError::Malformed`] as [`Request::parse_buffered`] says.
+    pub(crate) fn framing(
+        &self,
+        buf: &[u8],
+        limits: &Limits,
+    ) -> Result<Option<(usize, Framing)>, HttpError> {
+        let framing = Framing::scan(&self.head, limits.max_body_bytes)?;
+        let len = self.head.body_at + framing.content_length;
+        Ok((buf.len() >= len).then_some((len, framing)))
+    }
 }
 
-/// Position of the first `\r\n\r\n` in `buf` (start of the terminator).
-fn find_crlf_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// A whole response head at the front of a buffer, scanned in place.
+pub(crate) struct ResponseHead {
+    pub(crate) status: u16,
+    /// Where the body starts (past the blank line).
+    pub(crate) body_at: usize,
+    pub(crate) framing: Framing,
+}
+
+impl ResponseHead {
+    /// `Ok(None)` until the whole head is in `buf`; bounded by the same
+    /// defaults a response read through [`Response::read_from`] is.
+    ///
+    /// # Errors
+    ///
+    /// [`HttpError::Malformed`] on a protocol violation or an
+    /// over-limit head or body.
+    pub(crate) fn scan(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
+        let limits = Limits::default();
+        let Some(head) = Head::split(buf, limits.max_header_bytes, "non-utf8 response head")?
+        else {
+            return Ok(None);
+        };
+        let mut parts = head.first.splitn(3, ' ');
+        if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
+            return Err(HttpError::Malformed("bad http version".into()));
+        }
+        let status = parts
+            .next()
+            .and_then(|c| c.parse().ok())
+            .ok_or_else(|| HttpError::Malformed("bad status code".into()))?;
+        Ok(Some(ResponseHead {
+            status,
+            body_at: head.body_at,
+            framing: Framing::scan(&head, limits.max_body_bytes)?,
+        }))
+    }
+}
+
+/// A message head at the front of a buffer, split in place.
+struct Head<'a> {
+    /// The request or status line.
+    first: &'a str,
+    /// The header lines, CRLF-separated, without the final blank line.
+    lines: &'a str,
+    /// Where `lines` starts in the buffer.
+    lines_at: usize,
+    /// Where the body starts (past the blank line).
+    body_at: usize,
+}
+
+impl<'a> Head<'a> {
+    /// `Ok(None)` while the head is still arriving. An over-limit prefix
+    /// is malformed as soon as it is in the buffer, terminator or not.
+    fn split(
+        buf: &'a [u8],
+        max_header_bytes: usize,
+        non_utf8: &'static str,
+    ) -> Result<Option<Head<'a>>, HttpError> {
+        let head_cap = max_header_bytes + 4;
+        let window = &buf[..buf.len().min(head_cap)];
+        let Some(end) = window.windows(4).position(|w| w == b"\r\n\r\n") else {
+            if buf.len() >= head_cap {
+                return Err(HttpError::Malformed(
+                    "header section exceeds size limit".into(),
+                ));
+            }
+            return Ok(None);
+        };
+        let head =
+            std::str::from_utf8(&buf[..end]).map_err(|_| HttpError::Malformed(non_utf8.into()))?;
+        // A byte scan: the first line is short, and a string searcher
+        // would cost more to set up than to run.
+        let (first, lines, lines_at) = match head.as_bytes().windows(2).position(|w| w == b"\r\n") {
+            Some(i) => (&head[..i], &head[i + 2..], i + 2),
+            None => (head, "", end),
+        };
+        Ok(Some(Head {
+            first,
+            lines,
+            lines_at,
+            body_at: end + 4,
+        }))
+    }
+}
+
+/// What a message's header lines say about its framing.
+pub(crate) struct Framing {
+    /// The declared body length (0 without a `Content-Length`).
+    pub(crate) content_length: usize,
+    /// `Connection: close`.
+    pub(crate) close: bool,
+    /// The (last) `Connection` line, CRLF included: the hop-by-hop
+    /// header a relay drops.
+    pub(crate) connection: Option<Range<usize>>,
+}
+
+impl Framing {
+    /// Reads `head`'s header lines in place. A repeated header counts by
+    /// its last occurrence, as [`Headers::set`] would have it.
+    fn scan(head: &Head<'_>, max_body: usize) -> Result<Framing, HttpError> {
+        let mut framing = Framing {
+            content_length: 0,
+            close: false,
+            connection: None,
+        };
+        let mut content_length = None;
+        let mut at = head.lines_at;
+        for line in head.lines.split("\r\n") {
+            let line_at = at;
+            at += line.len() + 2;
+            if line.is_empty() {
+                continue;
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = Some(value);
+            } else if name.eq_ignore_ascii_case("connection") {
+                framing.close = value.eq_ignore_ascii_case("close");
+                framing.connection = Some(line_at..at);
+            }
+        }
+        if let Some(v) = content_length {
+            framing.content_length = v
+                .parse()
+                .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?;
+        }
+        if framing.content_length > max_body {
+            return Err(HttpError::Malformed(format!(
+                "content-length {} exceeds limit",
+                framing.content_length
+            )));
+        }
+        Ok(framing)
+    }
 }
 
 /// A response body: owned bytes, or a zero-copy reference-counted slice
 /// shared with the producer (the Interface Server publishes WSDL/IDL
-/// documents as `Arc<[u8]>` so serving a poll never copies the document).
+/// documents as `Arc<[u8]>` so serving a poll never copies the document),
+/// or a relayed body split off the receive buffer it arrived in.
 #[derive(Debug, Clone)]
 pub enum Body {
     /// Bytes owned by this response.
@@ -369,6 +546,8 @@ pub enum Body {
     /// Bytes shared with the producer; serving clones the `Arc`, not the
     /// buffer.
     Shared(Arc<[u8]>),
+    /// An upstream's body, in the buffer it was read into.
+    Relayed(ReadBuf),
 }
 
 impl Body {
@@ -377,6 +556,7 @@ impl Body {
         match self {
             Body::Owned(v) => v,
             Body::Shared(a) => a,
+            Body::Relayed(b) => b.filled(),
         }
     }
 }
@@ -929,6 +1109,39 @@ mod tests {
         two.extend_from_slice(&raw);
         let (_, consumed) = Request::parse_buffered(&two, &limits).unwrap().unwrap();
         assert_eq!(consumed, raw.len());
+    }
+
+    #[test]
+    fn heads_are_scanned_in_place() {
+        let raw = b"POST /svc HTTP/1.1\r\nConnection: keep-alive\r\nX-A: 1\r\n\
+                    Connection: close\r\nContent-Length: 3\r\n\r\nabcNEXT";
+        let limits = Limits::default();
+        let head = RequestHead::scan(raw, &limits).unwrap().unwrap();
+        assert_eq!((head.method, head.path), (Method::Post, "/svc"));
+        let (len, framing) = head.framing(raw, &limits).unwrap().unwrap();
+        assert_eq!(len, raw.len() - 4);
+        // The last `Connection` line counts, as `Headers::set` has it.
+        assert!(framing.close);
+        assert_eq!(&raw[framing.connection.unwrap()], b"Connection: close\r\n");
+        let (req, parsed) = head.parse(raw, &limits).unwrap().unwrap();
+        assert_eq!(
+            (req.headers().get("Connection"), parsed),
+            (Some("close"), len)
+        );
+        assert!(head.framing(&raw[..len - 1], &limits).unwrap().is_none());
+
+        let raw = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy";
+        assert!(ResponseHead::scan(&raw[..20]).unwrap().is_none());
+        let head = ResponseHead::scan(raw).unwrap().unwrap();
+        assert_eq!((head.status, head.framing.content_length), (503, 4));
+        assert_eq!(&raw[head.body_at..], b"busy");
+        assert!(head.framing.close);
+        assert_eq!(
+            &raw[head.framing.connection.unwrap()],
+            b"Connection: close\r\n"
+        );
+        assert!(ResponseHead::scan(b"HTTP/1.1 abc\r\n\r\n").is_err());
+        assert!(ResponseHead::scan(b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n").is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ const MIN_ROOM: usize = 512;
 const INITIAL: usize = 2048;
 
 /// Bytes received and not yet consumed, plus room to receive more.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ReadBuf {
     /// Entirely initialized; its length is the buffer's capacity.
     buf: Vec<u8>,

@@ -1,21 +1,29 @@
 //! The HTTP wire: what [`crate::engine`] needs to know to serve
 //! HTTP/1.1 — request framing, the built-in observability endpoints,
-//! running the [`Handler`], and the refusals (`400`, `408`, `500`,
-//! `503` + `Retry-After`).
+//! running the [`Handler`], relaying what it forwards, and the refusals
+//! (`400`, `408`, `500`, `503` + `Retry-After`).
 //!
 //! Idle keep-alive connections sit registered with read interest and no
 //! timer: no thread, no queue slot, no `http_queue_depth` contribution.
 //! The dispatch queue (bounded at `PoolConfig::queue_depth`) is the
 //! only backpressure point — when it is full the request is shed with
 //! `503`.
+//!
+//! Framing scans the head in place ([`RequestHead`]). A request the
+//! handler forwards never becomes a [`Request`]: its bytes are relayed
+//! as they came, minus the hop-by-hop `Connection` line, and the
+//! upstream's answer is framed the same way ([`ResponseHead`]) and
+//! relayed with its head copied — minus its `Connection`, plus ours
+//! when the client asked to close.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obs::metrics::Counter;
 
-use crate::engine::{Framed, Refusal, Reply, Wire};
-use crate::message::{Method, Request, Response, Status};
+use crate::engine::{Forward, Framed, Refusal, Relayed, Reply, Wire};
+use crate::error::HttpError;
+use crate::message::{Body, Method, Request, RequestHead, Response, ResponseHead, Status};
 use crate::server::{http_metrics, Handler, PoolConfig};
 
 /// An [`crate::HttpServer`]'s side of the engine.
@@ -59,6 +67,17 @@ fn respond(reply: &mut Reply, mut resp: Response, close: bool) {
     reply.last = close;
 }
 
+/// Counts an answer by its status.
+fn count_status(status: u16) {
+    let metrics = http_metrics();
+    match status {
+        200..=299 => metrics.responses_2xx.inc(),
+        400..=499 => metrics.responses_4xx.inc(),
+        500..=599 => metrics.responses_5xx.inc(),
+        _ => {}
+    }
+}
+
 impl Wire for HttpWire {
     type Call = HttpCall;
     type Scratch = ();
@@ -79,38 +98,63 @@ impl Wire for HttpWire {
     }
 
     /// Built-in observability endpoints are answered on the reactor
-    /// thread (no user code, no blocking); application requests hop to
-    /// the dispatch pool.
+    /// thread (no user code, no blocking); what the handler forwards is
+    /// relayed from here, read in place; other application requests are
+    /// parsed and hop to the dispatch pool. The handler is asked from
+    /// the request line, so a server that never forwards parses each
+    /// request once, as it always has.
     fn frame(&self, bytes: &[u8], reply: &mut Reply) -> Framed<HttpCall> {
-        match Request::parse_buffered(bytes, &self.cfg.limits()) {
-            Ok(None) => Framed::Partial,
-            Ok(Some((req, len))) => {
-                let close = req
-                    .headers()
-                    .get("Connection")
-                    .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                if let Some(resp) = builtin_response(&req) {
-                    respond(reply, resp, close);
-                    return Framed::Inline(len);
-                }
-                let framed_at = Instant::now();
-                Framed::Handoff(
-                    len,
-                    HttpCall {
-                        req,
-                        close,
-                        framed_at,
-                    },
-                )
-            }
-            Err(_) => {
-                obs::registry()
-                    .counter("http_malformed_requests_total")
-                    .inc();
-                respond(reply, Response::bad_request("malformed request"), true);
-                Framed::Inline(0)
+        let limits = self.cfg.limits();
+        let Ok(head) = RequestHead::scan(bytes, &limits) else {
+            return malformed(reply);
+        };
+        let Some(head) = head else {
+            return Framed::Partial;
+        };
+        if !is_builtin(head.method, head.path) {
+            if let Some(target) = self.handler.forward(head.method, head.path) {
+                let mut fwd = Forward {
+                    target,
+                    skip: 0..0,
+                    close: false,
+                    head_only: head.method == Method::Head,
+                    framed_at: Instant::now(),
+                };
+                return match head.framing(bytes, &limits) {
+                    Ok(Some((len, framing))) => {
+                        fwd.skip = framing.connection.unwrap_or(0..0);
+                        fwd.close = framing.close;
+                        Framed::Forward(len, fwd)
+                    }
+                    // Dropping `fwd` releases the target; the handler is
+                    // asked again once the rest of the body is here.
+                    Ok(None) => Framed::Partial,
+                    Err(_) => malformed(reply),
+                };
             }
         }
+        let (req, len) = match head.parse(bytes, &limits) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => return Framed::Partial,
+            Err(_) => return malformed(reply),
+        };
+        let close = req
+            .headers()
+            .get("Connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        if let Some(resp) = builtin_response(&req) {
+            respond(reply, resp, close);
+            return Framed::Inline(len);
+        }
+        let framed_at = Instant::now();
+        Framed::Handoff(
+            len,
+            HttpCall {
+                req,
+                close,
+                framed_at,
+            },
+        )
     }
 
     fn serve(&self, call: &HttpCall, _frame: &[u8], _: &mut (), reply: &mut Reply) {
@@ -133,13 +177,13 @@ impl Wire for HttpWire {
         });
         let resp = self.handler.handle(&call.req);
         span.finish();
-        match resp.status() {
-            200..=299 => metrics.responses_2xx.inc(),
-            400..=499 => metrics.responses_4xx.inc(),
-            500..=599 => metrics.responses_5xx.inc(),
-            _ => {}
+        count_status(resp.status());
+        respond(reply, resp, call.close);
+        if call.req.method() == Method::Head {
+            // The head says how long the body would be; none follows,
+            // or the peer would read it as the start of its next answer.
+            reply.body = Body::Owned(Vec::new());
         }
-        respond(reply, resp, call.close)
     }
 
     /// Either way the connection closes: nothing is known about what a
@@ -173,37 +217,98 @@ impl Wire for HttpWire {
         );
         respond(reply, resp, true);
     }
+
+    /// The upstream's head as it came, minus its `Connection` line,
+    /// plus `Connection: close` when the client asked for it; the body
+    /// stays where it was read.
+    fn relay(&self, bytes: &[u8], fwd: &Forward, reply: &mut Reply) -> Relayed {
+        let head = match ResponseHead::scan(bytes) {
+            Ok(Some(head)) => head,
+            Ok(None) => return Relayed::Partial,
+            Err(_) => return Relayed::Invalid,
+        };
+        let bodiless = fwd.head_only || matches!(head.status, 100..=199 | 204 | 304);
+        let len = head.body_at
+            + if bodiless {
+                0
+            } else {
+                head.framing.content_length
+            };
+        if bytes.len() < len {
+            return Relayed::Partial;
+        }
+        let end = head.body_at - 2;
+        let cut = head.framing.connection.unwrap_or(end..end);
+        reply.head.clear();
+        reply.head.extend_from_slice(&bytes[..cut.start]);
+        reply.head.extend_from_slice(&bytes[cut.end..end]);
+        if fwd.close {
+            reply.head.extend_from_slice(b"Connection: close\r\n");
+        }
+        reply.head.extend_from_slice(b"\r\n");
+        reply.last = fwd.close;
+        http_metrics().requests.inc();
+        count_status(head.status);
+        fwd.target.relayed(head.status, fwd.framed_at.elapsed());
+        Relayed::Whole {
+            body: head.body_at,
+            len,
+            reuse: !head.framing.close,
+        }
+    }
+
+    fn unrelayed(&self, fwd: &Forward, why: &HttpError, reply: &mut Reply) {
+        let resp = fwd.target.failed(why);
+        http_metrics().requests.inc();
+        count_status(resp.status());
+        respond(reply, resp, fwd.close);
+    }
+}
+
+/// A request the client gets `400` for, closing.
+fn malformed(reply: &mut Reply) -> Framed<HttpCall> {
+    obs::registry()
+        .counter("http_malformed_requests_total")
+        .inc();
+    respond(reply, Response::bad_request("malformed request"), true);
+    Framed::Inline(0)
+}
+
+/// Whether a request is for a built-in observability endpoint, which no
+/// handler sees.
+fn is_builtin(method: Method, path: &str) -> bool {
+    method == Method::Get
+        && (path == "/metrics" || path == "/traces" || path.starts_with("/traces/"))
 }
 
 /// The built-in observability endpoints every server exposes. `None`
 /// means the request is application traffic.
 fn builtin_response(req: &Request) -> Option<Response> {
-    if req.method() != Method::Get {
+    let path = req.path();
+    if !is_builtin(req.method(), path) {
         return None;
     }
-    if req.path() == "/metrics" {
+    if path == "/metrics" {
         let mut body = obs::registry().snapshot().render_prometheus();
         body.push_str(&obs::tracectx::render_exemplars());
         return Some(Response::ok(body.into_bytes(), "text/plain; version=0.0.4"));
     }
-    if req.path() == "/traces" {
+    if path == "/traces" {
         return Some(Response::ok(
             obs::tracectx::traces_json().into_bytes(),
             "application/json",
         ));
     }
-    if let Some(prefix) = req.path().strip_prefix("/traces/") {
-        return Some(match obs::tracectx::store().find(prefix) {
-            Some(t) => Response::ok(
-                obs::tracectx::trace_json(&t).into_bytes(),
-                "application/json",
-            ),
-            None => Response::new(
-                Status::NOT_FOUND,
-                b"no retained trace matches that prefix\n".to_vec(),
-                "text/plain",
-            ),
-        });
-    }
-    None
+    let prefix = path.strip_prefix("/traces/")?;
+    Some(match obs::tracectx::store().find(prefix) {
+        Some(t) => Response::ok(
+            obs::tracectx::trace_json(&t).into_bytes(),
+            "application/json",
+        ),
+        None => Response::new(
+            Status::NOT_FOUND,
+            b"no retained trace matches that prefix\n".to_vec(),
+            "text/plain",
+        ),
+    })
 }

@@ -25,7 +25,7 @@ use obs::metrics::{Counter, Histogram};
 
 use crate::engine::Serving;
 use crate::error::HttpError;
-use crate::message::{Limits, Request, Response};
+use crate::message::{Limits, Method, Request, Response};
 use crate::rserver::HttpWire;
 use crate::transport::{Addr, Listener};
 
@@ -63,6 +63,41 @@ pub(crate) fn http_metrics() -> &'static HttpMetrics {
 pub trait Handler: Send + Sync + 'static {
     /// Produces the response for `req`.
     fn handle(&self, req: &Request) -> Response;
+
+    /// Claims a request for relaying to an upstream server instead of
+    /// [`Handler::handle`]: the server sends its bytes on, minus the
+    /// hop-by-hop `Connection` header, over a keep-alive connection it
+    /// keeps while the target stays the same `Arc`, and relays the
+    /// answer back. Asked on a reactor thread from the request's head,
+    /// before any [`Request`] is built, so it must not block. Each
+    /// `Some` is answered by exactly one [`Upstream::release`]. The
+    /// default never forwards.
+    fn forward(&self, _method: Method, _path: &str) -> Option<Arc<dyn Upstream>> {
+        None
+    }
+}
+
+/// Where [`Handler::forward`] sends a request, and who hears how the
+/// relay went. Called on reactor threads (except where noted): no
+/// method may block.
+pub trait Upstream: Send + Sync + 'static {
+    /// `scheme://host` of the upstream server; connected to on a
+    /// dispatch worker.
+    fn authority(&self) -> &str;
+
+    /// The upstream answered `status` and the answer is on its way to
+    /// the client, `took` after the request was framed.
+    fn relayed(&self, status: u16, took: Duration);
+
+    /// The relay failed — connect, send, a torn or malformed answer, or
+    /// no answer within the upstream deadline — after at most one retry
+    /// on a fresh connection when a reused one failed before its first
+    /// byte of answer. Returns what the client gets instead.
+    fn failed(&self, why: &HttpError) -> Response;
+
+    /// The forward is over: relayed, failed, or its connection closed
+    /// while it was in flight.
+    fn release(&self);
 }
 
 impl<F> Handler for F
@@ -162,6 +197,16 @@ impl Handler for GatedHandler {
         self.gate
             .enter(|| self.inner.handle(req))
             .unwrap_or_else(|retry_after| Response::unavailable("server draining", retry_after))
+    }
+
+    /// A draining server forwards nothing: the request goes to
+    /// [`GatedHandler::handle`], which refuses it. A relay is accounted
+    /// by its target ([`Upstream::release`]), not in this gate.
+    fn forward(&self, method: Method, path: &str) -> Option<Arc<dyn Upstream>> {
+        if self.gate.is_draining() {
+            return None;
+        }
+        self.inner.forward(method, path)
     }
 }
 

@@ -132,12 +132,18 @@ impl Stream {
         }
     }
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
             Stream::Mem(s) => s.0.set_nonblocking(nonblocking),
             Stream::Chaos(s) => s.inner().set_nonblocking(nonblocking),
         }
+    }
+
+    /// A chaos blackhole: its reads park on a condvar, so a reactor
+    /// thread must never read it.
+    pub(crate) fn is_blackholed(&self) -> bool {
+        matches!(self, Stream::Chaos(s) if s.mode() == ChaosMode::Blackhole)
     }
 }
 
@@ -302,9 +308,7 @@ impl Listener {
                 stream.shutdown();
                 continue;
             }
-            let blackholed =
-                matches!(&stream, Stream::Chaos(s) if s.mode() == ChaosMode::Blackhole);
-            let start = if blackholed {
+            let start = if stream.is_blackholed() {
                 Start::Blackholed
             } else {
                 delay.map_or(Start::Reading, Start::Delayed)

@@ -90,6 +90,9 @@ pub enum Action {
     /// Stay registered with the given interest; optionally (re)arm the
     /// source's single deadline timer. Passing `None` disarms it.
     Rearm(Interest, Option<Duration>),
+    /// [`Action::Rearm`] for the source's linked fd ([`Ctl::attach`]);
+    /// its own fd stays disarmed.
+    RearmLinked(Interest, Option<Duration>),
     /// Leave epoll until [`ReactorHandle::resume`] re-enters the
     /// source (a dispatch-pool worker owns the connection meanwhile).
     Suspend,
@@ -145,11 +148,14 @@ impl Token {
     }
 }
 
-/// Reactor context handed to callbacks: the source's own token and the
-/// handle workers use to resume it.
+/// Reactor context handed to callbacks: the source's own token, the
+/// handle workers use to resume it, and its linked fd.
 pub struct Ctl<'a> {
     token: Token,
     handle: &'a ReactorHandle,
+    epoll: &'a Epoll,
+    /// The slot's linked fd; `-1` for none.
+    linked: &'a mut RawFd,
 }
 
 impl Ctl<'_> {
@@ -159,6 +165,41 @@ impl Ctl<'_> {
 
     pub fn handle(&self) -> ReactorHandle {
         self.handle.clone()
+    }
+
+    /// Links `fd` to this source: it joins epoll under the source's
+    /// token, disarmed until [`Action::RearmLinked`]. A source holds at
+    /// most one linked fd and arms one of its two fds at a time, so an
+    /// event is never ambiguous. The reactor takes the fd off epoll on
+    /// [`Ctl::detach`] and before it drops the source; the source keeps
+    /// it open until then.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the source already holds a linked fd, or epoll refuses
+    /// `fd`.
+    pub fn attach(&mut self, fd: RawFd) -> io::Result<()> {
+        if *self.linked >= 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "a source links at most one fd",
+            ));
+        }
+        self.epoll
+            .add(fd, Interest::None.events(), self.token.encode())?;
+        *self.linked = fd;
+        metrics().fds.add(1);
+        Ok(())
+    }
+
+    /// Takes the linked fd off epoll; the source may close it once this
+    /// returns. A no-op without one.
+    pub fn detach(&mut self) {
+        if *self.linked >= 0 {
+            let _ = self.epoll.delete(*self.linked);
+            *self.linked = -1;
+            metrics().fds.add(-1);
+        }
     }
 }
 
@@ -343,6 +384,8 @@ struct Slot {
     generation: u32,
     suspended: bool,
     fd: RawFd,
+    /// The source's linked fd ([`Ctl::attach`]); `-1` for none.
+    linked: RawFd,
     server_id: u64,
 }
 
@@ -422,11 +465,9 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
                         continue;
                     }
                     st.slots[idx].suspended = false;
-                    let mut source = st.slots[idx].source.take().expect("live slot has source");
-                    let mut ctl = Ctl { token, handle };
-                    let action = source.on_resume(payload, &mut ctl);
-                    st.slots[idx].source = Some(source);
-                    apply_action(epoll, &mut st, idx, action);
+                    call(epoll, &mut st, idx, handle, |source, ctl| {
+                        source.on_resume(payload, ctl)
+                    });
                 }
                 Op::CloseToken(token) => {
                     if let Some(idx) = live_index(&st, token) {
@@ -487,11 +528,9 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
                 writable: bits & sys::EPOLLOUT != 0,
                 hangup: bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
             };
-            let mut source = st.slots[idx].source.take().expect("live slot has source");
-            let mut ctl = Ctl { token, handle };
-            let action = source.on_ready(ready, &mut ctl);
-            st.slots[idx].source = Some(source);
-            apply_action(epoll, &mut st, idx, action);
+            call(epoll, &mut st, idx, handle, |source, ctl| {
+                source.on_ready(ready, ctl)
+            });
         }
 
         // 3. Fire due timers.
@@ -500,19 +539,38 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
         for &index in &fired {
             // The wheel fires only deadlines that are still armed:
             // suspending or closing a slot clears its deadline.
-            let idx = index as usize;
-            let token = Token {
-                index,
-                generation: st.slots[idx].generation,
-            };
             m.timer_fires.inc();
-            let mut source = st.slots[idx].source.take().expect("live slot has source");
-            let mut ctl = Ctl { token, handle };
-            let action = source.on_timer(&mut ctl);
-            st.slots[idx].source = Some(source);
-            apply_action(epoll, &mut st, idx, action);
+            call(epoll, &mut st, index as usize, handle, |source, ctl| {
+                source.on_timer(ctl)
+            });
         }
     }
+}
+
+/// Runs one callback of the live source in slot `idx` and applies the
+/// action it returns.
+fn call(
+    epoll: &Epoll,
+    st: &mut LoopState,
+    idx: usize,
+    handle: &ReactorHandle,
+    callback: impl FnOnce(&mut dyn EventSource, &mut Ctl<'_>) -> Action,
+) {
+    let slot = &mut st.slots[idx];
+    let token = Token {
+        index: idx as u32,
+        generation: slot.generation,
+    };
+    let mut source = slot.source.take().expect("live slot has source");
+    let mut ctl = Ctl {
+        token,
+        handle,
+        epoll,
+        linked: &mut slot.linked,
+    };
+    let action = callback(source.as_mut(), &mut ctl);
+    st.slots[idx].source = Some(source);
+    apply_action(epoll, st, idx, action);
 }
 
 fn live_index(st: &LoopState, token: Token) -> Option<usize> {
@@ -538,6 +596,7 @@ fn register_source(
                 generation: 0,
                 suspended: false,
                 fd: -1,
+                linked: -1,
                 server_id: 0,
             });
             st.slots.len() - 1
@@ -565,13 +624,17 @@ fn register_source(
 
 fn apply_action(epoll: &Epoll, st: &mut LoopState, idx: usize, action: Action) {
     match action {
-        Action::Rearm(interest, timeout) => {
+        Action::Rearm(interest, timeout) | Action::RearmLinked(interest, timeout) => {
+            let slot = &st.slots[idx];
             let token = Token {
                 index: idx as u32,
-                generation: st.slots[idx].generation,
+                generation: slot.generation,
             };
-            let fd = st.slots[idx].fd;
-            if epoll.modify(fd, interest.events(), token.encode()).is_err() {
+            let fd = match action {
+                Action::RearmLinked(..) => slot.linked,
+                _ => slot.fd,
+            };
+            if fd < 0 || epoll.modify(fd, interest.events(), token.encode()).is_err() {
                 close_slot(epoll, st, idx);
                 return;
             }
@@ -588,13 +651,21 @@ fn apply_action(epoll: &Epoll, st: &mut LoopState, idx: usize, action: Action) {
     }
 }
 
+/// Both of a source's fds leave epoll before the source (which owns
+/// them) is dropped: closed first, a number reused by a connection
+/// accepted meanwhile would lose its registration instead.
 fn close_slot(epoll: &Epoll, st: &mut LoopState, idx: usize) {
     let slot = &mut st.slots[idx];
     if slot.source.is_none() {
         return;
     }
     let _ = epoll.delete(slot.fd);
-    slot.source = None; // drop closes the fd
+    if slot.linked >= 0 {
+        let _ = epoll.delete(slot.linked);
+        slot.linked = -1;
+        metrics().fds.add(-1);
+    }
+    slot.source = None; // drop closes the fds
     slot.generation = slot.generation.wrapping_add(1);
     slot.suspended = false;
     st.wheel.remove(idx as u32);
@@ -997,5 +1068,167 @@ mod tests {
             "server-2 connection should still be open, got {err:?}"
         );
         reactor.shutdown();
+    }
+
+    /// A relay in miniature: a request on the source's own fd goes out
+    /// on a linked fd, the answer comes back on it, and the source
+    /// passes it on. Only one of the two fds is armed at a time.
+    struct Relay {
+        client: TcpStream,
+        upstream: Option<std::os::unix::net::UnixStream>,
+    }
+
+    impl EventSource for Relay {
+        fn fd(&self) -> RawFd {
+            self.client.as_raw_fd()
+        }
+
+        fn on_ready(&mut self, _ready: Readiness, ctl: &mut Ctl<'_>) -> Action {
+            let mut buf = [0u8; 64];
+            match &mut self.upstream {
+                // The client's request: out it goes, and the source
+                // waits on the linked fd alone.
+                None => {
+                    let n = self.client.read(&mut buf).unwrap();
+                    let (ours, mut theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+                    ours.set_nonblocking(true).unwrap();
+                    ctl.attach(ours.as_raw_fd()).unwrap();
+                    assert!(
+                        ctl.attach(ours.as_raw_fd()).is_err(),
+                        "one linked fd per source"
+                    );
+                    // The far end answers in upper case, from a thread.
+                    std::thread::spawn(move || {
+                        let mut req = [0u8; 64];
+                        let n = theirs.read(&mut req).unwrap();
+                        theirs.write_all(&req[..n].to_ascii_uppercase()).unwrap();
+                    });
+                    (&ours).write_all(&buf[..n]).unwrap();
+                    self.upstream = Some(ours);
+                    Action::RearmLinked(Interest::Read, None)
+                }
+                // The linked fd fired: the answer goes back to the
+                // client, the linked fd leaves epoll before it closes.
+                Some(upstream) => {
+                    let n = upstream.read(&mut buf).unwrap();
+                    ctl.detach();
+                    self.upstream = None;
+                    self.client.write_all(&buf[..n]).unwrap();
+                    Action::Close
+                }
+            }
+        }
+
+        fn on_timer(&mut self, _ctl: &mut Ctl<'_>) -> Action {
+            Action::Close
+        }
+
+        fn on_resume(&mut self, _payload: Box<dyn Any + Send>, _ctl: &mut Ctl<'_>) -> Action {
+            Action::Close
+        }
+    }
+
+    #[test]
+    fn linked_fd_attach_arm_event_detach() {
+        let reactor = Reactor::spawn("reactor-test-linked").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        reactor.handle().register(
+            Box::new(Relay {
+                client: server,
+                upstream: None,
+            }),
+            Interest::Read,
+            None,
+        );
+        client.write_all(b"ping").unwrap();
+        let mut got = Vec::new();
+        client.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"PING");
+        reactor.shutdown();
+    }
+
+    /// Whether `fd` is registered with `epoll` (a modify of an absent fd
+    /// fails with `ENOENT`).
+    fn registered(epoll: &Epoll, fd: RawFd) -> bool {
+        epoll.modify(fd, Interest::None.events(), 0).is_ok()
+    }
+
+    /// Holds two fds and, when dropped, checks that neither is still on
+    /// the epoll instance that served it.
+    struct Checked {
+        own: TcpStream,
+        linked: std::os::unix::net::UnixStream,
+        epoll: Arc<Epoll>,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl Drop for Checked {
+        fn drop(&mut self) {
+            assert!(!registered(&self.epoll, self.own.as_raw_fd()), "own fd");
+            assert!(
+                !registered(&self.epoll, self.linked.as_raw_fd()),
+                "linked fd"
+            );
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl EventSource for Checked {
+        fn fd(&self) -> RawFd {
+            self.own.as_raw_fd()
+        }
+
+        fn on_ready(&mut self, _ready: Readiness, _ctl: &mut Ctl<'_>) -> Action {
+            Action::Close
+        }
+
+        fn on_timer(&mut self, _ctl: &mut Ctl<'_>) -> Action {
+            Action::Close
+        }
+
+        fn on_resume(&mut self, _payload: Box<dyn Any + Send>, ctl: &mut Ctl<'_>) -> Action {
+            ctl.attach(self.linked.as_raw_fd()).unwrap();
+            Action::RearmLinked(Interest::Read, None)
+        }
+    }
+
+    #[test]
+    fn close_deletes_both_fds_before_dropping_the_source() {
+        let epoll = Arc::new(Epoll::new().unwrap());
+        let handle = ReactorHandle {
+            shared: Arc::new(Shared {
+                inject: Mutex::new(Vec::new()),
+                wake: EventFd::new().unwrap(),
+                alive: AtomicBool::new(true),
+            }),
+        };
+        let mut st = LoopState {
+            slots: Vec::new(),
+            free: Vec::new(),
+            wheel: TimerWheel::new(Instant::now()),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (own, _) = listener.accept().unwrap();
+        let (linked, _far) = std::os::unix::net::UnixStream::pair().unwrap();
+        let (own_fd, linked_fd) = (own.as_raw_fd(), linked.as_raw_fd());
+        let dropped = Arc::new(AtomicBool::new(false));
+        let source = Checked {
+            own,
+            linked,
+            epoll: epoll.clone(),
+            dropped: dropped.clone(),
+        };
+        register_source(&epoll, &mut st, Box::new(source), Interest::None, None);
+        call(&epoll, &mut st, 0, &handle, |source, ctl| {
+            source.on_resume(Box::new(()), ctl)
+        });
+        assert!(registered(&epoll, own_fd) && registered(&epoll, linked_fd));
+        close_slot(&epoll, &mut st, 0);
+        assert!(dropped.load(Ordering::SeqCst), "the source was dropped");
+        assert_eq!(st.slots[0].linked, -1);
     }
 }

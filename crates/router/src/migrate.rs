@@ -38,8 +38,7 @@ use cde::CircuitBreaker;
 use sde::{PublicationStrategy, SdeConfig, SdeManager, VersionWal, WalFollower};
 
 use crate::router::{
-    authority_of, fresh_addr, rerr, route_for, start_backend, ClassSpec, RouterError, RouterInner,
-    Wire,
+    authority_of, fresh_addr, rerr, start_backend, ClassSpec, Route, RouterError, RouterInner, Wire,
 };
 
 /// Ceiling on the initial catch-up phase; generous because it runs
@@ -377,16 +376,14 @@ pub(crate) fn run_migration(
         }));
     }
 
-    // Retire the source copy.
+    // Retire the source copy. Front connections still linked to its
+    // endpoint find a new route `Arc` on their next call and reconnect.
     let mut from_guard = from_guard;
     from_guard.classes.retain(|c| c.name != class);
-    let old_soap = from_guard.backend.soap_endpoints.remove(class);
+    from_guard.backend.soap_endpoints.remove(class);
     let src_manager = from_guard.backend.manager.clone();
     drop(from_guard);
     let _ = src_manager.undeploy(class);
-    if let Some((auth, _)) = old_soap {
-        inner.purge_if_generation_live(from_shard, src_gen, &auth);
-    }
     reopen();
     let _ = std::fs::remove_dir_all(&mig_dir);
     let handoff_ms = handoff_started.elapsed().as_secs_f64() * 1e3;
@@ -438,7 +435,7 @@ fn import_at_target(
     spec: &ClassSpec,
     floors: &[(String, u64)],
     export: sde::ClassExport,
-) -> Result<(crate::router::Route, Option<String>), RouterError> {
+) -> Result<(Arc<Route>, Option<String>), RouterError> {
     let mut to_guard = inner.shards[to_shard].lock();
     if to_guard.dead {
         return Err(rerr(format!("target shard {to_shard} is dead")));
@@ -479,7 +476,10 @@ fn import_at_target(
         }
     }
     to_guard.classes.push(spec.clone());
-    Ok((route_for(to_shard, spec, &to_guard.backend), target_orb))
+    Ok((
+        inner.route_for(to_shard, spec, &to_guard.backend),
+        target_orb,
+    ))
 }
 
 /// Migrates every class off shard `n` to its ring placement with `n`
@@ -608,7 +608,7 @@ fn do_restart(inner: &Arc<RouterInner>, n: usize) -> Result<(), RouterError> {
     shard.dead = false;
     drop(shard);
     *inner.suspected_at[n].lock() = None;
-    inner.purge_retired_generation(n, old_gen, &[old_doc_authority]);
+    inner.purge_retired_generation(n, old_gen, &old_doc_authority);
     obs::registry().counter("router_restarts_total").inc();
     obs::trace::event(
         "router",

@@ -4,14 +4,18 @@
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cde::{BreakerState, CircuitBreaker};
 use corba::Ior;
-use httpd::{ConnectionPool, Handler, HttpClient, HttpServer, Method, Request, Response, Status};
+use httpd::{
+    Connection, ConnectionPool, Handler, HttpClient, HttpError, HttpServer, Method, Request,
+    Response, Status, Upstream,
+};
 use jpie::Value;
+use obs::metrics::{Counter, Histogram};
 use obs::rng::XorShift64;
 use obs::sync::{Mutex, RwLock};
 use sde::{PublicationStrategy, SdeConfig, SdeManager, SdeServerGateway, TransportKind};
@@ -197,8 +201,10 @@ pub(crate) struct Shard {
 }
 
 /// What the front handler needs per class, snapshotted under RwLock so
-/// the hot path never touches a shard mutex.
-#[derive(Clone)]
+/// the hot path never touches a shard mutex. Immutable: a failover or
+/// migration swaps in a new `Arc`, and the swap is what retires every
+/// front connection's upstream to the old backend (`Handler::forward`
+/// keeps an upstream only while its target is the same `Arc`).
 pub(crate) struct Route {
     pub(crate) shard: usize,
     pub(crate) wire: Wire,
@@ -207,13 +213,18 @@ pub(crate) struct Route {
     pub(crate) soap_authority: String,
     /// Full backend endpoint URL (the needle rewritten out of WSDL).
     pub(crate) soap_url: String,
+    /// The class's admission gate, which a forward holds until it ends.
+    gate: Arc<ClassGate>,
+    inner: Weak<RouterInner>,
 }
 
 /// Per-class admission gate at the front proxy. A drain sets
 /// `draining` and waits for `in_flight` to reach zero; the hot path
-/// increments `in_flight` *before* checking the flag, so under SeqCst
-/// ordering no call can slip past an observed-quiescent gate
-/// (Matevska-Meyer quiescence, at the routing tier).
+/// increments `in_flight` *before* checking the flag (and before it
+/// reads the route), so under SeqCst ordering no call can slip past an
+/// observed-quiescent gate (Matevska-Meyer quiescence, at the routing
+/// tier). A forwarded call stays counted until its relay ends —
+/// answered, failed, or its connection swept.
 #[derive(Default)]
 pub(crate) struct ClassGate {
     pub(crate) draining: AtomicBool,
@@ -226,10 +237,15 @@ pub(crate) struct RouterInner {
     pub(crate) cfg: RouterConfig,
     pub(crate) ring: HashRing,
     pub(crate) shards: Vec<Mutex<Shard>>,
-    pub(crate) routes: RwLock<HashMap<String, Route>>,
+    pub(crate) routes: RwLock<HashMap<String, Arc<Route>>>,
     /// Stable GIOP front per CORBA class.
     pub(crate) giop: HashMap<String, Arc<GiopProxy>>,
+    /// Interface-document fetches (SOAP calls are relayed by the front
+    /// server's engine instead).
     pub(crate) pool: ConnectionPool,
+    /// `router_forward_total{kind="call"}` and `router_call_forward_ns`.
+    call_forwards: Arc<Counter>,
+    call_forward_ns: Arc<Histogram>,
     pub(crate) front_base: RwLock<String>,
     pub(crate) breakers: Vec<RwLock<Arc<CircuitBreaker>>>,
     pub(crate) failing_over: Vec<AtomicBool>,
@@ -239,11 +255,10 @@ pub(crate) struct RouterInner {
     pub(crate) last_failover: Mutex<Option<FailoverEvent>>,
     /// Front admission gates for planned drains, one per class.
     pub(crate) class_gates: RwLock<HashMap<String, Arc<ClassGate>>>,
-    /// Pool generations already purged, per shard. Failover purges a
-    /// retired generation wholesale; a migration's deferred purge
-    /// consults this set (and the live generation) first, so the two
-    /// paths can race without ever double-purging connections a newer
-    /// healthy backend has since warmed at a reused authority.
+    /// Pool generations already purged, per shard: failover and restart
+    /// purge a retired generation's document connections exactly once,
+    /// so a duplicated signal never purges connections a newer healthy
+    /// backend has since warmed at a reused authority.
     pub(crate) purged_gens: Vec<Mutex<HashSet<u64>>>,
     /// Serializes planned operations (one migration at a time).
     pub(crate) migration_lock: Mutex<()>,
@@ -307,7 +322,6 @@ impl Router {
         }
 
         let mut shards = Vec::with_capacity(cfg.shards);
-        let mut routes = HashMap::new();
         let mut giop = HashMap::new();
         let mut breakers = Vec::with_capacity(cfg.shards);
         for (i, specs) in per_shard.into_iter().enumerate() {
@@ -339,7 +353,6 @@ impl Router {
                         GiopProxy::start(&front_addr, orb).map_err(rerr)?,
                     );
                 }
-                routes.insert(spec.name.clone(), route_for(i, spec, &backend));
             }
             breakers.push(RwLock::new(Arc::new(CircuitBreaker::new(
                 &backend.doc_authority,
@@ -354,12 +367,15 @@ impl Router {
             }));
         }
 
+        let registry = obs::registry();
         let inner = Arc::new(RouterInner {
             ring,
             shards,
-            routes: RwLock::new(routes),
+            routes: RwLock::new(HashMap::new()),
             giop,
             pool: ConnectionPool::new(HttpClient::new().with_read_timeout(Duration::from_secs(5))),
+            call_forwards: registry.counter_with("router_forward_total", &[("kind", "call")]),
+            call_forward_ns: registry.histogram("router_call_forward_ns"),
             front_base: RwLock::new(String::new()),
             breakers,
             failing_over: (0..cfg.shards).map(|_| AtomicBool::new(false)).collect(),
@@ -376,6 +392,13 @@ impl Router {
             stop: AtomicBool::new(false),
             cfg,
         });
+        for (i, shard) in inner.shards.iter().enumerate() {
+            let shard = shard.lock();
+            let mut routes = inner.routes.write();
+            for spec in &shard.classes {
+                routes.insert(spec.name.clone(), inner.route_for(i, spec, &shard.backend));
+            }
+        }
 
         for (name, proxy) in &inner.giop {
             let weak = Arc::downgrade(&inner);
@@ -642,21 +665,6 @@ impl Drop for Router {
     }
 }
 
-pub(crate) fn route_for(shard: usize, spec: &ClassSpec, backend: &Backend) -> Route {
-    let (soap_authority, soap_url) = backend
-        .soap_endpoints
-        .get(&spec.name)
-        .cloned()
-        .unwrap_or_default();
-    Route {
-        shard,
-        wire: spec.wire,
-        doc_authority: backend.doc_authority.clone(),
-        soap_authority,
-        soap_url,
-    }
-}
-
 /// Deploys `specs` on `manager` and wires the replication chain:
 /// leader-side streamer plus a fresh follower replicating into
 /// `s{shard}-replica-g{generation}`.
@@ -742,6 +750,48 @@ impl RouterInner {
         self.breakers[shard].read().on_success();
     }
 
+    /// The route to `spec` on `backend`, homed on shard `shard`.
+    pub(crate) fn route_for(
+        self: &Arc<RouterInner>,
+        shard: usize,
+        spec: &ClassSpec,
+        backend: &Backend,
+    ) -> Arc<Route> {
+        let (soap_authority, soap_url) = backend
+            .soap_endpoints
+            .get(&spec.name)
+            .cloned()
+            .unwrap_or_default();
+        Arc::new(Route {
+            shard,
+            wire: spec.wire,
+            doc_authority: backend.doc_authority.clone(),
+            soap_authority,
+            soap_url,
+            gate: self.class_gate(&spec.name),
+            inner: Arc::downgrade(self),
+        })
+    }
+
+    /// A forward that failed at the transport level: the backend either
+    /// never saw the call or executed it on in-memory state that dies
+    /// with the shard — so answering 503 (retry shortly) preserves
+    /// exactly-once over surviving state, and the failure doubles as a
+    /// health signal.
+    fn forward_failed(
+        self: &Arc<RouterInner>,
+        shard: usize,
+        kind: &str,
+        e: &HttpError,
+    ) -> Response {
+        obs::registry()
+            .counter_with("router_forward_errors_total", &[("kind", kind)])
+            .inc();
+        obs::trace::event("router", "forward-failed", format!("shard={shard} {e}"));
+        self.note_failure(shard);
+        Response::unavailable("router: shard failing over", self.jittered_retry_after())
+    }
+
     /// The front admission gate for `class`, created on first use.
     pub(crate) fn class_gate(&self, class: &str) -> Arc<ClassGate> {
         if let Some(gate) = self.class_gates.read().get(class) {
@@ -764,42 +814,13 @@ impl RouterInner {
         Duration::from_millis(base_ms + extra)
     }
 
-    /// Purges a retired generation's pooled connections wholesale,
-    /// exactly once per (shard, generation): a failover racing a
-    /// migration — or a duplicated failure signal — must not re-purge
-    /// an authority a newer healthy generation has since re-bound and
-    /// warmed.
-    pub(crate) fn purge_retired_generation(
-        &self,
-        shard: usize,
-        generation: u64,
-        authorities: &[String],
-    ) {
+    /// Purges a retired generation's pooled document connections,
+    /// exactly once per (shard, generation): a duplicated failure signal
+    /// must not re-purge an authority a newer healthy generation has
+    /// since re-bound and warmed. (Nothing pools SOAP upstreams: the
+    /// route swap retires them.)
+    pub(crate) fn purge_retired_generation(&self, shard: usize, generation: u64, authority: &str) {
         if !self.purged_gens[shard].lock().insert(generation) {
-            obs::registry()
-                .counter("router_pool_purges_skipped_total")
-                .inc();
-            return;
-        }
-        for auth in authorities {
-            self.pool.purge(auth);
-        }
-    }
-
-    /// A migration's deferred purge of one authority, valid only while
-    /// `generation` is still the shard's live generation. If a
-    /// failover already retired (and purged) that generation, or the
-    /// shard has moved on, this is a no-op — the connections at that
-    /// authority now belong to someone else.
-    pub(crate) fn purge_if_generation_live(&self, shard: usize, generation: u64, authority: &str) {
-        if self.purged_gens[shard].lock().contains(&generation) {
-            obs::registry()
-                .counter("router_pool_purges_skipped_total")
-                .inc();
-            return;
-        }
-        let guard = self.shards[shard].lock();
-        if guard.generation != generation {
             obs::registry()
                 .counter("router_pool_purges_skipped_total")
                 .inc();
@@ -854,12 +875,6 @@ fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError
         f.stop(); // joins; the replica file is durable and quiescent
     }
     let old_doc_authority = shard.backend.doc_authority.clone();
-    let old_soap: Vec<String> = shard
-        .backend
-        .soap_endpoints
-        .values()
-        .map(|(auth, _)| auth.clone())
-        .collect();
 
     // Replay: adopt the replica WAL under a brand-new authority.
     let generation = shard.generation + 1;
@@ -880,7 +895,7 @@ fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError
     {
         let mut routes = inner.routes.write();
         for spec in &shard.classes {
-            routes.insert(spec.name.clone(), route_for(shard_id, spec, &backend));
+            routes.insert(spec.name.clone(), inner.route_for(shard_id, spec, &backend));
             if spec.wire == Wire::Corba {
                 if let (Some(proxy), Some(server)) = (
                     inner.giop.get(&spec.name),
@@ -896,9 +911,7 @@ fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError
         inner.cfg.failure_threshold,
         Duration::from_millis(100),
     ));
-    let mut retired = old_soap;
-    retired.push(old_doc_authority);
-    inner.purge_retired_generation(shard_id, shard.generation, &retired);
+    inner.purge_retired_generation(shard_id, shard.generation, &old_doc_authority);
     let republish_ms = republish_started.elapsed().as_secs_f64() * 1e3;
 
     shard.generation = generation;
@@ -936,33 +949,70 @@ fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError
     Ok(())
 }
 
-/// Probes every shard's interface server each interval; failures feed
-/// the shard breaker exactly like forward failures do.
-/// Health-probes a shard's interface server with a real HTTP request
-/// (any response — even a 404 — counts as alive). A connect-only probe
-/// is too weak: a listener left in `LISTEN` state keeps completing
-/// handshakes into the kernel backlog, so a dead backend passes the
-/// probe and every spurious success resets the failure breaker that
-/// data-path errors are trying to open.
-fn probe_shard(authority: &str, timeout: Duration) -> bool {
-    HttpClient::new()
-        .with_read_timeout(timeout)
-        .head(&format!("{authority}/"))
-        .is_ok()
+/// A shard's health probe: a real HTTP request (any response — even a
+/// 404 — counts as alive) on a keep-alive connection, kept while the
+/// shard stays at one generation. A connect-only probe is too weak: a
+/// listener left in `LISTEN` state keeps completing handshakes into the
+/// kernel backlog, so a dead backend passes the probe and every spurious
+/// success resets the failure breaker that data-path errors are trying
+/// to open. Any error or timeout drops the connection, and so does a
+/// server that says it is closing it; the next probe connects afresh.
+struct Probe {
+    generation: u64,
+    conn: Connection,
 }
 
+fn probe_shard(
+    probe: &mut Option<Probe>,
+    authority: &str,
+    generation: u64,
+    timeout: Duration,
+) -> bool {
+    if probe.as_ref().is_some_and(|p| p.generation != generation) {
+        *probe = None;
+    }
+    let conn = match probe {
+        Some(p) => &mut p.conn,
+        None => match HttpClient::new()
+            .with_read_timeout(timeout)
+            .connect(authority)
+        {
+            Ok(conn) => &mut probe.insert(Probe { generation, conn }).conn,
+            Err(_) => return false,
+        },
+    };
+    let Ok(resp) = conn.send(&Request::head("/")) else {
+        *probe = None;
+        return false;
+    };
+    if resp
+        .headers()
+        .get("Connection")
+        .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    {
+        *probe = None;
+    }
+    true
+}
+
+/// Probes every shard's interface server each interval; failures feed
+/// the shard breaker exactly like forward failures do.
 fn health_loop(inner: &Arc<RouterInner>) {
+    let mut probes: Vec<Option<Probe>> = (0..inner.cfg.shards).map(|_| None).collect();
     while !inner.stop.load(Ordering::SeqCst) {
-        for i in 0..inner.cfg.shards {
+        for (i, probe) in probes.iter_mut().enumerate() {
             if inner.stop.load(Ordering::SeqCst) {
                 return;
             }
             if inner.failing_over[i].load(Ordering::SeqCst) {
                 continue;
             }
-            let authority = inner.shards[i].lock().backend.doc_authority.clone();
+            let (authority, generation) = {
+                let shard = inner.shards[i].lock();
+                (shard.backend.doc_authority.clone(), shard.generation)
+            };
             obs::registry().counter("router_probes_total").inc();
-            if probe_shard(&authority, inner.cfg.probe_timeout) {
+            if probe_shard(probe, &authority, generation, inner.cfg.probe_timeout) {
                 inner.note_success(i);
             } else {
                 obs::registry().counter("router_probe_failures_total").inc();
@@ -985,10 +1035,52 @@ impl Handler for FrontHandler {
             return self.proxy_doc(&class, &path, req);
         }
         if req.method() == Method::Post {
-            return self.proxy_call(&path, req);
+            return self.unforwarded_call(&path);
         }
         Response::not_found("router: unknown path")
     }
+
+    /// A SOAP call goes to its class's backend, relayed by the front
+    /// server's engine on the shard thread. Bodies (call ids and trace
+    /// context ride in the envelope) and end-to-end headers (the
+    /// reply-cache advertisement) pass through both ways untouched, so
+    /// the exactly-once machinery is completely unaware of the proxy.
+    ///
+    /// Drain admission: the call counts itself in-flight *before* it
+    /// reads the flag or the route, so a drainer that observes
+    /// `in_flight == 0` after setting `draining` knows no further call
+    /// can reach the backend (SeqCst totally orders the two). The count
+    /// is released by [`Upstream::release`] when the relay ends.
+    fn forward(&self, method: Method, path: &str) -> Option<Arc<dyn Upstream>> {
+        if method != Method::Post {
+            return None;
+        }
+        let class = call_class(path);
+        let gate = self.inner.class_gates.read().get(class)?.clone();
+        gate.in_flight.fetch_add(1, Ordering::SeqCst);
+        let route = if gate.draining.load(Ordering::SeqCst) {
+            None
+        } else {
+            self.inner
+                .routes
+                .read()
+                .get(class)
+                .filter(|r| r.wire == Wire::Soap && !r.soap_authority.is_empty())
+                .cloned()
+        };
+        if route.is_none() {
+            gate.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        Some(route?)
+    }
+}
+
+/// The class a call is POSTed to: `/Calc?x` → `Calc`.
+fn call_class(path: &str) -> &str {
+    path.split('?')
+        .next()
+        .unwrap_or(path)
+        .trim_start_matches('/')
 }
 
 /// `/Calc.wsdl` → `Calc` (also `.idl` / `.ior`).
@@ -1013,7 +1105,8 @@ impl FrontHandler {
             return Response::not_found("router: unknown class");
         };
         let _span = obs::trace::span("router_doc_forward_ns");
-        let mut fwd = if req.method() == Method::Head {
+        let head = req.method() == Method::Head;
+        let mut fwd = if head {
             Request::head(path)
         } else {
             Request::get(path)
@@ -1023,7 +1116,7 @@ impl FrontHandler {
         }
         let resp = match self.inner.pool.send(&route.doc_authority, &fwd) {
             Ok(resp) => resp,
-            Err(e) => return self.forward_failed(route.shard, "doc", &e),
+            Err(e) => return self.inner.forward_failed(route.shard, "doc", &e),
         };
         self.inner.note_success(route.shard);
         obs::registry()
@@ -1051,72 +1144,62 @@ impl FrontHandler {
                 }
             }
         }
-        rebuild_response(&resp, body)
+        let mut out = rebuild_response(&resp, body);
+        if head {
+            // A `HEAD` answer has no body to measure: the document's
+            // length is the backend's (clients poll it cheaply).
+            if let Some(len) = resp.headers().get("Content-Length") {
+                out.headers_mut().set("Content-Length", len);
+            }
+        }
+        out
     }
 
-    /// Forwards a SOAP call to the owning shard's endpoint. Headers
-    /// (call IDs ride in the SOAP body, trace context and reply-cache
-    /// advertisement in headers) pass through both ways, so the
-    /// exactly-once machinery is completely unaware of the proxy.
-    fn proxy_call(&self, path: &str, req: &Request) -> Response {
-        let class = path.trim_start_matches('/');
-        let Some(route) = self.inner.routes.read().get(class).cloned() else {
+    /// A call `forward` did not claim: its class is unknown, not served
+    /// over SOAP, or draining — parked with a jittered `Retry-After`,
+    /// which the CDE client stack honours.
+    fn unforwarded_call(&self, path: &str) -> Response {
+        let Some(route) = self.inner.routes.read().get(call_class(path)).cloned() else {
             return Response::not_found("router: unknown class");
         };
         if route.wire != Wire::Soap || route.soap_authority.is_empty() {
             return Response::bad_request("router: not a SOAP class");
         }
-        // Drain admission: count ourselves in-flight *before* reading
-        // the flag, so a drainer that observes in_flight == 0 after
-        // setting `draining` knows no further call can reach the
-        // backend (SeqCst totally orders the two).
-        let gate = self.inner.class_gate(class);
-        gate.in_flight.fetch_add(1, Ordering::SeqCst);
-        let resp = if gate.draining.load(Ordering::SeqCst) {
-            gate.parked.fetch_add(1, Ordering::SeqCst);
+        if route.gate.draining.load(Ordering::SeqCst) {
+            route.gate.parked.fetch_add(1, Ordering::SeqCst);
             obs::registry().counter("router_drain_parked_total").inc();
-            Response::unavailable(
-                "router: class migrating, retry shortly",
-                self.inner.jittered_retry_after(),
-            )
-        } else {
-            self.forward_call(&route, path, req)
-        };
-        gate.in_flight.fetch_sub(1, Ordering::SeqCst);
-        resp
-    }
-
-    fn forward_call(&self, route: &Route, path: &str, req: &Request) -> Response {
-        let _span = obs::trace::span("router_call_forward_ns");
-        let content_type = req.headers().get("Content-Type").unwrap_or("text/xml");
-        let mut fwd = Request::post(path, req.body().to_vec(), content_type);
-        copy_headers(req.headers(), fwd.headers_mut());
-        let resp = match self.inner.pool.send(&route.soap_authority, &fwd) {
-            Ok(resp) => resp,
-            Err(e) => return self.forward_failed(route.shard, "call", &e),
-        };
-        self.inner.note_success(route.shard);
-        obs::registry()
-            .counter_with("router_forward_total", &[("kind", "call")])
-            .inc();
-        rebuild_response(&resp, resp.body().to_vec())
-    }
-
-    /// A forward that failed at the transport level: the backend either
-    /// never saw the call or executed it on in-memory state that dies
-    /// with the shard — so answering 503 (retry shortly) preserves
-    /// exactly-once over surviving state, and the failure doubles as a
-    /// health signal.
-    fn forward_failed(&self, shard: usize, kind: &str, e: &httpd::HttpError) -> Response {
-        obs::registry()
-            .counter_with("router_forward_errors_total", &[("kind", kind)])
-            .inc();
-        obs::trace::event("router", "forward-failed", format!("shard={shard} {e}"));
-        self.inner.note_failure(shard);
+        }
         Response::unavailable(
-            "router: shard failing over",
+            "router: class migrating, retry shortly",
             self.inner.jittered_retry_after(),
         )
+    }
+}
+
+/// The relay target of a SOAP call: the class's backend endpoint on the
+/// shard this route names.
+impl Upstream for Route {
+    fn authority(&self) -> &str {
+        &self.soap_authority
+    }
+
+    fn relayed(&self, _status: u16, took: Duration) {
+        if let Some(inner) = self.inner.upgrade() {
+            inner.note_success(self.shard);
+            inner.call_forwards.inc();
+            inner.call_forward_ns.record(took.as_nanos() as u64);
+        }
+    }
+
+    fn failed(&self, why: &HttpError) -> Response {
+        match self.inner.upgrade() {
+            Some(inner) => inner.forward_failed(self.shard, "call", why),
+            None => Response::unavailable("router: shut down", Duration::from_secs(1)),
+        }
+    }
+
+    fn release(&self) {
+        self.gate.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
