@@ -10,6 +10,7 @@ use corba::cdr::{read_any, write_any, CdrReader, CdrWriter};
 use jpie::{ClassHandle, MethodBuilder, StructValue, TypeDesc, Value};
 use soap::{SoapRequest, SoapResponse, WsdlDocument};
 use std::hint::black_box;
+use xmlrt::{PullEvent, XmlPull};
 
 fn sample_value() -> Value {
     Value::Struct(
@@ -81,6 +82,25 @@ fn bench_soap() {
     });
 }
 
+/// XML text at the ledger's `soap.large` shape (16 KiB, 819 of it `<`,
+/// `&`, `>`): escaping the argument, and pulling every event of the
+/// request envelope that carries it.
+fn bench_xml_text() {
+    let payload = bench::xml_payload(16 * 1024, 819, 7);
+    let mut buf = Vec::new();
+    run("xml_escape_16k", || {
+        buf.clear();
+        xmlrt::escape_into(black_box(&payload), &mut buf);
+        black_box(&buf);
+    });
+    soap::encode_request_into("urn:Led", "echo", [("s", &Value::Str(payload))], &mut buf);
+    let xml = String::from_utf8(buf).expect("encoder writes UTF-8");
+    run("xml_pull_16k", || {
+        let mut p = XmlPull::new(black_box(&xml));
+        while !matches!(p.next().expect("well-formed"), PullEvent::Eof) {}
+    });
+}
+
 fn bench_interface_docs() {
     let class = interface_class(20);
     let sigs = class.distributed_signatures();
@@ -139,6 +159,7 @@ fn bench_dispatch_overhead() {
 fn main() {
     bench_cdr();
     bench_soap();
+    bench_xml_text();
     bench_interface_docs();
     bench_dispatch_overhead();
 }

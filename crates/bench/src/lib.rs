@@ -80,6 +80,25 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// A SOAP string argument shaped like the ledger's `soap.large` payload:
+/// `len` seeded alphanumeric bytes, `specials` of them replaced by equal
+/// numbers of `<`, `&` and `>` (16 KiB with 819 specials is that row).
+pub fn xml_payload(len: usize, specials: usize, seed: u64) -> String {
+    const ALNUM: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+    assert!(specials <= len, "more specials than bytes");
+    let mut rng = obs::rng::XorShift64::seed_from_u64(seed);
+    let mut bytes: Vec<u8> = (0..len).map(|_| *rng.choose(ALNUM)).collect();
+    let mut placed = 0;
+    while placed < specials {
+        let at = rng.gen_usize(len);
+        if bytes[at].is_ascii_alphanumeric() {
+            bytes[at] = b"<&>"[placed % 3];
+            placed += 1;
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII payload")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

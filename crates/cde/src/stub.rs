@@ -455,8 +455,10 @@ impl DynamicStub {
                     resp.headers().get(soap::REPLY_CACHE_HEADER).is_some(),
                     Ordering::Relaxed,
                 );
-                let parsed = soap::decode_response(&resp.body_str())
-                    .map_err(|e| CallError::Protocol(e.to_string()))?;
+                let xml = std::str::from_utf8(resp.body())
+                    .map_err(|e| CallError::Protocol(format!("reply body is not UTF-8: {e}")))?;
+                let parsed =
+                    soap::decode_response(xml).map_err(|e| CallError::Protocol(e.to_string()))?;
                 match parsed {
                     SoapResponse::Ok(v) => Ok(v),
                     SoapResponse::Fault(f) => Err(fault_to_error(method, &f)),

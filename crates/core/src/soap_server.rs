@@ -173,8 +173,15 @@ impl Handler for SoapCallHandler {
 
 impl SoapCallHandler {
     fn handle_inner(&self, req: &Request) -> Response {
-        let xml = req.body_str();
-        let (soap_req, call_id, trace_ctx) = match soap::decode_request_traced(&xml) {
+        // Strict UTF-8: a lossy decode would run the call on arguments
+        // the client never sent.
+        let decoded = match std::str::from_utf8(req.body()) {
+            Ok(xml) => soap::decode_request_traced(xml),
+            Err(e) => Err(soap::SoapError::Malformed(format!(
+                "request body is not UTF-8: {e}"
+            ))),
+        };
+        let (soap_req, call_id, trace_ctx) = match decoded {
             Ok(r) => r,
             Err(e) => {
                 // "If the parsing reveals a malformed SOAP Request, a SOAP

@@ -2,7 +2,7 @@
 //! WSDL/SOAP decoders need.
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::parser::{Parser, XmlEvent};
+use crate::pull::{PullEvent, XmlPull};
 
 /// An element node in a parsed XML document.
 ///
@@ -51,42 +51,19 @@ impl XmlNode {
     /// Returns [`XmlError`] if the document is malformed or has no root
     /// element.
     pub fn parse(input: &str) -> Result<XmlNode, XmlError> {
-        let mut parser = Parser::new(input);
+        let mut p = XmlPull::new(input);
+        let mut root = None;
         loop {
-            match parser.next_event()? {
-                XmlEvent::StartElement {
-                    name, attributes, ..
-                } => {
-                    let root = build_element(&mut parser, name, attributes)?;
-                    // Consume the remainder to surface trailing-garbage errors.
-                    loop {
-                        match parser.next_event()? {
-                            XmlEvent::Eof => return Ok(root),
-                            XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction(_) => {}
-                            XmlEvent::Text(t) if t.trim().is_empty() => {}
-                            _ => {
-                                return Err(XmlError::at(
-                                    XmlErrorKind::BadDocument("content after root element".into()),
-                                    parser.offset(),
-                                ))
-                            }
-                        }
-                    }
+            match p.next()? {
+                PullEvent::Start { name, .. } => root = Some(build_element(&mut p, name)?),
+                PullEvent::Eof => {
+                    return root.ok_or_else(|| {
+                        XmlError::new(XmlErrorKind::BadDocument("no root element".into()), None)
+                    })
                 }
-                XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction(_) => {}
-                XmlEvent::Eof => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::BadDocument("no root element".into()),
-                        None,
-                    ))
-                }
-                XmlEvent::Text(t) if t.trim().is_empty() => {}
-                _ => {
-                    return Err(XmlError::at(
-                        XmlErrorKind::BadDocument("unexpected content before root".into()),
-                        parser.offset(),
-                    ))
-                }
+                // Comments and PIs around the root; the pull parser
+                // rejects anything else outside it.
+                _ => {}
             }
         }
     }
@@ -220,31 +197,24 @@ fn local(name: &str) -> &str {
     name.rsplit(':').next().unwrap_or(name)
 }
 
-fn build_element(
-    parser: &mut Parser<'_>,
-    name: String,
-    attributes: Vec<(String, String)>,
-) -> Result<XmlNode, XmlError> {
-    let mut node = XmlNode {
-        name,
-        attributes,
-        children: Vec::new(),
-        text: String::new(),
-    };
+/// Builds the element whose `Start` event (`name`) the parser just
+/// produced, consuming through its end tag.
+fn build_element(p: &mut XmlPull<'_>, name: &str) -> Result<XmlNode, XmlError> {
+    let mut node = XmlNode::new(name);
+    node.attributes = p
+        .attrs()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
     loop {
-        match parser.next_event()? {
-            XmlEvent::StartElement {
-                name, attributes, ..
-            } => {
-                let child = build_element(parser, name, attributes)?;
+        match p.next()? {
+            PullEvent::Start { name, .. } => {
+                let child = build_element(p, name)?;
                 node.children.push(child);
             }
-            XmlEvent::EndElement { .. } => return Ok(node),
-            XmlEvent::Text(t) => node.text.push_str(&t),
-            XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction(_) => {}
-            XmlEvent::Eof => {
-                return Err(XmlError::at(XmlErrorKind::UnexpectedEof, parser.offset()))
-            }
+            PullEvent::End { .. } => return Ok(node),
+            PullEvent::Text(t) => node.text.push_str(&t),
+            PullEvent::Comment(_) | PullEvent::Pi(_) => {}
+            PullEvent::Eof => return Err(XmlError::at(XmlErrorKind::UnexpectedEof, p.offset())),
         }
     }
 }
@@ -353,5 +323,78 @@ mod tests {
         }
         assert_eq!(depth, 199);
         assert_eq!(cur.text(), "x");
+    }
+
+    #[test]
+    fn entities_expand_in_text_and_attributes() {
+        let doc = XmlNode::parse("<a k=\"&lt;&amp;\">&gt;&#65;</a>").unwrap();
+        assert_eq!(doc.attr("k"), Some("<&"));
+        assert_eq!(doc.text(), ">A");
+        assert!(XmlNode::parse("<a>&nope;</a>").is_err());
+        assert!(XmlNode::parse("<a k=\"&nope;\"/>").is_err());
+    }
+
+    #[test]
+    fn cdata_is_literal_text() {
+        let doc = XmlNode::parse("<a><![CDATA[1 < 2 && x]]></a>").unwrap();
+        assert_eq!(doc.text(), "1 < 2 && x");
+    }
+
+    #[test]
+    fn attribute_quoting_and_spacing() {
+        let doc = XmlNode::parse("<a k='v' j = \"w\" \t\r\n i=\"x\"/>").unwrap();
+        assert_eq!(
+            doc.attrs(),
+            [
+                ("k".to_string(), "v".to_string()),
+                ("j".to_string(), "w".to_string()),
+                ("i".to_string(), "x".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn whitespace_text_inside_the_root_is_kept() {
+        let doc = XmlNode::parse("  <a>\n  <b/>\n</a>  ").unwrap();
+        assert_eq!(doc.raw_text(), "\n  \n");
+        assert_eq!(doc.children().len(), 1);
+        assert_eq!(doc.child("b").unwrap().name(), "b");
+    }
+
+    #[test]
+    fn nested_structure_keeps_document_order() {
+        let doc = XmlNode::parse("<a><b><c/></b><b/></a>").unwrap();
+        let names: Vec<_> = doc.children().iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["b", "b"]);
+        assert_eq!(doc.path(&["b", "c"]).unwrap().name(), "c");
+        let ns = XmlNode::parse("<soap:Envelope xmlns:soap=\"uri\"/>").unwrap();
+        assert_eq!(ns.name(), "soap:Envelope");
+        assert_eq!(ns.attr("xmlns:soap"), Some("uri"));
+    }
+
+    #[test]
+    fn malformed_documents_rejected() {
+        for bad in [
+            "<a></b>",
+            "<a>",
+            "<a",
+            "<a k=\"v>",
+            "<!-- no end",
+            "<a k=\"1\" k=\"2\"/>",
+            "<a/><b/>",
+            "<a/>junk",
+            "</a>",
+            "text<a/>",
+        ] {
+            assert!(XmlNode::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn only_xml_whitespace_surrounds_the_root() {
+        assert!(XmlNode::parse(" \t\r\n<a \t\r\n k=\"v\"/>\r\n\t ").is_ok());
+        assert!(XmlNode::parse("\u{a0}<a/>").is_err());
+        assert!(XmlNode::parse("<a/>\u{3000}").is_err());
+        assert!(XmlNode::parse("<a\u{3000}k=\"v\"/>").is_err());
     }
 }

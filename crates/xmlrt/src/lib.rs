@@ -6,15 +6,14 @@
 //! functionality from scratch:
 //!
 //! * [`escape`] / [`unescape`] — entity escaping for text and attributes
-//!   (plus [`escape_into`] / [`escape_attr_into`] buffer variants with a
-//!   bulk-copy fast path for clean text),
+//!   (plus [`escape_into`] / [`escape_attr_into`] buffer variants), all
+//!   scanning a word at a time and copying clean runs in bulk,
 //! * [`XmlWriter`] — a streaming, optionally pretty-printing writer,
 //! * [`XmlBufWriter`] — serialization into a caller-supplied reusable
 //!   `Vec<u8>` for the allocation-free wire path,
-//! * [`Parser`] — a pull parser producing owned [`XmlEvent`]s,
-//! * [`XmlPull`] — a zero-copy pull parser whose [`PullEvent`]s borrow
-//!   the input (the RMI hot path),
-//! * [`XmlNode`] — a DOM built on top of the pull parser, with navigation
+//! * [`XmlPull`] — the one XML reader: a zero-copy pull parser whose
+//!   [`PullEvent`]s borrow the input (the RMI hot path decodes from it),
+//! * [`XmlNode`] — a DOM built from [`XmlPull`]'s events, with navigation
 //!   helpers used by the WSDL/SOAP decoders and development tooling.
 //!
 //! The subset of XML implemented is the subset exercised by SOAP 1.1 /
@@ -47,7 +46,6 @@ mod bufwriter;
 mod dom;
 mod error;
 mod escape;
-mod parser;
 mod pull;
 mod writer;
 
@@ -55,6 +53,5 @@ pub use bufwriter::XmlBufWriter;
 pub use dom::XmlNode;
 pub use error::XmlError;
 pub use escape::{escape, escape_attr, escape_attr_into, escape_into, unescape};
-pub use parser::{parse_all, Parser, XmlEvent};
 pub use pull::{PullEvent, XmlPull};
 pub use writer::XmlWriter;

@@ -1,21 +1,19 @@
-//! Zero-copy streaming pull parser for the RMI hot path.
+//! Zero-copy streaming pull parser — the crate's one XML reader.
 //!
-//! [`XmlPull`] is the allocation-free sibling of [`crate::Parser`]:
-//! events borrow the input (`&'i str` names, [`Cow`] text that only
-//! becomes owned when entity references force expansion), element and
-//! attribute names are tracked as byte spans into the input, and the
-//! attribute table is a reusable scratch vector. A SOAP envelope with
-//! clean text parses without touching the heap.
+//! [`XmlPull`] allocates only to expand entity references: events borrow
+//! the input (`&'i str` names, [`Cow`] text and attribute values that
+//! only become owned when references force expansion), element names
+//! are tracked as byte spans into the input, and the open-element stack
+//! and attribute table are reusable scratch vectors.
+//! A SOAP envelope with clean text parses without touching the heap.
 //!
-//! The DOM ([`crate::XmlNode`]) and the event parser ([`crate::Parser`])
-//! stay as the tooling-friendly APIs; this module exists for the
-//! steady-state wire path where every allocation per call shows up in
-//! Table 1.
+//! The SOAP wire path decodes straight from its events; the DOM
+//! ([`crate::XmlNode`]) is built from them for WSDL parsing and tooling.
 
 use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{unescape, validate_entities};
+use crate::escape::unescape_cow;
 
 /// One event produced by [`XmlPull::next`]. All string data borrows the
 /// parser's input.
@@ -48,28 +46,31 @@ pub enum PullEvent<'i> {
     Eof,
 }
 
-/// An attribute of the current start tag, stored as spans into the
-/// input so the table can be reused across elements.
-#[derive(Debug, Clone, Copy)]
-struct AttrSpan {
-    name: (usize, usize),
-    value: (usize, usize),
-    /// Whether the raw value contains (already validated) entity
-    /// references and needs expansion on access.
-    has_entities: bool,
+/// An attribute of the current start tag, its value already expanded
+/// (borrowed from the input unless it held entity references).
+#[derive(Debug, Clone)]
+struct Attr<'i> {
+    name: &'i str,
+    value: Cow<'i, str>,
 }
 
 fn local(name: &str) -> &str {
     name.rsplit(':').next().unwrap_or(name)
 }
 
+/// The XML `S` production: space, tab, carriage return, line feed.
+fn is_xml_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
 /// A zero-copy pull parser over a complete in-memory document.
 ///
-/// Same well-formedness rules as [`crate::Parser`] (matched tags,
-/// validated names and entities, no duplicate attributes, nothing but
-/// comments/PIs outside the root), but no per-event allocation: the
-/// open-element stack and the attribute table hold byte spans, and
-/// both keep their capacity across documents via [`XmlPull::reset`].
+/// Checks well-formedness as it goes (matched tags, validated names and
+/// entities, no duplicate attributes, nothing but XML whitespace,
+/// comments and PIs outside the root), allocating only to expand
+/// references: the open-element stack holds byte spans, and it and the
+/// attribute table keep their capacity across documents via
+/// [`XmlPull::reset`].
 ///
 /// # Examples
 ///
@@ -93,7 +94,7 @@ pub struct XmlPull<'i> {
     /// Name spans of the currently open elements.
     stack: Vec<(usize, usize)>,
     /// Attributes of the most recent start tag.
-    attrs: Vec<AttrSpan>,
+    attrs: Vec<Attr<'i>>,
     /// Pending synthesized end tag for a self-closing element.
     pending_end: Option<(usize, usize)>,
     /// Whether a root element has been fully closed already.
@@ -141,30 +142,27 @@ impl<'i> XmlPull<'i> {
     pub fn attr(&self, name: &str) -> Option<Cow<'i, str>> {
         self.attrs
             .iter()
-            .find(|a| self.span(a.name) == name)
-            .or_else(|| self.attrs.iter().find(|a| local(self.span(a.name)) == name))
-            .map(|a| self.attr_value(a))
+            .find(|a| a.name == name)
+            .or_else(|| self.attrs.iter().find(|a| local(a.name) == name))
+            .map(|a| a.value.clone())
     }
 
     /// Attribute of the most recent start tag by exact name only.
     pub fn attr_exact(&self, name: &str) -> Option<Cow<'i, str>> {
         self.attrs
             .iter()
-            .find(|a| self.span(a.name) == name)
-            .map(|a| self.attr_value(a))
+            .find(|a| a.name == name)
+            .map(|a| a.value.clone())
+    }
+
+    /// All attributes of the most recent start tag, in document order,
+    /// as `(qualified name, expanded value)`.
+    pub(crate) fn attrs(&self) -> impl Iterator<Item = (&'i str, &str)> + '_ {
+        self.attrs.iter().map(|a| (a.name, &*a.value))
     }
 
     fn span(&self, (s, e): (usize, usize)) -> &'i str {
         &self.input[s..e]
-    }
-
-    fn attr_value(&self, a: &AttrSpan) -> Cow<'i, str> {
-        let raw = self.span(a.value);
-        if a.has_entities {
-            Cow::Owned(unescape(raw).expect("entities validated at parse time"))
-        } else {
-            Cow::Borrowed(raw)
-        }
     }
 
     fn rest(&self) -> &'i str {
@@ -180,16 +178,17 @@ impl<'i> XmlPull<'i> {
     }
 
     fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.input.len() - trimmed.len();
+        let n = self.rest().bytes().take_while(|&b| is_xml_space(b)).count();
+        self.bump(n);
     }
 
     /// Produces the next event.
     ///
     /// # Errors
     ///
-    /// Returns [`XmlError`] on malformed input, under the same rules as
-    /// [`crate::Parser::next_event`].
+    /// Returns [`XmlError`] on malformed input: mismatched or unterminated
+    /// tags, bad entity references, duplicate attributes, or content
+    /// other than comments and PIs after the root element.
     #[allow(clippy::should_implement_trait)] // not an Iterator: fallible + lending attrs
     pub fn next(&mut self) -> Result<PullEvent<'i>, XmlError> {
         if let Some(span) = self.pending_end.take() {
@@ -282,7 +281,7 @@ impl<'i> XmlPull<'i> {
     fn parse_end_tag(&mut self) -> Result<PullEvent<'i>, XmlError> {
         self.bump(2);
         let name = self.read_name_span()?;
-        self.skip_ws_in_tag();
+        self.skip_ws();
         if !self.rest().starts_with('>') {
             return Err(self.unexpected_char());
         }
@@ -324,7 +323,7 @@ impl<'i> XmlPull<'i> {
         let name = self.read_name_span()?;
         self.attrs.clear();
         loop {
-            self.skip_ws_in_tag();
+            self.skip_ws();
             if self.rest().starts_with("/>") {
                 self.bump(2);
                 self.pending_end = Some(name);
@@ -344,23 +343,20 @@ impl<'i> XmlPull<'i> {
             if self.rest().is_empty() {
                 return Err(self.eof_err());
             }
-            let attr_name = self.read_name_span()?;
-            if self
-                .attrs
-                .iter()
-                .any(|a| self.span(a.name) == self.span(attr_name))
-            {
+            let attr_span = self.read_name_span()?;
+            let attr_name = self.span(attr_span);
+            if self.attrs.iter().any(|a| a.name == attr_name) {
                 return Err(XmlError::at(
-                    XmlErrorKind::DuplicateAttr(self.span(attr_name).to_string()),
+                    XmlErrorKind::DuplicateAttr(attr_name.to_string()),
                     self.pos,
                 ));
             }
-            self.skip_ws_in_tag();
+            self.skip_ws();
             if !self.rest().starts_with('=') {
                 return Err(self.unexpected_char());
             }
             self.bump(1);
-            self.skip_ws_in_tag();
+            self.skip_ws();
             let quote = match self.rest().chars().next() {
                 Some(q @ ('"' | '\'')) => q,
                 Some(_) => return Err(self.unexpected_char()),
@@ -369,13 +365,12 @@ impl<'i> XmlPull<'i> {
             self.bump(1);
             let value_start = self.pos;
             let end = self.rest().find(quote).ok_or_else(|| self.eof_err())?;
-            let raw = &self.rest()[..end];
-            let has_entities = validate_entities(raw).map_err(|e| e.shift_offset(value_start))?;
+            let value =
+                unescape_cow(&self.rest()[..end]).map_err(|e| e.shift_offset(value_start))?;
             self.bump(end + 1);
-            self.attrs.push(AttrSpan {
+            self.attrs.push(Attr {
                 name: attr_name,
-                value: (value_start, value_start + end),
-                has_entities,
+                value,
             });
         }
     }
@@ -391,12 +386,8 @@ impl<'i> XmlPull<'i> {
         let end = self.rest().find('<').unwrap_or(self.rest().len());
         let raw = &self.rest()[..end];
         self.bump(end);
-        let has_entities = validate_entities(raw).map_err(|e| e.shift_offset(start))?;
-        Ok(PullEvent::Text(if has_entities {
-            Cow::Owned(unescape(raw).expect("entities validated above"))
-        } else {
-            Cow::Borrowed(raw)
-        }))
+        let text = unescape_cow(raw).map_err(|e| e.shift_offset(start))?;
+        Ok(PullEvent::Text(text))
     }
 
     fn read_name_span(&mut self) -> Result<(usize, usize), XmlError> {
@@ -418,15 +409,6 @@ impl<'i> XmlPull<'i> {
         Ok((start, start + end))
     }
 
-    fn skip_ws_in_tag(&mut self) {
-        while let Some(c) = self.rest().chars().next() {
-            if !c.is_whitespace() {
-                break;
-            }
-            self.bump(c.len_utf8());
-        }
-    }
-
     fn unexpected_char(&self) -> XmlError {
         match self.rest().chars().next() {
             Some(c) => XmlError::at(XmlErrorKind::UnexpectedChar(c), self.pos),
@@ -438,7 +420,6 @@ impl<'i> XmlPull<'i> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_all, XmlEvent};
 
     /// Drains a document, rendering events in a comparable form.
     fn pull_events(s: &str) -> Result<Vec<String>, XmlError> {
@@ -448,12 +429,7 @@ mod tests {
             match p.next()? {
                 PullEvent::Eof => return Ok(out),
                 PullEvent::Start { name, .. } => {
-                    let mut attrs = String::new();
-                    // Render attrs through the lookup API so borrowing
-                    // and expansion are both exercised.
-                    for a in p.attrs.clone() {
-                        attrs.push_str(&format!(" {}={}", p.span(a.name), p.attr_value(&a)));
-                    }
+                    let attrs: String = p.attrs().map(|(k, v)| format!(" {k}={v}")).collect();
                     out.push(format!("start {name}{attrs}"));
                 }
                 PullEvent::End { name } => out.push(format!("end {name}")),
@@ -464,49 +440,63 @@ mod tests {
         }
     }
 
-    /// The owned event parser rendered the same way.
-    fn dom_events(s: &str) -> Result<Vec<String>, XmlError> {
-        Ok(parse_all(s)?
-            .into_iter()
-            .map(|e| match e {
-                XmlEvent::StartElement {
-                    name, attributes, ..
-                } => {
-                    let attrs: String = attributes
-                        .iter()
-                        .map(|(k, v)| format!(" {k}={v}"))
-                        .collect();
-                    format!("start {name}{attrs}")
-                }
-                XmlEvent::EndElement { name } => format!("end {name}"),
-                XmlEvent::Text(t) => format!("text {t}"),
-                XmlEvent::Comment(c) => format!("comment {c}"),
-                XmlEvent::ProcessingInstruction(p) => format!("pi {p}"),
-                XmlEvent::Eof => unreachable!("parse_all strips Eof"),
-            })
-            .collect())
-    }
-
     #[test]
-    fn agrees_with_owned_parser() {
-        for doc in [
-            "<a x=\"1\">hi</a>",
-            "<a/>",
-            "<?xml version=\"1.0\"?><!-- note --><a/>",
-            "<a k=\"&lt;&amp;\">&gt;</a>",
-            "<a><![CDATA[1 < 2 && x]]></a>",
-            "<a k='v'/>",
-            "  <a>\n  <b/>\n</a>  ",
-            "<a><b><c/></b><b/></a>",
-            "<soap:Envelope xmlns:soap=\"uri\"/>",
-            "<a k = \"v\"/>",
-        ] {
-            assert_eq!(pull_events(doc).unwrap(), dom_events(doc).unwrap(), "{doc}");
+    fn produces_the_expected_events() {
+        let cases: &[(&str, &[&str])] = &[
+            ("<a x=\"1\">hi</a>", &["start a x=1", "text hi", "end a"]),
+            // A self-closing element still gets its end event.
+            ("<a/>", &["start a", "end a"]),
+            (
+                "<?xml version=\"1.0\"?><!-- note --><a/>",
+                &[
+                    "pi xml version=\"1.0\"",
+                    "comment  note ",
+                    "start a",
+                    "end a",
+                ],
+            ),
+            (
+                "<a k=\"&lt;&amp;\">&gt;</a>",
+                &["start a k=<&", "text >", "end a"],
+            ),
+            (
+                "<a><![CDATA[1 < 2 && x]]></a>",
+                &["start a", "text 1 < 2 && x", "end a"],
+            ),
+            ("<a k='v'/>", &["start a k=v", "end a"]),
+            // Whitespace around the root is skipped; inside it is text.
+            (
+                "  <a>\n  <b/>\n</a>  ",
+                &[
+                    "start a",
+                    "text \n  ",
+                    "start b",
+                    "end b",
+                    "text \n",
+                    "end a",
+                ],
+            ),
+            (
+                "<a><b><c/></b><b/></a>",
+                &[
+                    "start a", "start b", "start c", "end c", "end b", "start b", "end b", "end a",
+                ],
+            ),
+            (
+                "<soap:Envelope xmlns:soap=\"uri\"/>",
+                &["start soap:Envelope xmlns:soap=uri", "end soap:Envelope"],
+            ),
+            ("<a k = \"v\"/>", &["start a k=v", "end a"]),
+            ("<a \t\r\n k=\"v\"\n/>", &["start a k=v", "end a"]),
+            (" \r\n\t<a/>\r\n\t ", &["start a", "end a"]),
+        ];
+        for (doc, expected) in cases {
+            assert_eq!(pull_events(doc).unwrap(), *expected, "{doc:?}");
         }
     }
 
     #[test]
-    fn rejects_what_the_owned_parser_rejects() {
+    fn rejects_malformed_documents() {
         for bad in [
             "<a></b>",
             "<a>",
@@ -519,10 +509,34 @@ mod tests {
             "<a>&nope;</a>",
             "<a k=\"&nope;\"/>",
             "text",
+            "</a>",
         ] {
             assert!(pull_events(bad).is_err(), "{bad}");
-            assert!(dom_events(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn whitespace_is_the_xml_s_production_only() {
+        // Unicode White_Space that XML's S does not include is not
+        // whitespace: not between attributes, not around the root.
+        for bad in [
+            "<a\u{3000}k=\"v\"/>",
+            "<a\u{a0}k=\"v\"/>",
+            "<a k=\"v\"\u{2028}/>",
+            "\u{a0}<a/>",
+            "<a/>\u{2028}",
+            "\u{3000}<a/>",
+        ] {
+            assert!(pull_events(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn errors_point_at_the_reference() {
+        let err = pull_events("<a>ok &bogus;</a>").unwrap_err();
+        assert_eq!(err.offset(), Some(6));
+        let err = pull_events("<a k=\"x&bogus;\"/>").unwrap_err();
+        assert_eq!(err.offset(), Some(7));
     }
 
     #[test]

@@ -118,6 +118,52 @@ fn soap_endpoint_answers_malformed_soap_fault() {
 }
 
 #[test]
+fn non_utf8_soap_body_is_refused_without_running_the_method() {
+    let manager = manager();
+    let class = jpie::parse::parse_class(
+        "class Strict { field int n; distributed string note(string s) { \
+         this.n = this.n + 1; return s; } }",
+    )
+    .expect("class");
+    let server = manager.deploy_soap(class).expect("deploy");
+    let instance = server.create_instance().expect("instance");
+    server.publisher().ensure_current();
+
+    let mut body = Vec::new();
+    soap::encode_request_into(
+        "urn:Strict",
+        "note",
+        [("s", &Value::Str("payload".into()))],
+        &mut body,
+    );
+    let at = body
+        .windows(7)
+        .position(|w| w == b"payload")
+        .expect("argument text");
+    let mut stray = body.clone();
+    stray[at + 3] = 0xFF;
+
+    let post = |bytes: Vec<u8>| {
+        httpd::HttpClient::new()
+            .post(&server.endpoint_url(), bytes, "text/xml")
+            .expect("http ok")
+    };
+    let resp = post(stray);
+    assert_eq!(resp.status(), 500);
+    match soap::decode_response(&resp.body_str()).expect("fault envelope") {
+        soap::SoapResponse::Fault(f) => assert_eq!(f.fault_string, "Malformed SOAP Request"),
+        other => panic!("expected the malformed-request fault: {other:?}"),
+    }
+    assert_eq!(instance.field("n").expect("field"), Value::Int(0));
+
+    // The same envelope with its bytes intact runs, and counts.
+    let resp = post(body);
+    assert_eq!(resp.status(), 200);
+    assert_eq!(instance.field("n").expect("field"), Value::Int(1));
+    manager.shutdown();
+}
+
+#[test]
 fn orb_survives_giop_garbage() {
     let manager = manager();
     let server = manager.deploy_corba(echo_class()).expect("deploy");

@@ -536,10 +536,88 @@ fn streaming_encoders_recycle_buffer_capacity() {
     }
 }
 
+/// Pieces of SOAP string text: clean ASCII, every character either
+/// escaper replaces, text that looks like a reference, and multibyte
+/// characters.
+const TEXT_PIECES: &[&str] = &[
+    "a",
+    "Z",
+    "7",
+    " ",
+    "&",
+    "<",
+    ">",
+    "\"",
+    "'",
+    "\t",
+    "\n",
+    "\r",
+    "]]>",
+    "&amp;",
+    "&#38;",
+    "=",
+    "?",
+    "\u{e9}",
+    "\u{4e2d}",
+    "\u{1F600}",
+];
+
+/// A string of exactly `len` bytes drawn from [`TEXT_PIECES`], so
+/// specials and multibyte characters land at every offset of a word.
+fn gen_text(rng: &mut XorShift64, len: usize) -> String {
+    let mut s = String::with_capacity(len);
+    while s.len() < len {
+        let piece = *rng.choose(TEXT_PIECES);
+        if s.len() + piece.len() <= len {
+            s.push_str(piece);
+        } else {
+            s.push('x');
+        }
+    }
+    s
+}
+
+#[test]
+fn soap_strings_survive_encode_then_decode() {
+    // Every length 0..=100 twice, then a few 16 KiB payloads (the
+    // ledger's `soap.large` size) with ragged tails.
+    for_cases(
+        "soap_strings_survive_encode_then_decode",
+        210,
+        |rng, case| {
+            let len = match case {
+                0..=201 => (case % 101) as usize,
+                _ => 16 * 1024 + rng.gen_usize(16),
+            };
+            let value = Value::Str(gen_text(rng, len));
+            let mut buf = Vec::new();
+            soap::encode_request_into("urn:prop", "echo", [("s", &value)], &mut buf);
+            let xml = std::str::from_utf8(&buf).expect("encoder writes UTF-8");
+            let req = soap::decode_request(xml).expect("request decodes");
+            assert_eq!(
+                req.args(),
+                &[("s".to_string(), value.clone())],
+                "case {case}"
+            );
+            soap::encode_ok_into("echo", "urn:prop", &value, &mut buf);
+            let xml = std::str::from_utf8(&buf).expect("encoder writes UTF-8");
+            match soap::decode_response(xml).expect("response decodes") {
+                soap::SoapResponse::Ok(v) => assert_eq!(v, value, "case {case}"),
+                other => panic!("case {case}: unexpected {other:?}"),
+            }
+        },
+    );
+}
+
 #[test]
 fn xml_escape_roundtrips() {
     for_cases("xml_escape_roundtrips", 256, |rng, case| {
-        let text = gen_unicode_string(rng, 64);
+        let text = if rng.gen_bool(0.5) {
+            gen_unicode_string(rng, 300)
+        } else {
+            let len = rng.gen_usize(301);
+            gen_text(rng, len)
+        };
         assert_eq!(
             xmlrt::unescape(&xmlrt::escape(&text)).expect("unescape"),
             text,
