@@ -346,8 +346,13 @@ impl<'a> CdrReader<'a> {
 
     /// Reads an octet sequence.
     pub fn read_octet_seq(&mut self) -> Result<Vec<u8>, CorbaError> {
+        self.read_octet_slice().map(<[u8]>::to_vec)
+    }
+
+    /// Reads an octet sequence in place, without copying it.
+    pub fn read_octet_slice(&mut self) -> Result<&'a [u8], CorbaError> {
         let len = self.read_ulong()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 }
 

@@ -512,6 +512,18 @@ pub fn parse_frame_header(header: &[u8; 12]) -> Result<(MsgType, bool, usize), C
     Ok((msg_type, !little_endian, size))
 }
 
+/// A reader over a Request body, past its service contexts: at the
+/// request id.
+fn past_service_contexts(body: &[u8], big_endian: bool) -> Result<CdrReader<'_>, CorbaError> {
+    let mut r = CdrReader::new(body, big_endian);
+    let ctx_count = r.read_ulong()?;
+    for _ in 0..ctx_count {
+        r.read_ulong()?;
+        r.read_octet_slice()?;
+    }
+    Ok(r)
+}
+
 /// Reads just the request id from a Request body, skipping the service
 /// contexts. The server uses this to refuse a request it will not
 /// unmarshal (saturated queue, panicked servant) under the correct id.
@@ -520,13 +532,21 @@ pub fn parse_frame_header(header: &[u8; 12]) -> Result<(MsgType, bool, usize), C
 ///
 /// `MARSHAL` on malformed bodies.
 pub fn peek_request_id(body: &[u8], big_endian: bool) -> Result<u32, CorbaError> {
-    let mut r = CdrReader::new(body, big_endian);
-    let ctx_count = r.read_ulong()?;
-    for _ in 0..ctx_count {
-        let _ = r.read_ulong()?;
-        let _ = r.read_octet_seq()?;
-    }
-    r.read_ulong()
+    past_service_contexts(body, big_endian)?.read_ulong()
+}
+
+/// Reads a Request body's id and object key — the key borrowed from
+/// `body` — and nothing else: enough to route the request, or to refuse
+/// it under its own id.
+///
+/// # Errors
+///
+/// `MARSHAL` on malformed bodies.
+pub fn peek_request_target(body: &[u8], big_endian: bool) -> Result<(u32, &[u8]), CorbaError> {
+    let mut r = past_service_contexts(body, big_endian)?;
+    let request_id = r.read_ulong()?;
+    r.read_boolean()?; // response expected
+    Ok((request_id, r.read_octet_slice()?))
 }
 
 /// Decodes a Request body (as returned by [`read_message`]).
@@ -709,6 +729,26 @@ mod tests {
             };
             assert_eq!(roundtrip_reply(&reply), reply);
         }
+    }
+
+    #[test]
+    fn peek_reads_id_and_key_past_service_contexts() {
+        let req = RequestMessage {
+            request_id: 9,
+            response_expected: true,
+            object_key: b"IDL:Calc:1.0#key".to_vec(),
+            operation: "add".into(),
+            args: vec![Value::Int(1)],
+            call_id: Some(obs::CallId { client: 1, seq: 2 }),
+            trace: None,
+        };
+        let mut buf = Vec::new();
+        write_request(&mut buf, &req).unwrap();
+        let body = &buf[12..];
+        assert_eq!(peek_request_id(body, true).unwrap(), 9);
+        let (id, key) = peek_request_target(body, true).unwrap();
+        assert_eq!((id, key), (9, &b"IDL:Calc:1.0#key"[..]));
+        assert!(peek_request_target(&body[..body.len() - 40], true).is_err());
     }
 
     #[test]

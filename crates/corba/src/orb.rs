@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use httpd::engine::Serving;
 use httpd::transport::{connect_with, Listener, Stream};
-use httpd::{ReadBuf, ServerGate};
+use httpd::ReadBuf;
 use jpie::Value;
 
 use crate::error::{CorbaError, SystemExceptionKind};
@@ -97,7 +97,6 @@ impl ServerRequest {
 #[derive(Debug)]
 pub struct ServerOrb {
     ior: Ior,
-    gate: Arc<ServerGate>,
     serving: Serving<GiopWire>,
 }
 
@@ -117,11 +116,9 @@ impl ServerOrb {
         let local = listener.local_addr().to_string();
         let object_key = format!("{type_id}#key").into_bytes();
         let ior = Ior::new(type_id, local, object_key.clone());
-        let gate = Arc::new(ServerGate::default());
         let wire = GiopWire {
             implementation: Arc::new(implementation),
             served_key: object_key,
-            gate: gate.clone(),
         };
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -129,7 +126,6 @@ impl ServerOrb {
             .clamp(2, 8);
         Ok(ServerOrb {
             ior,
-            gate,
             serving: Serving::start("orb", listener, wire, workers, 64, "orb_dispatch_depth"),
         })
     }
@@ -137,15 +133,6 @@ impl ServerOrb {
     /// The IOR clients use to reach this ORB.
     pub fn ior(&self) -> Ior {
         self.ior.clone()
-    }
-
-    /// The ORB's drain gate: in-flight accounting, and while draining
-    /// new requests are refused with the retryable `TRANSIENT` system
-    /// exception carrying a `retry_after_ms=N` pacing hint in its
-    /// reason (the servant never ran, so a client retry is always
-    /// safe).
-    pub fn gate(&self) -> &Arc<ServerGate> {
-        &self.gate
     }
 
     /// Stops accepting connections, sweeps every live connection off
@@ -186,7 +173,6 @@ pub(crate) fn request_reply(
     served_key: &[u8],
     body: &[u8],
     big_endian: bool,
-    gate: &ServerGate,
 ) -> ReplyMessage {
     let (request_id, outcome) = match decode_request(body, big_endian) {
         // A real ORB dispatches by object key; an unknown key is
@@ -199,33 +185,21 @@ pub(crate) fn request_reply(
             )),
         ),
         Ok(req) => {
-            let id = req.request_id;
-            let invoke = || {
-                let mut sreq = ServerRequest {
-                    operation: req.operation,
-                    args: req.args,
-                    call_id: req.call_id,
-                    trace: req.trace,
-                    outcome: None,
-                };
-                implementation.invoke(&mut sreq);
-                sreq.outcome.unwrap_or_else(|| {
-                    Err(CorbaError::system(
-                        SystemExceptionKind::NoImplement,
-                        "servant set no result",
-                    ))
-                })
+            let mut sreq = ServerRequest {
+                operation: req.operation,
+                args: req.args,
+                call_id: req.call_id,
+                trace: req.trace,
+                outcome: None,
             };
-            let outcome = gate.enter(invoke).unwrap_or_else(|retry_after| {
+            implementation.invoke(&mut sreq);
+            let outcome = sreq.outcome.unwrap_or_else(|| {
                 Err(CorbaError::system(
-                    SystemExceptionKind::Transient,
-                    format!(
-                        "orb draining; retry_after_ms={}",
-                        retry_after.as_millis().max(1)
-                    ),
+                    SystemExceptionKind::NoImplement,
+                    "servant set no result",
                 ))
             });
-            (id, outcome)
+            (req.request_id, outcome)
         }
         Err(e) => (0, Err(e)),
     };

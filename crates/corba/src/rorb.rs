@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use httpd::engine::{Framed, Refusal, Reply, Wire};
-use httpd::ServerGate;
 
 use crate::error::SystemExceptionKind;
 use crate::giop::{
@@ -23,7 +22,6 @@ use crate::orb::{giop_counters, request_reply, DynamicImplementation, SERVER_IDL
 pub(crate) struct GiopWire {
     pub(crate) implementation: Arc<dyn DynamicImplementation>,
     pub(crate) served_key: Vec<u8>,
-    pub(crate) gate: Arc<ServerGate>,
 }
 
 /// A `Request` frame on its way to a worker; the frame itself travels
@@ -100,7 +98,6 @@ impl Wire for GiopWire {
             &self.served_key,
             &frame[12..],
             call.big_endian,
-            &self.gate,
         );
         self.reply(&msg, bufs, reply);
     }

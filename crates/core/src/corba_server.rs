@@ -125,12 +125,6 @@ impl CorbaServer {
         self.core.reply_cache().stats()
     }
 
-    /// The ORB's drain gate: in-flight accounting and drain-mode
-    /// `TRANSIENT` refusals, for planned-migration quiescence.
-    pub fn gate(&self) -> &Arc<httpd::ServerGate> {
-        self.orb.gate()
-    }
-
     /// Toggles the §5.7 reactive forced publication (see
     /// [`GatewayCore::set_reactive`](crate::GatewayCore::set_reactive)).
     pub fn set_reactive(&self, reactive: bool) {
@@ -177,6 +171,7 @@ struct CorbaCallHandler {
 
 impl DynamicImplementation for CorbaCallHandler {
     fn invoke(&self, request: &mut ServerRequest) {
+        let _in_call = self.core.enter();
         // Server-side span tree: joins the client's wire-propagated
         // context (a no-op when the caller sent none).
         let server_span =

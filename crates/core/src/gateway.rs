@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use jpie::{ClassHandle, Instance, JpieError, SignatureView, Value};
 use obs::events::VersionEventKind;
@@ -182,6 +183,18 @@ pub struct GatewayCore {
     /// At-most-once execution: replies to id-carrying calls, keyed by
     /// call id, consulted by the call handlers before dispatching.
     reply_cache: ReplyCache,
+    /// Calls inside a call handler ([`GatewayCore::enter`]), which
+    /// [`GatewayCore::retire`] waits out.
+    calls: AtomicU64,
+}
+
+/// One call inside a call handler, counted until it drops.
+pub(crate) struct InCall<'a>(&'a AtomicU64);
+
+impl Drop for InCall<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl std::fmt::Debug for GatewayCore {
@@ -211,7 +224,42 @@ impl GatewayCore {
             reactive: AtomicBool::new(true),
             forcing: AtomicBool::new(false),
             reply_cache,
+            calls: AtomicU64::new(0),
         })
+    }
+
+    /// Counts one call into the call handler until the guard drops —
+    /// reply-cache admission, dispatch and the recorded outcome alike.
+    /// Taken before the call reads the instance, so a
+    /// [`GatewayCore::retire`] that has taken the instance and then
+    /// reads zero knows no call still runs on it.
+    pub(crate) fn enter(&self) -> InCall<'_> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        InCall(&self.calls)
+    }
+
+    /// Takes the live instance out of the gateway — a call arriving from
+    /// now on is answered "Server not initialized" and runs nothing —
+    /// then waits up to `within` for the calls already inside to finish,
+    /// outcomes recorded. Returns the instance; [`GatewayCore::adopt_instance`]
+    /// gives it back.
+    ///
+    /// # Errors
+    ///
+    /// A call was still inside after `within`; the instance is back in
+    /// place.
+    pub(crate) fn retire(&self, within: Duration) -> Result<Option<Arc<Instance>>, SdeError> {
+        let instance = self.instance.write().take();
+        let deadline = Instant::now() + within;
+        while self.calls.load(Ordering::SeqCst) != 0 {
+            if Instant::now() >= deadline {
+                *self.instance.write() = instance;
+                let busy = format!("calls into {} still running", self.class_name);
+                return Err(SdeError::State(busy));
+            }
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        Ok(instance)
     }
 
     /// The gateway's reply cache (consulted by the SOAP and CORBA call
@@ -492,6 +540,41 @@ mod tests {
             .dispatch("add", &named(&[("a", Value::Int(1)), ("b", Value::Int(2))]))
             .unwrap();
         assert_eq!(v, Value::Int(3));
+    }
+
+    #[test]
+    fn retire_fences_new_calls_and_waits_out_the_running_ones() {
+        let core = calc_core();
+        core.create_instance().unwrap();
+        let args = named(&[("a", Value::Int(1)), ("b", Value::Int(2))]);
+
+        let running = core.enter();
+        let retired = std::thread::scope(|scope| {
+            let retiring = scope.spawn(|| core.retire(Duration::from_secs(30)));
+            while core.instance().is_some() {
+                std::thread::yield_now();
+            }
+            // Taken: a call arriving now runs nothing...
+            assert_eq!(
+                core.dispatch("add", &args).unwrap_err(),
+                InvokeFailure::NotInitialized
+            );
+            // ...and the one inside holds the retirement up.
+            std::thread::sleep(Duration::from_millis(30));
+            assert!(!retiring.is_finished());
+            drop(running);
+            retiring.join().unwrap()
+        });
+        let instance = retired.expect("retired once the call left");
+        assert!(instance.is_some());
+
+        // A call that outlasts `within` fails the retirement, and the
+        // gateway serves as before.
+        core.adopt_instance(instance.unwrap());
+        let running = core.enter();
+        assert!(core.retire(Duration::from_millis(5)).is_err());
+        drop(running);
+        assert_eq!(core.dispatch("add", &args).unwrap(), Value::Int(3));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use obs::sync::RwLock;
 use crate::corba_server::CorbaServer;
 use crate::docs::{DocumentStore, InterfaceServer};
 use crate::error::SdeError;
-use crate::gateway::{SdeServerGateway, Technology};
+use crate::gateway::{GatewayCore, SdeServerGateway, Technology};
 use crate::publish::PublicationStrategy;
 use crate::soap_server::SoapServer;
 use crate::wal::VersionWal;
@@ -459,28 +459,29 @@ impl SdeManager {
         Ok(())
     }
 
-    /// Captures a quiescent class for migration handoff **without**
-    /// undeploying it: the source gateway keeps serving (or draining)
-    /// until the importing manager has taken over and routes have
-    /// swapped — so there is never a window where the class exists
-    /// nowhere. The export carries the dynamic class (whose interface
-    /// version rides along, preserving the §6 recency floor), the live
-    /// instance with all field state, and the exactly-once reply cache
-    /// (a client whose first attempt executed here must get a replay at
-    /// the target, not a re-execution).
+    /// Captures a class for migration handoff **without** undeploying
+    /// it, so there is never a window where the class exists nowhere.
+    /// The gateway retires its live instance first: a call that reaches
+    /// it from now on runs nothing ("Server not initialized"), and the
+    /// calls already inside get up to `within` to finish — so what is
+    /// captured is final. The export carries the dynamic class (whose
+    /// interface version rides along, preserving the §6 recency floor),
+    /// the live instance with all field state, and the exactly-once
+    /// reply cache (a client whose first attempt executed here must get
+    /// a replay at the target, not a re-execution).
+    /// [`SdeManager::unexport_class`] undoes it.
     ///
     /// # Errors
     ///
-    /// Fails if no such server is managed.
-    pub fn export_class(&self, class_name: &str) -> Result<ClassExport, SdeError> {
-        let servers = self.servers.read();
-        let entry = servers
-            .get(class_name)
-            .ok_or_else(|| SdeError::NotManaged(class_name.to_string()))?;
-        let (core, technology) = match entry {
-            ManagedServer::Soap(s) => (s.core(), Technology::Soap),
-            ManagedServer::Corba(s) => (s.core(), Technology::Corba),
-        };
+    /// Fails if no such server is managed, or a call was still running
+    /// after `within` (the gateway then serves as before).
+    pub fn export_class(
+        &self,
+        class_name: &str,
+        within: Duration,
+    ) -> Result<ClassExport, SdeError> {
+        let (core, technology) = self.core_of(class_name)?;
+        let instance = core.retire(within)?;
         obs::trace::event(
             "sde::manager",
             "export-class",
@@ -488,10 +489,34 @@ impl SdeManager {
         );
         Ok(ClassExport {
             class: core.class().clone(),
-            instance: core.instance(),
+            instance,
             technology,
             replies: core.reply_cache().export_entries(),
         })
+    }
+
+    /// Gives an export that was not imported (an aborted migration) back
+    /// to the gateway it was taken from, which serves its instance again.
+    ///
+    /// # Errors
+    ///
+    /// Fails if no such server is managed.
+    pub fn unexport_class(&self, export: &ClassExport) -> Result<(), SdeError> {
+        let (core, _) = self.core_of(&export.class.name())?;
+        if let Some(instance) = &export.instance {
+            core.adopt_instance(instance.clone());
+        }
+        Ok(())
+    }
+
+    /// The class's gateway core, cloned out: `retire` may wait, and must
+    /// not hold the map meanwhile.
+    fn core_of(&self, class_name: &str) -> Result<(Arc<GatewayCore>, Technology), SdeError> {
+        match self.servers.read().get(class_name) {
+            Some(ManagedServer::Soap(s)) => Ok((s.core().clone(), Technology::Soap)),
+            Some(ManagedServer::Corba(s)) => Ok((s.core().clone(), Technology::Corba)),
+            None => Err(SdeError::NotManaged(class_name.to_string())),
+        }
     }
 
     /// Deploys an exported class on this manager — the receiving half of
@@ -507,7 +532,7 @@ impl SdeManager {
     ///
     /// Fails if the class name is already managed here or an endpoint
     /// cannot be bound.
-    pub fn import_class(&self, export: ClassExport) -> Result<(), SdeError> {
+    pub fn import_class(&self, export: &ClassExport) -> Result<(), SdeError> {
         let ClassExport {
             class,
             instance,
@@ -516,15 +541,15 @@ impl SdeManager {
         } = export;
         let name = class.name();
         let core = match technology {
-            Technology::Soap => self.deploy_soap(class)?.core().clone(),
-            Technology::Corba => self.deploy_corba(class)?.core().clone(),
+            Technology::Soap => self.deploy_soap(class.clone())?.core().clone(),
+            Technology::Corba => self.deploy_corba(class.clone())?.core().clone(),
         };
         // Mirror the source exactly: a class that had no live instance
         // stays inactive at the target too.
         if let Some(instance) = instance {
-            core.adopt_instance(instance);
+            core.adopt_instance(instance.clone());
         }
-        core.reply_cache().import_entries(replies);
+        core.reply_cache().import_entries(replies.clone());
         obs::trace::event(
             "sde::manager",
             "import-class",

@@ -120,12 +120,6 @@ impl SoapServer {
     pub fn set_reactive(&self, reactive: bool) {
         self.core.set_reactive(reactive);
     }
-
-    /// The endpoint's drain gate: in-flight accounting and drain-mode
-    /// 503s, for planned-migration quiescence.
-    pub fn gate(&self) -> &Arc<httpd::ServerGate> {
-        self.endpoint.gate()
-    }
 }
 
 impl SdeServerGateway for SoapServer {
@@ -165,6 +159,7 @@ struct SoapCallHandler {
 
 impl Handler for SoapCallHandler {
     fn handle(&self, req: &Request) -> Response {
+        let _in_call = self.core.enter();
         // Every response from this handler advertises the reply cache,
         // which is what licenses clients to retry non-idempotent calls.
         advertise(self.handle_inner(req))

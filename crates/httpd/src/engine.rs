@@ -39,8 +39,8 @@
 //! * **Deadlines per state.** `Reading`: [`Wire::deadline`]. `Writing`:
 //!   the same clock, re-armed only when the peer took bytes. Expiry
 //!   closes (after [`Wire::timed_out`]'s last words, if any).
-//!   `Forwarding`: 5 s per step of the upstream exchange; expiry fails
-//!   the forward.
+//!   `Forwarding`: [`Wire::UPSTREAM_TIMEOUT`] per step of the upstream
+//!   exchange; expiry fails the forward.
 //! * **Pipelined bytes are cranked before re-arming**, so they are not
 //!   stranded until new bytes arrive.
 //! * **A forward stays on the shard.** [`Framed::Forward`] relays the
@@ -54,8 +54,10 @@
 //!   so the plan's rates hold). A failure before the first byte of
 //!   answer on a reused upstream is retried once on a fresh one (it may
 //!   have closed while idle); any other failure is the wire's
-//!   [`Wire::unrelayed`] answer. A forward's [`Forward`] lives in the
-//!   state, so its target is released however the forward ends.
+//!   [`Wire::unrelayed`] answer. The target hears how the forward went
+//!   from here ([`Upstream::relayed`] / [`Upstream::failed`]), not from
+//!   the wire, and a forward's [`Forward`] lives in the state, so its
+//!   target is released however the forward ends.
 //!
 //! [`Serving`] is the lifecycle both servers hold: listener, accept
 //! thread, reactor server id, dispatch pool, and the shutdown sequence.
@@ -78,12 +80,7 @@ use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 use crate::error::HttpError;
 use crate::message::Body;
 use crate::readbuf::ReadBuf;
-use crate::server::Upstream;
 use crate::transport::{connect_with, Listener, Start, Stream};
-
-/// How long an upstream may take over each step of a forward: taking
-/// the request, producing the next bytes of its answer.
-const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What a server speaks: the part of serving a connection that differs
 /// between HTTP and GIOP. Callbacks never see the connection's state,
@@ -97,6 +94,9 @@ pub trait Wire: Send + Sync + 'static {
     /// are split off the receive buffer without a copy) or
     /// [`Wire::frame`] already parsed them into the [`Wire::Call`].
     const RAW_FRAME: bool;
+    /// How long an upstream may take over each step of a forward:
+    /// taking the request, producing the next bytes of its answer.
+    const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
 
     /// A connection was accepted.
     fn connection(&self) -> Self::Scratch;
@@ -144,11 +144,35 @@ pub trait Wire: Send + Sync + 'static {
         Relayed::Invalid
     }
 
-    /// The forward `fwd` failed with `why`: answer the peer in `reply`
-    /// (by default, close without a word).
-    fn unrelayed(&self, _fwd: &Forward, _why: &HttpError, reply: &mut Reply) {
+    /// The forward `fwd` failed, and its target asks the peer to come
+    /// back after `retry_after`: answer the peer in `reply` (by default,
+    /// close without a word).
+    fn unrelayed(&self, _fwd: &Forward, _retry_after: Duration, reply: &mut Reply) {
         reply.last = true;
     }
+}
+
+/// Where a [`Forward`] goes, and who hears how it went. Called on
+/// reactor threads (except where noted): no method may block.
+pub trait Upstream: Send + Sync + 'static {
+    /// `scheme://host` of the upstream server; connected to on a
+    /// dispatch worker.
+    fn authority(&self) -> &str;
+
+    /// The upstream's whole answer is on its way to the peer, `took`
+    /// after the request was framed.
+    fn relayed(&self, took: Duration);
+
+    /// The relay failed — connect, send, a torn or malformed answer, or
+    /// no answer within the upstream deadline — after at most one retry
+    /// on a fresh connection when a reused one failed before its first
+    /// byte of answer. Returns how long the peer should stay away; the
+    /// wire says so in its own terms ([`Wire::unrelayed`]).
+    fn failed(&self, why: &HttpError) -> Duration;
+
+    /// The forward is over: relayed, failed, or its connection closed
+    /// while it was in flight.
+    fn release(&self);
 }
 
 /// What [`Wire::frame`] found at the front of the received bytes.
@@ -721,11 +745,14 @@ impl<W: Wire> Conn<W> {
                 } else {
                     Interest::Read
                 };
-                Some(Action::RearmLinked(interest, Some(UPSTREAM_TIMEOUT)))
+                Some(Action::RearmLinked(interest, Some(W::UPSTREAM_TIMEOUT)))
             }
             Ok(false) => {
                 self.state = State::Forwarding(Leg::Sending(pos));
-                Some(Action::RearmLinked(Interest::Write, Some(UPSTREAM_TIMEOUT)))
+                Some(Action::RearmLinked(
+                    Interest::Write,
+                    Some(W::UPSTREAM_TIMEOUT),
+                ))
             }
             Err(e) => self.upstream_failed(HttpError::Io(e), ctl),
         }
@@ -747,15 +774,17 @@ impl<W: Wire> Conn<W> {
             .wire
             .relay(link.buf.filled(), fwd, &mut io.reply)
         {
-            Relayed::Partial if open => {
-                Some(Action::RearmLinked(Interest::Read, Some(UPSTREAM_TIMEOUT)))
-            }
+            Relayed::Partial if open => Some(Action::RearmLinked(
+                Interest::Read,
+                Some(W::UPSTREAM_TIMEOUT),
+            )),
             Relayed::Partial => self.upstream_failed(HttpError::UnexpectedEof, ctl),
             Relayed::Invalid => {
                 let why = HttpError::Malformed("upstream answer".into());
                 self.upstream_failed(why, ctl)
             }
             Relayed::Whole { body, len, reuse } => {
+                fwd.target.relayed(fwd.framed_at.elapsed());
                 link.buf.consume(body);
                 let spare = std::mem::take(&mut io.reply.spare);
                 io.reply.body = Body::Relayed(link.buf.split_front(len - body, spare));
@@ -788,11 +817,15 @@ impl<W: Wire> Conn<W> {
         None
     }
 
-    /// Ends a failed forward with the wire's answer in the reply.
+    /// Ends a failed forward: the target hears why, the peer gets the
+    /// wire's answer in the reply.
     fn unrelayed(&mut self, why: HttpError) {
         let relay = self.relay.take().expect(RELAYING);
+        let retry_after = relay.fwd.target.failed(&why);
         let io = self.io.as_mut().expect(IO_HOME);
-        self.server.wire.unrelayed(&relay.fwd, &why, &mut io.reply);
+        self.server
+            .wire
+            .unrelayed(&relay.fwd, retry_after, &mut io.reply);
     }
 
     /// Drops the upstream, its fd off epoll first.

@@ -52,9 +52,10 @@ mod server;
 pub mod transport;
 
 pub use client::{Connection, HttpClient};
+pub use engine::Upstream;
 pub use error::HttpError;
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSide};
 pub use message::{Headers, Limits, Method, Request, Response, Status};
 pub use pool::ConnectionPool;
 pub use readbuf::ReadBuf;
-pub use server::{Handler, HttpServer, PoolConfig, ServerGate, Upstream};
+pub use server::{Handler, HttpServer, PoolConfig};

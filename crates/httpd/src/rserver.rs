@@ -22,7 +22,6 @@ use std::time::{Duration, Instant};
 use obs::metrics::Counter;
 
 use crate::engine::{Forward, Framed, Refusal, Relayed, Reply, Wire};
-use crate::error::HttpError;
 use crate::message::{Body, Method, Request, RequestHead, Response, ResponseHead, Status};
 use crate::server::{http_metrics, Handler, PoolConfig};
 
@@ -249,7 +248,6 @@ impl Wire for HttpWire {
         reply.last = fwd.close;
         http_metrics().requests.inc();
         count_status(head.status);
-        fwd.target.relayed(head.status, fwd.framed_at.elapsed());
         Relayed::Whole {
             body: head.body_at,
             len,
@@ -257,8 +255,9 @@ impl Wire for HttpWire {
         }
     }
 
-    fn unrelayed(&self, fwd: &Forward, why: &HttpError, reply: &mut Reply) {
-        let resp = fwd.target.failed(why);
+    /// `503` + `Retry-After`: the client may try again shortly.
+    fn unrelayed(&self, fwd: &Forward, retry_after: Duration, reply: &mut Reply) {
+        let resp = Response::unavailable("upstream unavailable", retry_after);
         http_metrics().requests.inc();
         count_status(resp.status());
         respond(reply, resp, fwd.close);

@@ -16,14 +16,13 @@
 //! the request.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
 use obs::metrics::{Counter, Histogram};
 
-use crate::engine::Serving;
+use crate::engine::{Serving, Upstream};
 use crate::error::HttpError;
 use crate::message::{Limits, Method, Request, Response};
 use crate::rserver::HttpWire;
@@ -77,136 +76,12 @@ pub trait Handler: Send + Sync + 'static {
     }
 }
 
-/// Where [`Handler::forward`] sends a request, and who hears how the
-/// relay went. Called on reactor threads (except where noted): no
-/// method may block.
-pub trait Upstream: Send + Sync + 'static {
-    /// `scheme://host` of the upstream server; connected to on a
-    /// dispatch worker.
-    fn authority(&self) -> &str;
-
-    /// The upstream answered `status` and the answer is on its way to
-    /// the client, `took` after the request was framed.
-    fn relayed(&self, status: u16, took: Duration);
-
-    /// The relay failed — connect, send, a torn or malformed answer, or
-    /// no answer within the upstream deadline — after at most one retry
-    /// on a fresh connection when a reused one failed before its first
-    /// byte of answer. Returns what the client gets instead.
-    fn failed(&self, why: &HttpError) -> Response;
-
-    /// The forward is over: relayed, failed, or its connection closed
-    /// while it was in flight.
-    fn release(&self);
-}
-
 impl<F> Handler for F
 where
     F: Fn(&Request) -> Response + Send + Sync + 'static,
 {
     fn handle(&self, req: &Request) -> Response {
         self(req)
-    }
-}
-
-/// Per-server drain gate and in-flight accounting — the one admission
-/// gate of both wires: every HTTP request passes through it on its way
-/// to the [`Handler`], and every GIOP request on its way to the servant.
-///
-/// Planned reconfiguration (shard migration, rolling restart) needs two
-/// things from an endpoint: an exact count of requests currently inside
-/// the handler — so the operator can detect quiescence à la
-/// Matevska-Meyer instead of guessing — and a way to refuse *new* work
-/// with a retryable answer (`503` + `Retry-After`, GIOP `TRANSIENT`)
-/// while the in-flight requests run to completion. The admission order
-/// (increment, then check the drain flag, SeqCst both sides) guarantees
-/// that once a drainer has set the flag and observed
-/// `in_flight() == 0`, no request can slip past it into the handler.
-#[derive(Debug, Default)]
-pub struct ServerGate {
-    in_flight: AtomicU64,
-    draining: AtomicBool,
-    retry_after_ms: AtomicU64,
-}
-
-/// One admitted request; dropping it — on return or on unwind — takes
-/// the request out of [`ServerGate::in_flight`].
-struct InFlight<'a>(&'a ServerGate);
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl ServerGate {
-    /// Admits one request and runs `handler` for it, counted in
-    /// [`ServerGate::in_flight`] until `handler` returns or unwinds.
-    ///
-    /// # Errors
-    ///
-    /// While draining: the retry hint to refuse the request with.
-    /// `handler` did not run, so a client retry is always safe.
-    pub fn enter<T>(&self, handler: impl FnOnce() -> T) -> Result<T, Duration> {
-        // Increment *before* checking the flag: with SeqCst, a drainer
-        // that stores the flag and then reads a zero count knows no
-        // admission can still be racing toward the handler.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let _in_flight = InFlight(self);
-        if self.draining.load(Ordering::SeqCst) {
-            return Err(Duration::from_millis(
-                self.retry_after_ms.load(Ordering::SeqCst),
-            ));
-        }
-        Ok(handler())
-    }
-
-    /// Requests currently executing inside the handler.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Starts refusing new requests, hinting clients to retry after
-    /// `retry_after`; requests already inside the handler run to
-    /// completion.
-    pub fn begin_drain(&self, retry_after: Duration) {
-        self.retry_after_ms
-            .store(retry_after.as_millis() as u64, Ordering::SeqCst);
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Resumes normal admission.
-    pub fn end_drain(&self) {
-        self.draining.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the gate is currently refusing new requests.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-}
-
-/// Wraps the application handler with the server's [`ServerGate`].
-struct GatedHandler {
-    inner: Arc<dyn Handler>,
-    gate: Arc<ServerGate>,
-}
-
-impl Handler for GatedHandler {
-    fn handle(&self, req: &Request) -> Response {
-        self.gate
-            .enter(|| self.inner.handle(req))
-            .unwrap_or_else(|retry_after| Response::unavailable("server draining", retry_after))
-    }
-
-    /// A draining server forwards nothing: the request goes to
-    /// [`GatedHandler::handle`], which refuses it. A relay is accounted
-    /// by its target ([`Upstream::release`]), not in this gate.
-    fn forward(&self, method: Method, path: &str) -> Option<Arc<dyn Upstream>> {
-        if self.gate.is_draining() {
-            return None;
-        }
-        self.inner.forward(method, path)
     }
 }
 
@@ -289,7 +164,6 @@ impl PoolConfig {
 pub struct HttpServer {
     addr: Addr,
     serving: Serving<HttpWire>,
-    gate: Arc<ServerGate>,
 }
 
 impl fmt::Debug for HttpServer {
@@ -329,14 +203,9 @@ impl HttpServer {
                 "pool config must be non-zero: {cfg:?}"
             )));
         }
-        let gate = Arc::new(ServerGate::default());
-        let handler: Arc<dyn Handler> = Arc::new(GatedHandler {
-            inner: Arc::new(handler),
-            gate: gate.clone(),
-        });
         let listener = Listener::bind(addr)?;
         let local = listener.local_addr();
-        let wire = HttpWire::new(&local.to_string(), cfg, handler);
+        let wire = HttpWire::new(&local.to_string(), cfg, Arc::new(handler));
         Ok(HttpServer {
             addr: local,
             serving: Serving::start(
@@ -347,18 +216,7 @@ impl HttpServer {
                 cfg.queue_depth,
                 "http_queue_depth",
             ),
-            gate,
         })
-    }
-
-    /// The server's drain gate (in-flight accounting + drain-mode 503s).
-    pub fn gate(&self) -> &Arc<ServerGate> {
-        &self.gate
-    }
-
-    /// Requests currently executing inside the application handler.
-    pub fn in_flight(&self) -> u64 {
-        self.gate.in_flight()
     }
 
     /// The bound address, e.g. `tcp://127.0.0.1:41234`.
@@ -392,6 +250,7 @@ mod tests {
     use crate::message::Status;
     use obs::sync::{Condvar, Mutex};
     use std::io::{Read, Write};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     /// One engine serves both schemes, so every test body runs on both:
@@ -690,22 +549,6 @@ mod tests {
             let mut conn = HttpClient::new().connect(&server.base_url()).unwrap();
             let resp = conn.send(&req).unwrap();
             assert_eq!(resp.status(), 400);
-            server.shutdown();
-        });
-    }
-
-    #[test]
-    fn drain_refuses_with_retry_hint_and_counts_in_flight() {
-        on_both_schemes("srv-drain", |addr| {
-            let server = HttpServer::bind(addr, echo_handler).unwrap();
-            let client = HttpClient::new();
-            server.gate().begin_drain(Duration::from_millis(40));
-            let resp = client.get(&server.base_url()).unwrap();
-            assert_eq!(resp.status(), 503);
-            assert_eq!(resp.retry_after(), Some(Duration::from_millis(40)));
-            server.gate().end_drain();
-            assert_eq!(client.get(&server.base_url()).unwrap().status(), 200);
-            assert_eq!(server.in_flight(), 0);
             server.shutdown();
         });
     }

@@ -4,13 +4,15 @@
 //! The paper's §5.7 recency machinery — republish the interface
 //! document, and every client stub reconverges on its next call — is
 //! exactly the hook horizontal scale-out needs. This crate
-//! consistent-hashes classes across N SDE backends (shards), fronts
-//! both wires behind stable addresses (an HTTP reverse proxy for
-//! SOAP + interface documents, an L4 splice per CORBA class for GIOP),
-//! health-checks every shard with the PR 3 circuit-breaker machinery,
+//! consistent-hashes classes across N SDE backends (shards) and fronts
+//! both wires behind stable addresses: one HTTP front serves every
+//! class's interface documents and relays SOAP calls, one GIOP front
+//! relays CORBA calls routed by object key — both on the one connection
+//! engine, and both admitting each call through the class's front gate.
+//! It health-checks every shard with the PR 3 circuit-breaker machinery
 //! and — when a shard dies — promotes its WAL-replicating follower:
 //!
-//! 1. **detect** — probe/forward failures trip the shard's breaker;
+//! 1. **detect** — probe/relay failures trip the shard's breaker;
 //! 2. **replay** — [`sde::SdeManager::with_authority`] adopts the
 //!    follower's replica log and floors every class at
 //!    `version >= pre-crash`;
@@ -29,16 +31,17 @@
 //! The same machinery also runs as a *planned* operation
 //! ([`Router::move_class`], [`Router::drain_shard`],
 //! [`Router::rolling_restart`]): catch-up replication while the source
-//! serves, a bounded drain to quiescence, and an atomic handoff — live
-//! rebalancing and rolling restarts with zero failed calls.
+//! serves, a bounded drain of the front gate to quiescence (the source
+//! then waits out any call a relay gave up on before it hands the class
+//! over), and an atomic handoff — live rebalancing and rolling restarts
+//! with zero failed calls.
 
+mod front;
 mod migrate;
-mod proxy;
 mod ring;
 #[allow(clippy::module_inception)]
 mod router;
 
 pub use migrate::{MigrationCtl, MigrationEvent, MigrationHandle, MoveOpts};
-pub use proxy::GiopProxy;
 pub use ring::HashRing;
 pub use router::{ClassSpec, FailoverEvent, Router, RouterConfig, RouterError, ShardStatus, Wire};

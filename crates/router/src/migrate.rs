@@ -7,21 +7,23 @@
 //! 1. **Catch-up** — a private [`WalFollower`] streams the source
 //!    shard's WAL to a replica over the normal replication protocol
 //!    while the source keeps serving. No client notices anything.
-//! 2. **Drain** — the front admission gate for the class flips to
-//!    draining (new SOAP calls get 503 + a jittered Retry-After, which
-//!    the CDE client stack already honors), the source backend's own
-//!    gates follow (the ORB answers `TRANSIENT` with the same hint for
-//!    the CORBA wire), and the migration waits for every in-flight
-//!    call to complete — Matevska-Meyer quiescence, bounded by
-//!    `drain_deadline`. With the class quiescent the WAL is frozen, so
-//!    the replica converges *exactly*.
+//! 2. **Drain** — the class's front gate, which every call on either
+//!    wire crosses, flips to draining (new SOAP calls get 503 + a
+//!    jittered Retry-After, CORBA calls `TRANSIENT` with the same hint;
+//!    the CDE client stack honors both), and the migration waits for
+//!    every in-flight call to complete — Matevska-Meyer quiescence,
+//!    bounded by `drain_deadline`. Then the class — dynamic class, live
+//!    instance, exactly-once reply cache — is exported: the source
+//!    retires the instance and waits out any call still running on it
+//!    (one whose relay already ended), so the capture is final. With the
+//!    class quiescent the WAL is frozen, so the replica converges
+//!    *exactly*.
 //! 3. **Handoff** — version floors are read from the streamed replica
 //!    (not from source memory) and appended to the target's WAL, the
-//!    class — dynamic class, live instance, exactly-once reply cache —
-//!    is exported and imported, the target force-publishes (§5.7
+//!    export is imported, the target force-publishes (§5.7
 //!    recency: the first document clients fetch is at `version >=
-//!    source`), and the routing table plus the stable GIOP proxy swap
-//!    in one step under the source shard's lock.
+//!    source`), and the route swaps — for both wires — in one step
+//!    under the source shard's lock.
 //!
 //! Everything before the handoff commit is non-destructive: a cancel,
 //! a timeout, or a real source death at any earlier point aborts the
@@ -29,16 +31,16 @@
 //! into the unplanned failover path, which serves the class from the
 //! promoted follower exactly as if no migration had been attempted.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cde::CircuitBreaker;
-use sde::{PublicationStrategy, SdeConfig, SdeManager, VersionWal, WalFollower};
+use sde::{ClassExport, SdeError, SdeManager, VersionWal, WalFollower};
 
 use crate::router::{
-    authority_of, fresh_addr, rerr, start_backend, ClassSpec, Route, RouterError, RouterInner, Wire,
+    leader_manager, next_generation, rerr, ClassGate, ClassSpec, Route, RouterError, RouterInner,
 };
 
 /// Ceiling on the initial catch-up phase; generous because it runs
@@ -56,10 +58,11 @@ pub struct MigrationEvent {
     /// Drain start → quiescence + exact WAL convergence. Together with
     /// `handoff_ms` this is the pause clients can observe.
     pub drain_ms: f64,
-    /// Export, floor transfer, import, republish, route + proxy swap.
+    /// Floor transfer, import, republish, route swap.
     pub handoff_ms: f64,
     pub total_ms: f64,
-    /// Calls answered 503 at the front gate while the class drained.
+    /// Calls refused at the front gate (503 or `TRANSIENT`) while the
+    /// class drained.
     pub parked_calls: u64,
     /// Records in the streamed catch-up replica at handoff.
     pub wal_records: u64,
@@ -179,7 +182,7 @@ pub(crate) fn run_migration(
     // Snapshot the source. `src_gen` is the fencepost for the whole
     // operation: any later generation bump means a real failover ran,
     // and the failover's view wins over ours.
-    let (spec, src_gen, repl_addr, src_wal, src_manager) = {
+    let (spec, src_gen, repl_addr, src_manager) = {
         let shard = inner.shards[from_shard].lock();
         if shard.dead {
             return Err(rerr(format!("shard {from_shard} is dead")));
@@ -190,19 +193,16 @@ pub(crate) fn run_migration(
             .find(|c| c.name == class)
             .cloned()
             .ok_or_else(|| rerr(format!("{class} not homed on shard {from_shard}")))?;
-        let wal = shard
-            .backend
-            .manager
-            .wal()
-            .ok_or_else(|| rerr("source backend has no WAL"))?;
         (
             spec,
             shard.generation,
             shard.backend.replicator.addr().to_string(),
-            wal,
             shard.backend.manager.clone(),
         )
     };
+    let src_wal = src_manager
+        .wal()
+        .ok_or_else(|| rerr("source backend has no WAL"))?;
     let seq = inner.migration_seq.fetch_add(1, Ordering::SeqCst);
     obs::trace::event(
         "router",
@@ -215,10 +215,16 @@ pub(crate) fn run_migration(
     let mig_dir = inner.cfg.wal_root.join(format!("mig-{seq}-{class}"));
     std::fs::create_dir_all(&mig_dir).map_err(rerr)?;
     let replica_path = mig_dir.join("replica.wal");
-    let catchup = WalFollower::start(&repl_addr, &replica_path);
-    if !catchup.wait_caught_up(src_wal.durable_len(), CATCHUP_TIMEOUT) {
-        catchup.stop();
-        let _ = std::fs::remove_dir_all(&mig_dir);
+    let mut undo = Undo {
+        catchup: Some(WalFollower::start(&repl_addr, &replica_path)),
+        dir: mig_dir,
+        drained: None,
+        exported: None,
+    };
+    if !undo
+        .catchup()
+        .wait_caught_up(src_wal.durable_len(), CATCHUP_TIMEOUT)
+    {
         return Err(rerr(format!("catch-up for {class} timed out")));
     }
     let catchup_ms = catchup_started.elapsed().as_secs_f64() * 1e3;
@@ -227,14 +233,10 @@ pub(crate) fn run_migration(
     let settle_deadline = Instant::now() + opts.settle;
     loop {
         if ctl.is_cancelled() {
-            catchup.stop();
-            let _ = std::fs::remove_dir_all(&mig_dir);
             obs::trace::event("router", "migration-cancelled", format!("class={class}"));
-            return Err(rerr(format!("move of {class} cancelled; source untouched")));
+            return Err(cancelled(class));
         }
         if source_superseded(inner, from_shard, src_gen) {
-            catchup.stop();
-            let _ = std::fs::remove_dir_all(&mig_dir);
             return Err(rerr(format!(
                 "source shard {from_shard} failed over during catch-up; failover won"
             )));
@@ -246,64 +248,48 @@ pub(crate) fn run_migration(
     }
 
     // ---- Phase 2: drain ----------------------------------------------
+    // The front gate is the one point every call of the class crosses,
+    // on either wire: once it reads zero in flight, no new call reaches
+    // the source. It counts a call until its relay ends, though, and a
+    // relay can end first (timed out, or its client left): the source's
+    // export then retires the instance and waits out its own calls.
     let drain_started = Instant::now();
     let drain_deadline = drain_started + inner.cfg.drain_deadline;
+    let missed = || {
+        rerr(format!(
+            "drain of {class} missed the {}ms deadline; source untouched",
+            inner.cfg.drain_deadline.as_millis()
+        ))
+    };
     let gate = inner.class_gate(class);
     let parked_before = gate.parked.load(Ordering::SeqCst);
-    // The backend's own gates close too: a front call that snapshotted
-    // its route before our flag flipped — or a CORBA call, which rides
-    // the GIOP proxy and never sees the front gate — gets a retryable
-    // refusal from the source itself.
-    let backend_gates: Vec<_> = [
-        src_manager.soap_server(class).map(|s| s.gate().clone()),
-        src_manager.corba_server(class).map(|s| s.gate().clone()),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
     gate.draining.store(true, Ordering::SeqCst);
-    for g in &backend_gates {
-        g.begin_drain(inner.cfg.retry_after);
-    }
-    let reopen = || {
-        for g in &backend_gates {
-            g.end_drain();
+    undo.drained = Some(gate.clone());
+    while gate.in_flight.load(Ordering::SeqCst) != 0 {
+        if ctl.is_cancelled() {
+            return Err(cancelled(class));
         }
-        gate.draining.store(false, Ordering::SeqCst);
-    };
-
-    // Quiescence: no call in flight at the front for this class, none
-    // inside the source backend's servers.
-    loop {
-        let quiescent = gate.in_flight.load(Ordering::SeqCst) == 0
-            && backend_gates.iter().all(|g| g.in_flight() == 0);
-        if quiescent {
-            break;
-        }
-        if ctl.is_cancelled() || Instant::now() >= drain_deadline {
-            reopen();
-            catchup.stop();
-            let _ = std::fs::remove_dir_all(&mig_dir);
-            return Err(if ctl.is_cancelled() {
-                rerr(format!("move of {class} cancelled; source untouched"))
-            } else {
-                rerr(format!(
-                    "drain of {class} missed the {}ms deadline; source untouched",
-                    inner.cfg.drain_deadline.as_millis()
-                ))
-            });
+        if Instant::now() >= drain_deadline {
+            return Err(missed());
         }
         std::thread::sleep(Duration::from_micros(500));
     }
+    let export = src_manager
+        .export_class(
+            class,
+            drain_deadline.saturating_duration_since(Instant::now()),
+        )
+        .map_err(|e| match e {
+            SdeError::State(_) => missed(),
+            e => rerr(format!("export of {class} failed: {e}")),
+        })?;
+    undo.exported = Some((src_manager, export));
     // The class is quiescent, so its WAL is frozen: demand *exact*
     // convergence before moving anything.
-    if !catchup.wait_caught_up(
+    if !undo.catchup().wait_caught_up(
         src_wal.durable_len(),
         drain_deadline.saturating_duration_since(Instant::now()),
     ) {
-        reopen();
-        catchup.stop();
-        let _ = std::fs::remove_dir_all(&mig_dir);
         return Err(rerr(format!(
             "replica did not converge while {class} drained; source untouched"
         )));
@@ -314,7 +300,7 @@ pub(crate) fn run_migration(
     let handoff_started = Instant::now();
     // Floors travel via the replica the walrepl protocol built — not
     // via shared memory — so what moves is exactly what was streamed.
-    catchup.stop();
+    drop(undo.catchup.take());
     let replica = VersionWal::open(&replica_path).map_err(rerr)?;
     let wal_records = replica.record_count();
     let floors: Vec<(String, u64)> = [format!("/{class}.wsdl"), format!("/{class}.idl")]
@@ -324,68 +310,30 @@ pub(crate) fn run_migration(
     drop(replica);
 
     if ctl.is_cancelled() {
-        reopen();
-        let _ = std::fs::remove_dir_all(&mig_dir);
-        return Err(rerr(format!("move of {class} cancelled; source untouched")));
+        return Err(cancelled(class));
     }
 
-    // Export → import → commit, all under the source shard's lock: a
-    // failover either completed before we got the lock (generation
-    // moved — it wins, we abort untouched) or queues behind us and
-    // finds the class already gone from `classes` (nothing to
-    // redeploy).
-    let from_guard = inner.shards[from_shard].lock();
+    // Import → commit, under the source shard's lock: a failover either
+    // completed before we got the lock (generation moved — it wins, we
+    // abort untouched) or queues behind us and finds the class already
+    // gone from `classes` (nothing to redeploy).
+    let mut from_guard = inner.shards[from_shard].lock();
     if from_guard.generation != src_gen || from_guard.dead {
-        drop(from_guard);
-        reopen();
-        let _ = std::fs::remove_dir_all(&mig_dir);
         return Err(rerr(format!(
             "source shard {from_shard} failed over during drain; failover won"
         )));
     }
-    let export = match from_guard.backend.manager.export_class(class) {
-        Ok(e) => e,
-        Err(e) => {
-            drop(from_guard);
-            reopen();
-            let _ = std::fs::remove_dir_all(&mig_dir);
-            return Err(rerr(format!("export of {class} failed: {e}")));
-        }
-    };
-    let imported = import_at_target(inner, to_shard, &spec, &floors, export);
-    let (new_route, target_orb) = match imported {
-        Ok(v) => v,
-        Err(e) => {
-            drop(from_guard);
-            reopen();
-            let _ = std::fs::remove_dir_all(&mig_dir);
-            return Err(e);
-        }
-    };
+    let new_route = import_at_target(inner, to_shard, &spec, &floors, undo.export())?;
 
-    // Commit: route and GIOP proxy swap. From here the migration
-    // always completes.
+    // Commit: the route swap. From here the migration always completes.
+    // Front connections still linked to the source find a new route
+    // `Arc` on their next call and reconnect.
     inner.routes.write().insert(class.to_string(), new_route);
-    if let (Some(proxy), Some(orb)) = (inner.giop.get(class), target_orb) {
-        proxy.set_target(orb);
-        let weak = Arc::downgrade(inner);
-        proxy.set_on_error(Arc::new(move || {
-            if let Some(inner) = weak.upgrade() {
-                inner.note_failure(to_shard);
-            }
-        }));
-    }
-
-    // Retire the source copy. Front connections still linked to its
-    // endpoint find a new route `Arc` on their next call and reconnect.
-    let mut from_guard = from_guard;
     from_guard.classes.retain(|c| c.name != class);
-    from_guard.backend.soap_endpoints.remove(class);
-    let src_manager = from_guard.backend.manager.clone();
     drop(from_guard);
+    let (src_manager, _) = undo.exported.take().expect("exported above");
     let _ = src_manager.undeploy(class);
-    reopen();
-    let _ = std::fs::remove_dir_all(&mig_dir);
+    drop(undo); // reopens the gate
     let handoff_ms = handoff_started.elapsed().as_secs_f64() * 1e3;
 
     let event = MigrationEvent {
@@ -415,6 +363,47 @@ pub(crate) fn run_migration(
     Ok(event)
 }
 
+fn cancelled(class: &str) -> RouterError {
+    rerr(format!("move of {class} cancelled; source untouched"))
+}
+
+/// What a migration has set up, undone when it ends — on every abort
+/// path, and behind the commit: the catch-up follower stops (before its
+/// directory goes), an export the commit did not take goes back to the
+/// source (before the gate lets calls at it), the drained gate reopens,
+/// the replica directory is removed.
+struct Undo {
+    catchup: Option<WalFollower>,
+    dir: PathBuf,
+    drained: Option<Arc<ClassGate>>,
+    exported: Option<(Arc<SdeManager>, ClassExport)>,
+}
+
+impl Undo {
+    fn catchup(&self) -> &WalFollower {
+        self.catchup
+            .as_ref()
+            .expect("catch-up runs until the handoff")
+    }
+
+    fn export(&self) -> &ClassExport {
+        &self.exported.as_ref().expect("exported by the drain").1
+    }
+}
+
+impl Drop for Undo {
+    fn drop(&mut self) {
+        drop(self.catchup.take());
+        if let Some((source, export)) = self.exported.take() {
+            let _ = source.unexport_class(&export);
+        }
+        if let Some(gate) = &self.drained {
+            gate.draining.store(false, Ordering::SeqCst);
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 /// True once shard `n` is no longer serving generation `gen` (a real
 /// failover superseded the planned operation).
 fn source_superseded(inner: &Arc<RouterInner>, n: usize, gen: u64) -> bool {
@@ -427,15 +416,15 @@ fn source_superseded(inner: &Arc<RouterInner>, n: usize, gen: u64) -> bool {
 
 /// Installs an exported class on the target shard: floors into the
 /// WAL first (deployment applies them via the restart path), then
-/// import, republish, endpoint bookkeeping. Rolls the target back on
-/// any partial failure.
+/// import and republish. Rolls the target back on any partial failure.
+/// Returns the class's route there.
 fn import_at_target(
     inner: &Arc<RouterInner>,
     to_shard: usize,
     spec: &ClassSpec,
     floors: &[(String, u64)],
-    export: sde::ClassExport,
-) -> Result<(Arc<Route>, Option<String>), RouterError> {
+    export: &ClassExport,
+) -> Result<Arc<Route>, RouterError> {
     let mut to_guard = inner.shards[to_shard].lock();
     if to_guard.dead {
         return Err(rerr(format!("target shard {to_shard} is dead")));
@@ -454,32 +443,8 @@ fn import_at_target(
         let _ = manager.undeploy(&spec.name);
         return Err(rerr(format!("republish of {} failed: {e}", spec.name)));
     }
-    let mut target_orb = None;
-    match spec.wire {
-        Wire::Soap => {
-            let url = manager
-                .soap_server(&spec.name)
-                .map(|s| s.endpoint_url())
-                .ok_or_else(|| rerr("imported SOAP class has no endpoint"))?;
-            to_guard
-                .backend
-                .soap_endpoints
-                .insert(spec.name.clone(), (authority_of(&url), url));
-        }
-        Wire::Corba => {
-            target_orb = Some(
-                manager
-                    .corba_server(&spec.name)
-                    .map(|s| s.ior().address)
-                    .ok_or_else(|| rerr("imported CORBA class has no ORB"))?,
-            );
-        }
-    }
     to_guard.classes.push(spec.clone());
-    Ok((
-        inner.route_for(to_shard, spec, &to_guard.backend),
-        target_orb,
-    ))
+    Ok(inner.route_for(to_shard, spec, &to_guard.backend))
 }
 
 /// Migrates every class off shard `n` to its ring placement with `n`
@@ -573,42 +538,11 @@ fn do_restart(inner: &Arc<RouterInner>, n: usize) -> Result<(), RouterError> {
     if !shard.classes.is_empty() {
         return Err(rerr(format!("shard {n} must be drained before restart")));
     }
-    let old_gen = shard.generation;
-    let old_doc_authority = shard.backend.doc_authority.clone();
-    shard.backend.manager.shutdown();
-    shard.backend.replicator.shutdown();
-    if let Some(f) = shard.backend.follower.take() {
-        f.stop();
-    }
-    let generation = old_gen + 1;
-    let ifc_addr = fresh_addr(
-        inner.cfg.transport,
-        &inner.cfg.tag,
-        &format!("s{n}g{generation}-ifc"),
-    );
-    let manager = Arc::new(
-        SdeManager::with_interface_addr(
-            SdeConfig {
-                transport: inner.cfg.transport,
-                strategy: PublicationStrategy::ChangeDriven,
-                wal_dir: Some(inner.cfg.wal_root.join(format!("s{n}-leader"))),
-            },
-            &ifc_addr,
-        )
-        .map_err(rerr)?,
-    );
-    let backend = start_backend(&inner.cfg, n, generation, &[], manager)?;
-    *inner.breakers[n].write() = Arc::new(CircuitBreaker::new(
-        &backend.doc_authority,
-        inner.cfg.failure_threshold,
-        Duration::from_millis(100),
-    ));
-    shard.generation = generation;
-    shard.backend = backend;
-    shard.dead = false;
+    next_generation(inner, n, &mut shard, |addr| {
+        leader_manager(&inner.cfg, n, addr)
+    })?;
+    let generation = shard.generation;
     drop(shard);
-    *inner.suspected_at[n].lock() = None;
-    inner.purge_retired_generation(n, old_gen, &old_doc_authority);
     obs::registry().counter("router_restarts_total").inc();
     obs::trace::event(
         "router",

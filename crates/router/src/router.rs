@@ -1,5 +1,5 @@
-//! The router proper: shard lifecycle, the front HTTP proxy, health
-//! checking, and the failover state machine.
+//! The router proper: shard lifecycle, health checking, and the
+//! failover state machine (the fronts are in `front.rs`).
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -9,20 +9,18 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cde::{BreakerState, CircuitBreaker};
-use corba::Ior;
-use httpd::{
-    Connection, ConnectionPool, Handler, HttpClient, HttpError, HttpServer, Method, Request,
-    Response, Status, Upstream,
-};
+use httpd::engine::Serving;
+use httpd::transport::Listener;
+use httpd::{Connection, ConnectionPool, HttpClient, HttpError, HttpServer, PoolConfig, Request};
 use jpie::Value;
 use obs::metrics::{Counter, Histogram};
 use obs::rng::XorShift64;
 use obs::sync::{Mutex, RwLock};
-use sde::{PublicationStrategy, SdeConfig, SdeManager, SdeServerGateway, TransportKind};
+use sde::{PublicationStrategy, SdeConfig, SdeError, SdeManager, SdeServerGateway, TransportKind};
 use sde::{WalFollower, WalReplicator};
 
+use crate::front::{FrontHandler, GiopFront};
 use crate::migrate::{self, MigrationCtl, MigrationEvent, MigrationHandle, MoveOpts};
-use crate::proxy::GiopProxy;
 use crate::ring::HashRing;
 
 /// Which wire a class serves.
@@ -186,8 +184,6 @@ pub struct ShardStatus {
 pub(crate) struct Backend {
     pub(crate) manager: Arc<SdeManager>,
     pub(crate) doc_authority: String,
-    /// Backend SOAP endpoint per class: (authority, full URL).
-    pub(crate) soap_endpoints: HashMap<String, (String, String)>,
     pub(crate) replicator: WalReplicator,
     pub(crate) follower: Option<WalFollower>,
     pub(crate) follower_dir: PathBuf,
@@ -200,36 +196,35 @@ pub(crate) struct Shard {
     pub(crate) dead: bool,
 }
 
-/// What the front handler needs per class, snapshotted under RwLock so
-/// the hot path never touches a shard mutex. Immutable: a failover or
-/// migration swaps in a new `Arc`, and the swap is what retires every
-/// front connection's upstream to the old backend (`Handler::forward`
+/// What the fronts need per class, snapshotted under RwLock so the hot
+/// path never touches a shard mutex. Immutable: a failover or migration
+/// swaps in a new `Arc`, and the swap is what retires every front
+/// connection's upstream to the old backend, on both wires (the engine
 /// keeps an upstream only while its target is the same `Arc`).
 pub(crate) struct Route {
     pub(crate) shard: usize,
     pub(crate) wire: Wire,
     pub(crate) doc_authority: String,
-    /// Authority of the backend SOAP endpoint (forward target).
-    pub(crate) soap_authority: String,
-    /// Full backend endpoint URL (the needle rewritten out of WSDL).
+    /// Where calls go: the backend's SOAP endpoint authority, or its
+    /// ORB's address.
+    pub(crate) authority: String,
+    /// Full backend SOAP endpoint URL (the needle rewritten out of
+    /// WSDL); empty for a CORBA class.
     pub(crate) soap_url: String,
-    /// The class's admission gate, which a forward holds until it ends.
-    gate: Arc<ClassGate>,
-    inner: Weak<RouterInner>,
+    /// The class's admission gate, which a relay holds until it ends.
+    pub(crate) gate: Arc<ClassGate>,
+    pub(crate) inner: Weak<RouterInner>,
 }
 
-/// Per-class admission gate at the front proxy. A drain sets
-/// `draining` and waits for `in_flight` to reach zero; the hot path
-/// increments `in_flight` *before* checking the flag (and before it
-/// reads the route), so under SeqCst ordering no call can slip past an
-/// observed-quiescent gate (Matevska-Meyer quiescence, at the routing
-/// tier). A forwarded call stays counted until its relay ends —
-/// answered, failed, or its connection swept.
+/// Per-class admission gate at the router front — the only gate a
+/// routed call crosses, SOAP or CORBA ([`RouterInner::admit`]). A drain
+/// sets `draining` and waits for `in_flight` to reach zero.
 #[derive(Default)]
 pub(crate) struct ClassGate {
     pub(crate) draining: AtomicBool,
     pub(crate) in_flight: AtomicU64,
-    /// Calls answered 503 while draining (the "pause" the client saw).
+    /// Calls refused while draining — 503 or `TRANSIENT`, the "pause"
+    /// the client saw.
     pub(crate) parked: AtomicU64,
 }
 
@@ -238,15 +233,16 @@ pub(crate) struct RouterInner {
     pub(crate) ring: HashRing,
     pub(crate) shards: Vec<Mutex<Shard>>,
     pub(crate) routes: RwLock<HashMap<String, Arc<Route>>>,
-    /// Stable GIOP front per CORBA class.
-    pub(crate) giop: HashMap<String, Arc<GiopProxy>>,
-    /// Interface-document fetches (SOAP calls are relayed by the front
-    /// server's engine instead).
+    /// Interface-document fetches (calls are relayed by the fronts'
+    /// engine instead).
     pub(crate) pool: ConnectionPool,
-    /// `router_forward_total{kind="call"}` and `router_call_forward_ns`.
-    call_forwards: Arc<Counter>,
-    call_forward_ns: Arc<Histogram>,
+    /// `router_forward_total{kind="call"}` and `router_call_forward_ns`,
+    /// for both wires.
+    pub(crate) call_forwards: Arc<Counter>,
+    pub(crate) call_forward_ns: Arc<Histogram>,
     pub(crate) front_base: RwLock<String>,
+    /// The GIOP front's address: what every rewritten IOR carries.
+    pub(crate) giop_addr: String,
     pub(crate) breakers: Vec<RwLock<Arc<CircuitBreaker>>>,
     pub(crate) failing_over: Vec<AtomicBool>,
     /// First failure signal per shard since the last success, for the
@@ -273,6 +269,7 @@ pub(crate) struct RouterInner {
 pub struct Router {
     inner: Arc<RouterInner>,
     front: HttpServer,
+    giop_front: Serving<GiopFront>,
     health: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -322,37 +319,18 @@ impl Router {
         }
 
         let mut shards = Vec::with_capacity(cfg.shards);
-        let mut giop = HashMap::new();
+        let mut giop_classes = HashMap::new();
         let mut breakers = Vec::with_capacity(cfg.shards);
         for (i, specs) in per_shard.into_iter().enumerate() {
             let ifc_addr = fresh_addr(cfg.transport, &cfg.tag, &format!("s{i}g0-ifc"));
-            let leader_dir = cfg.wal_root.join(format!("s{i}-leader"));
-            let manager = Arc::new(
-                SdeManager::with_interface_addr(
-                    SdeConfig {
-                        transport: cfg.transport,
-                        strategy: PublicationStrategy::ChangeDriven,
-                        wal_dir: Some(leader_dir),
-                    },
-                    &ifc_addr,
-                )
-                .map_err(rerr)?,
-            );
+            let manager = Arc::new(leader_manager(&cfg, i, &ifc_addr).map_err(rerr)?);
             let backend = start_backend(&cfg, i, 0, &specs, manager)?;
-            for spec in &specs {
-                if spec.wire == Wire::Corba {
-                    let orb = backend
-                        .manager
-                        .corba_server(&spec.name)
-                        .map(|s| s.ior().address)
-                        .ok_or_else(|| rerr(format!("{} has no ORB", spec.name)))?;
-                    let front_addr =
-                        fresh_addr(cfg.transport, &cfg.tag, &format!("giop-{}", spec.name));
-                    giop.insert(
-                        spec.name.clone(),
-                        GiopProxy::start(&front_addr, orb).map_err(rerr)?,
-                    );
-                }
+            for spec in specs.iter().filter(|s| s.wire == Wire::Corba) {
+                let orb = backend
+                    .manager
+                    .corba_server(&spec.name)
+                    .ok_or_else(|| rerr(format!("{} has no ORB", spec.name)))?;
+                giop_classes.insert(orb.ior().object_key, spec.name.clone());
             }
             breakers.push(RwLock::new(Arc::new(CircuitBreaker::new(
                 &backend.doc_authority,
@@ -367,16 +345,18 @@ impl Router {
             }));
         }
 
+        let giop_listener =
+            Listener::bind(&fresh_addr(cfg.transport, &cfg.tag, "giop")).map_err(rerr)?;
         let registry = obs::registry();
         let inner = Arc::new(RouterInner {
             ring,
             shards,
             routes: RwLock::new(HashMap::new()),
-            giop,
             pool: ConnectionPool::new(HttpClient::new().with_read_timeout(Duration::from_secs(5))),
             call_forwards: registry.counter_with("router_forward_total", &[("kind", "call")]),
             call_forward_ns: registry.histogram("router_call_forward_ns"),
             front_base: RwLock::new(String::new()),
+            giop_addr: giop_listener.local_addr().to_string(),
             breakers,
             failing_over: (0..cfg.shards).map(|_| AtomicBool::new(false)).collect(),
             suspected_at: (0..cfg.shards).map(|_| Mutex::new(None)).collect(),
@@ -400,16 +380,6 @@ impl Router {
             }
         }
 
-        for (name, proxy) in &inner.giop {
-            let weak = Arc::downgrade(&inner);
-            let shard = inner.routes.read().get(name).expect("route exists").shard;
-            proxy.set_on_error(Arc::new(move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.note_failure(shard);
-                }
-            }));
-        }
-
         let front_addr = fresh_addr(inner.cfg.transport, &inner.cfg.tag, "front");
         let front = HttpServer::bind(
             &front_addr,
@@ -419,6 +389,20 @@ impl Router {
         )
         .map_err(rerr)?;
         *inner.front_base.write() = front.base_url();
+        // The GIOP front's pool only dials upstreams; sized like every
+        // server's by default.
+        let pool = PoolConfig::default();
+        let giop_front = Serving::start(
+            "router-giop",
+            giop_listener,
+            GiopFront {
+                inner: inner.clone(),
+                classes: giop_classes,
+            },
+            pool.workers,
+            pool.queue_depth,
+            "orb_dispatch_depth",
+        );
 
         let health = {
             let inner = inner.clone();
@@ -431,6 +415,7 @@ impl Router {
         Ok(Router {
             inner,
             front,
+            giop_front,
             health: Mutex::new(Some(health)),
         })
     }
@@ -645,9 +630,7 @@ impl Router {
             let _ = h.join();
         }
         self.front.shutdown();
-        for proxy in self.inner.giop.values() {
-            proxy.shutdown();
-        }
+        self.giop_front.shutdown();
         for shard in &self.inner.shards {
             let mut shard = shard.lock();
             shard.backend.manager.shutdown();
@@ -675,7 +658,6 @@ pub(crate) fn start_backend(
     specs: &[ClassSpec],
     manager: Arc<SdeManager>,
 ) -> Result<Backend, RouterError> {
-    let mut soap_endpoints = HashMap::new();
     for spec in specs {
         let class = jpie::parse::parse_class(&spec.source)
             .map_err(|e| rerr(format!("{}: {e}", spec.name)))?;
@@ -683,8 +665,6 @@ pub(crate) fn start_backend(
             Wire::Soap => {
                 let server = manager.deploy_soap(class).map_err(rerr)?;
                 server.create_instance().map_err(rerr)?;
-                let url = server.endpoint_url();
-                soap_endpoints.insert(spec.name.clone(), (authority_of(&url), url));
             }
             Wire::Corba => {
                 let server = manager.deploy_corba(class).map_err(rerr)?;
@@ -710,7 +690,6 @@ pub(crate) fn start_backend(
     Ok(Backend {
         doc_authority: manager.interface_server().base_url(),
         manager,
-        soap_endpoints,
         replicator,
         follower: Some(follower),
         follower_dir,
@@ -745,7 +724,7 @@ impl RouterInner {
         }
     }
 
-    fn note_success(&self, shard: usize) {
+    pub(crate) fn note_success(&self, shard: usize) {
         *self.suspected_at[shard].lock() = None;
         self.breakers[shard].read().on_success();
     }
@@ -757,16 +736,25 @@ impl RouterInner {
         spec: &ClassSpec,
         backend: &Backend,
     ) -> Arc<Route> {
-        let (soap_authority, soap_url) = backend
-            .soap_endpoints
-            .get(&spec.name)
-            .cloned()
-            .unwrap_or_default();
+        let manager = &backend.manager;
+        let (authority, soap_url) = match spec.wire {
+            Wire::Soap => manager
+                .soap_server(&spec.name)
+                .map(|s| {
+                    let url = s.endpoint_url();
+                    (authority_of(&url), url)
+                })
+                .unwrap_or_default(),
+            Wire::Corba => {
+                let orb = manager.corba_server(&spec.name).map(|s| s.ior().address);
+                (orb.unwrap_or_default(), String::new())
+            }
+        };
         Arc::new(Route {
             shard,
             wire: spec.wire,
             doc_authority: backend.doc_authority.clone(),
-            soap_authority,
+            authority,
             soap_url,
             gate: self.class_gate(&spec.name),
             inner: Arc::downgrade(self),
@@ -775,21 +763,21 @@ impl RouterInner {
 
     /// A forward that failed at the transport level: the backend either
     /// never saw the call or executed it on in-memory state that dies
-    /// with the shard — so answering 503 (retry shortly) preserves
-    /// exactly-once over surviving state, and the failure doubles as a
-    /// health signal.
-    fn forward_failed(
+    /// with the shard — so a retry shortly preserves exactly-once over
+    /// surviving state, and the failure doubles as a health signal.
+    /// Returns the retry hint.
+    pub(crate) fn forward_failed(
         self: &Arc<RouterInner>,
         shard: usize,
         kind: &str,
         e: &HttpError,
-    ) -> Response {
+    ) -> Duration {
         obs::registry()
             .counter_with("router_forward_errors_total", &[("kind", kind)])
             .inc();
         obs::trace::event("router", "forward-failed", format!("shard={shard} {e}"));
         self.note_failure(shard);
-        Response::unavailable("router: shard failing over", self.jittered_retry_after())
+        self.jittered_retry_after()
     }
 
     /// The front admission gate for `class`, created on first use.
@@ -859,67 +847,23 @@ impl RouterInner {
 /// follower's replica under a fresh authority, redeploy + republish,
 /// swap routes, re-arm replication.
 fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError> {
-    let started = Instant::now();
     let mut shard = inner.shards[shard_id].lock();
     let detect_ms = inner.suspected_at[shard_id]
         .lock()
         .map(|t| t.elapsed().as_secs_f64() * 1e3)
         .unwrap_or(0.0);
     shard.dead = true;
-
-    // Fence: the old backend must never serve (or replicate) again.
-    shard.backend.manager.shutdown();
-    shard.backend.replicator.shutdown();
-    let follower_dir = shard.backend.follower_dir.clone();
-    if let Some(f) = shard.backend.follower.take() {
-        f.stop(); // joins; the replica file is durable and quiescent
-    }
-    let old_doc_authority = shard.backend.doc_authority.clone();
-
-    // Replay: adopt the replica WAL under a brand-new authority.
-    let generation = shard.generation + 1;
-    let replay_started = Instant::now();
-    let ifc_addr = fresh_addr(
-        inner.cfg.transport,
-        &inner.cfg.tag,
-        &format!("s{shard_id}g{generation}-ifc"),
-    );
-    let manager = Arc::new(SdeManager::with_authority(&ifc_addr, &follower_dir).map_err(rerr)?);
-    let replay_ms = replay_started.elapsed().as_secs_f64() * 1e3;
-
-    // Republish: rebuild every class from source (floors come from the
-    // replicated WAL via restore_version_floor), force-publish, swap
-    // the routing table and the GIOP targets.
-    let republish_started = Instant::now();
-    let backend = start_backend(&inner.cfg, shard_id, generation, &shard.classes, manager)?;
-    {
-        let mut routes = inner.routes.write();
-        for spec in &shard.classes {
-            routes.insert(spec.name.clone(), inner.route_for(shard_id, spec, &backend));
-            if spec.wire == Wire::Corba {
-                if let (Some(proxy), Some(server)) = (
-                    inner.giop.get(&spec.name),
-                    backend.manager.corba_server(&spec.name),
-                ) {
-                    proxy.set_target(server.ior().address);
-                }
-            }
-        }
-    }
-    *inner.breakers[shard_id].write() = Arc::new(CircuitBreaker::new(
-        &backend.doc_authority,
-        inner.cfg.failure_threshold,
-        Duration::from_millis(100),
-    ));
-    inner.purge_retired_generation(shard_id, shard.generation, &old_doc_authority);
-    let republish_ms = republish_started.elapsed().as_secs_f64() * 1e3;
-
-    shard.generation = generation;
-    shard.backend = backend;
-    shard.dead = false;
-    *inner.suspected_at[shard_id].lock() = None;
+    // Replay: the promoted manager adopts the replica WAL, so every
+    // class's floor comes from the replicated records.
+    let replica = shard.backend.follower_dir.clone();
+    let (replay, republish) = next_generation(inner, shard_id, &mut shard, |addr| {
+        SdeManager::with_authority(addr, &replica)
+    })?;
+    let generation = shard.generation;
+    let classes = shard.classes.iter().map(|c| c.name.clone()).collect();
     drop(shard);
 
+    let (replay_ms, republish_ms) = (replay.as_secs_f64() * 1e3, republish.as_secs_f64() * 1e3);
     let event = FailoverEvent {
         shard: shard_id,
         generation,
@@ -927,10 +871,7 @@ fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError
         replay_ms,
         republish_ms,
         total_ms: detect_ms + replay_ms + republish_ms,
-        classes: {
-            let shard = inner.shards[shard_id].lock();
-            shard.classes.iter().map(|c| c.name.clone()).collect()
-        },
+        classes,
     };
     obs::registry().counter("router_failovers_total").inc();
     obs::registry()
@@ -944,9 +885,74 @@ fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError
             event.detect_ms, event.replay_ms, event.republish_ms
         ),
     );
-    let _ = started; // total wall time folded into the event fields
     *inner.last_failover.lock() = Some(event);
     Ok(())
+}
+
+/// Shard `n`'s leader manager at interface address `addr`, logging to
+/// the shard's leader WAL.
+pub(crate) fn leader_manager(
+    cfg: &RouterConfig,
+    n: usize,
+    addr: &str,
+) -> Result<SdeManager, SdeError> {
+    SdeManager::with_interface_addr(
+        SdeConfig {
+            transport: cfg.transport,
+            strategy: PublicationStrategy::ChangeDriven,
+            wal_dir: Some(cfg.wal_root.join(format!("s{n}-leader"))),
+        },
+        addr,
+    )
+}
+
+/// Moves shard `n` to its next generation — failover's promotion and a
+/// restart's bounce alike. Fences the old backend (manager, replicator
+/// and follower: it must never serve or replicate again), builds the
+/// new manager with `manager` at a fresh interface authority, starts the
+/// shard's classes on it and swaps their routes (the new route `Arc`s
+/// retire every front connection's upstream to the old backend, on both
+/// wires), then installs a fresh breaker, bumps the generation, clears
+/// the suspicion and purges the retired generation's document
+/// connections. Returns how long `manager` took, then the rest.
+pub(crate) fn next_generation(
+    inner: &Arc<RouterInner>,
+    n: usize,
+    shard: &mut Shard,
+    manager: impl FnOnce(&str) -> Result<SdeManager, SdeError>,
+) -> Result<(Duration, Duration), RouterError> {
+    shard.backend.manager.shutdown();
+    shard.backend.replicator.shutdown();
+    if let Some(f) = shard.backend.follower.take() {
+        f.stop(); // joins; the replica file is durable and quiescent
+    }
+    let generation = shard.generation + 1;
+    let started = Instant::now();
+    let addr = fresh_addr(
+        inner.cfg.transport,
+        &inner.cfg.tag,
+        &format!("s{n}g{generation}-ifc"),
+    );
+    let manager = Arc::new(manager(&addr).map_err(rerr)?);
+    let built = started.elapsed();
+    let backend = start_backend(&inner.cfg, n, generation, &shard.classes, manager)?;
+    {
+        let mut routes = inner.routes.write();
+        for spec in &shard.classes {
+            routes.insert(spec.name.clone(), inner.route_for(n, spec, &backend));
+        }
+    }
+    *inner.breakers[n].write() = Arc::new(CircuitBreaker::new(
+        &backend.doc_authority,
+        inner.cfg.failure_threshold,
+        Duration::from_millis(100),
+    ));
+    inner.purge_retired_generation(n, shard.generation, &shard.backend.doc_authority);
+    shard.backend = backend;
+    shard.generation = generation;
+    shard.dead = false;
+    *inner.suspected_at[n].lock() = None;
+    Ok((built, started.elapsed() - built))
 }
 
 /// A shard's health probe: a real HTTP request (any response — even a
@@ -1021,209 +1027,4 @@ fn health_loop(inner: &Arc<RouterInner>) {
         }
         std::thread::sleep(inner.cfg.health_interval);
     }
-}
-
-struct FrontHandler {
-    inner: Arc<RouterInner>,
-}
-
-impl Handler for FrontHandler {
-    fn handle(&self, req: &Request) -> Response {
-        let path = req.path();
-        let path = path.split('?').next().unwrap_or(path).to_string();
-        if let Some(class) = doc_class(&path) {
-            return self.proxy_doc(&class, &path, req);
-        }
-        if req.method() == Method::Post {
-            return self.unforwarded_call(&path);
-        }
-        Response::not_found("router: unknown path")
-    }
-
-    /// A SOAP call goes to its class's backend, relayed by the front
-    /// server's engine on the shard thread. Bodies (call ids and trace
-    /// context ride in the envelope) and end-to-end headers (the
-    /// reply-cache advertisement) pass through both ways untouched, so
-    /// the exactly-once machinery is completely unaware of the proxy.
-    ///
-    /// Drain admission: the call counts itself in-flight *before* it
-    /// reads the flag or the route, so a drainer that observes
-    /// `in_flight == 0` after setting `draining` knows no further call
-    /// can reach the backend (SeqCst totally orders the two). The count
-    /// is released by [`Upstream::release`] when the relay ends.
-    fn forward(&self, method: Method, path: &str) -> Option<Arc<dyn Upstream>> {
-        if method != Method::Post {
-            return None;
-        }
-        let class = call_class(path);
-        let gate = self.inner.class_gates.read().get(class)?.clone();
-        gate.in_flight.fetch_add(1, Ordering::SeqCst);
-        let route = if gate.draining.load(Ordering::SeqCst) {
-            None
-        } else {
-            self.inner
-                .routes
-                .read()
-                .get(class)
-                .filter(|r| r.wire == Wire::Soap && !r.soap_authority.is_empty())
-                .cloned()
-        };
-        if route.is_none() {
-            gate.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-        Some(route?)
-    }
-}
-
-/// The class a call is POSTed to: `/Calc?x` → `Calc`.
-fn call_class(path: &str) -> &str {
-    path.split('?')
-        .next()
-        .unwrap_or(path)
-        .trim_start_matches('/')
-}
-
-/// `/Calc.wsdl` → `Calc` (also `.idl` / `.ior`).
-fn doc_class(path: &str) -> Option<String> {
-    let name = path.strip_prefix('/')?;
-    for ext in [".wsdl", ".idl", ".ior"] {
-        if let Some(class) = name.strip_suffix(ext) {
-            if !class.is_empty() && !class.contains('/') {
-                return Some(class.to_string());
-            }
-        }
-    }
-    None
-}
-
-impl FrontHandler {
-    /// Forwards an interface-document fetch to the owning shard,
-    /// rewriting endpoint addresses so clients only ever see router
-    /// addresses.
-    fn proxy_doc(&self, class: &str, path: &str, req: &Request) -> Response {
-        let Some(route) = self.inner.routes.read().get(class).cloned() else {
-            return Response::not_found("router: unknown class");
-        };
-        let _span = obs::trace::span("router_doc_forward_ns");
-        let head = req.method() == Method::Head;
-        let mut fwd = if head {
-            Request::head(path)
-        } else {
-            Request::get(path)
-        };
-        if let Some(tag) = req.headers().get("If-None-Match") {
-            fwd.headers_mut().set("If-None-Match", tag);
-        }
-        let resp = match self.inner.pool.send(&route.doc_authority, &fwd) {
-            Ok(resp) => resp,
-            Err(e) => return self.inner.forward_failed(route.shard, "doc", &e),
-        };
-        self.inner.note_success(route.shard);
-        obs::registry()
-            .counter_with("router_forward_total", &[("kind", "doc")])
-            .inc();
-        let mut body = resp.body().to_vec();
-        if resp.status() == 200 {
-            if path.ends_with(".wsdl") && !route.soap_url.is_empty() {
-                // The backend's WSDL advertises its own endpoint; clients
-                // must call through the router instead.
-                let front = self.inner.front_base.read().clone();
-                body = String::from_utf8_lossy(&body)
-                    .replace(&route.soap_url, &format!("{front}/{class}"))
-                    .into_bytes();
-            } else if path.ends_with(".ior") {
-                // Same for the IOR: swap the backend ORB address for the
-                // class's stable GIOP proxy front.
-                if let (Some(proxy), Ok(text)) =
-                    (self.inner.giop.get(class), std::str::from_utf8(&body))
-                {
-                    if let Ok(mut ior) = Ior::parse(text) {
-                        ior.address = proxy.addr().to_string();
-                        body = ior.to_ior_string().into_bytes();
-                    }
-                }
-            }
-        }
-        let mut out = rebuild_response(&resp, body);
-        if head {
-            // A `HEAD` answer has no body to measure: the document's
-            // length is the backend's (clients poll it cheaply).
-            if let Some(len) = resp.headers().get("Content-Length") {
-                out.headers_mut().set("Content-Length", len);
-            }
-        }
-        out
-    }
-
-    /// A call `forward` did not claim: its class is unknown, not served
-    /// over SOAP, or draining — parked with a jittered `Retry-After`,
-    /// which the CDE client stack honours.
-    fn unforwarded_call(&self, path: &str) -> Response {
-        let Some(route) = self.inner.routes.read().get(call_class(path)).cloned() else {
-            return Response::not_found("router: unknown class");
-        };
-        if route.wire != Wire::Soap || route.soap_authority.is_empty() {
-            return Response::bad_request("router: not a SOAP class");
-        }
-        if route.gate.draining.load(Ordering::SeqCst) {
-            route.gate.parked.fetch_add(1, Ordering::SeqCst);
-            obs::registry().counter("router_drain_parked_total").inc();
-        }
-        Response::unavailable(
-            "router: class migrating, retry shortly",
-            self.inner.jittered_retry_after(),
-        )
-    }
-}
-
-/// The relay target of a SOAP call: the class's backend endpoint on the
-/// shard this route names.
-impl Upstream for Route {
-    fn authority(&self) -> &str {
-        &self.soap_authority
-    }
-
-    fn relayed(&self, _status: u16, took: Duration) {
-        if let Some(inner) = self.inner.upgrade() {
-            inner.note_success(self.shard);
-            inner.call_forwards.inc();
-            inner.call_forward_ns.record(took.as_nanos() as u64);
-        }
-    }
-
-    fn failed(&self, why: &HttpError) -> Response {
-        match self.inner.upgrade() {
-            Some(inner) => inner.forward_failed(self.shard, "call", why),
-            None => Response::unavailable("router: shut down", Duration::from_secs(1)),
-        }
-    }
-
-    fn release(&self) {
-        self.gate.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Copies headers across a proxy hop, skipping the ones that describe
-/// the connection rather than the message.
-fn copy_headers(src: &httpd::Headers, dst: &mut httpd::Headers) {
-    for (name, value) in src.iter() {
-        let hop = name.eq_ignore_ascii_case("host")
-            || name.eq_ignore_ascii_case("content-length")
-            || name.eq_ignore_ascii_case("content-type")
-            || name.eq_ignore_ascii_case("connection");
-        if !hop {
-            dst.set(name, value);
-        }
-    }
-}
-
-fn rebuild_response(resp: &Response, body: Vec<u8>) -> Response {
-    let content_type = resp
-        .headers()
-        .get("Content-Type")
-        .unwrap_or("application/octet-stream")
-        .to_string();
-    let mut out = Response::new(Status(resp.status()), body, &content_type);
-    copy_headers(resp.headers(), out.headers_mut());
-    out
 }

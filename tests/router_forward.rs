@@ -1,35 +1,46 @@
-//! The router's SOAP hop on the one engine, over `mem://` and `tcp://`.
+//! The router's hop on the one engine, for both wires, over `mem://` and
+//! `tcp://`.
 //!
-//! A SOAP call POSTed to the front is claimed by `Handler::forward` on
-//! the reactor thread and relayed by the engine's `Forwarding` state
-//! over a sticky nonblocking upstream: no dispatch worker, no parsed
-//! `Request`, no copy of either body. Two rigs:
+//! A SOAP call POSTed to the HTTP front is claimed by `Handler::forward`
+//! on the reactor thread, a GIOP `Request` to the GIOP front is routed
+//! by its object key, and either is relayed by the engine's `Forwarding`
+//! state over a sticky nonblocking upstream: no dispatch worker, no
+//! parsed request, no copy of either body, no thread per connection.
+//! Three rigs:
 //!
 //! * a bare forwarding front over a plain backend, where the test
 //!   controls the backend — restarts it at the same authority, kills it
 //!   mid-forward, sheds with `Connection: close`, echoes 4 MiB;
-//! * a real `Router` over two shards, for what only the router has —
-//!   pipelined SOAP calls, call ids and trace context end to end, the
-//!   class gate's quiescence, the connection pool left alone, calls that
-//!   keep flowing while every front worker is blocked, fd hygiene, and
-//!   the document path's `HEAD` and health probes.
+//! * a real `Router` over two shards serving SOAP, for what only the
+//!   router has — pipelined SOAP calls, call ids and trace context end to
+//!   end, the class gate's quiescence, the connection pool left alone,
+//!   calls that keep flowing while every front worker is blocked, fd
+//!   hygiene, and the document path's `HEAD` and health probes;
+//! * the same router serving CORBA, driven with raw GIOP frames — the
+//!   GIOP front's table: pipelining, one dial per connection, what it
+//!   answers without a backend, drain refusals, a dead backend, the
+//!   client's goodbye, fd hygiene, and a flat thread count.
 //!
 //! Every test reads process-wide counters, so they run one at a time.
 
+use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use corba::giop::{self, GiopBufs, LocateStatus, MsgType, ReplyBody, ReplyMessage};
+use corba::{Ior, OrbConnection, SystemExceptionKind};
 use httpd::fault::{self, FaultPlan, FaultRule};
 use httpd::transport::{connect, Stream};
 use httpd::{
-    Handler, HttpClient, HttpError, HttpServer, Method, PoolConfig, Request, Response, Upstream,
+    Handler, HttpClient, HttpError, HttpServer, Method, PoolConfig, ReadBuf, Request, Response,
+    Upstream,
 };
 use jpie::Value;
 use live_rmi::cde::ClientEnvironment;
-use live_rmi::router::{ClassSpec, HashRing, Router, RouterConfig};
+use live_rmi::router::{ClassSpec, HashRing, MoveOpts, Router, RouterConfig, Wire};
 use live_rmi::sde::TransportKind;
 use obs::tracectx::{self, TraceContext, TraceId};
 
@@ -138,13 +149,13 @@ impl Upstream for Hop {
         &self.authority
     }
 
-    fn relayed(&self, _status: u16, _took: Duration) {
+    fn relayed(&self, _took: Duration) {
         self.relayed.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn failed(&self, _why: &HttpError) -> Response {
+    fn failed(&self, _why: &HttpError) -> Duration {
         self.failed.fetch_add(1, Ordering::SeqCst);
-        Response::unavailable("backend gone", Duration::from_millis(40))
+        Duration::from_millis(40)
     }
 
     fn release(&self) {
@@ -427,14 +438,25 @@ fn connection_headers_stay_on_their_hop() {
 // The router rig
 // ---------------------------------------------------------------------------
 
+/// `slow(k)` counts itself in `started`, then copies a string that grows
+/// by 64 bytes `k` times: memory-bound, so about as slow in a debug build
+/// as in a release one. `hold(k)` copies a 4 MiB string `k` times: time
+/// linear in `k`.
 fn class_source(name: &str) -> String {
     format!(
-        "class {name} {{ field int n; \
+        "class {name} {{ field int n; field int started; \
          distributed string echo(string payload) {{ return payload; }} \
          distributed int bump() {{ this.n = this.n + 1; return this.n; }} \
-         distributed int spin(int k) {{ let i = 0; while (i < k) {{ i = i + 1; }} return i; }} }}"
+         distributed int spin(int k) {{ let i = 0; while (i < k) {{ i = i + 1; }} return i; }} \
+         distributed int slow(int k) {{ this.started = this.started + 1; let s = \"\"; \
+         let i = 0; while (i < k) {{ s = s + \"{PAD}\"; i = i + 1; }} return i; }} \
+         distributed int hold(int k) {{ let s = \"{PAD}\"; let i = 0; \
+         while (i < 16) {{ s = s + s; i = i + 1; }} let t = \"\"; i = 0; \
+         while (i < k) {{ t = s + \"\"; i = i + 1; }} return i; }} }}"
     )
 }
+
+const PAD: &str = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
 
 struct Fleet {
     router: Router,
@@ -444,7 +466,12 @@ struct Fleet {
 }
 
 impl Fleet {
+    /// Serving SOAP.
     fn start(transport: TransportKind, tag: &str) -> Fleet {
+        Fleet::serving(transport, tag, Wire::Soap)
+    }
+
+    fn serving(transport: TransportKind, tag: &str, wire: Wire) -> Fleet {
         let tag = format!("rf-{tag}-{}", matches!(transport, TransportKind::Tcp) as u8);
         let wal = std::env::temp_dir().join(format!("live-rmi-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&wal);
@@ -459,7 +486,11 @@ impl Fleet {
         let classes = [pick(0), pick(1)];
         let specs = classes
             .iter()
-            .map(|name| ClassSpec::soap(name.clone(), class_source(name)))
+            .map(|name| ClassSpec {
+                name: name.clone(),
+                source: class_source(name),
+                wire,
+            })
             .collect();
         let router = Router::start(cfg, specs).expect("router start");
         assert!(router.wait_converged(Duration::from_secs(10)));
@@ -815,6 +846,421 @@ fn health_probes_keep_one_connection_per_shard() {
             "{} connects over 50 probe intervals",
             connects() - connected
         );
+        fleet.shutdown();
+    });
+}
+
+// ---------------------------------------------------------------------------
+// The GIOP front
+// ---------------------------------------------------------------------------
+
+/// A CORBA class's front IOR, as a client fetches it.
+fn front_ior(fleet: &Fleet, class: &str) -> Ior {
+    let resp = HttpClient::new().get(&fleet.router.ior_url(class)).unwrap();
+    assert_eq!(resp.status(), 200);
+    Ior::parse(&resp.body_str()).unwrap()
+}
+
+/// A `Request` frame of `op(args)` on the object `key`.
+fn request(id: u32, key: &[u8], op: &str, args: &[Value]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    giop::write_request_parts(
+        &mut frame,
+        id,
+        true,
+        key,
+        op,
+        args,
+        None,
+        None,
+        &mut GiopBufs::default(),
+    )
+    .unwrap();
+    frame
+}
+
+/// A raw GIOP client connection: frames in, messages out.
+struct GiopPeer {
+    stream: Stream,
+    frames: ReadBuf,
+}
+
+impl GiopPeer {
+    fn connect(ior: &Ior) -> GiopPeer {
+        let mut stream = connect(&ior.address).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        GiopPeer {
+            stream,
+            frames: ReadBuf::new(),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    /// The next message's type, body and byte order; `None` at end of
+    /// stream.
+    fn message(&mut self) -> Option<(MsgType, Vec<u8>, bool)> {
+        let (msg_type, big_endian, total) =
+            giop::read_message_into(&mut self.stream, &mut self.frames).ok()??;
+        let body = self.frames.filled()[12..total].to_vec();
+        self.frames.consume(total);
+        Some((msg_type, body, big_endian))
+    }
+
+    fn reply(&mut self) -> ReplyMessage {
+        let (msg_type, body, big_endian) = self.message().expect("a reply");
+        assert_eq!(msg_type, MsgType::Reply);
+        giop::decode_reply(&body, big_endian).unwrap()
+    }
+
+    /// Calls `op(args)` on `key` as request `id` and waits for its reply.
+    fn call(&mut self, id: u32, key: &[u8], op: &str, args: &[Value]) -> ReplyBody {
+        self.send(&request(id, key, op, args));
+        let reply = self.reply();
+        assert_eq!(reply.request_id, id, "reply under another id");
+        reply.body
+    }
+
+    fn locate(&mut self, id: u32, key: &[u8]) -> LocateStatus {
+        giop::write_locate_request(&mut self.stream, id, key).unwrap();
+        let (msg_type, body, big_endian) = self.message().expect("a locate reply");
+        assert_eq!(msg_type, MsgType::LocateReply);
+        let (reply_id, status) = giop::decode_locate_reply(&body, big_endian).unwrap();
+        assert_eq!(reply_id, id);
+        status
+    }
+
+    /// Whether the front closed the connection (clean end of stream).
+    fn closed(&mut self) -> bool {
+        matches!(
+            giop::read_message_into(&mut self.stream, &mut self.frames),
+            Ok(None)
+        )
+    }
+}
+
+fn value(body: ReplyBody) -> Value {
+    match body {
+        ReplyBody::NoException(v) => v,
+        other => panic!("not a result: {other:?}"),
+    }
+}
+
+fn call_forwards() -> u64 {
+    obs::registry().snapshot().counter(&obs::metrics::key(
+        "router_forward_total",
+        &[("kind", "call")],
+    ))
+}
+
+fn call_errors() -> u64 {
+    obs::registry().snapshot().counter(&obs::metrics::key(
+        "router_forward_errors_total",
+        &[("kind", "call")],
+    ))
+}
+
+#[test]
+fn giop_pipelined_requests_are_answered_in_order_under_their_own_ids() {
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-pipe", Wire::Corba);
+        let [a, b] = &fleet.classes;
+        let (ior_a, ior_b) = (front_ior(&fleet, a), front_ior(&fleet, b));
+        assert_eq!(ior_a.address, ior_b.address, "one GIOP front");
+        let mut peer = GiopPeer::connect(&ior_a);
+        // Two requests in one write, to classes on different shards: the
+        // second waits in the buffer while the first is relayed.
+        let mut both = request(11, &ior_a.object_key, "echo", &[Value::Str("first".into())]);
+        both.extend(request(
+            12,
+            &ior_b.object_key,
+            "echo",
+            &[Value::Str("second".into())],
+        ));
+        peer.send(&both);
+        for (id, text) in [(11, "first"), (12, "second")] {
+            let reply = peer.reply();
+            assert_eq!(reply.request_id, id);
+            assert_eq!(value(reply.body), Value::Str(text.into()));
+        }
+        fleet.shutdown();
+    });
+}
+
+#[test]
+fn giop_calls_connect_once_per_connection() {
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-once", Wire::Corba);
+        let class = &fleet.classes[1];
+        let ior = front_ior(&fleet, class);
+        let (connects, relayed) = (counter("router_upstream_connects_total"), call_forwards());
+        let mut peer = GiopPeer::connect(&ior);
+        for i in 0..1000u32 {
+            let payload = Value::Str(i.to_string());
+            let body = peer.call(i, &ior.object_key, "echo", std::slice::from_ref(&payload));
+            assert_eq!(value(body), payload);
+        }
+        assert_eq!(counter("router_upstream_connects_total") - connects, 1);
+        assert_eq!(call_forwards() - relayed, 1000);
+        fleet.shutdown();
+    });
+}
+
+#[test]
+fn giop_locates_and_unknown_keys_are_answered_at_the_front() {
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-inline", Wire::Corba);
+        let ior = front_ior(&fleet, &fleet.classes[0]);
+        let connects = counter("router_upstream_connects_total");
+        let mut peer = GiopPeer::connect(&ior);
+        assert_eq!(peer.locate(1, &ior.object_key), LocateStatus::ObjectHere);
+        assert_eq!(
+            peer.locate(2, b"IDL:Nobody:1.0#key"),
+            LocateStatus::UnknownObject
+        );
+        let body = peer.call(3, b"IDL:Nobody:1.0#key", "bump", &[]);
+        assert!(
+            matches!(
+                body,
+                ReplyBody::SystemException {
+                    kind: SystemExceptionKind::ObjectNotExist,
+                    ..
+                }
+            ),
+            "{body:?}"
+        );
+        assert_eq!(
+            counter("router_upstream_connects_total"),
+            connects,
+            "nothing was dialed"
+        );
+        // The connection still carries real calls.
+        assert_eq!(
+            value(peer.call(4, &ior.object_key, "bump", &[])),
+            Value::Int(1)
+        );
+        fleet.shutdown();
+    });
+}
+
+#[test]
+fn giop_calls_to_a_draining_class_get_transient_with_a_retry_hint() {
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-drain", Wire::Corba);
+        let class = &fleet.classes[0];
+        let ior = front_ior(&fleet, class);
+        let key = &ior.object_key;
+        // A call the backend holds for a while: the drain waits for it.
+        let mut slow = GiopPeer::connect(&ior);
+        slow.send(&request(1, key, "slow", &[Value::Int(4_000)]));
+        settles("slow call running", Some(1), || {
+            fleet.router.field_value(class, "started")
+        });
+        let parked = counter("router_drain_parked_total");
+        let moving = fleet.router.begin_move(class, 1, MoveOpts::default());
+        let mut peer = GiopPeer::connect(&ior);
+        let start = Instant::now();
+        let reason = loop {
+            match peer.call(2, key, "bump", &[]) {
+                ReplyBody::NoException(_) => {}
+                ReplyBody::SystemException {
+                    kind: SystemExceptionKind::Transient,
+                    reason,
+                } => break reason,
+                other => panic!("{other:?}"),
+            }
+            assert!(start.elapsed() < Duration::from_secs(10), "never drained");
+        };
+        assert!(reason.contains("retry_after_ms="), "{reason}");
+        assert!(counter("router_drain_parked_total") > parked);
+        assert_eq!(value(slow.reply().body), Value::Int(4_000));
+        moving.join().expect("the drain ends with the slow call");
+        // Admission reopened, onto the new shard.
+        assert!(matches!(
+            peer.call(3, key, "bump", &[]),
+            ReplyBody::NoException(_)
+        ));
+        fleet.shutdown();
+    });
+}
+
+#[test]
+fn giop_a_dead_backend_closes_the_connection_and_the_next_reaches_the_promoted_one() {
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-kill", Wire::Corba);
+        let class = &fleet.classes[0];
+        let ior = front_ior(&fleet, class);
+        let key = &ior.object_key;
+        let mut peer = GiopPeer::connect(&ior);
+        assert_eq!(value(peer.call(1, key, "bump", &[])), Value::Int(1));
+
+        // The connection's upstream dies under it: the relay fails (after
+        // one retry, on a fresh connection nobody accepts), and the front
+        // closes — the client retries under the same call id.
+        let errors = call_errors();
+        fleet.router.kill_shard(0);
+        peer.send(&request(2, key, "bump", &[]));
+        assert!(peer.closed(), "still open after its backend died");
+        assert!(call_errors() > errors);
+
+        // Once the follower is promoted, a new connection reaches it.
+        let start = Instant::now();
+        loop {
+            let mut next = GiopPeer::connect(&ior);
+            next.send(&request(3, key, "bump", &[]));
+            if let Some((MsgType::Reply, body, big_endian)) = next.message() {
+                let reply = giop::decode_reply(&body, big_endian).unwrap();
+                assert_eq!(value(reply.body), Value::Int(1), "a fresh instance");
+                break;
+            }
+            assert!(start.elapsed() < Duration::from_secs(10), "no promotion");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(fleet.router.last_failover().expect("failover").shard, 0);
+        fleet.shutdown();
+    });
+}
+
+/// The `k` for which `time(k)` — one `hold(k)` call — takes about
+/// `want`: doubles `k` until a call takes 200 ms, then scales it.
+fn hold_k_for(want: Duration, mut time: impl FnMut(i32) -> Duration) -> i32 {
+    let mut k = 8;
+    loop {
+        let took = time(k);
+        if took >= Duration::from_millis(200) {
+            return (f64::from(k) * want.as_secs_f64() / took.as_secs_f64()) as i32;
+        }
+        k *= 2;
+    }
+}
+
+/// A servant call longer than a SOAP relay's 5 s step deadline is relayed
+/// to its end: the GIOP front waits as long as the calling ORB does, so
+/// a slow call neither fails nor counts against its shard.
+#[test]
+fn giop_a_call_longer_than_a_soap_relay_deadline_is_relayed_to_its_end() {
+    let _x = exclusive();
+    let fleet = Fleet::serving(TransportKind::Mem, "giop-long", Wire::Corba);
+    let ior = front_ior(&fleet, &fleet.classes[0]);
+    let key = &ior.object_key;
+    let mut peer = GiopPeer::connect(&ior);
+    let mut id = 0;
+    let mut call = |k: i32| {
+        id += 1;
+        let began = Instant::now();
+        assert_eq!(
+            value(peer.call(id, key, "hold", &[Value::Int(k)])),
+            Value::Int(k)
+        );
+        began.elapsed()
+    };
+    let errors = call_errors();
+    let mut k = hold_k_for(Duration::from_secs(8), &mut call);
+    // Should the host speed up after calibrating, a longer call.
+    for round in 0.. {
+        assert!(round < 3, "hold({k}) never took 5 s");
+        if call(k) > Duration::from_secs(5) {
+            break;
+        }
+        k *= 2;
+    }
+    assert_eq!(call_errors(), errors, "a relay failed");
+    assert!(
+        fleet.router.last_failover().is_none(),
+        "a healthy shard failed over"
+    );
+    fleet.shutdown();
+}
+
+#[test]
+fn giop_close_connection_closes_the_connection() {
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-bye", Wire::Corba);
+        let ior = front_ior(&fleet, &fleet.classes[0]);
+        let mut peer = GiopPeer::connect(&ior);
+        assert_eq!(
+            value(peer.call(1, &ior.object_key, "bump", &[])),
+            Value::Int(1)
+        );
+        giop::write_close(&mut peer.stream).unwrap();
+        assert!(peer.closed(), "still open after CloseConnection");
+        fleet.shutdown();
+    });
+}
+
+#[test]
+fn giop_fds_and_registrations_return_to_baseline() {
+    on_both_transports(|transport| {
+        // Whatever opens fds once (reactor shards) is open after this.
+        Fleet::serving(transport, "giop-fdwarm", Wire::Corba).shutdown();
+        let (registered, fds) = (steady(reactor_fds), steady(open_fds));
+        let fleet = Fleet::serving(transport, "giop-fds", Wire::Corba);
+        let ior = front_ior(&fleet, &fleet.classes[0]);
+        let call = |text: &str| {
+            let mut peer = GiopPeer::connect(&ior);
+            let payload = Value::Str(text.into());
+            let body = peer.call(1, &ior.object_key, "echo", std::slice::from_ref(&payload));
+            assert_eq!(value(body), payload);
+        };
+        call("warm");
+        let settled = (steady(reactor_fds), steady(open_fds));
+        for i in 0..200 {
+            call(&i.to_string());
+        }
+        settles("registrations after 200 cycles", settled.0, reactor_fds);
+        settles("open fds after 200 cycles", settled.1, open_fds);
+        fleet.shutdown();
+        settles("registrations after shutdown", registered, reactor_fds);
+        settles("open fds after shutdown", fds, open_fds);
+    });
+}
+
+/// This process's live threads, counted by name.
+fn threads_by_name() -> HashMap<String, usize> {
+    let mut threads = HashMap::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("/proc/self/task") {
+        let comm = task.ok().map(|t| t.path().join("comm"));
+        if let Some(name) = comm.and_then(|path| std::fs::read_to_string(path).ok()) {
+            *threads.entry(name.trim().to_string()).or_default() += 1;
+        }
+    }
+    threads
+}
+
+#[test]
+fn corba_clients_add_no_threads_to_the_router() {
+    const CLIENTS: usize = 16;
+    on_both_transports(|transport| {
+        let fleet = Fleet::serving(transport, "giop-threads", Wire::Corba);
+        let ior = front_ior(&fleet, &fleet.classes[0]);
+        let before = threads_by_name();
+        let mut clients: Vec<OrbConnection> = (0..CLIENTS)
+            .map(|_| OrbConnection::connect(&ior).unwrap())
+            .collect();
+        for (n, client) in clients.iter_mut().enumerate() {
+            let bumped = client.call("bump", &[]).unwrap();
+            assert_eq!(bumped, Value::Int(n as i32 + 1));
+        }
+        // Measured with every connection open and relayed once.
+        let grown: Vec<(String, usize)> = threads_by_name()
+            .into_iter()
+            .filter_map(|(name, now)| {
+                let was = before.get(&name).copied().unwrap_or(0);
+                (now > was).then(|| (name, now - was))
+            })
+            .collect();
+        let growth: usize = grown.iter().map(|(_, n)| n).sum();
+        assert!(
+            growth <= 2,
+            "{CLIENTS} CORBA clients added {growth} threads: {grown:?}"
+        );
+        for client in clients {
+            client.close();
+        }
         fleet.shutdown();
     });
 }

@@ -191,11 +191,11 @@ fn soap_shard_failover_under_faults_preserves_exactly_once_and_recency() {
     let _ = std::fs::remove_dir_all(&wal_root);
 }
 
-/// CORBA calls flow through the router's per-class GIOP proxy, whose
-/// address is stable across failover: after the kill, the proxy's
-/// backend swaps to the promoted follower and the same stub — same IOR,
-/// no reconnect-by-hand — succeeds again, at a document version at
-/// least the pre-crash one.
+/// CORBA calls flow through the router's GIOP front, whose address is
+/// stable across failover: after the kill, the class's route swaps to
+/// the promoted follower and the same stub — same IOR, no
+/// reconnect-by-hand — succeeds again, at a document version at least
+/// the pre-crash one.
 #[test]
 fn corba_calls_reconverge_through_giop_proxy_after_failover() {
     const SHARDS: usize = 2;
@@ -227,7 +227,7 @@ fn corba_calls_reconverge_through_giop_proxy_after_failover() {
 
     router.kill_shard(kill);
 
-    // The same stub must succeed again once the proxy swings to the
+    // The same stub must succeed again once the route swings to the
     // promoted follower — retry until the failover completes.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut recovered = false;

@@ -10,11 +10,19 @@
 //! migration interrupted by a real source death must degrade into the
 //! existing failover path; a cancelled one must leave the source
 //! byte-identical.
+//!
+//! One gate quiesces both wires: every routed call, SOAP or CORBA,
+//! crosses its class's front gate and stays counted until its relay
+//! ends, so concurrent callers on either wire lose nothing through a
+//! move, and a drain that misses its deadline reopens that gate for
+//! both. A call that outlives its relay is waited out at the source.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use live_rmi::cde::{ClientEnvironment, ResiliencePolicy};
-use live_rmi::router::{ClassSpec, HashRing, MoveOpts, Router, RouterConfig};
+use live_rmi::cde::{ClientEnvironment, DynamicStub, ResiliencePolicy};
+use live_rmi::router::{ClassSpec, HashRing, MoveOpts, Router, RouterConfig, Wire};
 use live_rmi::sde::TransportKind;
 
 fn counter_source(name: &str) -> String {
@@ -193,7 +201,7 @@ fn soap_migration_under_faults_is_loss_free_and_carries_state() {
     let _ = std::fs::remove_dir_all(&wal_root);
 }
 
-/// CORBA calls keep flowing through the class's stable GIOP proxy
+/// CORBA calls keep flowing through the router's stable GIOP front
 /// while the class migrates: the same stub (same IOR, no reconnect)
 /// succeeds before, during, and after the move, and the counter never
 /// resets because the instance moves with the class.
@@ -421,6 +429,291 @@ fn rolling_restart_bumps_every_generation_and_loses_nothing() {
         env.call(stub, "bump", &[]).expect("post-restart call");
     }
 
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
+
+/// A stub for `class` over its wire, through the router's fronts.
+fn stub_for(env: &ClientEnvironment, router: &Router, class: &str, wire: Wire) -> Arc<DynamicStub> {
+    match wire {
+        Wire::Soap => env.connect_soap(&router.wsdl_url(class)),
+        Wire::Corba => env.connect_corba(&router.idl_url(class), &router.ior_url(class)),
+    }
+    .expect("stub")
+}
+
+fn specs_for(
+    classes: &[(String, usize)],
+    wire: Wire,
+    source: fn(&str) -> String,
+) -> Vec<ClassSpec> {
+    classes
+        .iter()
+        .map(|(name, _)| ClassSpec {
+            name: name.clone(),
+            source: source(name),
+            wire,
+        })
+        .collect()
+}
+
+/// Two counters, `bump0` / `bump1`: one per concurrent caller. The
+/// interpreter does not serialize an instance's calls, so two callers
+/// read-modify-writing one field could lose an update to each other — a
+/// race in the class, not in the routing.
+fn two_counter_source(name: &str) -> String {
+    format!(
+        "class {name} {{ field int n0; field int n1; \
+         distributed int bump0() {{ this.n0 = this.n0 + 1; return this.n0; }} \
+         distributed int bump1() {{ this.n1 = this.n1 + 1; return this.n1; }} }}"
+    )
+}
+
+/// Two callers per class, on each wire, call into it until a migration
+/// has completed under them (and a few calls past it): the front gate
+/// alone drains the moving class — no call fails, and every caller's
+/// counter equals the calls acknowledged to it, exactly.
+#[test]
+fn concurrent_callers_lose_nothing_through_a_migration_on_either_wire() {
+    const SHARDS: usize = 2;
+    const CALLERS: usize = 2;
+    for (wire, tag) in [(Wire::Soap, "rb-conc-soap"), (Wire::Corba, "rb-conc-corba")] {
+        let wal_root = temp_root(tag);
+        let cfg = RouterConfig::new(SHARDS, TransportKind::Mem, &wal_root, tag);
+        let classes = pick_classes(SHARDS, cfg.vnodes, "RbConc");
+        let specs = specs_for(&classes, wire, two_counter_source);
+        let router = Router::start(cfg, specs).expect("router start");
+        assert!(router.wait_converged(Duration::from_secs(10)));
+        let (victim, home) = classes[0].clone();
+        let target = (home + 1) % SHARDS;
+
+        let moved = AtomicBool::new(false);
+        let (event, results) = std::thread::scope(|scope| {
+            let callers: Vec<_> = classes
+                .iter()
+                .flat_map(|(class, _)| (0..CALLERS).map(move |n| (class, n)))
+                .enumerate()
+                .map(|(seed, (class, n))| {
+                    let (router, moved) = (&router, &moved);
+                    scope.spawn(move || {
+                        let env = resilient_env(31 + seed as u64);
+                        let stub = stub_for(&env, router, class, wire);
+                        let method = format!("bump{n}");
+                        let (mut ok, mut failed, mut past) = (0, 0, 0);
+                        while past < 5 {
+                            match env.call(&stub, &method, &[]) {
+                                Ok(_) => ok += 1,
+                                Err(e) => {
+                                    failed += 1;
+                                    eprintln!("{wire:?} {class}.{method}: {e}");
+                                }
+                            }
+                            if moved.load(Ordering::SeqCst) {
+                                past += 1;
+                            }
+                        }
+                        (class.clone(), format!("n{n}"), ok, failed)
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(20));
+            let event = router
+                .begin_move(&victim, target, MoveOpts::default())
+                .join();
+            moved.store(true, Ordering::SeqCst);
+            let results: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+            (event, results)
+        });
+        let event = event.unwrap_or_else(|e| panic!("{wire:?}: migration failed: {e}"));
+        assert_eq!(event.to_shard, target);
+        assert_eq!(router.shard_of(&victim), target);
+
+        let failed: usize = results.iter().map(|(.., failed)| failed).sum();
+        assert_eq!(failed, 0, "{wire:?}: failed calls through the move");
+        for (class, field, acknowledged, _) in &results {
+            assert_eq!(
+                router.field_value(class, field),
+                Some(*acknowledged),
+                "{wire:?} {class}.{field}: executions != acknowledged calls"
+            );
+        }
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&wal_root);
+    }
+}
+
+/// `hold(k)` counts itself in `started`, copies a 4 MiB string `k` times
+/// — memory-bound, so about as slow in a debug build as in a release
+/// one, and linear in `k` — then counts itself in `done` and returns
+/// that.
+fn hold_source(name: &str) -> String {
+    format!(
+        "class {name} {{ field int n; field int started; field int done; \
+         distributed int bump() {{ this.n = this.n + 1; return this.n; }} \
+         distributed int hold(int k) {{ this.started = this.started + 1; let s = \"{PAD}\"; \
+         let i = 0; while (i < 16) {{ s = s + s; i = i + 1; }} let t = \"\"; i = 0; \
+         while (i < k) {{ t = s + \"\"; i = i + 1; }} \
+         this.done = this.done + 1; return this.done; }} }}"
+    )
+}
+
+const PAD: &str = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
+
+/// The `k` for which `time(k)` — one `hold(k)` call — takes about
+/// `want`: doubles `k` until a call takes 200 ms, then scales it.
+fn hold_k_for(want: Duration, mut time: impl FnMut(i32) -> Duration) -> i32 {
+    let mut k = 8;
+    loop {
+        let took = time(k);
+        if took >= Duration::from_millis(200) {
+            return (f64::from(k) * want.as_secs_f64() / took.as_secs_f64()) as i32;
+        }
+        k *= 2;
+    }
+}
+
+/// A SOAP call still running on the source when the front gives up on
+/// its relay (the 5 s upstream deadline) has left the front gate but not
+/// the source: the export retires the instance and waits the call out,
+/// so its effect and its cached reply move together, and the client's
+/// retry under the same call id is replayed at the target. Executed
+/// exactly once.
+#[test]
+fn a_call_that_outlives_its_relay_moves_with_the_class_exactly_once() {
+    const SHARDS: usize = 2;
+    const RELAY_DEADLINE: Duration = Duration::from_secs(5);
+    let wal_root = temp_root("rb-outlive");
+    let mut cfg = RouterConfig::new(SHARDS, TransportKind::Mem, &wal_root, "rb-outlive");
+    cfg.drain_deadline = Duration::from_secs(60);
+    let classes = pick_classes(SHARDS, cfg.vnodes, "RbOutlive");
+    let class = classes[0].0.clone();
+    let specs = specs_for(&classes[..1], Wire::Soap, hold_source);
+    let router = Router::start(cfg, specs).expect("router start");
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    let patient = || {
+        ClientEnvironment::with_policy(
+            ResiliencePolicy::seeded(41)
+                .with_request_timeout(Duration::from_secs(30))
+                .with_max_attempts(100_000)
+                .with_deadline(Duration::from_secs(120)),
+        )
+    };
+    let env = patient();
+    let stub = stub_for(&env, &router, &class, Wire::Soap);
+    let mut k = hold_k_for(RELAY_DEADLINE + Duration::from_secs(4), |k| {
+        let began = Instant::now();
+        env.call(&stub, "hold", &[live_rmi::jpie::Value::Int(k)])
+            .expect("calibration call");
+        began.elapsed()
+    });
+    // Each round moves the class to the other shard under a `hold(k)`
+    // call, and must be exactly-once however long the call took; only a
+    // call that outlived its relay proves the point, so a round that
+    // came in under the deadline (the host sped up) runs again, longer.
+    for round in 0.. {
+        assert!(round < 3, "hold({k}) never outlived its relay");
+        let started = router.field_value(&class, "started").expect("field");
+        let done = router.field_value(&class, "done").expect("field");
+        let to = (router.shard_of(&class) + 1) % SHARDS;
+        let (took, value, event) = std::thread::scope(|scope| {
+            let long = scope.spawn(|| {
+                let env = patient();
+                let stub = stub_for(&env, &router, &class, Wire::Soap);
+                let began = Instant::now();
+                let value = env.call(&stub, "hold", &[live_rmi::jpie::Value::Int(k)]);
+                (began.elapsed(), value)
+            });
+            let begun = Instant::now();
+            while router.field_value(&class, "started") == Some(started) {
+                assert!(begun.elapsed() < Duration::from_secs(10), "hold never ran");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let event = router.begin_move(&class, to, MoveOpts::default()).join();
+            let (took, value) = long.join().unwrap();
+            (took, value, event)
+        });
+        event.expect("the migration waits the call out");
+        assert_eq!(router.shard_of(&class), to);
+        let once = live_rmi::jpie::Value::Int(done as i32 + 1);
+        assert_eq!(value.expect("the long call succeeds"), once);
+        assert_eq!(
+            router.field_value(&class, "done"),
+            Some(done + 1),
+            "hold({k}), {took:?}: executed exactly once"
+        );
+        if took > RELAY_DEADLINE {
+            break;
+        }
+        k *= 2;
+    }
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
+
+/// A call whose backend outlives a 20 ms `drain_deadline` makes the move
+/// abort with the source untouched, and the abort reopens the front
+/// gate: single-attempt calls — which would surface a 503 or `TRANSIENT`
+/// as an error — succeed on both wires right after.
+#[test]
+fn a_drain_that_misses_its_deadline_reopens_both_wires() {
+    const SHARDS: usize = 2;
+    let wal_root = temp_root("rb-miss");
+    let mut cfg = RouterConfig::new(SHARDS, TransportKind::Mem, &wal_root, "rb-miss");
+    cfg.drain_deadline = Duration::from_millis(20);
+    let soap = pick_classes(SHARDS, cfg.vnodes, "RbMissSoap").remove(0);
+    let corba = pick_classes(SHARDS, cfg.vnodes, "RbMissOrb").remove(0);
+    let mut specs = specs_for(std::slice::from_ref(&soap), Wire::Soap, hold_source);
+    specs.extend(specs_for(
+        std::slice::from_ref(&corba),
+        Wire::Corba,
+        hold_source,
+    ));
+    let router = Router::start(cfg, specs).expect("router start");
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    let single_attempt = || {
+        ClientEnvironment::with_policy(
+            ResiliencePolicy::seeded(37)
+                .with_request_timeout(Duration::from_secs(20))
+                .with_max_attempts(1),
+        )
+    };
+    let env = single_attempt();
+    let wires = [(&soap, Wire::Soap), (&corba, Wire::Corba)];
+    let stubs: Vec<_> = wires
+        .iter()
+        .map(|((name, _), wire)| stub_for(&env, &router, name, *wire))
+        .collect();
+
+    for ((class, home), wire) in wires {
+        let started = router.field_value(class, "started").expect("field");
+        std::thread::scope(|scope| {
+            let hold = scope.spawn(|| {
+                let env = single_attempt();
+                let stub = stub_for(&env, &router, class, wire);
+                env.call(&stub, "hold", &[live_rmi::jpie::Value::Int(400)])
+            });
+            let begun = Instant::now();
+            while router.field_value(class, "started") == Some(started) {
+                assert!(begun.elapsed() < Duration::from_secs(10), "hold never ran");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let err = router
+                .move_class(class, (home + 1) % SHARDS)
+                .expect_err("the drain must miss its deadline");
+            assert!(err.to_string().contains("missed"), "{wire:?}: {err}");
+            hold.join().unwrap().expect("the held call itself succeeds");
+        });
+        assert_eq!(router.shard_of(class), *home, "{wire:?}: source untouched");
+    }
+
+    for (stub, ((class, _), wire)) in stubs.iter().zip(wires) {
+        let value = env
+            .call(stub, "bump", &[])
+            .unwrap_or_else(|e| panic!("{wire:?} {class}: gate still closed: {e}"));
+        assert_eq!(value, live_rmi::jpie::Value::Int(1));
+    }
     router.shutdown();
     let _ = std::fs::remove_dir_all(&wal_root);
 }
