@@ -225,7 +225,11 @@ impl ClientEnvironment {
         // One logical call, one trace: the root span completes (and is
         // tail-sampled) when this guard drops, however the loop exits.
         let root = obs::tracectx::client_root("client.call", Some(call_id));
-        root.annotate("method", obs::tracectx::AnnValue::Owned(method.to_string()));
+        let name = stub.shared_name(method).map_or_else(
+            || obs::tracectx::AnnValue::Owned(method.to_string()),
+            obs::tracectx::AnnValue::Shared,
+        );
+        root.annotate("method", name);
         loop {
             attempt += 1;
             if !breaker.try_acquire() {

@@ -299,6 +299,10 @@ fn breakers() -> &'static Mutex<HashMap<String, Arc<CircuitBreaker>>> {
 /// use (later callers share the original's thresholds).
 pub fn breaker_for(authority: &str, policy: &ResiliencePolicy) -> Arc<CircuitBreaker> {
     let mut map = breakers().lock();
+    // Looked up first: the key is copied only the first time.
+    if let Some(breaker) = map.get(authority) {
+        return breaker.clone();
+    }
     map.entry(authority.to_string())
         .or_insert_with(|| {
             Arc::new(CircuitBreaker::new(

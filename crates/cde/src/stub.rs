@@ -26,10 +26,44 @@ pub struct Operation {
 }
 
 /// The client's current view of the server interface.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Default)]
 struct InterfaceView {
     operations: Vec<Operation>,
+    /// Per operation, built with the view so that a call clones nothing.
+    keys: Vec<CallKeys>,
     version: u64,
+}
+
+/// What a call needs of an operation besides its signature.
+#[derive(Debug)]
+struct CallKeys {
+    /// The name, shared with every call's trace annotation.
+    name: Arc<str>,
+    /// The Axis-style `SOAPAction` header (empty in a CORBA view).
+    soap_action: String,
+}
+
+impl InterfaceView {
+    /// `namespace` is the SOAP target namespace (`None` for CORBA).
+    fn new(operations: Vec<Operation>, version: u64, namespace: Option<&str>) -> InterfaceView {
+        let keys = operations
+            .iter()
+            .map(|o| CallKeys {
+                name: Arc::from(o.name.as_str()),
+                soap_action: namespace.map_or_else(String::new, |ns| soap_action(ns, &o.name)),
+            })
+            .collect();
+        InterfaceView {
+            operations,
+            keys,
+            version,
+        }
+    }
+}
+
+/// The Axis-style `SOAPAction` header identifying an operation.
+fn soap_action(namespace: &str, method: &str) -> String {
+    format!("\"{namespace}#{method}\"")
 }
 
 /// The SOAP endpoint split once at refresh time: `authority` keys the
@@ -52,7 +86,8 @@ enum Backend {
     Corba {
         idl_url: String,
         ior_url: String,
-        ior: RwLock<Option<Ior>>,
+        /// Shared, so a call takes a refcount, not a copy.
+        ior: RwLock<Option<Arc<Ior>>>,
         /// Cached call-routing authority (the IOR's address once one is
         /// loaded, the IOR document's authority before that).
         authority: RwLock<Arc<str>>,
@@ -226,19 +261,19 @@ impl DynamicStub {
                         path: path.into(),
                     };
                 }
-                *namespace.write() = doc.namespace();
-                *self.view.write() = InterfaceView {
-                    operations: doc
-                        .operations
-                        .iter()
-                        .map(|o| Operation {
-                            name: o.name.clone(),
-                            params: o.params.clone(),
-                            return_ty: o.return_ty.clone(),
-                        })
-                        .collect(),
-                    version: doc.version,
-                };
+                let ns = doc.namespace();
+                let operations = doc
+                    .operations
+                    .iter()
+                    .map(|o| Operation {
+                        name: o.name.clone(),
+                        params: o.params.clone(),
+                        return_ty: o.return_ty.clone(),
+                    })
+                    .collect();
+                let view = InterfaceView::new(operations, doc.version, Some(&ns));
+                *namespace.write() = ns;
+                *self.view.write() = view;
             }
             Backend::Corba {
                 idl_url,
@@ -268,10 +303,7 @@ impl DynamicStub {
                                 .collect()
                         })
                         .unwrap_or_default();
-                    *self.view.write() = InterfaceView {
-                        operations,
-                        version: module.version,
-                    };
+                    *self.view.write() = InterfaceView::new(operations, module.version, None);
                 }
                 if let Fetched::New(ior_body) = self.fetch(ior_url)? {
                     let parsed_ior = Ior::parse(&ior_body).map_err(|e| {
@@ -279,7 +311,7 @@ impl DynamicStub {
                         CallError::Interface(e.to_string())
                     })?;
                     *authority.write() = Arc::from(parsed_ior.address.as_str());
-                    *ior.write() = Some(parsed_ior);
+                    *ior.write() = Some(Arc::new(parsed_ior));
                     // A connection cached against the old IOR may point
                     // at a dead or relocated server — drop it.
                     *conn.lock() = None;
@@ -308,6 +340,14 @@ impl DynamicStub {
             .iter()
             .find(|o| o.name == name)
             .cloned()
+    }
+
+    /// The name of operation `method` in the current view, shared: a
+    /// call annotates its trace with it at the cost of a refcount.
+    pub(crate) fn shared_name(&self, method: &str) -> Option<Arc<str>> {
+        let view = self.view.read();
+        let at = view.operations.iter().position(|o| o.name == method)?;
+        Some(view.keys[at].name.clone())
     }
 
     /// The interface version of the client's current view — the quantity
@@ -389,13 +429,15 @@ impl DynamicStub {
                 // The caller's active span (the cde attempt span) rides
                 // the envelope so server spans parent under it.
                 let trace = obs::tracectx::current();
-                let soap_action;
+                let route = route.read().clone();
+                let mut http_req;
                 {
                     // Parameter names come from the client's current
                     // view — exactly what a live client knows.
                     let ns = namespace.read();
                     let view = self.view.read();
-                    match view.operations.iter().find(|o| o.name == method) {
+                    let at = view.operations.iter().position(|o| o.name == method);
+                    match at.map(|i| &view.operations[i]) {
                         Some(op) if op.params.len() >= args.len() => {
                             soap::encode_request_traced_into(
                                 &ns,
@@ -427,13 +469,13 @@ impl DynamicStub {
                             );
                         }
                     }
-                    // Axis-style SOAPAction header identifying the
-                    // operation.
-                    soap_action = format!("\"{}#{}\"", &*ns, method);
+                    http_req = httpd::Request::post(&*route.path, body, "text/xml");
+                    let headers = http_req.headers_mut();
+                    match at {
+                        Some(i) => headers.set("SOAPAction", &view.keys[i].soap_action),
+                        None => headers.set("SOAPAction", soap_action(&ns, method)),
+                    };
                 }
-                let route = route.read().clone();
-                let mut http_req = httpd::Request::post(route.path.to_string(), body, "text/xml");
-                http_req.headers_mut().set("SOAPAction", soap_action);
                 let sent = self.pool.send(&route.authority, &http_req);
                 // Recycle the encode buffer whatever the outcome.
                 ENCODE_BUF.with(|b| *b.borrow_mut() = http_req.into_body());

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use httpd::engine::{Framed, Refusal, Reply, Wire};
+use httpd::ReadBuf;
 
 use crate::error::SystemExceptionKind;
 use crate::giop::{
@@ -45,7 +46,6 @@ impl GiopWire {
 impl Wire for GiopWire {
     type Call = GiopCall;
     type Scratch = GiopBufs;
-    const RAW_FRAME: bool = true;
 
     fn connection(&self) -> GiopBufs {
         GiopBufs::default()
@@ -92,11 +92,11 @@ impl Wire for GiopWire {
         }
     }
 
-    fn serve(&self, call: &GiopCall, frame: &[u8], bufs: &mut GiopBufs, reply: &mut Reply) {
+    fn serve(&self, call: &GiopCall, frame: &mut ReadBuf, bufs: &mut GiopBufs, reply: &mut Reply) {
         let msg = request_reply(
             self.implementation.as_ref(),
             &self.served_key,
-            &frame[12..],
+            &frame.filled()[12..],
             call.big_endian,
         );
         self.reply(&msg, bufs, reply);

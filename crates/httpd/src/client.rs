@@ -1,10 +1,11 @@
 //! A blocking HTTP/1.1 client.
 
-use std::io::BufReader;
+use std::io;
 use std::time::Duration;
 
 use crate::error::HttpError;
-use crate::message::{Request, Response};
+use crate::message::{write_message, Method, Request, Response, ResponseHead};
+use crate::readbuf::ReadBuf;
 use crate::transport::{connect_with, Stream};
 
 /// A blocking HTTP client.
@@ -87,11 +88,10 @@ impl HttpClient {
         // The timeout rides through the transport layer so every stream
         // flavour (TCP, mem, chaos-wrapped) honors it; a server that
         // accepts and never responds surfaces as `HttpError::Timeout`.
-        let stream = connect_with(addr, self.read_timeout)?;
-        let write_half = stream.try_clone().map_err(HttpError::Io)?;
         Ok(Connection {
-            reader: BufReader::new(stream),
-            writer: write_half,
+            stream: connect_with(addr, self.read_timeout)?,
+            inbuf: ReadBuf::new(),
+            head: Vec::new(),
         })
     }
 }
@@ -105,8 +105,11 @@ impl Default for HttpClient {
 /// A keep-alive HTTP connection created by [`HttpClient::connect`].
 #[derive(Debug)]
 pub struct Connection {
-    reader: BufReader<Stream>,
-    writer: Stream,
+    stream: Stream,
+    /// Answers as they arrive; bytes after one stay for the next.
+    pub(crate) inbuf: ReadBuf,
+    /// The request head, assembled afresh in the same buffer each time.
+    head: Vec<u8>,
 }
 
 impl Connection {
@@ -117,20 +120,37 @@ impl Connection {
     /// Fails on I/O errors or a malformed response; the connection should
     /// be dropped afterwards.
     pub fn send(&mut self, req: &Request) -> Result<Response, HttpError> {
-        if let Err(e) = req.write_to(&mut self.writer) {
+        req.write_head(&mut self.head);
+        let head_only = req.method() == Method::Head;
+        if let Err(e) = write_message(&mut self.stream, &self.head, req.body()) {
             // The server may have answered and closed before consuming
             // the request (e.g. 503 load shedding); prefer its response
             // over the broken-pipe write error.
-            return self.read_response(req).map_err(|_| e);
+            return self.answer(head_only).map_err(|_| e.into());
         }
-        self.read_response(req)
+        self.answer(head_only)
     }
 
-    fn read_response(&mut self, req: &Request) -> Result<Response, HttpError> {
-        if req.method() == crate::Method::Head {
-            Response::read_head_from(&mut self.reader)
-        } else {
-            Response::read_from(&mut self.reader)
+    /// Reads until the whole answer is in, then copies it out once: the
+    /// answer's only allocation. The receive buffer stays, grown to the
+    /// largest answer so far.
+    fn answer(&mut self, head_only: bool) -> Result<Response, HttpError> {
+        loop {
+            if let Some(head) = ResponseHead::scan(self.inbuf.filled())? {
+                let len = head.len(head_only);
+                if self.inbuf.len() >= len {
+                    let resp = Response::parsed(self.inbuf.filled()[..len].to_vec(), &head);
+                    self.inbuf.consume(len);
+                    return Ok(resp);
+                }
+                // The rest arrives in one growth of the buffer at most.
+                self.inbuf.reserve(len - self.inbuf.len());
+            }
+            match self.inbuf.read_from(&mut self.stream) {
+                Ok(0) => return Err(HttpError::UnexpectedEof),
+                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
+                _ => {}
+            }
         }
     }
 
@@ -140,10 +160,8 @@ impl Connection {
 
 impl Drop for Connection {
     fn drop(&mut self) {
-        // Actively shut the transport down: the in-memory pipes have no
-        // OS-level close-on-drop, and the server's keep-alive read must
-        // see EOF promptly instead of holding a pool worker forever.
-        self.reader.get_ref().shutdown();
+        // Shut down actively: the server's keep-alive read sees EOF now.
+        self.stream.shutdown();
     }
 }
 

@@ -90,10 +90,6 @@ pub trait Wire: Send + Sync + 'static {
     type Call: Send + 'static;
     /// Per-connection buffers [`Wire::serve`] recycles across calls.
     type Scratch: Send + 'static;
-    /// Whether [`Wire::serve`] decodes the request's raw bytes (they
-    /// are split off the receive buffer without a copy) or
-    /// [`Wire::frame`] already parsed them into the [`Wire::Call`].
-    const RAW_FRAME: bool;
     /// How long an upstream may take over each step of a forward:
     /// taking the request, producing the next bytes of its answer.
     const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(5);
@@ -111,18 +107,18 @@ pub trait Wire: Send + Sync + 'static {
     fn frame(&self, bytes: &[u8], reply: &mut Reply) -> Framed<Self::Call>;
 
     /// Serves `call` into `reply`, on a dispatch worker; may block and
-    /// may panic (the caller is then [`Wire::refuse`]d). `frame` is the
-    /// request's bytes under [`Wire::RAW_FRAME`], empty otherwise.
+    /// may panic (the caller is then [`Wire::refuse`]d). `frame` holds
+    /// the request's bytes; what it holds after receives a later one's.
     fn serve(
         &self,
         call: &Self::Call,
-        frame: &[u8],
+        frame: &mut ReadBuf,
         scratch: &mut Self::Scratch,
         reply: &mut Reply,
     );
 
     /// Answers a request that will not be (or was not) served; `frame`
-    /// holds its bytes whatever [`Wire::RAW_FRAME`] says.
+    /// holds its bytes.
     fn refuse(
         &self,
         why: Refusal,
@@ -408,8 +404,8 @@ fn register<W: Wire>(server: &Arc<Server<W>>, stream: Stream, start: Start) {
 struct Io<W: Wire> {
     stream: Stream,
     reply: Reply,
-    /// Under [`Wire::RAW_FRAME`], and for a forward, the request split
-    /// off `inbuf`; its storage becomes `inbuf`'s at the next split.
+    /// The request being served or forwarded, split off `inbuf`; its
+    /// storage becomes `inbuf`'s at the next split.
     frame: ReadBuf,
     scratch: W::Scratch,
 }
@@ -552,7 +548,7 @@ fn flush<W: Wire>(io: &mut Io<W>, mut pos: usize) -> Next {
 
 /// Runs on a dispatch worker: serving, and the first write attempt.
 fn execute<W: Wire>(wire: &W, call: W::Call, mut io: Io<W>) -> Returned<W> {
-    let (frame, scratch, reply) = (io.frame.filled(), &mut io.scratch, &mut io.reply);
+    let (frame, scratch, reply) = (&mut io.frame, &mut io.scratch, &mut io.reply);
     // A panicking handler costs this request, not this worker: the
     // unwind stops here and the caller gets the wire's refusal.
     if catch_unwind(AssertUnwindSafe(|| {
@@ -561,7 +557,7 @@ fn execute<W: Wire>(wire: &W, call: W::Call, mut io: Io<W>) -> Returned<W> {
     .is_err()
     {
         reply.clear();
-        wire.refuse(Refusal::Panicked, &call, frame, scratch, reply);
+        wire.refuse(Refusal::Panicked, &call, frame.filled(), scratch, reply);
     }
     let next = flush(&mut io, 0);
     Returned { io, next }
@@ -622,12 +618,8 @@ impl<W: Wire> Conn<W> {
         let mut call = Some(call);
         let queued = self.server.dispatch.try_submit(|| {
             let mut io = self.io.take().expect(IO_HOME);
-            if W::RAW_FRAME {
-                let spare = std::mem::take(&mut io.frame);
-                io.frame = self.inbuf.split_front(len, spare);
-            } else {
-                self.inbuf.consume(len);
-            }
+            let spare = std::mem::take(&mut io.frame);
+            io.frame = self.inbuf.split_front(len, spare);
             let call = call.take().expect("a job is built once");
             let server = self.server.clone();
             let (handle, token) = (ctl.handle(), ctl.token());

@@ -438,14 +438,6 @@ impl ChaosStream {
         self.inner.set_read_timeout(timeout)
     }
 
-    pub(crate) fn try_clone(&self) -> io::Result<ChaosStream> {
-        Ok(ChaosStream {
-            inner: Box::new(self.inner.try_clone()?),
-            shared: self.shared.clone(),
-            read_timeout: self.read_timeout,
-        })
-    }
-
     pub(crate) fn shutdown(&self) {
         *self.shared.closed.lock() = true;
         self.shared.cond.notify_all();
@@ -634,10 +626,15 @@ mod tests {
     #[test]
     fn blackhole_read_sees_eof_after_shutdown() {
         let (mut s, _peer) = chaos_pair(ChaosMode::Blackhole);
-        let clone = s.try_clone().unwrap();
+        let Stream::Chaos(chaos) = &s else {
+            unreachable!("chaos_pair wraps")
+        };
+        let shared = chaos.shared.clone();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            clone.shutdown();
+            // What `shutdown` does to a parked read, from another thread.
+            *shared.closed.lock() = true;
+            shared.cond.notify_all();
         });
         let mut buf = [0u8; 1];
         assert_eq!(s.read(&mut buf).unwrap(), 0);

@@ -1,10 +1,14 @@
-//! HTTP/1.1 request and response types with parsing and serialization.
+//! HTTP/1.1 messages as the bytes they travel in.
 //!
 //! The subset implemented is what the SOAP-over-HTTP binding and the
-//! Interface Server need: `GET`/`POST`/`HEAD`, `Content-Length` framing,
+//! Interface Server need: `GET`/`POST`/`HEAD`, `Content-Length` framing
+//! (a `Transfer-Encoding` is refused; Axis-era SOAP stacks did not chunk),
 //! case-insensitive headers, and `Connection: close`/`keep-alive`.
-//! Chunked transfer encoding is not implemented (Axis-era SOAP stacks used
-//! content-length framing).
+//!
+//! A message is its bytes plus offsets: its first line and [`Headers`] —
+//! one block of `Name: value\r\n` lines — in one buffer, a built one's
+//! own or the bytes a parsed one arrived in, body behind. One scanner,
+//! [`Head`], frames both directions for server, client and relay.
 
 use std::fmt;
 use std::io::{BufRead, IoSlice, Write};
@@ -39,7 +43,7 @@ impl Method {
             "GET" => Ok(Method::Get),
             "POST" => Ok(Method::Post),
             "HEAD" => Ok(Method::Head),
-            other => Err(HttpError::Malformed(format!("unsupported method {other}"))),
+            other => Err(malformed(format!("unsupported method {other}"))),
         }
     }
 }
@@ -81,6 +85,7 @@ impl Status {
             408 => "Request Timeout",
             413 => "Content Too Large",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -93,10 +98,22 @@ impl fmt::Display for Status {
     }
 }
 
-/// An ordered, case-insensitive header map.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+fn malformed(what: impl Into<String>) -> HttpError {
+    HttpError::Malformed(what.into())
+}
+
+/// Room a built head gets for a few header lines (and its first line).
+const HEAD_ROOM: usize = 160;
+
+/// A message's header lines in wire form, `Name: value\r\n` each: the
+/// bytes `[block]` of the buffer its head is in, behind its first line
+/// (a parsed message's body follows the blank line that ends the block).
+/// Names compare case-insensitively; a name on several lines counts by
+/// its last.
+#[derive(Clone, Default)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    bytes: Vec<u8>,
+    block: Range<usize>,
 }
 
 impl Headers {
@@ -105,43 +122,155 @@ impl Headers {
         Headers::default()
     }
 
-    /// Returns the first value of `name` (case-insensitive).
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Appends or replaces the header `name`.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
-        let value = value.into();
-        if let Some(slot) = self
-            .entries
-            .iter_mut()
-            .find(|(k, _)| k.eq_ignore_ascii_case(&name))
-        {
-            slot.1 = value;
-        } else {
-            self.entries.push((name, value));
+    /// No header lines, behind the first line `first` writes (CRLF added).
+    fn behind(extra: usize, first: impl FnOnce(&mut Vec<u8>)) -> Headers {
+        let mut bytes = Vec::with_capacity(HEAD_ROOM + extra);
+        first(&mut bytes);
+        bytes.extend_from_slice(b"\r\n");
+        let at = bytes.len();
+        Headers {
+            bytes,
+            block: at..at,
         }
     }
 
-    /// All headers in insertion order.
+    /// Every line was checked on its way in, by `set` or the scanner.
+    fn fields(&self) -> impl Iterator<Item = Field> + '_ {
+        fields(&self.bytes, self.block.clone()).flatten()
+    }
+
+    /// Text cut at ASCII bytes out of UTF-8 `set` or the scanner checked.
+    fn text(&self, at: Range<usize>) -> &str {
+        std::str::from_utf8(&self.bytes[at]).unwrap_or_default()
+    }
+
+    /// Where the value of the last `name` line is.
+    fn find(&self, name: &[u8]) -> Option<Range<usize>> {
+        let bytes = &self.bytes;
+        let named = |f: &Field| bytes[f.name.clone()].eq_ignore_ascii_case(name);
+        self.fields().filter(named).last().map(|f| f.value)
+    }
+
+    /// Returns the value of `name` (case-insensitive), without its
+    /// surrounding whitespace.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.find(name.as_bytes()).map(|at| self.text(at))
+    }
+
+    /// Replaces the value of `name` in place, or appends a line for it.
+    /// Returns `false`, changing nothing, for what could become a line
+    /// of its own or break the one it is on: a value with a CR, LF or
+    /// NUL, or a name that is empty or holds anything but visible ASCII
+    /// other than `:`.
+    pub fn set(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) -> bool {
+        let (name, value) = (name.as_ref().as_bytes(), value.as_ref().as_bytes());
+        if !is_name(name) || value.iter().any(|&b| is_break(b)) {
+            return false;
+        }
+        let end = self.block.end;
+        let (at, parts) = match self.find(name) {
+            Some(old) => (old, [value, b"", b"", b""]),
+            None => (end..end, [name, b": ", value, b"\r\n"]),
+        };
+        self.block.end = end - at.len() + parts.iter().map(|p| p.len()).sum::<usize>();
+        self.bytes.splice(at, parts.into_iter().flatten().copied());
+        true
+    }
+
+    /// All headers in line order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.fields()
+            .map(|f| (self.text(f.name), self.text(f.value)))
     }
 
-    /// Number of headers.
+    /// Number of header lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.fields().count()
     }
 
-    /// Whether the map is empty.
+    /// Whether there are none.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.block.is_empty()
     }
+
+    /// The one head writer: into `out`, the first line and the header
+    /// lines in one copy, a `Content-Length` for `body_len` unless the
+    /// block has one, and the blank line.
+    fn write_head(&self, out: &mut Vec<u8>, body_len: usize) {
+        out.clear();
+        out.extend_from_slice(&self.bytes[..self.block.end]);
+        if self.find(b"content-length").is_none() {
+            write!(out, "Content-Length: {body_len}\r\n").expect("vec write");
+        }
+        out.extend_from_slice(b"\r\n");
+    }
+
+    /// A parsed message's body: the bytes behind the blank line.
+    fn tail(&self) -> &[u8] {
+        &self.bytes[(self.block.end + 2).min(self.bytes.len())..]
+    }
+}
+
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Headers {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Headers {}
+
+/// One header line, as ranges of its message's bytes.
+struct Field {
+    /// The whole line, CRLF included.
+    line: Range<usize>,
+    name: Range<usize>,
+    /// Without surrounding spaces and tabs.
+    value: Range<usize>,
+}
+
+/// The lines of the header block `bytes[block]`: a [`Field`] each, or
+/// `None` for a line that is not a header line — no colon, a name that
+/// is not [`is_name`], or a CR, LF or NUL anywhere but at its end.
+fn fields(bytes: &[u8], block: Range<usize>) -> impl Iterator<Item = Option<Field>> + '_ {
+    let mut at = block.start;
+    bytes[block]
+        .split_inclusive(|&b| b == b'\n')
+        .map(move |line| {
+            at += line.len();
+            field(bytes, at - line.len()..at)
+        })
+}
+
+fn field(bytes: &[u8], line: Range<usize>) -> Option<Field> {
+    let text = bytes[line.clone()].strip_suffix(b"\r\n")?;
+    let colon = text.iter().position(|&b| b == b':')?;
+    let value = &text[colon + 1..];
+    if !is_name(&text[..colon]) || value.iter().any(|&b| is_break(b)) {
+        return None;
+    }
+    let blank = |b: &&u8| **b == b' ' || **b == b'\t';
+    let lead = value.iter().take_while(blank).count();
+    let trail = value[lead..].iter().rev().take_while(blank).count();
+    let from = line.start + colon + 1;
+    Some(Field {
+        name: line.start..from - 1,
+        value: from + lead..from + value.len() - trail,
+        line,
+    })
+}
+
+fn is_name(name: &[u8]) -> bool {
+    !name.is_empty() && name.iter().all(|&b| b.is_ascii_graphic() && b != b':')
+}
+
+fn is_break(b: u8) -> bool {
+    matches!(b, b'\r' | b'\n' | 0)
 }
 
 /// Parse-time bounds on inbound messages (slow-loris / memory-bomb
@@ -164,46 +293,108 @@ impl Default for Limits {
     }
 }
 
+/// A message body: owned bytes, or a zero-copy reference-counted slice
+/// shared with the producer (the Interface Server publishes WSDL/IDL
+/// documents as `Arc<[u8]>` so serving a poll never copies the document),
+/// or a relayed body split off the receive buffer it arrived in, or a
+/// parsed message's, behind its head in its headers' buffer.
+#[derive(Debug, Clone)]
+pub enum Body {
+    /// Bytes owned by this response.
+    Owned(Vec<u8>),
+    /// Bytes shared with the producer; serving clones the `Arc`, not the
+    /// buffer.
+    Shared(Arc<[u8]>),
+    /// An upstream's body, in the buffer it was read into.
+    Relayed(ReadBuf),
+    /// A parsed message's, read through its message only.
+    Tail,
+}
+
+impl Body {
+    /// The body bytes, empty for a [`Body::Tail`] (never in a reply).
+    pub fn as_slice(&self) -> &[u8] {
+        match self {
+            Body::Owned(v) => v,
+            Body::Shared(a) => a,
+            Body::Relayed(b) => b.filled(),
+            Body::Tail => &[],
+        }
+    }
+
+    /// The body of the message whose headers are `headers`.
+    fn of<'a>(&'a self, headers: &'a Headers) -> &'a [u8] {
+        match self {
+            Body::Tail => headers.tail(),
+            body => body.as_slice(),
+        }
+    }
+}
+
 /// An HTTP/1.1 request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Request {
     method: Method,
-    path: String,
+    /// The path, in the head's buffer.
+    path: Range<usize>,
     headers: Headers,
-    body: Vec<u8>,
+    body: Body,
 }
 
 impl Request {
-    /// Creates a `GET` request for `path`.
-    pub fn get(path: impl Into<String>) -> Request {
+    fn build(method: Method, path: &str, body: Vec<u8>) -> Request {
+        let headers = Headers::behind(path.len(), |b| {
+            for part in [method.as_str(), " ", path, " HTTP/1.1"] {
+                b.extend_from_slice(part.as_bytes());
+            }
+        });
+        let at = method.as_str().len() + 1;
         Request {
-            method: Method::Get,
-            path: path.into(),
-            headers: Headers::new(),
-            body: Vec::new(),
+            method,
+            path: at..at + path.len(),
+            headers,
+            body: Body::Owned(body),
         }
     }
 
-    /// Creates a `HEAD` request for `path`.
-    pub fn head(path: impl Into<String>) -> Request {
+    /// A request over `bytes`, all of them, as the scanner found them:
+    /// its `path` and header `block` there, its body behind the block.
+    pub(crate) fn framed(
+        method: Method,
+        path: Range<usize>,
+        block: Range<usize>,
+        bytes: Vec<u8>,
+    ) -> Request {
+        let headers = Headers { bytes, block };
+        let body = Body::Tail;
         Request {
-            method: Method::Head,
-            path: path.into(),
-            headers: Headers::new(),
-            body: Vec::new(),
-        }
-    }
-
-    /// Creates a `POST` request carrying `body`.
-    pub fn post(path: impl Into<String>, body: Vec<u8>, content_type: &str) -> Request {
-        let mut headers = Headers::new();
-        headers.set("Content-Type", content_type);
-        Request {
-            method: Method::Post,
-            path: path.into(),
+            method,
+            path,
             headers,
             body,
         }
+    }
+
+    /// The buffer the request's head is in: a framed one's bytes.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.headers.bytes
+    }
+
+    /// Creates a `GET` request for `path`.
+    pub fn get(path: impl AsRef<str>) -> Request {
+        Request::build(Method::Get, path.as_ref(), Vec::new())
+    }
+
+    /// Creates a `HEAD` request for `path`.
+    pub fn head(path: impl AsRef<str>) -> Request {
+        Request::build(Method::Head, path.as_ref(), Vec::new())
+    }
+
+    /// Creates a `POST` request carrying `body`.
+    pub fn post(path: impl AsRef<str>, body: Vec<u8>, content_type: &str) -> Request {
+        let mut req = Request::build(Method::Post, path.as_ref(), body);
+        req.headers.set("Content-Type", content_type);
+        req
     }
 
     /// Request method.
@@ -213,7 +404,7 @@ impl Request {
 
     /// Request path (starts with `/`).
     pub fn path(&self) -> &str {
-        &self.path
+        self.headers.text(self.path.clone())
     }
 
     /// Header map.
@@ -228,19 +419,27 @@ impl Request {
 
     /// Raw body bytes.
     pub fn body(&self) -> &[u8] {
-        &self.body
+        self.body.of(&self.headers)
     }
 
     /// Consumes the request, returning the body buffer — callers that
     /// encode into a reusable buffer recover it (capacity intact) after
     /// the request has been sent.
     pub fn into_body(self) -> Vec<u8> {
-        self.body
+        match self.body {
+            Body::Owned(body) => body,
+            body => body.of(&self.headers).to_vec(),
+        }
     }
 
     /// Body decoded as UTF-8 (lossy).
     pub fn body_str(&self) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(&self.body)
+        String::from_utf8_lossy(self.body())
+    }
+
+    /// The head, as [`Headers::write_head`] writes it.
+    pub(crate) fn write_head(&self, out: &mut Vec<u8>) {
+        self.headers.write_head(out, self.body().len());
     }
 
     /// Serializes the request onto `w`.
@@ -250,238 +449,180 @@ impl Request {
     /// Propagates I/O errors from the writer. Note that `w` may be a
     /// `&mut` reference to any writer.
     pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), HttpError> {
-        let mut head = format!("{} {} HTTP/1.1\r\n", self.method, self.path);
-        let mut has_len = false;
-        for (k, v) in self.headers.iter() {
-            if k.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        if !has_len {
-            head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        }
-        head.push_str("\r\n");
-        // One vectored write: a request that leaves in two segments
-        // makes the server parse (and allocate for) the head twice.
-        write_all_vectored(&mut w, head.as_bytes(), &self.body)?;
-        w.flush()?;
-        Ok(())
+        let mut head = Vec::with_capacity(HEAD_ROOM);
+        self.write_head(&mut head);
+        Ok(write_message(&mut w, &head, self.body())?)
     }
 
     /// Incremental (non-blocking) parse: attempts to extract one
-    /// complete request from the front of `buf`.
+    /// complete request from the front of `buf`, copying its bytes once.
     ///
     /// Returns `Ok(None)` while the buffer holds only a prefix of a
-    /// request — the reactor's connection state machine re-arms its
-    /// read interest and calls again when more bytes arrive. On success
-    /// the second tuple element is how many bytes of `buf` the request
-    /// consumed (the caller drains them; anything after is pipelined).
+    /// request. On success the second tuple element is how many bytes of
+    /// `buf` the request consumed (the caller drains them; anything after
+    /// is pipelined).
     ///
     /// # Errors
     ///
     /// [`HttpError::Malformed`] on protocol violations, including a
     /// header section or declared body that exceeds `limits` — an
     /// over-limit prefix is detected as soon as the bytes are in the
-    /// buffer, terminator or not.
+    /// buffer, terminator or not — and a `Transfer-Encoding`.
     pub fn parse_buffered(
         buf: &[u8],
         limits: &Limits,
     ) -> Result<Option<(Request, usize)>, HttpError> {
-        match RequestHead::scan(buf, limits)? {
-            Some(head) => head.parse(buf, limits),
-            None => Ok(None),
-        }
-    }
-}
-
-/// A request's head at the front of a buffer, scanned in place as far
-/// as its request line: enough to route it, nothing built.
-pub(crate) struct RequestHead<'a> {
-    pub(crate) method: Method,
-    pub(crate) path: &'a str,
-    head: Head<'a>,
-}
-
-impl<'a> RequestHead<'a> {
-    /// `Ok(None)` until the whole head is in `buf`.
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::Malformed`] as [`Request::parse_buffered`] says.
-    pub(crate) fn scan(buf: &'a [u8], limits: &Limits) -> Result<Option<Self>, HttpError> {
-        let Some(head) = Head::split(buf, limits.max_header_bytes, "non-utf8 request head")? else {
+        let Some(head) = RequestHead::scan(buf, limits)? else {
             return Ok(None);
         };
-        let mut parts = head.first.split_whitespace();
-        let method = Method::parse(parts.next().unwrap_or(""))?;
-        let path = parts
-            .next()
-            .ok_or_else(|| HttpError::Malformed("missing request path".into()))?;
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed(format!(
-                "bad http version {version:?}"
-            )));
+        if head.head.framing.transfer_encoding {
+            return Err(malformed("transfer-encoding is not supported"));
         }
-        Ok(Some(RequestHead { method, path, head }))
-    }
-
-    /// The owned request — its headers, and a copy of its body — and
-    /// its length; `Ok(None)` until the declared body is in `buf` too.
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::Malformed`] as [`Request::parse_buffered`] says.
-    pub(crate) fn parse(
-        &self,
-        buf: &[u8],
-        limits: &Limits,
-    ) -> Result<Option<(Request, usize)>, HttpError> {
-        let path = self.path.to_string();
-        let mut headers = Headers::new();
-        for line in self.head.lines.split("\r\n") {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
-            headers.set(name.trim(), value.trim());
-        }
-        let body_len: usize = match headers.get("Content-Length") {
-            None => 0,
-            Some(v) => v
-                .parse()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
-        };
-        if body_len > limits.max_body_bytes {
-            return Err(HttpError::Malformed(format!(
-                "content-length {body_len} exceeds limit"
-            )));
-        }
-        let total = self.head.body_at + body_len;
-        if buf.len() < total {
+        let len = head.head.len(false);
+        if buf.len() < len {
             return Ok(None);
         }
-        let body = buf[self.head.body_at..total].to_vec();
-        Ok(Some((
-            Request {
-                method: self.method,
-                path,
-                headers,
-                body,
-            },
-            total,
-        )))
-    }
-
-    /// What relaying the request takes, read in place, and its length;
-    /// `Ok(None)` until the declared body is in `buf` too.
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::Malformed`] as [`Request::parse_buffered`] says.
-    pub(crate) fn framing(
-        &self,
-        buf: &[u8],
-        limits: &Limits,
-    ) -> Result<Option<(usize, Framing)>, HttpError> {
-        let framing = Framing::scan(&self.head, limits.max_body_bytes)?;
-        let len = self.head.body_at + framing.content_length;
-        Ok((buf.len() >= len).then_some((len, framing)))
+        let block = head.head.block.clone();
+        let req = Request::framed(head.method, head.path_at(), block, buf[..len].to_vec());
+        Ok(Some((req, len)))
     }
 }
 
-/// A whole response head at the front of a buffer, scanned in place.
-pub(crate) struct ResponseHead {
-    pub(crate) status: u16,
+/// A message head at the front of a buffer, scanned in place — nothing
+/// built — by the one scanner both directions are framed with.
+pub(crate) struct Head {
+    /// The header lines, each with its CRLF.
+    pub(crate) block: Range<usize>,
     /// Where the body starts (past the blank line).
     pub(crate) body_at: usize,
     pub(crate) framing: Framing,
 }
 
-impl ResponseHead {
-    /// `Ok(None)` until the whole head is in `buf`; bounded by the same
-    /// defaults a response read through [`Response::read_from`] is.
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::Malformed`] on a protocol violation or an
-    /// over-limit head or body.
-    pub(crate) fn scan(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
-        let limits = Limits::default();
-        let Some(head) = Head::split(buf, limits.max_header_bytes, "non-utf8 response head")?
-        else {
+impl Head {
+    /// The head and its first line, once it has ended within `max_len`
+    /// bytes from `from`: an over-limit prefix fails at once.
+    fn split<'a>(
+        buf: &'a [u8],
+        from: usize,
+        max_len: usize,
+        limits: &Limits,
+    ) -> Result<Option<(&'a str, Head)>, HttpError> {
+        let Some(end) = seek(&buf[from..], b"\r\n\r\n", max_len)? else {
             return Ok(None);
         };
-        let mut parts = head.first.splitn(3, ' ');
-        if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed("bad http version".into()));
-        }
-        let status = parts
-            .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| HttpError::Malformed("bad status code".into()))?;
-        Ok(Some(ResponseHead {
-            status,
-            body_at: head.body_at,
-            framing: Framing::scan(&head, limits.max_body_bytes)?,
-        }))
+        let body_at = from + end;
+        let text = std::str::from_utf8(&buf[..body_at - 2])
+            .map_err(|_| malformed("non-utf8 message head"))?;
+        let first = text.find("\r\n").expect("a head ends in CRLF");
+        let block = first + 2..body_at - 2;
+        let framing = Framing::scan(buf, block.clone(), limits.max_body_bytes)?;
+        let head = Head {
+            block,
+            body_at,
+            framing,
+        };
+        Ok(Some((&text[..first], head)))
+    }
+
+    /// The whole message's length: the head, and the declared body
+    /// unless the message is `bodiless`.
+    pub(crate) fn len(&self, bodiless: bool) -> usize {
+        let body = if bodiless {
+            0
+        } else {
+            self.framing.content_length
+        };
+        self.body_at + body
     }
 }
 
-/// A message head at the front of a buffer, split in place.
-struct Head<'a> {
-    /// The request or status line.
-    first: &'a str,
-    /// The header lines, CRLF-separated, without the final blank line.
-    lines: &'a str,
-    /// Where `lines` starts in the buffer.
-    lines_at: usize,
-    /// Where the body starts (past the blank line).
-    body_at: usize,
+/// The end of the first `needle` lying wholly within `buf[..max_len]`;
+/// `Ok(None)` while `buf` is shorter than that and holds none.
+fn seek(buf: &[u8], needle: &[u8], max_len: usize) -> Result<Option<usize>, HttpError> {
+    let window = &buf[..buf.len().min(max_len)];
+    match window.windows(needle.len()).position(|w| w == needle) {
+        Some(at) => Ok(Some(at + needle.len())),
+        None if buf.len() >= max_len => Err(malformed("header section exceeds size limit")),
+        None => Ok(None),
+    }
 }
 
-impl<'a> Head<'a> {
-    /// `Ok(None)` while the head is still arriving. An over-limit prefix
-    /// is malformed as soon as it is in the buffer, terminator or not.
-    fn split(
-        buf: &'a [u8],
-        max_header_bytes: usize,
-        non_utf8: &'static str,
-    ) -> Result<Option<Head<'a>>, HttpError> {
-        let head_cap = max_header_bytes + 4;
-        let window = &buf[..buf.len().min(head_cap)];
-        let Some(end) = window.windows(4).position(|w| w == b"\r\n\r\n") else {
-            if buf.len() >= head_cap {
-                return Err(HttpError::Malformed(
-                    "header section exceeds size limit".into(),
-                ));
-            }
+/// A request's head at the front of a buffer: enough to route it.
+pub(crate) struct RequestHead<'a> {
+    pub(crate) method: Method,
+    pub(crate) path: &'a str,
+    pub(crate) head: Head,
+}
+
+impl<'a> RequestHead<'a> {
+    /// `Ok(None)` until the whole head — request line, header lines and
+    /// blank line, in `max_header_bytes` + 4 bytes — is in `buf`; errors
+    /// as [`Request::parse_buffered`], but a `Transfer-Encoding` is only
+    /// noted.
+    pub(crate) fn scan(buf: &'a [u8], limits: &Limits) -> Result<Option<Self>, HttpError> {
+        let max_len = limits.max_header_bytes.saturating_add(4);
+        let Some((line, head)) = Head::split(buf, 0, max_len, limits)? else {
             return Ok(None);
         };
-        let head =
-            std::str::from_utf8(&buf[..end]).map_err(|_| HttpError::Malformed(non_utf8.into()))?;
-        // A byte scan: the first line is short, and a string searcher
-        // would cost more to set up than to run.
-        let (first, lines, lines_at) = match head.as_bytes().windows(2).position(|w| w == b"\r\n") {
-            Some(i) => (&head[..i], &head[i + 2..], i + 2),
-            None => (head, "", end),
+        let bad = || malformed(format!("bad request line {line:?}"));
+        let (method, rest) = line.split_once(' ').ok_or_else(bad)?;
+        let method = Method::parse(method)?;
+        let (path, version) = rest.split_once(' ').ok_or_else(bad)?;
+        if path.is_empty() || !version.starts_with("HTTP/1.") {
+            return Err(bad());
+        }
+        Ok(Some(RequestHead { method, path, head }))
+    }
+
+    /// Where the path is (the request line is `method SP path SP ...`).
+    pub(crate) fn path_at(&self) -> Range<usize> {
+        let at = self.method.as_str().len() + 1;
+        at..at + self.path.len()
+    }
+}
+
+/// A response's head at the front of a buffer.
+pub(crate) struct ResponseHead {
+    pub(crate) status: u16,
+    pub(crate) head: Head,
+}
+
+impl ResponseHead {
+    /// `Ok(None)` until the whole head — the status line, and behind it
+    /// the header lines and blank line, in the default `max_header_bytes`
+    /// each — is in `buf`; malformed with a `Transfer-Encoding` too.
+    pub(crate) fn scan(buf: &[u8]) -> Result<Option<ResponseHead>, HttpError> {
+        let limits = Limits::default();
+        let Some(end) = seek(buf, b"\r\n", limits.max_header_bytes)? else {
+            return Ok(None);
         };
-        Ok(Some(Head {
-            first,
-            lines,
-            lines_at,
-            body_at: end + 4,
-        }))
+        let max_len = limits.max_header_bytes + 2;
+        let Some((line, head)) = Head::split(buf, end - 2, max_len, &limits)? else {
+            return Ok(None);
+        };
+        let mut parts = line.splitn(3, ' ');
+        if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
+            return Err(malformed("bad http version"));
+        }
+        let status = parts.next().and_then(|c| c.parse().ok());
+        let status = status.ok_or_else(|| malformed("bad status code"))?;
+        if head.framing.transfer_encoding {
+            return Err(malformed("transfer-encoding is not supported"));
+        }
+        Ok(Some(ResponseHead { status, head }))
+    }
+
+    /// The whole answer's length: the head, and the body unless there is
+    /// none — the answer to a `HEAD` (`head_only`), or a `1xx`, `204` or
+    /// `304` (RFC 9112 §6.3).
+    pub(crate) fn len(&self, head_only: bool) -> usize {
+        let bodiless = head_only || matches!(self.status, 100..=199 | 204 | 304);
+        self.head.len(bodiless)
     }
 }
 
 /// What a message's header lines say about its framing.
+#[derive(Default)]
 pub(crate) struct Framing {
     /// The declared body length (0 without a `Content-Length`).
     pub(crate) content_length: usize,
@@ -490,87 +631,47 @@ pub(crate) struct Framing {
     /// The (last) `Connection` line, CRLF included: the hop-by-hop
     /// header a relay drops.
     pub(crate) connection: Option<Range<usize>>,
+    /// A `Transfer-Encoding`: a body framed otherwise, which nothing reads.
+    pub(crate) transfer_encoding: bool,
 }
 
 impl Framing {
-    /// Reads `head`'s header lines in place. A repeated header counts by
-    /// its last occurrence, as [`Headers::set`] would have it.
-    fn scan(head: &Head<'_>, max_body: usize) -> Result<Framing, HttpError> {
-        let mut framing = Framing {
-            content_length: 0,
-            close: false,
-            connection: None,
-        };
-        let mut content_length = None;
-        let mut at = head.lines_at;
-        for line in head.lines.split("\r\n") {
-            let line_at = at;
-            at += line.len() + 2;
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
-            let (name, value) = (name.trim(), value.trim());
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = Some(value);
-            } else if name.eq_ignore_ascii_case("connection") {
-                framing.close = value.eq_ignore_ascii_case("close");
-                framing.connection = Some(line_at..at);
+    /// Reads the header lines `buf[block]`, refusing one that is not a
+    /// header line, a `Content-Length` that disagrees with another
+    /// (RFC 9112 §6.3), and a body over `max_body`. A repeated
+    /// `Connection` counts by its last line, as [`Headers::get`] reads it.
+    fn scan(buf: &[u8], block: Range<usize>, max_body: usize) -> Result<Framing, HttpError> {
+        let mut framing = Framing::default();
+        let mut length: Option<&[u8]> = None;
+        for field in fields(buf, block) {
+            let field = field.ok_or_else(|| malformed("bad header line"))?;
+            let (name, value) = (&buf[field.name], &buf[field.value]);
+            if name.eq_ignore_ascii_case(b"content-length") {
+                if length.is_some_and(|l| l != value) {
+                    return Err(malformed("conflicting content-length"));
+                }
+                length = Some(value);
+            } else if name.eq_ignore_ascii_case(b"connection") {
+                framing.close = value.eq_ignore_ascii_case(b"close");
+                framing.connection = Some(field.line);
+            } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+                framing.transfer_encoding = true;
             }
         }
-        if let Some(v) = content_length {
-            framing.content_length = v
-                .parse()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?;
+        if let Some(v) = length.map(String::from_utf8_lossy) {
+            let bad = || malformed(format!("bad content-length {v:?}"));
+            framing.content_length = v.parse().map_err(|_| bad())?;
         }
         if framing.content_length > max_body {
-            return Err(HttpError::Malformed(format!(
-                "content-length {} exceeds limit",
-                framing.content_length
-            )));
+            let len = framing.content_length;
+            return Err(malformed(format!("content-length {len} exceeds limit")));
         }
         Ok(framing)
     }
 }
 
-/// A response body: owned bytes, or a zero-copy reference-counted slice
-/// shared with the producer (the Interface Server publishes WSDL/IDL
-/// documents as `Arc<[u8]>` so serving a poll never copies the document),
-/// or a relayed body split off the receive buffer it arrived in.
-#[derive(Debug, Clone)]
-pub enum Body {
-    /// Bytes owned by this response.
-    Owned(Vec<u8>),
-    /// Bytes shared with the producer; serving clones the `Arc`, not the
-    /// buffer.
-    Shared(Arc<[u8]>),
-    /// An upstream's body, in the buffer it was read into.
-    Relayed(ReadBuf),
-}
-
-impl Body {
-    /// The body bytes, whatever the representation.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Body::Owned(v) => v,
-            Body::Shared(a) => a,
-            Body::Relayed(b) => b.filled(),
-        }
-    }
-}
-
-impl PartialEq for Body {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Body {}
-
 /// An HTTP/1.1 response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Response {
     status: Status,
     headers: Headers,
@@ -578,27 +679,39 @@ pub struct Response {
 }
 
 impl Response {
-    /// Creates a response with the given status, body and content type.
-    pub fn new(status: Status, body: Vec<u8>, content_type: &str) -> Response {
-        let mut headers = Headers::new();
+    fn build(status: Status, body: Body, content_type: &str) -> Response {
+        let mut headers = Headers::behind(0, |b| {
+            write!(b, "HTTP/1.1 {status}").expect("vec write");
+        });
         headers.set("Content-Type", content_type);
         Response {
             status,
             headers,
-            body: Body::Owned(body),
+            body,
         }
+    }
+
+    /// A response over `bytes`, all of it, as the scanner found `head`.
+    pub(crate) fn parsed(bytes: Vec<u8>, head: &ResponseHead) -> Response {
+        let block = head.head.block.clone();
+        let (status, headers) = (Status(head.status), Headers { bytes, block });
+        let body = Body::Tail;
+        Response {
+            status,
+            headers,
+            body,
+        }
+    }
+
+    /// Creates a response with the given status, body and content type.
+    pub fn new(status: Status, body: Vec<u8>, content_type: &str) -> Response {
+        Response::build(status, Body::Owned(body), content_type)
     }
 
     /// Creates a response whose body is shared with the caller — no copy
     /// is made at construction or serialization time.
     pub fn new_shared(status: Status, body: Arc<[u8]>, content_type: &str) -> Response {
-        let mut headers = Headers::new();
-        headers.set("Content-Type", content_type);
-        Response {
-            status,
-            headers,
-            body: Body::Shared(body),
-        }
+        Response::build(status, Body::Shared(body), content_type)
     }
 
     /// 200 response.
@@ -674,12 +787,12 @@ impl Response {
 
     /// Raw body bytes.
     pub fn body(&self) -> &[u8] {
-        self.body.as_slice()
+        self.body.of(&self.headers)
     }
 
     /// Body decoded as UTF-8 (lossy).
     pub fn body_str(&self) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(self.body.as_slice())
+        String::from_utf8_lossy(self.body())
     }
 
     /// Serializes the response onto `w` (which may be a `&mut` writer).
@@ -688,14 +801,13 @@ impl Response {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), HttpError> {
-        let mut scratch = Vec::with_capacity(256);
+        let mut scratch = Vec::with_capacity(HEAD_ROOM);
         self.write_to_buffered(&mut scratch, &mut w)
     }
 
     /// Serializes the response onto `w`, assembling the head in the
-    /// caller-provided `scratch` buffer (reused across requests by the
-    /// server's worker threads) and emitting head + body with one
-    /// vectored write instead of per-part writes.
+    /// caller-provided `scratch` buffer (reused across responses) and
+    /// emitting head + body with one vectored write.
     ///
     /// # Errors
     ///
@@ -705,62 +817,31 @@ impl Response {
         scratch: &mut Vec<u8>,
         w: &mut W,
     ) -> Result<(), HttpError> {
-        let body = self.body.as_slice();
-        scratch.clear();
-        write!(scratch, "HTTP/1.1 {}\r\n", self.status)?;
-        let mut has_len = false;
-        for (k, v) in self.headers.iter() {
-            if k.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            scratch.extend_from_slice(k.as_bytes());
-            scratch.extend_from_slice(b": ");
-            scratch.extend_from_slice(v.as_bytes());
-            scratch.extend_from_slice(b"\r\n");
-        }
-        if !has_len {
-            write!(scratch, "Content-Length: {}\r\n", body.len())?;
-        }
-        scratch.extend_from_slice(b"\r\n");
-        write_all_vectored(w, scratch, body)?;
-        w.flush()?;
-        Ok(())
+        let body = self.body();
+        self.headers.write_head(scratch, body.len());
+        Ok(write_message(w, scratch, body)?)
     }
 
-    /// Serializes the response head (status line, headers, a
-    /// `Content-Length` if absent, and the blank line) into `head` and
-    /// returns the body — the reactor's write state machine drains the
-    /// two buffers through a nonblocking fd, tracking its own offset
-    /// across partial writes.
+    /// Serializes the response head into `head` and returns the body —
+    /// the reactor's write state machine drains the two buffers through
+    /// a nonblocking fd, tracking its own offset across partial writes.
     pub(crate) fn into_write_parts(self, head: &mut Vec<u8>) -> Body {
-        head.clear();
-        let body_len = self.body.as_slice().len();
-        write!(head, "HTTP/1.1 {}\r\n", self.status).expect("vec write");
-        let mut has_len = false;
-        for (k, v) in self.headers.iter() {
-            if k.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            head.extend_from_slice(k.as_bytes());
-            head.extend_from_slice(b": ");
-            head.extend_from_slice(v.as_bytes());
-            head.extend_from_slice(b"\r\n");
+        self.headers.write_head(head, self.body().len());
+        match self.body {
+            Body::Tail => Body::Owned(self.headers.tail().to_vec()),
+            body => body,
         }
-        if !has_len {
-            write!(head, "Content-Length: {body_len}\r\n").expect("vec write");
-        }
-        head.extend_from_slice(b"\r\n");
-        self.body
     }
 
-    /// Reads one response from `r` (which may be a `&mut` reader).
+    /// Reads one response from `r` (which may be a `&mut` reader),
+    /// taking no byte past its end.
     ///
     /// # Errors
     ///
     /// Returns [`HttpError::Malformed`] on protocol violations and
     /// [`HttpError::UnexpectedEof`] on truncation.
     pub fn read_from<R: BufRead>(r: &mut R) -> Result<Response, HttpError> {
-        Self::read_from_inner(r, false)
+        Self::read(r, false)
     }
 
     /// Reads a response to a `HEAD` request: headers only, no body even
@@ -770,40 +851,35 @@ impl Response {
     ///
     /// Same as [`Response::read_from`].
     pub fn read_head_from<R: BufRead>(r: &mut R) -> Result<Response, HttpError> {
-        Self::read_from_inner(r, true)
+        Self::read(r, true)
     }
 
-    fn read_from_inner<R: BufRead>(r: &mut R, head: bool) -> Result<Response, HttpError> {
-        let line = read_line(r)?.ok_or(HttpError::UnexpectedEof)?;
-        let mut parts = line.splitn(3, ' ');
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed(format!(
-                "bad http version {version:?}"
-            )));
+    fn read<R: BufRead>(r: &mut R, head_only: bool) -> Result<Response, HttpError> {
+        let mut held = Vec::new();
+        loop {
+            let chunk = r.fill_buf()?;
+            if chunk.is_empty() {
+                return Err(HttpError::UnexpectedEof);
+            }
+            let (fresh, before) = (chunk.len(), held.len());
+            held.extend_from_slice(chunk);
+            if let Some(head) = ResponseHead::scan(&held)? {
+                let len = head.len(head_only);
+                if held.len() >= len {
+                    held.truncate(len);
+                    r.consume(len - before);
+                    return Ok(Response::parsed(held, &head));
+                }
+            }
+            r.consume(fresh);
         }
-        let code: u16 = parts
-            .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| HttpError::Malformed("bad status code".into()))?;
-        let headers = read_headers(r)?;
-        let body = if head {
-            Vec::new()
-        } else {
-            read_body(r, &headers, Limits::default().max_body_bytes)?
-        };
-        Ok(Response {
-            status: Status(code),
-            headers,
-            body: Body::Owned(body),
-        })
     }
 }
 
-/// Writes `head` then `body` as one logical message, preferring a single
-/// vectored write (one syscall on TCP, one wakeup on the in-memory
-/// transport) and falling back to a loop on partial writes.
-fn write_all_vectored<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+/// Writes `head` then `body` as one logical message and flushes,
+/// preferring a single vectored write (one syscall on TCP, one wakeup on
+/// the in-memory transport) and falling back to a loop on partial writes.
+pub(crate) fn write_message<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> std::io::Result<()> {
     let total = head.len() + body.len();
     let mut written = 0usize;
     while written < total {
@@ -820,80 +896,7 @@ fn write_all_vectored<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> std::io:
         }
         written += n;
     }
-    Ok(())
-}
-
-fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
-    // Responses are read from servers we chose to talk to; the default
-    // header budget is ample and bounds a misbehaving peer all the same.
-    let mut budget = Limits::default().max_header_bytes;
-    read_line_limited(r, &mut budget)
-}
-
-/// Reads one CRLF-terminated line without ever buffering more than the
-/// remaining `budget` — the reader is capped with `Take`, so a peer
-/// dribbling an endless header line cannot grow memory unboundedly.
-fn read_line_limited<R: BufRead>(
-    r: &mut R,
-    budget: &mut usize,
-) -> Result<Option<String>, HttpError> {
-    let mut line = String::new();
-    // UFCS so `Self = &mut R`: the cap wraps a reborrow, not the reader.
-    let mut capped = std::io::Read::take(&mut *r, *budget as u64 + 1);
-    let n = capped.read_line(&mut line).map_err(HttpError::from)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > *budget {
-        return Err(HttpError::Malformed(
-            "header section exceeds size limit".into(),
-        ));
-    }
-    *budget -= n;
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
-}
-
-fn read_headers<R: BufRead>(r: &mut R) -> Result<Headers, HttpError> {
-    let mut budget = Limits::default().max_header_bytes;
-    read_headers_limited(r, &mut budget)
-}
-
-fn read_headers_limited<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Headers, HttpError> {
-    let mut headers = Headers::new();
-    loop {
-        let line = read_line_limited(r, budget)?.ok_or(HttpError::UnexpectedEof)?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
-        headers.set(name.trim(), value.trim());
-    }
-}
-
-fn read_body<R: BufRead>(
-    r: &mut R,
-    headers: &Headers,
-    max_body: usize,
-) -> Result<Vec<u8>, HttpError> {
-    let len: usize = match headers.get("Content-Length") {
-        None => return Ok(Vec::new()),
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
-    };
-    if len > max_body {
-        return Err(HttpError::Malformed(format!(
-            "content-length {len} exceeds limit"
-        )));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(HttpError::from)?;
-    Ok(body)
+    w.flush()
 }
 
 #[cfg(test)]
@@ -1118,30 +1121,139 @@ mod tests {
         let limits = Limits::default();
         let head = RequestHead::scan(raw, &limits).unwrap().unwrap();
         assert_eq!((head.method, head.path), (Method::Post, "/svc"));
-        let (len, framing) = head.framing(raw, &limits).unwrap().unwrap();
-        assert_eq!(len, raw.len() - 4);
-        // The last `Connection` line counts, as `Headers::set` has it.
-        assert!(framing.close);
-        assert_eq!(&raw[framing.connection.unwrap()], b"Connection: close\r\n");
-        let (req, parsed) = head.parse(raw, &limits).unwrap().unwrap();
+        assert_eq!(&raw[head.path_at()], b"/svc");
+        assert_eq!(head.head.len(false), raw.len() - 4);
+        // The last `Connection` line counts, as `Headers::get` reads it.
+        assert!(head.head.framing.close);
         assert_eq!(
-            (req.headers().get("Connection"), parsed),
-            (Some("close"), len)
+            &raw[head.head.framing.connection.clone().unwrap()],
+            b"Connection: close\r\n"
         );
-        assert!(head.framing(&raw[..len - 1], &limits).unwrap().is_none());
+        let (req, parsed) = Request::parse_buffered(raw, &limits).unwrap().unwrap();
+        assert_eq!(
+            (req.headers().get("Connection"), parsed, req.body()),
+            (Some("close"), head.head.len(false), &b"abc"[..])
+        );
 
         let raw = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy";
         assert!(ResponseHead::scan(&raw[..20]).unwrap().is_none());
         let head = ResponseHead::scan(raw).unwrap().unwrap();
-        assert_eq!((head.status, head.framing.content_length), (503, 4));
-        assert_eq!(&raw[head.body_at..], b"busy");
-        assert!(head.framing.close);
+        assert_eq!((head.status, head.head.framing.content_length), (503, 4));
+        let body_at = head.head.body_at;
         assert_eq!(
-            &raw[head.framing.connection.unwrap()],
+            (&raw[body_at..], head.len(false)),
+            (&b"busy"[..], raw.len())
+        );
+        assert_eq!(head.len(true), body_at, "a HEAD answer has no body");
+        assert!(head.head.framing.close);
+        assert_eq!(
+            &raw[head.head.framing.connection.unwrap()],
             b"Connection: close\r\n"
         );
         assert!(ResponseHead::scan(b"HTTP/1.1 abc\r\n\r\n").is_err());
         assert!(ResponseHead::scan(b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n").is_err());
+        let not_modified = b"HTTP/1.1 304 Not Modified\r\nContent-Length: 9\r\n\r\n";
+        let head = ResponseHead::scan(not_modified).unwrap().unwrap();
+        assert_eq!(head.len(false), not_modified.len(), "a 304 has no body");
+    }
+
+    #[test]
+    fn transfer_encoding_and_conflicting_lengths_are_refused() {
+        let limits = Limits::default();
+        let chunked =
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        let head = RequestHead::scan(chunked, &limits).unwrap().unwrap();
+        assert!(head.head.framing.transfer_encoding);
+        assert!(Request::parse_buffered(chunked, &limits).is_err());
+        let twice = b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab";
+        assert!(RequestHead::scan(twice, &limits).is_err());
+        // The same length twice is one length.
+        let same = b"POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nab";
+        let head = RequestHead::scan(same, &limits).unwrap().unwrap();
+        assert_eq!(head.head.len(false), same.len());
+        for raw in [
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"[..],
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 0\r\n\r\nx"[..],
+        ] {
+            assert!(matches!(
+                ResponseHead::scan(raw),
+                Err(HttpError::Malformed(_))
+            ));
+            let err = Response::read_from(&mut &raw[..]).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn set_refuses_what_would_become_a_line_of_its_own() {
+        let mut h = Headers::new();
+        assert!(h.set("X-Ok", "fine"));
+        for (name, value) in [
+            ("X-Evil", "a\r\nInjected: yes"),
+            ("X-Evil", "a\nInjected: yes"),
+            ("X-Evil", "a\rb"),
+            ("X-Evil", "a\0b"),
+            ("X-Evil\r\nInjected", "yes"),
+            ("X-Evil: yes\r\nX", "v"),
+            ("", "v"),
+            ("Has Space", "v"),
+            ("Colon:", "v"),
+        ] {
+            assert!(!h.set(name, value), "{name:?}: {value:?}");
+        }
+        // Refused ones left no trace, and replacing still works.
+        assert!(!h.set("X-Ok", "bad\n"));
+        assert_eq!(h.iter().collect::<Vec<_>>(), [("X-Ok", "fine")]);
+        assert!(h.get("Injected").is_none());
+        // Lines a peer sent with a stray break never parse.
+        for raw in [
+            &b"GET / HTTP/1.1\r\nX-A: a\nInjected: b\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-A: a\rb\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-A: a\0b\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX A: b\r\n\r\n"[..],
+        ] {
+            assert!(Request::parse_buffered(raw, &Limits::default()).is_err());
+        }
+    }
+
+    #[test]
+    fn parsed_headers_edit_like_built_ones() {
+        let raw =
+            b"HTTP/1.1 200 OK\r\nA:  one \r\nb: two\r\nA: three\r\nContent-Length: 4\r\n\r\nbody";
+        let mut resp = Response::read_from(&mut &raw[..]).unwrap();
+        // The last line of a name counts; values come without padding.
+        assert_eq!(resp.headers().get("a"), Some("three"));
+        assert_eq!(resp.headers().len(), 4);
+        assert!(resp.headers_mut().set("a", "3"));
+        assert!(resp.headers_mut().set("C", "new"));
+        assert_eq!(resp.headers().get("A"), Some("3"));
+        assert_eq!(resp.headers().get("c"), Some("new"));
+        assert_eq!(resp.body(), b"body");
+        let mut out = Vec::new();
+        resp.write_to(&mut out).unwrap();
+        assert_eq!(
+            out,
+            b"HTTP/1.1 200 OK\r\nA:  one \r\nb: two\r\nA: 3\r\nContent-Length: 4\r\nC: new\r\n\r\nbody"
+        );
+    }
+
+    #[test]
+    fn read_from_takes_no_byte_past_the_answer() {
+        let mut two = Vec::new();
+        Response::ok(b"one".to_vec(), "text/plain")
+            .write_to(&mut two)
+            .unwrap();
+        Response::ok(b"two".to_vec(), "text/plain")
+            .write_to(&mut two)
+            .unwrap();
+        // A reader that hands out three bytes at a time.
+        let mut r = BufReader::with_capacity(3, &two[..]);
+        assert_eq!(Response::read_from(&mut r).unwrap().body(), b"one");
+        assert_eq!(Response::read_from(&mut r).unwrap().body(), b"two");
+        assert!(matches!(
+            Response::read_from(&mut r),
+            Err(HttpError::UnexpectedEof)
+        ));
     }
 
     #[test]

@@ -118,11 +118,13 @@ impl ConnectionPool {
             return;
         }
         // The server told us it is closing this connection — parking it
-        // would only produce a guaranteed-stale hit later.
-        if resp
-            .headers()
-            .get("Connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        // would only produce a guaranteed-stale hit later. Bytes nobody
+        // asked for would be read as the next request's answer.
+        if !conn.inbuf.is_empty()
+            || resp
+                .headers()
+                .get("Connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
         {
             return;
         }

@@ -1,11 +1,11 @@
 //! A recycled receive buffer that reads straight into its own spare
 //! room.
 //!
-//! Both servers (and the GIOP client) reassemble messages from
+//! Both servers and both clients reassemble messages from
 //! whatever bytes a socket has: a `read` lands behind the bytes already
 //! held, the parser looks at [`ReadBuf::filled`], and a finished message
-//! is [`ReadBuf::consume`]d. The storage is zeroed once, when it grows —
-//! not per read — and is kept for the life of the connection.
+//! is [`ReadBuf::consume`]d. The storage is zeroed when it grows, not per
+//! read, and is kept for the life of the connection.
 
 use std::io::{self, Read};
 
@@ -64,7 +64,7 @@ impl ReadBuf {
 
     /// Makes room for at least `additional` more bytes behind the
     /// filled ones: slides them to the front, then grows (doubling).
-    fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         if self.buf.len() - self.end >= additional {
             return;
         }
@@ -108,6 +108,23 @@ impl ReadBuf {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return false,
             }
+        }
+    }
+
+    /// The filled bytes as a vector, in this buffer's storage.
+    pub(crate) fn into_vec(mut self) -> Vec<u8> {
+        self.buf.truncate(self.end);
+        self.buf.drain(..self.start);
+        self.buf
+    }
+
+    /// An empty buffer in `storage` (its spare room zeroed here).
+    pub(crate) fn recycle(mut storage: Vec<u8>) -> ReadBuf {
+        storage.resize(storage.capacity(), 0);
+        ReadBuf {
+            buf: storage,
+            start: 0,
+            end: 0,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The HTTP wire: what [`crate::engine`] needs to know to serve
 //! HTTP/1.1 — request framing, the built-in observability endpoints,
 //! running the [`Handler`], relaying what it forwards, and the refusals
-//! (`400`, `408`, `500`, `503` + `Retry-After`).
+//! (`400`, `408`, `500`, `501`, `503` + `Retry-After`).
 //!
 //! Idle keep-alive connections sit registered with read interest and no
 //! timer: no thread, no queue slot, no `http_queue_depth` contribution.
@@ -9,13 +9,15 @@
 //! only backpressure point — when it is full the request is shed with
 //! `503`.
 //!
-//! Framing scans the head in place ([`RequestHead`]). A request the
-//! handler forwards never becomes a [`Request`]: its bytes are relayed
-//! as they came, minus the hop-by-hop `Connection` line, and the
-//! upstream's answer is framed the same way ([`ResponseHead`]) and
-//! relayed with its head copied — minus its `Connection`, plus ours
-//! when the client asked to close.
+//! Framing scans the head in place ([`RequestHead`]); a request for the
+//! handler becomes a [`Request`] over its own bytes, split off the
+//! receive buffer. One the handler forwards is relayed as it came, minus
+//! the hop-by-hop `Connection` line, and the upstream's answer is framed
+//! by the same scanner ([`ResponseHead`]) and relayed with its head
+//! copied — minus its `Connection`, plus ours when the client asked to
+//! close. A `Transfer-Encoding` is answered `501`, closing.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +25,7 @@ use obs::metrics::Counter;
 
 use crate::engine::{Forward, Framed, Refusal, Relayed, Reply, Wire};
 use crate::message::{Body, Method, Request, RequestHead, Response, ResponseHead, Status};
+use crate::readbuf::ReadBuf;
 use crate::server::{http_metrics, Handler, PoolConfig};
 
 /// An [`crate::HttpServer`]'s side of the engine.
@@ -49,9 +52,11 @@ impl HttpWire {
     }
 }
 
-/// A parsed application request on its way to a worker.
+/// An application request on its way to a worker: where its parts are.
 pub(crate) struct HttpCall {
-    req: Request,
+    method: Method,
+    path: Range<usize>,
+    block: Range<usize>,
     /// The client asked for `Connection: close`.
     close: bool,
     framed_at: Instant,
@@ -80,7 +85,6 @@ fn count_status(status: u16) {
 impl Wire for HttpWire {
     type Call = HttpCall;
     type Scratch = ();
-    const RAW_FRAME: bool = false;
 
     fn connection(&self) {
         http_metrics().connections.inc();
@@ -98,65 +102,52 @@ impl Wire for HttpWire {
 
     /// Built-in observability endpoints are answered on the reactor
     /// thread (no user code, no blocking); what the handler forwards is
-    /// relayed from here, read in place; other application requests are
-    /// parsed and hop to the dispatch pool. The handler is asked from
-    /// the request line, so a server that never forwards parses each
-    /// request once, as it always has.
+    /// relayed from here; other application requests, once whole, hop to
+    /// the dispatch pool. The head is scanned once, in place.
     fn frame(&self, bytes: &[u8], reply: &mut Reply) -> Framed<HttpCall> {
-        let limits = self.cfg.limits();
-        let Ok(head) = RequestHead::scan(bytes, &limits) else {
-            return malformed(reply);
-        };
-        let Some(head) = head else {
-            return Framed::Partial;
-        };
-        if !is_builtin(head.method, head.path) {
-            if let Some(target) = self.handler.forward(head.method, head.path) {
-                let mut fwd = Forward {
-                    target,
-                    skip: 0..0,
-                    close: false,
-                    head_only: head.method == Method::Head,
-                    framed_at: Instant::now(),
-                };
-                return match head.framing(bytes, &limits) {
-                    Ok(Some((len, framing))) => {
-                        fwd.skip = framing.connection.unwrap_or(0..0);
-                        fwd.close = framing.close;
-                        Framed::Forward(len, fwd)
-                    }
-                    // Dropping `fwd` releases the target; the handler is
-                    // asked again once the rest of the body is here.
-                    Ok(None) => Framed::Partial,
-                    Err(_) => malformed(reply),
-                };
-            }
-        }
-        let (req, len) = match head.parse(bytes, &limits) {
-            Ok(Some(parsed)) => parsed,
+        let req = match RequestHead::scan(bytes, &self.cfg.limits()) {
+            Ok(Some(req)) => req,
             Ok(None) => return Framed::Partial,
             Err(_) => return malformed(reply),
         };
-        let close = req
-            .headers()
-            .get("Connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        if let Some(resp) = builtin_response(&req) {
-            respond(reply, resp, close);
+        let (framing, len) = (&req.head.framing, req.head.len(false));
+        if framing.transfer_encoding {
+            // RFC 9112 §6.1: an unknown transfer coding is answered 501
+            // and the connection closes, or its body's bytes would be
+            // read as the next request.
+            let why = b"transfer-encoding is not supported".to_vec();
+            let resp = Response::new(Status(501), why, "text/plain");
+            respond(reply, resp, true);
+            return Framed::Inline(0);
+        }
+        if bytes.len() < len {
+            return Framed::Partial;
+        }
+        if is_builtin(req.method, req.path) {
+            respond(reply, builtin_response(req.path), framing.close);
             return Framed::Inline(len);
         }
-        let framed_at = Instant::now();
-        Framed::Handoff(
-            len,
-            HttpCall {
-                req,
-                close,
-                framed_at,
-            },
-        )
+        if let Some(target) = self.handler.forward(req.method, req.path) {
+            let fwd = Forward {
+                target,
+                skip: framing.connection.clone().unwrap_or(0..0),
+                close: framing.close,
+                head_only: req.method == Method::Head,
+                framed_at: Instant::now(),
+            };
+            return Framed::Forward(len, fwd);
+        }
+        let call = HttpCall {
+            method: req.method,
+            path: req.path_at(),
+            block: req.head.block.clone(),
+            close: framing.close,
+            framed_at: Instant::now(),
+        };
+        Framed::Handoff(len, call)
     }
 
-    fn serve(&self, call: &HttpCall, _frame: &[u8], _: &mut (), reply: &mut Reply) {
+    fn serve(&self, call: &HttpCall, frame: &mut ReadBuf, _: &mut (), reply: &mut Reply) {
         if self
             .cfg
             .queue_deadline
@@ -171,14 +162,18 @@ impl Wire for HttpWire {
         let metrics = http_metrics();
         metrics.requests.inc();
         let span = obs::trace::Span::timed(metrics.request_ns.clone());
+        let bytes = std::mem::take(frame).into_vec();
+        let req = Request::framed(call.method, call.path.clone(), call.block.clone(), bytes);
         obs::trace::verbose_event("httpd", "request", || {
-            format!("{} {}", call.req.method(), call.req.path())
+            format!("{} {}", req.method(), req.path())
         });
-        let resp = self.handler.handle(&call.req);
+        let resp = self.handler.handle(&req);
+        // The storage goes back to receive a later request.
+        *frame = ReadBuf::recycle(req.into_bytes());
         span.finish();
         count_status(resp.status());
         respond(reply, resp, call.close);
-        if call.req.method() == Method::Head {
+        if call.method == Method::Head {
             // The head says how long the body would be; none follows,
             // or the peer would read it as the start of its next answer.
             reply.body = Body::Owned(Vec::new());
@@ -226,18 +221,13 @@ impl Wire for HttpWire {
             Ok(None) => return Relayed::Partial,
             Err(_) => return Relayed::Invalid,
         };
-        let bodiless = fwd.head_only || matches!(head.status, 100..=199 | 204 | 304);
-        let len = head.body_at
-            + if bodiless {
-                0
-            } else {
-                head.framing.content_length
-            };
+        let len = head.len(fwd.head_only);
         if bytes.len() < len {
             return Relayed::Partial;
         }
-        let end = head.body_at - 2;
-        let cut = head.framing.connection.unwrap_or(end..end);
+        let (body, framing) = (head.head.body_at, head.head.framing);
+        let end = body - 2;
+        let cut = framing.connection.unwrap_or(end..end);
         reply.head.clear();
         reply.head.extend_from_slice(&bytes[..cut.start]);
         reply.head.extend_from_slice(&bytes[cut.end..end]);
@@ -249,9 +239,9 @@ impl Wire for HttpWire {
         http_metrics().requests.inc();
         count_status(head.status);
         Relayed::Whole {
-            body: head.body_at,
+            body,
             len,
-            reuse: !head.framing.close,
+            reuse: !framing.close,
         }
     }
 
@@ -280,26 +270,22 @@ fn is_builtin(method: Method, path: &str) -> bool {
         && (path == "/metrics" || path == "/traces" || path.starts_with("/traces/"))
 }
 
-/// The built-in observability endpoints every server exposes. `None`
-/// means the request is application traffic.
-fn builtin_response(req: &Request) -> Option<Response> {
-    let path = req.path();
-    if !is_builtin(req.method(), path) {
-        return None;
-    }
+/// The built-in observability endpoints every server exposes, at
+/// `path` (one [`is_builtin`] says is one).
+fn builtin_response(path: &str) -> Response {
     if path == "/metrics" {
         let mut body = obs::registry().snapshot().render_prometheus();
         body.push_str(&obs::tracectx::render_exemplars());
-        return Some(Response::ok(body.into_bytes(), "text/plain; version=0.0.4"));
+        return Response::ok(body.into_bytes(), "text/plain; version=0.0.4");
     }
     if path == "/traces" {
-        return Some(Response::ok(
+        return Response::ok(
             obs::tracectx::traces_json().into_bytes(),
             "application/json",
-        ));
+        );
     }
-    let prefix = path.strip_prefix("/traces/")?;
-    Some(match obs::tracectx::store().find(prefix) {
+    let prefix = path.strip_prefix("/traces/").unwrap_or_default();
+    match obs::tracectx::store().find(prefix) {
         Some(t) => Response::ok(
             obs::tracectx::trace_json(&t).into_bytes(),
             "application/json",
@@ -309,5 +295,5 @@ fn builtin_response(req: &Request) -> Option<Response> {
             b"no retained trace matches that prefix\n".to_vec(),
             "text/plain",
         ),
-    })
+    }
 }

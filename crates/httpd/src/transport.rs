@@ -102,16 +102,6 @@ impl Stream {
         }
     }
 
-    /// Duplicates the stream handle (both halves refer to the same
-    /// connection).
-    pub fn try_clone(&self) -> io::Result<Stream> {
-        match self {
-            Stream::Tcp(s) => Ok(Stream::Tcp(s.try_clone()?)),
-            Stream::Mem(s) => Ok(Stream::Mem(MemStream(s.0.try_clone()?))),
-            Stream::Chaos(s) => Ok(Stream::Chaos(s.try_clone()?)),
-        }
-    }
-
     /// Shuts down the connection; subsequent reads on the peer see EOF.
     pub fn shutdown(&self) {
         match self {
@@ -738,17 +728,6 @@ mod tests {
         c.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hello");
         t.join().unwrap();
-    }
-
-    #[test]
-    fn stream_clone_shares_connection() {
-        let (a, mut b) = MemStream::pair();
-        let s = Stream::Mem(a);
-        let mut s2 = s.try_clone().unwrap();
-        s2.write_all(b"x").unwrap();
-        let mut buf = [0u8; 1];
-        b.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"x");
     }
 
     #[test]

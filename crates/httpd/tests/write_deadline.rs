@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use httpd::engine::{Framed, Refusal, Reply, Serving, Wire};
 use httpd::transport::{connect, Listener};
+use httpd::ReadBuf;
 
 const DEADLINE: Duration = Duration::from_millis(150);
 /// Far beyond what a socket pair or a loopback TCP connection buffers.
@@ -21,7 +22,6 @@ struct BlobWire;
 impl Wire for BlobWire {
     type Call = usize;
     type Scratch = ();
-    const RAW_FRAME: bool = false;
 
     fn connection(&self) {}
 
@@ -36,7 +36,7 @@ impl Wire for BlobWire {
         }
     }
 
-    fn serve(&self, len: &usize, _frame: &[u8], _: &mut (), reply: &mut Reply) {
+    fn serve(&self, len: &usize, _frame: &mut ReadBuf, _: &mut (), reply: &mut Reply) {
         reply.head.resize(*len, 0xAB);
     }
 

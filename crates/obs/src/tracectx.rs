@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::callid::CallId;
 use crate::rng::XorShift64;
@@ -204,9 +204,9 @@ fn next_trace_id() -> u128 {
 // Spans: annotation values, records, the thread-local stack
 // ---------------------------------------------------------------------------
 
-/// A typed annotation value; `Str` keeps hot-path annotations
-/// allocation-free, `Owned` carries dynamic detail (event payloads,
-/// method names).
+/// A typed annotation value; `Str` and `Shared` keep hot-path
+/// annotations allocation-free, `Owned` carries dynamic detail (event
+/// payloads).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnnValue {
     /// An unsigned integer (attempt numbers, delays, depths).
@@ -215,6 +215,8 @@ pub enum AnnValue {
     Str(&'static str),
     /// A dynamically built string.
     Owned(String),
+    /// A string the caller keeps too (method names).
+    Shared(Arc<str>),
 }
 
 impl fmt::Display for AnnValue {
@@ -223,6 +225,7 @@ impl fmt::Display for AnnValue {
             AnnValue::U64(v) => write!(f, "{v}"),
             AnnValue::Str(s) => f.write_str(s),
             AnnValue::Owned(s) => f.write_str(s),
+            AnnValue::Shared(s) => f.write_str(s),
         }
     }
 }
@@ -716,6 +719,7 @@ impl SpanStore {
                                 .iter()
                                 .map(|(_, a)| match a {
                                     AnnValue::Owned(s) => s.capacity(),
+                                    AnnValue::Shared(s) => s.len(),
                                     _ => 0,
                                 })
                                 .sum::<usize>()

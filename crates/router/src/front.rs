@@ -25,7 +25,7 @@ use corba::giop::{
 };
 use corba::{Ior, SystemExceptionKind};
 use httpd::engine::{Forward, Framed, Refusal, Relayed, Reply, Wire as EngineWire};
-use httpd::{Handler, HttpError, Method, Request, Response, Status, Upstream};
+use httpd::{Handler, HttpError, Method, ReadBuf, Request, Response, Status, Upstream};
 
 use crate::router::{Route, RouterInner, Wire};
 
@@ -271,7 +271,6 @@ impl EngineWire for GiopFront {
     /// inline.
     type Call = Infallible;
     type Scratch = ();
-    const RAW_FRAME: bool = false;
     /// A servant may take as long as the calling ORB waits: a slow call
     /// is not a failing backend.
     const UPSTREAM_TIMEOUT: Duration = GIOP_TIMEOUT;
@@ -348,7 +347,7 @@ impl EngineWire for GiopFront {
         }
     }
 
-    fn serve(&self, call: &Infallible, _: &[u8], _: &mut (), _: &mut Reply) {
+    fn serve(&self, call: &Infallible, _: &mut ReadBuf, _: &mut (), _: &mut Reply) {
         match *call {}
     }
 

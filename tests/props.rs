@@ -814,3 +814,295 @@ fn ior_parse_never_panics() {
         let _ = corba::Ior::parse(&gen_unicode_string(rng, 64));
     });
 }
+
+// ---------------------------------------------------------------------------
+// HTTP: the one head scanner, under incremental and hostile input
+// ---------------------------------------------------------------------------
+
+/// A header name: a token, never one that frames the body.
+fn gen_header_name(rng: &mut XorShift64) -> String {
+    const TOKEN: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_.!#";
+    loop {
+        let name: String = (0..rng.gen_usize(12) + 1)
+            .map(|_| gen_char_from(rng, TOKEN))
+            .collect();
+        let framing = ["content-length", "transfer-encoding"];
+        if !framing.iter().any(|f| name.eq_ignore_ascii_case(f)) {
+            return name;
+        }
+    }
+}
+
+/// A header value as it reads back: no CR, LF or NUL, no surrounding
+/// whitespace, now and then beyond ASCII.
+fn gen_header_value(rng: &mut XorShift64) -> String {
+    let value: String = (0..rng.gen_usize(24))
+        .map(|_| match rng.gen_usize(20) {
+            0 => gen_any_char(rng),
+            _ => (0x20 + rng.gen_usize(0x5f) as u8) as char,
+        })
+        .filter(|c| !matches!(c, '\r' | '\n' | '\0'))
+        .collect();
+    value.trim_matches([' ', '\t']).to_string()
+}
+
+/// `(name, value)` header pairs.
+type HeaderPairs = Vec<(String, String)>;
+
+/// Random `set`s — names repeat, in other letter cases — and what a
+/// reader must see after them: per name (case-insensitive), the last
+/// value set.
+fn gen_header_sets(rng: &mut XorShift64) -> (HeaderPairs, HeaderPairs) {
+    let mut names: Vec<String> = (0..rng.gen_usize(5) + 1)
+        .map(|_| gen_header_name(rng))
+        .collect();
+    let mut sets = Vec::new();
+    for _ in 0..rng.gen_usize(8) {
+        let name = names[rng.gen_usize(names.len())].clone();
+        let name = if rng.gen_bool(0.3) {
+            name.to_ascii_uppercase()
+        } else {
+            name
+        };
+        sets.push((name, gen_header_value(rng)));
+    }
+    names.retain(|n| sets.iter().any(|(s, _)| s.eq_ignore_ascii_case(n)));
+    let last = names
+        .iter()
+        .map(|n| {
+            let (_, v) = sets
+                .iter()
+                .rev()
+                .find(|(s, _)| s.eq_ignore_ascii_case(n))
+                .unwrap();
+            (n.clone(), v.clone())
+        })
+        .collect();
+    (sets, last)
+}
+
+fn gen_request(rng: &mut XorShift64) -> (httpd::Request, HeaderPairs) {
+    let path = format!("/{}", gen_ident(rng));
+    let mut body = vec![0u8; rng.gen_usize(64)];
+    rng.fill_bytes(&mut body);
+    let mut req = match rng.gen_usize(3) {
+        0 => httpd::Request::get(&path),
+        1 => httpd::Request::head(&path),
+        _ => httpd::Request::post(&path, body, "application/octet-stream"),
+    };
+    let (sets, last) = gen_header_sets(rng);
+    for (name, value) in sets {
+        assert!(req.headers_mut().set(name, value));
+    }
+    (req, last)
+}
+
+fn gen_response(rng: &mut XorShift64) -> (httpd::Response, HeaderPairs) {
+    let mut body = vec![0u8; rng.gen_usize(64)];
+    rng.fill_bytes(&mut body);
+    let status = *rng.choose(&[200, 404, 500, 503]);
+    let mut resp = httpd::Response::new(httpd::Status(status), body, "text/plain");
+    let (sets, last) = gen_header_sets(rng);
+    for (name, value) in sets {
+        assert!(resp.headers_mut().set(name, value));
+    }
+    (resp, last)
+}
+
+fn assert_headers(headers: &httpd::Headers, last: &[(String, String)], case: u64) {
+    for (name, value) in last {
+        let shouted = name.to_ascii_uppercase();
+        assert_eq!(
+            headers.get(&shouted),
+            Some(value.as_str()),
+            "case {case}: {name}"
+        );
+    }
+}
+
+/// The header lines a message was given: the writer adds its length.
+fn given(headers: &httpd::Headers) -> Vec<(&str, &str)> {
+    let added = |(name, _): &(&str, &str)| name.eq_ignore_ascii_case("content-length");
+    headers.iter().filter(|h| !added(h)).collect()
+}
+
+fn request_bytes(req: &httpd::Request) -> Vec<u8> {
+    let mut raw = Vec::new();
+    req.write_to(&mut raw).expect("write");
+    raw
+}
+
+fn response_bytes(resp: &httpd::Response) -> Vec<u8> {
+    let (mut raw, mut scratch) = (Vec::new(), Vec::new());
+    resp.write_to_buffered(&mut scratch, &mut raw)
+        .expect("write");
+    raw
+}
+
+#[test]
+fn http_write_then_read_is_the_identity_over_random_header_sets() {
+    let limits = httpd::Limits::default();
+    for_cases("http_write_then_read_identity", 256, |rng, case| {
+        let (req, last) = gen_request(rng);
+        let raw = request_bytes(&req);
+        let (got, len) = httpd::Request::parse_buffered(&raw, &limits)
+            .expect("parse")
+            .expect("whole");
+        assert_eq!(len, raw.len(), "case {case}");
+        assert_eq!(
+            (got.method(), got.path(), got.body()),
+            (req.method(), req.path(), req.body()),
+            "case {case}"
+        );
+        assert_eq!(given(got.headers()), given(req.headers()), "case {case}");
+        assert_headers(got.headers(), &last, case);
+
+        let (resp, last) = gen_response(rng);
+        let raw = response_bytes(&resp);
+        let got = httpd::Response::read_from(&mut &raw[..]).expect("read");
+        assert_eq!(got.status(), resp.status(), "case {case}");
+        assert_eq!(given(got.headers()), given(resp.headers()), "case {case}");
+        assert_eq!(got.body(), resp.body(), "case {case}");
+        assert_headers(got.headers(), &last, case);
+    });
+}
+
+#[test]
+fn http_every_split_point_is_partial_then_the_same_message() {
+    let limits = httpd::Limits::default();
+    for_cases("http_every_split_point", 48, |rng, case| {
+        let (req, _) = gen_request(rng);
+        let raw = request_bytes(&req);
+        let (whole, _) = httpd::Request::parse_buffered(&raw, &limits)
+            .unwrap()
+            .unwrap();
+        for cut in 0..raw.len() {
+            let prefix = httpd::Request::parse_buffered(&raw[..cut], &limits);
+            assert!(matches!(prefix, Ok(None)), "case {case}: cut at {cut}");
+        }
+        // Pipelined: the next request's bytes are not the first one's.
+        let mut two = raw.clone();
+        two.extend_from_slice(&raw);
+        let (first, len) = httpd::Request::parse_buffered(&two, &limits)
+            .unwrap()
+            .unwrap();
+        assert_eq!(len, raw.len(), "case {case}");
+        assert_eq!((first.path(), first.body()), (whole.path(), whole.body()));
+        assert_eq!(first.headers(), whole.headers(), "case {case}");
+
+        let (resp, _) = gen_response(rng);
+        let raw = response_bytes(&resp);
+        let whole = httpd::Response::read_from(&mut &raw[..]).unwrap();
+        for cut in 0..raw.len() {
+            let prefix = httpd::Response::read_from(&mut &raw[..cut]);
+            assert!(
+                matches!(prefix, Err(httpd::HttpError::UnexpectedEof)),
+                "case {case}: cut at {cut}"
+            );
+        }
+        // Read as it trickles in, a few bytes per read, and pipelined.
+        let mut two = raw.clone();
+        two.extend_from_slice(&raw);
+        let chunk = rng.gen_usize(7) + 1;
+        let mut trickle = std::io::BufReader::with_capacity(chunk, &two[..]);
+        for _ in 0..2 {
+            let got = httpd::Response::read_from(&mut trickle).unwrap();
+            assert_eq!((got.status(), got.body()), (whole.status(), whole.body()));
+            assert_eq!(got.headers(), whole.headers(), "case {case}");
+        }
+    });
+}
+
+#[test]
+fn http_mutated_and_truncated_heads_never_panic() {
+    const NASTY: &[u8] = b"\r\n\0: \t\xff\x80Content-Length: 9\r\nTransfer-Encoding";
+    let limits = httpd::Limits::default();
+    for_cases("http_mutated_heads", 512, |rng, _| {
+        let mut raw = if rng.gen_bool(0.5) {
+            request_bytes(&gen_request(rng).0)
+        } else {
+            response_bytes(&gen_response(rng).0)
+        };
+        for _ in 0..rng.gen_usize(4) + 1 {
+            let at = rng.gen_usize(raw.len() + 1);
+            match rng.gen_usize(3) {
+                0 if at < raw.len() => raw[at] = NASTY[rng.gen_usize(NASTY.len())],
+                1 => {
+                    let from = rng.gen_usize(NASTY.len());
+                    let to = from + rng.gen_usize(NASTY.len() - from);
+                    raw.splice(at..at, NASTY[from..to].iter().copied());
+                }
+                _ => raw.truncate(at),
+            }
+        }
+        let _ = httpd::Request::parse_buffered(&raw, &limits);
+        let _ = httpd::Response::read_from(&mut &raw[..]);
+        let _ = httpd::Response::read_head_from(&mut &raw[..]);
+    });
+}
+
+/// A head of exactly `len` bytes, blank line included: `first` and then
+/// one filler header line.
+fn head_of(first: &str, len: usize) -> Vec<u8> {
+    let fixed = first.len() + 2 + "X-Fill: ".len() + 2 + 2;
+    format!("{first}\r\nX-Fill: {}\r\n\r\n", "f".repeat(len - fixed)).into_bytes()
+}
+
+#[test]
+fn http_limits_trip_at_the_same_byte_counts_in_both_directions() {
+    // Requests: the request line, header lines and blank line may run
+    // to `max_header_bytes` + 4 bytes; a prefix that long without its
+    // blank line is refused before the rest arrives.
+    let limits = httpd::Limits {
+        max_header_bytes: 1024,
+        max_body_bytes: 16,
+    };
+    let parse = |raw: &[u8]| httpd::Request::parse_buffered(raw, &limits);
+    let at_limit = head_of("GET / HTTP/1.1", 1024 + 4);
+    assert!(parse(&at_limit).unwrap().is_some());
+    assert!(parse(&head_of("GET / HTTP/1.1", 1024 + 5)).is_err());
+    assert!(parse(&at_limit[..1024 + 3]).unwrap().is_none());
+    let endless = format!("GET / HTTP/1.1\r\nX-Fill: {}", "f".repeat(2048));
+    assert!(parse(&endless.as_bytes()[..1024 + 3]).unwrap().is_none());
+    assert!(parse(&endless.as_bytes()[..1024 + 4]).is_err());
+    // Bodies: the declared length, to `max_body_bytes`.
+    let post = |len: usize| format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+    assert!(parse(post(16).as_bytes()).unwrap().is_none());
+    assert!(parse(post(17).as_bytes()).is_err());
+
+    // Responses, under the default limits: the status line, and behind
+    // it the header lines with the blank line, to `max_header_bytes`
+    // each; bodies to `max_body_bytes`.
+    let limits = httpd::Limits::default();
+    let max = limits.max_header_bytes;
+    let read = |raw: &[u8]| httpd::Response::read_from(&mut &raw[..]);
+    let status = "HTTP/1.1 200 OK";
+    let behind = |len: usize| head_of(status, status.len() + 2 + len);
+    assert!(read(&behind(max)).is_ok());
+    assert!(matches!(
+        read(&behind(max + 1)),
+        Err(httpd::HttpError::Malformed(_))
+    ));
+    let long_status = |len: usize| {
+        let line = format!(
+            "HTTP/1.1 200 {}",
+            "k".repeat(len - "HTTP/1.1 200 ".len() - 2)
+        );
+        format!("{line}\r\n\r\n").into_bytes()
+    };
+    assert!(read(&long_status(max)).is_ok());
+    assert!(matches!(
+        read(&long_status(max + 1)),
+        Err(httpd::HttpError::Malformed(_))
+    ));
+    let answer = |len: usize| format!("HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\n");
+    let body_max = limits.max_body_bytes;
+    assert!(matches!(
+        read(answer(body_max).as_bytes()),
+        Err(httpd::HttpError::UnexpectedEof)
+    ));
+    assert!(matches!(
+        read(answer(body_max + 1).as_bytes()),
+        Err(httpd::HttpError::Malformed(_))
+    ));
+}

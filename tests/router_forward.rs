@@ -434,6 +434,108 @@ fn connection_headers_stay_on_their_hop() {
     });
 }
 
+/// A backend that records every request its handler sees.
+fn recording_backend(addr: &str) -> (HttpServer, Arc<Mutex<Vec<String>>>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = seen.clone();
+    let handler = move |req: &Request| {
+        let line = format!("{} {} {}", req.method(), req.path(), req.body_str());
+        log.lock().unwrap().push(line);
+        Response::ok(req.body().to_vec(), "text/plain")
+    };
+    (HttpServer::bind(addr, handler).unwrap(), seen)
+}
+
+/// A request its head frames one way and a `Transfer-Encoding` reader
+/// another: its chunks end in a request of their own.
+fn chunked_post() -> Vec<u8> {
+    let smuggled = "GET /smuggled HTTP/1.1\r\n\r\n";
+    format!(
+        "POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n{smuggled}",
+        smuggled.len()
+    )
+    .into_bytes()
+}
+
+#[test]
+fn framings_other_than_one_content_length_reach_no_handler_or_backend() {
+    on_both_schemes("te", |front_addr, backend_addr| {
+        let (backend, seen) = recording_backend(backend_addr);
+        let bare = Bare::new(front_addr, &backend.base_url());
+        let conflicting = raw_post("/echo", b"hello", "Content-Length: 4\r\n");
+        for server in [backend.base_url(), bare.front.base_url()] {
+            // RFC 9112 §6.1: 501, and the connection closes before the
+            // chunks can be read as anything.
+            let mut peer = Peer::connect(&server);
+            peer.send(&chunked_post());
+            let resp = peer.answer().expect("an answer");
+            assert_eq!(resp.status(), 501, "{server}");
+            assert_eq!(resp.headers().get("Connection"), Some("close"));
+            assert!(peer.closed(), "{server}: the connection closes");
+            // RFC 9112 §6.3: two lengths that disagree are a 400.
+            let mut peer = Peer::connect(&server);
+            peer.send(&conflicting);
+            assert_eq!(peer.answer().expect("an answer").status(), 400);
+            assert!(peer.closed(), "{server}: the connection closes");
+        }
+        assert_eq!(bare.hop.relayed.load(Ordering::SeqCst), 0);
+        settles("no forward left", 0, || {
+            bare.hop.in_flight.load(Ordering::SeqCst)
+        });
+        // The same length twice is one length, and framed like one.
+        let mut peer = Peer::connect(&bare.front.base_url());
+        peer.send(&raw_post("/echo", b"hello", "Content-Length: 5\r\n"));
+        assert_eq!(peer.answer().unwrap().body(), b"hello");
+        assert_eq!(*seen.lock().unwrap(), ["POST /echo hello"]);
+        bare.front.shutdown();
+        backend.shutdown();
+    });
+}
+
+/// Answers every request on its first connection with `answer`.
+fn raw_backend(addr: &str, answer: &'static [u8]) -> (String, std::thread::JoinHandle<()>) {
+    let listener = httpd::transport::Listener::bind(addr).unwrap();
+    let authority = listener.local_addr().to_string();
+    let thread = std::thread::spawn(move || {
+        let mut conn = BufReader::new(listener.accept().unwrap());
+        while let Ok(n) = conn.read(&mut [0u8; 4096]) {
+            if n == 0 || conn.get_mut().write_all(answer).is_err() {
+                break;
+            }
+        }
+        listener.close();
+    });
+    (authority, thread)
+}
+
+#[test]
+fn answers_framed_otherwise_are_malformed_to_the_client_and_the_relay() {
+    on_both_schemes("te-answer", |front_addr, backend_addr| {
+        for answer in [
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n"[..],
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok"[..],
+        ] {
+            let (authority, thread) = raw_backend(backend_addr, answer);
+            let client = HttpClient::new().with_read_timeout(Duration::from_secs(5));
+            let err = client
+                .post(&format!("{authority}/echo"), b"x".to_vec(), "text/plain")
+                .unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{authority}: {err}");
+            thread.join().unwrap();
+
+            let (authority, thread) = raw_backend(backend_addr, answer);
+            let bare = Bare::new(front_addr, &authority);
+            let mut peer = Peer::connect(&bare.front.base_url());
+            peer.send(&raw_post("/echo", b"x", ""));
+            assert_eq!(peer.answer().unwrap().status(), 503, "{authority}");
+            assert!(bare.hop.failed.load(Ordering::SeqCst) >= 1);
+            bare.front.shutdown();
+            drop(peer);
+            thread.join().unwrap();
+        }
+    });
+}
+
 // ---------------------------------------------------------------------------
 // The router rig
 // ---------------------------------------------------------------------------
