@@ -87,7 +87,7 @@ impl Upstream for Route {
 
     fn failed(&self, why: &HttpError) -> Duration {
         match self.inner.upgrade() {
-            Some(inner) => inner.forward_failed(self.shard, "call", why),
+            Some(inner) => inner.forward_failed(self, "call", why),
             None => Duration::from_secs(1),
         }
     }
@@ -171,7 +171,7 @@ impl FrontHandler {
         let resp = match self.inner.pool.send(&route.doc_authority, &fwd) {
             Ok(resp) => resp,
             Err(e) => {
-                let retry_after = self.inner.forward_failed(route.shard, "doc", &e);
+                let retry_after = self.inner.forward_failed(&route, "doc", &e);
                 return Response::unavailable("router: shard failing over", retry_after);
             }
         };

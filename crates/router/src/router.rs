@@ -1,9 +1,9 @@
-//! The router proper: shard lifecycle, health checking, and the
-//! failover state machine (the fronts are in `front.rs`).
+//! The router proper: shards, routes, gates and breakers (the fronts
+//! are in `front.rs`, the reconfiguration runner in `migrate.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -15,12 +15,13 @@ use httpd::{Connection, ConnectionPool, HttpClient, HttpError, HttpServer, PoolC
 use jpie::Value;
 use obs::metrics::{Counter, Histogram};
 use obs::rng::XorShift64;
-use obs::sync::{Mutex, RwLock};
+use obs::sync::{Condvar, Mutex, RwLock};
 use sde::{PublicationStrategy, SdeConfig, SdeError, SdeManager, SdeServerGateway, TransportKind};
 use sde::{WalFollower, WalReplicator};
 
 use crate::front::{FrontHandler, GiopFront};
-use crate::migrate::{self, MigrationCtl, MigrationEvent, MigrationHandle, MoveOpts};
+use crate::migrate::{self, Inbox, MigrationEvent, MigrationHandle, MoveOpts};
+use crate::reconfig::Input;
 use crate::ring::HashRing;
 
 /// Which wire a class serves.
@@ -203,6 +204,9 @@ pub(crate) struct Shard {
 /// keeps an upstream only while its target is the same `Arc`).
 pub(crate) struct Route {
     pub(crate) shard: usize,
+    /// The shard's generation the route was built for: a relay failure
+    /// charges that generation's breaker, never a newer one's.
+    pub(crate) generation: u64,
     pub(crate) wire: Wire,
     pub(crate) doc_authority: String,
     /// Where calls go: the backend's SOAP endpoint authority, or its
@@ -243,26 +247,22 @@ pub(crate) struct RouterInner {
     pub(crate) front_base: RwLock<String>,
     /// The GIOP front's address: what every rewritten IOR carries.
     pub(crate) giop_addr: String,
-    pub(crate) breakers: Vec<RwLock<Arc<CircuitBreaker>>>,
-    pub(crate) failing_over: Vec<AtomicBool>,
+    /// Each shard's breaker, with the generation it watches.
+    pub(crate) breakers: Vec<RwLock<(u64, Arc<CircuitBreaker>)>>,
     /// First failure signal per shard since the last success, for the
     /// detect segment of failover latency.
     pub(crate) suspected_at: Vec<Mutex<Option<Instant>>>,
     pub(crate) last_failover: Mutex<Option<FailoverEvent>>,
     /// Front admission gates for planned drains, one per class.
     pub(crate) class_gates: RwLock<HashMap<String, Arc<ClassGate>>>,
-    /// Pool generations already purged, per shard: failover and restart
-    /// purge a retired generation's document connections exactly once,
-    /// so a duplicated signal never purges connections a newer healthy
-    /// backend has since warmed at a reused authority.
-    pub(crate) purged_gens: Vec<Mutex<HashSet<u64>>>,
-    /// Serializes planned operations (one migration at a time).
-    pub(crate) migration_lock: Mutex<()>,
-    pub(crate) migration_seq: AtomicU64,
     pub(crate) last_migration: Mutex<Option<MigrationEvent>>,
+    /// What other threads hand the reconfiguration runner, and its
+    /// doorbell.
+    pub(crate) inbox: Mutex<Inbox>,
+    pub(crate) doorbell: Condvar,
+    pub(crate) next_job: AtomicU64,
     /// Seeded jitter stream for Retry-After hints.
     pub(crate) retry_jitter: Mutex<XorShift64>,
-    pub(crate) stop: AtomicBool,
 }
 
 /// The sharded authority router.
@@ -270,7 +270,7 @@ pub struct Router {
     inner: Arc<RouterInner>,
     front: HttpServer,
     giop_front: Serving<GiopFront>,
-    health: Mutex<Option<JoinHandle<()>>>,
+    runner: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Router {
@@ -291,7 +291,7 @@ pub(crate) fn fresh_addr(transport: TransportKind, tag: &str, what: &str) -> Str
 
 impl Router {
     /// Starts the fleet: one leader + follower per shard, classes
-    /// assigned by the ring, both wire fronts bound, health loop
+    /// assigned by the ring, both wire fronts bound, the runner
     /// running.
     ///
     /// # Errors
@@ -332,11 +332,14 @@ impl Router {
                     .ok_or_else(|| rerr(format!("{} has no ORB", spec.name)))?;
                 giop_classes.insert(orb.ior().object_key, spec.name.clone());
             }
-            breakers.push(RwLock::new(Arc::new(CircuitBreaker::new(
-                &backend.doc_authority,
-                cfg.failure_threshold,
-                Duration::from_millis(100),
-            ))));
+            breakers.push(RwLock::new((
+                0,
+                Arc::new(CircuitBreaker::new(
+                    &backend.doc_authority,
+                    cfg.failure_threshold,
+                    Duration::from_millis(100),
+                )),
+            )));
             shards.push(Mutex::new(Shard {
                 generation: 0,
                 classes: specs,
@@ -358,25 +361,24 @@ impl Router {
             front_base: RwLock::new(String::new()),
             giop_addr: giop_listener.local_addr().to_string(),
             breakers,
-            failing_over: (0..cfg.shards).map(|_| AtomicBool::new(false)).collect(),
             suspected_at: (0..cfg.shards).map(|_| Mutex::new(None)).collect(),
             last_failover: Mutex::new(None),
             class_gates: RwLock::new(HashMap::new()),
-            purged_gens: (0..cfg.shards)
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
-            migration_lock: Mutex::new(()),
-            migration_seq: AtomicU64::new(0),
             last_migration: Mutex::new(None),
+            inbox: Mutex::new(Inbox::default()),
+            doorbell: Condvar::new(),
+            next_job: AtomicU64::new(0),
             retry_jitter: Mutex::new(XorShift64::seed_from_u64(cfg.seed)),
-            stop: AtomicBool::new(false),
             cfg,
         });
         for (i, shard) in inner.shards.iter().enumerate() {
             let shard = shard.lock();
             let mut routes = inner.routes.write();
             for spec in &shard.classes {
-                routes.insert(spec.name.clone(), inner.route_for(i, spec, &shard.backend));
+                routes.insert(
+                    spec.name.clone(),
+                    inner.route_for(i, 0, spec, &shard.backend),
+                );
             }
         }
 
@@ -404,19 +406,19 @@ impl Router {
             "orb_dispatch_depth",
         );
 
-        let health = {
+        let runner = {
             let inner = inner.clone();
             std::thread::Builder::new()
-                .name("router-health".into())
-                .spawn(move || health_loop(&inner))
-                .expect("spawn router health thread")
+                .name("router-reconfig".into())
+                .spawn(move || migrate::run(&inner))
+                .expect("spawn router reconfiguration thread")
         };
 
         Ok(Router {
             inner,
             front,
             giop_front,
-            health: Mutex::new(Some(health)),
+            runner: Mutex::new(Some(runner)),
         })
     }
 
@@ -466,7 +468,7 @@ impl Router {
     /// Kills shard `n`'s backend in place: the SDE process and its
     /// replication listener go away, exactly like a machine death. The
     /// follower (a separate process in real deployments) survives and
-    /// the health loop drives promotion.
+    /// the runner's probes drive promotion.
     pub fn kill_shard(&self, n: usize) {
         let shard = self.inner.shards[n].lock();
         shard.backend.manager.shutdown();
@@ -528,23 +530,17 @@ impl Router {
     /// # Errors
     ///
     /// Fails if the class is unknown, already home, the drain deadline
-    /// expires, or a concurrent failover of the source wins the race —
+    /// expires, or a failover of the source or target wins the race —
     /// in every case clients keep getting served (by whichever shard
     /// won).
     pub fn move_class(&self, class: &str, to_shard: usize) -> Result<MigrationEvent, RouterError> {
-        migrate::run_migration(
-            &self.inner,
-            class,
-            to_shard,
-            &MoveOpts::default(),
-            &MigrationCtl::new(),
-        )
+        self.begin_move(class, to_shard, MoveOpts::default()).join()
     }
 
-    /// Starts `move_class` on its own thread and returns a cancellable
-    /// handle. `opts.settle` inserts a dwell between catch-up and drain
-    /// — the window chaos tests use to kill the source or cancel the
-    /// move deterministically.
+    /// Queues `move_class` on the router's runner and returns a
+    /// cancellable handle. `opts.settle` inserts a dwell between
+    /// catch-up and drain — the window chaos tests use to kill a shard
+    /// or cancel the move deterministically.
     pub fn begin_move(&self, class: &str, to_shard: usize, opts: MoveOpts) -> MigrationHandle {
         migrate::begin_move(&self.inner, class, to_shard, opts)
     }
@@ -598,8 +594,8 @@ impl Router {
         shard.backend.manager.store().get(&path).map(|d| d.version)
     }
 
-    /// Waits until every shard is alive with a connected, fully
-    /// caught-up follower. Returns false on timeout.
+    /// Waits until every shard is alive, unsuspected, with a connected,
+    /// fully caught-up follower. Returns false on timeout.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
@@ -607,11 +603,7 @@ impl Router {
                 .status()
                 .iter()
                 .all(|s| s.alive && s.follower_connected && s.lag_records == 0)
-                && !self
-                    .inner
-                    .failing_over
-                    .iter()
-                    .any(|f| f.load(Ordering::SeqCst));
+                && self.inner.suspected_at.iter().all(|s| s.lock().is_none());
             if ok {
                 return true;
             }
@@ -622,11 +614,11 @@ impl Router {
         }
     }
 
-    /// Stops everything: health loop, fronts, every backend and
-    /// follower.
+    /// Stops everything: the runner (aborting every live migration),
+    /// fronts, every backend and follower.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.health.lock().take() {
+        self.inner.post(Input::Shutdown);
+        if let Some(h) = self.runner.lock().take() {
             let _ = h.join();
         }
         self.front.shutdown();
@@ -707,32 +699,34 @@ pub(crate) fn authority_of(url: &str) -> String {
 }
 
 impl RouterInner {
-    /// Records a shard failure signal; opens the breaker and triggers
-    /// failover once the threshold is crossed.
-    pub(crate) fn note_failure(self: &Arc<RouterInner>, shard: usize) {
-        if self.stop.load(Ordering::SeqCst) {
+    /// Records a failure signal against generation `gen` of a shard;
+    /// once its breaker opens, tells the runner. Never blocks: relays
+    /// call this on the shard thread.
+    pub(crate) fn note_failure(&self, shard: usize, gen: u64) {
+        let (watched, breaker) = self.breakers[shard].read().clone();
+        if watched != gen {
             return;
         }
-        {
-            let mut suspected = self.suspected_at[shard].lock();
-            suspected.get_or_insert_with(Instant::now);
-        }
-        let breaker = self.breakers[shard].read().clone();
+        self.suspected_at[shard]
+            .lock()
+            .get_or_insert_with(Instant::now);
         breaker.on_failure();
         if breaker.state() == BreakerState::Open {
-            self.trigger_failover(shard);
+            self.post(Input::Failed(shard, gen));
         }
     }
 
     pub(crate) fn note_success(&self, shard: usize) {
         *self.suspected_at[shard].lock() = None;
-        self.breakers[shard].read().on_success();
+        self.breakers[shard].read().1.on_success();
     }
 
-    /// The route to `spec` on `backend`, homed on shard `shard`.
+    /// The route to `spec` on `backend`, generation `generation` of
+    /// shard `shard`.
     pub(crate) fn route_for(
         self: &Arc<RouterInner>,
         shard: usize,
+        generation: u64,
         spec: &ClassSpec,
         backend: &Backend,
     ) -> Arc<Route> {
@@ -752,6 +746,7 @@ impl RouterInner {
         };
         Arc::new(Route {
             shard,
+            generation,
             wire: spec.wire,
             doc_authority: backend.doc_authority.clone(),
             authority,
@@ -766,17 +761,13 @@ impl RouterInner {
     /// with the shard — so a retry shortly preserves exactly-once over
     /// surviving state, and the failure doubles as a health signal.
     /// Returns the retry hint.
-    pub(crate) fn forward_failed(
-        self: &Arc<RouterInner>,
-        shard: usize,
-        kind: &str,
-        e: &HttpError,
-    ) -> Duration {
+    pub(crate) fn forward_failed(&self, route: &Route, kind: &str, e: &HttpError) -> Duration {
+        let shard = route.shard;
         obs::registry()
             .counter_with("router_forward_errors_total", &[("kind", kind)])
             .inc();
         obs::trace::event("router", "forward-failed", format!("shard={shard} {e}"));
-        self.note_failure(shard);
+        self.note_failure(shard, route.generation);
         self.jittered_retry_after()
     }
 
@@ -801,92 +792,6 @@ impl RouterInner {
         let extra = self.retry_jitter.lock().next_u64() % base_ms;
         Duration::from_millis(base_ms + extra)
     }
-
-    /// Purges a retired generation's pooled document connections,
-    /// exactly once per (shard, generation): a duplicated failure signal
-    /// must not re-purge an authority a newer healthy generation has
-    /// since re-bound and warmed. (Nothing pools SOAP upstreams: the
-    /// route swap retires them.)
-    pub(crate) fn purge_retired_generation(&self, shard: usize, generation: u64, authority: &str) {
-        if !self.purged_gens[shard].lock().insert(generation) {
-            obs::registry()
-                .counter("router_pool_purges_skipped_total")
-                .inc();
-            return;
-        }
-        self.pool.purge(authority);
-    }
-
-    /// Kicks off failover on a dedicated thread (callers hold no shard
-    /// lock and must not block — this is called from the proxy hot
-    /// path).
-    fn trigger_failover(self: &Arc<RouterInner>, shard: usize) {
-        if self.failing_over[shard]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return;
-        }
-        let inner = self.clone();
-        let _ = std::thread::Builder::new()
-            .name(format!("router-failover-s{shard}"))
-            .spawn(move || {
-                let result = failover(&inner, shard);
-                inner.failing_over[shard].store(false, Ordering::SeqCst);
-                if let Err(e) = result {
-                    obs::registry()
-                        .counter("router_failover_errors_total")
-                        .inc();
-                    obs::trace::event("router", "failover-failed", format!("shard={shard} {e}"));
-                }
-            });
-    }
-}
-
-/// The failover state machine: fence the dead leader, promote the
-/// follower's replica under a fresh authority, redeploy + republish,
-/// swap routes, re-arm replication.
-fn failover(inner: &Arc<RouterInner>, shard_id: usize) -> Result<(), RouterError> {
-    let mut shard = inner.shards[shard_id].lock();
-    let detect_ms = inner.suspected_at[shard_id]
-        .lock()
-        .map(|t| t.elapsed().as_secs_f64() * 1e3)
-        .unwrap_or(0.0);
-    shard.dead = true;
-    // Replay: the promoted manager adopts the replica WAL, so every
-    // class's floor comes from the replicated records.
-    let replica = shard.backend.follower_dir.clone();
-    let (replay, republish) = next_generation(inner, shard_id, &mut shard, |addr| {
-        SdeManager::with_authority(addr, &replica)
-    })?;
-    let generation = shard.generation;
-    let classes = shard.classes.iter().map(|c| c.name.clone()).collect();
-    drop(shard);
-
-    let (replay_ms, republish_ms) = (replay.as_secs_f64() * 1e3, republish.as_secs_f64() * 1e3);
-    let event = FailoverEvent {
-        shard: shard_id,
-        generation,
-        detect_ms,
-        replay_ms,
-        republish_ms,
-        total_ms: detect_ms + replay_ms + republish_ms,
-        classes,
-    };
-    obs::registry().counter("router_failovers_total").inc();
-    obs::registry()
-        .histogram("router_failover_ns")
-        .record((event.total_ms * 1e6) as u64);
-    obs::trace::event(
-        "router",
-        "failover",
-        format!(
-            "shard={shard_id} gen={generation} detect={:.1}ms replay={:.1}ms republish={:.1}ms",
-            event.detect_ms, event.replay_ms, event.republish_ms
-        ),
-    );
-    *inner.last_failover.lock() = Some(event);
-    Ok(())
 }
 
 /// Shard `n`'s leader manager at interface address `addr`, logging to
@@ -906,55 +811,6 @@ pub(crate) fn leader_manager(
     )
 }
 
-/// Moves shard `n` to its next generation — failover's promotion and a
-/// restart's bounce alike. Fences the old backend (manager, replicator
-/// and follower: it must never serve or replicate again), builds the
-/// new manager with `manager` at a fresh interface authority, starts the
-/// shard's classes on it and swaps their routes (the new route `Arc`s
-/// retire every front connection's upstream to the old backend, on both
-/// wires), then installs a fresh breaker, bumps the generation, clears
-/// the suspicion and purges the retired generation's document
-/// connections. Returns how long `manager` took, then the rest.
-pub(crate) fn next_generation(
-    inner: &Arc<RouterInner>,
-    n: usize,
-    shard: &mut Shard,
-    manager: impl FnOnce(&str) -> Result<SdeManager, SdeError>,
-) -> Result<(Duration, Duration), RouterError> {
-    shard.backend.manager.shutdown();
-    shard.backend.replicator.shutdown();
-    if let Some(f) = shard.backend.follower.take() {
-        f.stop(); // joins; the replica file is durable and quiescent
-    }
-    let generation = shard.generation + 1;
-    let started = Instant::now();
-    let addr = fresh_addr(
-        inner.cfg.transport,
-        &inner.cfg.tag,
-        &format!("s{n}g{generation}-ifc"),
-    );
-    let manager = Arc::new(manager(&addr).map_err(rerr)?);
-    let built = started.elapsed();
-    let backend = start_backend(&inner.cfg, n, generation, &shard.classes, manager)?;
-    {
-        let mut routes = inner.routes.write();
-        for spec in &shard.classes {
-            routes.insert(spec.name.clone(), inner.route_for(n, spec, &backend));
-        }
-    }
-    *inner.breakers[n].write() = Arc::new(CircuitBreaker::new(
-        &backend.doc_authority,
-        inner.cfg.failure_threshold,
-        Duration::from_millis(100),
-    ));
-    inner.purge_retired_generation(n, shard.generation, &shard.backend.doc_authority);
-    shard.backend = backend;
-    shard.generation = generation;
-    shard.dead = false;
-    *inner.suspected_at[n].lock() = None;
-    Ok((built, started.elapsed() - built))
-}
-
 /// A shard's health probe: a real HTTP request (any response — even a
 /// 404 — counts as alive) on a keep-alive connection, kept while the
 /// shard stays at one generation. A connect-only probe is too weak: a
@@ -963,12 +819,12 @@ pub(crate) fn next_generation(
 /// success resets the failure breaker that data-path errors are trying
 /// to open. Any error or timeout drops the connection, and so does a
 /// server that says it is closing it; the next probe connects afresh.
-struct Probe {
+pub(crate) struct Probe {
     generation: u64,
     conn: Connection,
 }
 
-fn probe_shard(
+pub(crate) fn probe_shard(
     probe: &mut Option<Probe>,
     authority: &str,
     generation: u64,
@@ -999,32 +855,4 @@ fn probe_shard(
         *probe = None;
     }
     true
-}
-
-/// Probes every shard's interface server each interval; failures feed
-/// the shard breaker exactly like forward failures do.
-fn health_loop(inner: &Arc<RouterInner>) {
-    let mut probes: Vec<Option<Probe>> = (0..inner.cfg.shards).map(|_| None).collect();
-    while !inner.stop.load(Ordering::SeqCst) {
-        for (i, probe) in probes.iter_mut().enumerate() {
-            if inner.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            if inner.failing_over[i].load(Ordering::SeqCst) {
-                continue;
-            }
-            let (authority, generation) = {
-                let shard = inner.shards[i].lock();
-                (shard.backend.doc_authority.clone(), shard.generation)
-            };
-            obs::registry().counter("router_probes_total").inc();
-            if probe_shard(probe, &authority, generation, inner.cfg.probe_timeout) {
-                inner.note_success(i);
-            } else {
-                obs::registry().counter("router_probe_failures_total").inc();
-                inner.note_failure(i);
-            }
-        }
-        std::thread::sleep(inner.cfg.health_interval);
-    }
 }

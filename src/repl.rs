@@ -790,7 +790,7 @@ impl Repl {
                 }
                 let before = shard.generation;
                 demo.router.kill_shard(n);
-                // The health loop detects the death on its own — no
+                // The router's probes detect the death on its own — no
                 // client traffic needed — so just wait for the event.
                 let deadline = Instant::now() + Duration::from_secs(10);
                 let promoted = loop {

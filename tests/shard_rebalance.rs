@@ -373,6 +373,132 @@ fn cancelled_migration_leaves_source_wal_and_routes_byte_identical() {
     let _ = std::fs::remove_dir_all(&wal_root);
 }
 
+/// The catch-up replica directories under `root`.
+fn mig_dirs(root: &std::path::Path) -> Vec<std::path::PathBuf> {
+    std::fs::read_dir(root)
+        .map(|rd| {
+            rd.filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| {
+                    p.file_name()
+                        .is_some_and(|n| n.to_string_lossy().starts_with("mig-"))
+                })
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// Shutting the router down aborts a migration in its settle dwell: the
+/// move's `join` answers an error at once, not after the dwell, and the
+/// catch-up replica directory is gone.
+#[test]
+fn shutdown_aborts_a_migration_in_its_settle_dwell() {
+    const SHARDS: usize = 2;
+    let wal_root = temp_root("rb-shut");
+    let cfg = RouterConfig::new(SHARDS, TransportKind::Mem, &wal_root, "rb-shut");
+    let classes = pick_classes(SHARDS, cfg.vnodes, "RbShut");
+    let specs = classes
+        .iter()
+        .map(|(name, _)| ClassSpec::soap(name.clone(), counter_source(name)))
+        .collect();
+    let router = Router::start(cfg, specs).expect("router start");
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    let (victim, home) = classes[0].clone();
+    let handle = router.begin_move(
+        &victim,
+        (home + 1) % SHARDS,
+        MoveOpts {
+            settle: Duration::from_secs(30),
+        },
+    );
+    let began = Instant::now();
+    while mig_dirs(&wal_root).is_empty() {
+        assert!(
+            began.elapsed() < Duration::from_secs(10),
+            "move never began"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    let shut = Instant::now();
+    router.shutdown();
+    let err = handle.join().expect_err("shutdown must abort the move");
+    assert!(
+        shut.elapsed() < Duration::from_secs(2),
+        "join took {:?} after shutdown: {err}",
+        shut.elapsed()
+    );
+    assert!(
+        mig_dirs(&wal_root).is_empty(),
+        "catch-up directory left behind: {:?}",
+        mig_dirs(&wal_root)
+    );
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
+
+/// Killing the *target* mid-migration: the move either aborts with the
+/// source untouched or completes onto the promoted target. Either way
+/// the class keeps serving, and its counter equals the calls made.
+#[test]
+fn target_death_mid_migration_keeps_the_class_serving_exactly_once() {
+    const SHARDS: usize = 2;
+    let wal_root = temp_root("rb-tkill");
+    let cfg = RouterConfig::new(SHARDS, TransportKind::Mem, &wal_root, "rb-tkill");
+    let classes = pick_classes(SHARDS, cfg.vnodes, "RbTKill");
+    let specs = classes
+        .iter()
+        .map(|(name, _)| ClassSpec::soap(name.clone(), counter_source(name)))
+        .collect();
+    let router = Router::start(cfg, specs).expect("router start");
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    let (victim, home) = classes[0].clone();
+    let target = (home + 1) % SHARDS;
+    let env = resilient_env(43);
+    let stub = env.connect_soap(&router.wsdl_url(&victim)).expect("stub");
+    let mut calls = 0;
+    let mut call = |when: &str| {
+        env.call(&stub, "bump", &[])
+            .unwrap_or_else(|e| panic!("{when} call: {e}"));
+        calls += 1;
+    };
+    for _ in 0..3 {
+        call("pre-kill");
+    }
+
+    let handle = router.begin_move(
+        &victim,
+        target,
+        MoveOpts {
+            settle: Duration::from_secs(5),
+        },
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    router.kill_shard(target);
+    for _ in 0..3 {
+        call("mid-move");
+    }
+    let outcome = handle.join();
+    assert!(
+        router.wait_converged(Duration::from_secs(10)),
+        "fleet must reconverge via the target's failover"
+    );
+    let failover = router.last_failover().expect("failover event");
+    assert_eq!(failover.shard, target);
+    match &outcome {
+        Ok(event) => assert_eq!(router.shard_of(&victim), event.to_shard),
+        Err(e) => assert_eq!(router.shard_of(&victim), home, "aborted: {e}"),
+    }
+    for _ in 0..3 {
+        call("post-failover");
+    }
+    assert_eq!(router.field_value(&victim, "n"), Some(calls));
+
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
+
 /// A rolling restart bounces every shard to a fresh generation with
 /// zero failed calls: classes drain to neighbor shards, the empty
 /// shard restarts, and the displaced classes move home — instance
