@@ -64,11 +64,8 @@ impl CorbaServer {
             class,
             strategy,
             Box::new(move || {
-                let module = IdlModule::from_signatures(
-                    gen_class.name(),
-                    &gen_class.distributed_signatures(),
-                    gen_class.interface_version(),
-                );
+                let (version, signatures) = gen_class.distributed_interface();
+                let module = IdlModule::from_signatures(gen_class.name(), &signatures, version);
                 GeneratedDoc {
                     text: module.to_idl(),
                     version: module.version,

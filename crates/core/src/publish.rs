@@ -16,36 +16,28 @@
 //!   countdown; further distributed-interface changes reset it; only when
 //!   the timer expires is the new description generated and published.
 //!
-//! §5.6 details implemented exactly: the timer and the generation
-//! operation are independent — the timer may expire *during* a generation,
-//! in which case one follow-up generation runs as soon as the current one
-//! finishes; the user can force timer expiry manually
-//! ([`PublisherCore::force_publish`]); and a publication only happens when
-//! the interface actually changed ("publishing if necessary").
-//!
-//! §5.7 is [`PublisherCore::ensure_current`]: when a call handler receives
-//! a call to a stale method it stalls and prompts the publisher. The three
-//! cases of the paper map directly onto the state here:
-//! timer idle + no generation → already current (no work, which is what
-//! makes a rogue client harmless); generation in progress + timer idle →
-//! wait for it; generation in progress + timer running → the pending
-//! changes are folded into a forced follow-up generation and we wait for
-//! both. On return, the published description reflects every change made
-//! before the call.
+//! The rules live in [`Publication`], a pure machine: no lock, thread,
+//! clock or I/O. [`PublisherCore`] runs it under one mutex. Class edits
+//! reach it synchronously through a class observer; a stale call's
+//! [`PublisherCore::ensure_current`] generates on the caller's thread;
+//! countdowns, forced publications and change-driven generations run on
+//! one process-wide publication clock thread. `tests/publication_explore.rs`
+//! drives the machine through every interleaving with edits, stale calls
+//! and the Interface Server.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use jpie::{ClassEvent, ClassHandle};
+use jpie::{ClassEvent, ClassHandle, ClassObserver};
 use obs::events::VersionEventKind;
 use obs::metrics::{Counter, Histogram};
-use obs::sync::{Condvar, Mutex};
-use std::sync::mpsc::Receiver;
+use obs::sync::{Condvar, Mutex, MutexGuard};
 
 /// How the DL Publisher decides when to publish (§5.6 discussion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PublicationStrategy {
     /// Publish immediately on every distributed-interface change.
     ChangeDriven,
@@ -130,110 +122,343 @@ impl PublisherObs {
     }
 }
 
-#[derive(Debug)]
-struct PubState {
-    /// §5.6 countdown deadline; `None` when the timer is idle.
-    deadline: Option<Instant>,
-    /// A generation operation is in flight.
-    generating: bool,
-    /// An immediate generation has been requested (forced expiry or
-    /// change-driven strategy).
-    force_now: bool,
-    /// Interface version of the last *published* document.
-    published_version: u64,
-    shutdown: bool,
+/// What the publication machine is told.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Input {
+    /// The class changed: its interface version after the edit, and
+    /// whether the distributed interface changed. May arrive after a
+    /// generation has already read the edit.
+    Edit {
+        version: u64,
+        distributed: bool,
+    },
+    /// The countdown ran out.
+    Fired,
+    /// The generation in flight read this interface version.
+    Generated(u64),
+    /// The sink holds the document [`Output::Publish`] handed it.
+    Published,
+    /// A stale call (§5.7) read this interface version of the class.
+    Stale(u64),
+    /// The user forced timer expiry (§4).
+    Force,
+    Strategy(PublicationStrategy),
+    Shutdown,
 }
 
-/// The DL Publisher core shared by the WSDL and IDL publishers.
+/// What the runner must do, in the order a step returns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Output {
+    /// Start the countdown, replacing a running one.
+    Arm(Duration),
+    Cancel,
+    /// Run the generator; answer [`Input::Generated`].
+    Generate {
+        forced: bool,
+    },
+    /// Hand the generated document to the sink; answer
+    /// [`Input::Published`].
+    Publish {
+        forced: bool,
+    },
+    /// The stale call found the published document current: no work.
+    Current,
+    /// Nothing is in flight any more: wake the stale calls waiting.
+    Release,
+}
+
+/// The outputs of one step (never more than two).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Outputs([Option<Output>; 2]);
+
+impl Outputs {
+    fn push(&mut self, output: Output) {
+        let slot = self.0.iter_mut().find(|o| o.is_none());
+        *slot.expect("a step has at most two outputs") = Some(output);
+    }
+
+    pub fn contains(&self, output: Output) -> bool {
+        self.0.contains(&Some(output))
+    }
+}
+
+impl IntoIterator for Outputs {
+    type Item = Output;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<Output>, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().flatten()
+    }
+}
+
+/// The §5.6/§5.7 publication machine.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Publication {
+    strategy: PublicationStrategy,
+    /// The countdown runs.
+    timer: bool,
+    /// A generation is in flight, through its publication; whether it
+    /// was forced.
+    generating: Option<bool>,
+    /// One more generation to run when the one in flight ends (§5.6:
+    /// the timer may expire during a generation).
+    queued: Option<bool>,
+    /// Interface version of the last published document.
+    published: u64,
+    /// The newest interface version an edit or a stale call reported.
+    seen: u64,
+    /// The newest version the last countdown saw stay unchanged to its
+    /// end.
+    stable: u64,
+    stopped: bool,
+}
+
+impl Publication {
+    /// A machine whose document at `published` is already published.
+    /// Feed it [`Input::Strategy`] to arm a periodic countdown.
+    pub fn new(strategy: PublicationStrategy, published: u64) -> Publication {
+        Publication {
+            strategy,
+            timer: false,
+            generating: None,
+            queued: None,
+            published,
+            seen: published,
+            stable: published,
+            stopped: false,
+        }
+    }
+
+    pub fn strategy(&self) -> PublicationStrategy {
+        self.strategy
+    }
+
+    pub fn published(&self) -> u64 {
+        self.published
+    }
+
+    /// No generation is in flight or queued: waiters may leave.
+    pub fn settled(&self) -> bool {
+        self.generating.is_none()
+    }
+
+    /// Whether the published document is current for a class at
+    /// `version`: no countdown, no generation, nothing newer.
+    pub fn is_current(&self, version: u64) -> bool {
+        !self.timer && self.settled() && self.published >= version
+    }
+
+    /// One transition.
+    pub fn step(&mut self, input: Input) -> Outputs {
+        let mut out = Outputs::default();
+        match input {
+            Input::Edit {
+                version,
+                distributed,
+            } => self.edit(version, distributed, &mut out),
+            Input::Fired if self.timer => {
+                self.timer = false;
+                self.stable = self.seen;
+                self.request(false, &mut out);
+            }
+            Input::Fired => {}
+            Input::Generated(version) => {
+                let forced = self.generating.expect("a generation is in flight");
+                // §5.6: a countdown publishes only what stayed unchanged
+                // to its end. A generation that read a newer edit leaves
+                // it to that edit's own countdown.
+                let stable = forced
+                    || version <= self.stable
+                    || !matches!(self.strategy, PublicationStrategy::StableTimeout(_));
+                if version > self.published && stable && !self.stopped {
+                    self.published = version;
+                    out.push(Output::Publish { forced });
+                } else {
+                    self.finish(&mut out);
+                }
+            }
+            Input::Published => self.finish(&mut out),
+            Input::Stale(version) => {
+                self.seen = self.seen.max(version);
+                if self.stopped || self.is_current(version) {
+                    // §5.7 case 1: this early return is what makes a rogue
+                    // client unable to trigger needless generations.
+                    out.push(Output::Current);
+                } else if self.timer || self.published < version {
+                    // Cases 2/3: fold a pending countdown, or an edit not
+                    // yet published, into a forced generation.
+                    self.cancel(&mut out);
+                    self.request(true, &mut out);
+                }
+            }
+            Input::Force if !self.stopped => {
+                self.cancel(&mut out);
+                self.request(true, &mut out);
+            }
+            Input::Force => {}
+            Input::Strategy(strategy) => {
+                self.strategy = strategy;
+                self.poll(&mut out);
+            }
+            Input::Shutdown => {
+                self.stopped = true;
+                self.queued = None;
+                self.cancel(&mut out);
+                if self.settled() {
+                    out.push(Output::Release);
+                }
+            }
+        }
+        out
+    }
+
+    fn edit(&mut self, version: u64, distributed: bool, out: &mut Outputs) {
+        self.seen = self.seen.max(version);
+        // An edit the published document already covers carries no work.
+        if self.stopped || (version <= self.published && self.settled()) {
+            return;
+        }
+        match self.strategy {
+            PublicationStrategy::ChangeDriven if distributed => self.request(true, out),
+            PublicationStrategy::ChangeDriven | PublicationStrategy::Periodic(_) => {}
+            // A change starts the countdown; a distributed change resets it.
+            PublicationStrategy::StableTimeout(timeout) => {
+                if !self.timer || distributed {
+                    self.timer = true;
+                    out.push(Output::Arm(timeout));
+                }
+            }
+        }
+    }
+
+    fn request(&mut self, forced: bool, out: &mut Outputs) {
+        if self.generating.is_some() {
+            self.queued = Some(forced || self.queued == Some(true));
+        } else {
+            self.generating = Some(forced);
+            out.push(Output::Generate { forced });
+        }
+    }
+
+    fn finish(&mut self, out: &mut Outputs) {
+        self.generating = None;
+        // "Publishing if necessary": a document that covers every reported
+        // edit leaves a countdown nothing to publish. Later edits re-arm.
+        if self.published >= self.seen && !matches!(self.strategy, PublicationStrategy::Periodic(_))
+        {
+            self.cancel(out);
+            if self.queued == Some(false) {
+                self.queued = None;
+            }
+        }
+        match self.queued.take() {
+            Some(forced) => self.request(forced, out),
+            None => {
+                self.poll(out);
+                out.push(Output::Release);
+            }
+        }
+    }
+
+    fn cancel(&mut self, out: &mut Outputs) {
+        if self.timer {
+            self.timer = false;
+            out.push(Output::Cancel);
+        }
+    }
+
+    /// A periodic strategy keeps a countdown armed while idle.
+    fn poll(&mut self, out: &mut Outputs) {
+        if let PublicationStrategy::Periodic(every) = self.strategy {
+            if !self.timer && self.settled() && !self.stopped {
+                self.timer = true;
+                out.push(Output::Arm(every));
+            }
+        }
+    }
+}
+
+/// The runner's side of the machine, under the same lock.
+struct Runner {
+    machine: Publication,
+    /// When the armed countdown runs out.
+    deadline: Option<Instant>,
+    /// When this publisher's countdown entry on the clock is due.
+    entry: Option<Instant>,
+    /// The document between `Generated` and `Published`.
+    doc: Option<GeneratedDoc>,
+    /// Modelled generation cost: generations run on the clock this long
+    /// after they are asked for.
+    latency: Duration,
+}
+
+/// The DL Publisher shared by the WSDL and IDL publishers.
 pub struct PublisherCore {
-    state: Mutex<PubState>,
-    cond: Condvar,
-    strategy: Mutex<PublicationStrategy>,
+    name: String,
     class: ClassHandle,
+    state: Mutex<Runner>,
+    /// Signalled on [`Output::Release`].
+    released: Condvar,
     generator: Box<DocumentGenerator>,
     sink: Box<PublishSink>,
     metrics: PublisherMetrics,
     o: PublisherObs,
-    /// Artificial latency added to each generation — models the paper's
-    /// "relatively expensive operation" and lets tests exercise the
-    /// timer-expires-during-generation path deterministically.
-    generation_latency: Mutex<Duration>,
-    worker: Mutex<Option<JoinHandle<()>>>,
-    listener: Mutex<Option<JoinHandle<()>>>,
+    observer: Arc<ClassObserver>,
+    me: Weak<PublisherCore>,
 }
 
 impl std::fmt::Debug for PublisherCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PublisherCore")
-            .field("class", &self.class.name())
-            .field("strategy", &*self.strategy.lock())
+            .field("class", &self.name)
+            .field("strategy", &self.strategy())
             .finish_non_exhaustive()
     }
 }
 
 impl PublisherCore {
     /// Creates a publisher for `class`, immediately publishing the initial
-    /// (minimal) document, and starts its worker and listener threads.
+    /// (minimal) document (§5.1.1/§5.2.1), and observes the class.
     pub fn start(
         class: ClassHandle,
         strategy: PublicationStrategy,
         generator: Box<DocumentGenerator>,
         sink: Box<PublishSink>,
     ) -> Arc<PublisherCore> {
-        let o = PublisherObs::for_class(&class.name());
-        let core = Arc::new(PublisherCore {
-            state: Mutex::new(PubState {
-                deadline: None,
-                generating: false,
-                force_now: false,
-                published_version: class.interface_version(),
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            strategy: Mutex::new(strategy),
-            class: class.clone(),
-            generator,
-            sink,
-            metrics: PublisherMetrics::default(),
-            o,
-            generation_latency: Mutex::new(Duration::ZERO),
-            worker: Mutex::new(None),
-            listener: Mutex::new(None),
+        let name = class.name();
+        let initial = generator();
+        sink(&initial);
+        let core = Arc::new_cyclic(|me: &Weak<PublisherCore>| {
+            let observed = me.clone();
+            PublisherCore {
+                o: PublisherObs::for_class(&name),
+                name,
+                class: class.clone(),
+                state: Mutex::new(Runner {
+                    machine: Publication::new(strategy, initial.version),
+                    deadline: None,
+                    entry: None,
+                    doc: None,
+                    latency: Duration::ZERO,
+                }),
+                released: Condvar::new(),
+                generator,
+                sink,
+                metrics: PublisherMetrics::default(),
+                // Weak: the class may outlive the publisher.
+                observer: Arc::new(move |event: &ClassEvent| {
+                    if let Some(core) = observed.upgrade() {
+                        core.edited(event);
+                    }
+                }),
+                me: me.clone(),
+            }
         });
-
-        // Publish the initial document synchronously (the paper's minimal
-        // WSDL / minimal CORBA-IDL at §5.1.1/§5.2.1).
-        let initial = (core.generator)();
-        (core.sink)(&initial);
         core.metrics.publications.fetch_add(1, Ordering::Relaxed);
         core.o.publications.inc();
-        obs::events::record(
-            &class.name(),
-            VersionEventKind::Publication,
-            initial.version,
-        );
-        core.state.lock().published_version = initial.version;
-
-        // Listener thread: subscribes to class change events. It holds
-        // the publisher weakly: the class's event sender lives as long as
-        // the class, and a strong hold here would keep the publisher —
-        // its sink, the document store and the store's WAL — alive with it.
-        let events = class.subscribe();
-        let listener_core = Arc::downgrade(&core);
-        let listener = thread::Builder::new()
-            .name(format!("dl-listener-{}", class.name()))
-            .spawn(move || listener_loop(listener_core, events))
-            .expect("spawn publisher listener");
-        *core.listener.lock() = Some(listener);
-
-        // Worker thread: runs generations per the state machine.
-        let worker_core = core.clone();
-        let worker = thread::Builder::new()
-            .name(format!("dl-worker-{}", class.name()))
-            .spawn(move || worker_loop(worker_core))
-            .expect("spawn publisher worker");
-        *core.worker.lock() = Some(worker);
-
+        obs::events::record(&core.name, VersionEventKind::Publication, initial.version);
+        class.observe(core.observer.clone());
+        drop(core.drive(core.state.lock(), Input::Strategy(strategy), false));
         core
     }
 
@@ -251,45 +476,38 @@ impl PublisherCore {
     /// the user "control the publication frequency by specifying a
     /// timeout value", §4).
     pub fn set_strategy(&self, strategy: PublicationStrategy) {
-        *self.strategy.lock() = strategy;
-        self.cond.notify_all();
+        drop(self.drive(self.state.lock(), Input::Strategy(strategy), false));
     }
 
     /// Current strategy.
     pub fn strategy(&self) -> PublicationStrategy {
-        *self.strategy.lock()
+        self.state.lock().machine.strategy()
     }
 
     /// Sets an artificial generation latency (models the expensive
     /// generation operation; used by tests and the consistency-matrix
     /// experiment).
     pub fn set_generation_latency(&self, latency: Duration) {
-        *self.generation_latency.lock() = latency;
+        self.state.lock().latency = latency;
     }
 
     /// Version of the last published document.
     pub fn published_version(&self) -> u64 {
-        self.state.lock().published_version
+        self.state.lock().machine.published()
     }
 
     /// Whether the published document is current *right now* (timer idle,
     /// no generation in flight, version up to date).
     pub fn is_current(&self) -> bool {
         let st = self.state.lock();
-        !st.generating
-            && !st.force_now
-            && st.deadline.is_none()
-            && st.published_version == self.class.interface_version()
+        st.machine.is_current(self.class.interface_version())
     }
 
     /// §4: "The user may decide to manually trigger the publication of the
     /// server interface description at any time by forcing timer
     /// expiration through the SDE Manager Interface."
     pub fn force_publish(&self) {
-        let mut st = self.state.lock();
-        st.deadline = None;
-        st.force_now = true;
-        self.cond.notify_all();
+        drop(self.drive(self.state.lock(), Input::Force, false));
     }
 
     /// Blocks until the published interface description reflects every
@@ -297,15 +515,9 @@ impl PublisherCore {
     /// any waiting/forcing was needed (false = "was already current").
     pub fn ensure_current(&self) -> bool {
         let mut st = self.state.lock();
-        let current_version = self.class.interface_version();
-        if !st.generating
-            && !st.force_now
-            && st.deadline.is_none()
-            && st.published_version == current_version
-        {
-            // Case 1 (§5.7): timer idle, no generation → already current.
-            // This early return is what makes a rogue client unable to
-            // trigger needless IDL generations.
+        let version = self.class.interface_version();
+        let out = st.machine.step(Input::Stale(version));
+        if out.contains(Output::Current) {
             self.metrics.already_current.fetch_add(1, Ordering::Relaxed);
             self.o.already_current.inc();
             return false;
@@ -315,215 +527,235 @@ impl PublisherCore {
         obs::trace::event(
             "sde::publisher",
             "ensure-current-forced",
-            format!("class={} version={current_version}", self.class.name()),
+            format!("class={} version={version}", self.name),
         );
-        // Cases 2/3: if a timer is pending (with or without an ongoing
-        // generation), fold it into an immediate follow-up generation.
-        if st.deadline.is_some() || st.published_version != current_version {
-            st.deadline = None;
-            st.force_now = true;
-            self.cond.notify_all();
-        }
-        // Wait until all pending work has drained: any in-flight
-        // generation finishes, plus the forced follow-up if one was queued.
-        while st.generating || st.force_now {
-            self.cond.wait(&mut st);
+        st = self.execute(st, out, true);
+        while !st.machine.settled() {
+            self.released.wait(&mut st);
         }
         true
     }
 
-    /// Stops the worker and listener threads.
+    /// Stops publishing and stops observing the class. A generation in
+    /// flight finishes first; it publishes nothing.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.state.lock();
-            st.shutdown = true;
+        self.class.unobserve(&self.observer);
+        let mut st = self.drive(self.state.lock(), Input::Shutdown, false);
+        while !st.machine.settled() {
+            self.released.wait(&mut st);
         }
-        self.cond.notify_all();
-        if let Some(t) = self.worker.lock().take() {
-            let _ = t.join();
-        }
-        // The listener thread exits when the class drops its sender — or
-        // immediately if the channel is already closed. Detach rather than
-        // join, since the class (and its event sender) may outlive us.
-        drop(self.listener.lock().take());
     }
 
-    /// Called by the listener thread on every class event.
-    fn on_change(&self, event: &ClassEvent) {
-        let strategy = *self.strategy.lock();
-        let mut st = self.state.lock();
-        if st.shutdown {
-            return;
-        }
+    fn edited(&self, event: &ClassEvent) {
         if event.distributed_change {
-            obs::events::record(
-                &self.class.name(),
-                VersionEventKind::InterfaceEdit,
-                event.interface_version,
-            );
+            let kind = VersionEventKind::InterfaceEdit;
+            obs::events::record(&self.name, kind, event.interface_version);
         }
-        // The listener thread receives events asynchronously; one may
-        // arrive after a forced publication has already covered it. An
-        // event whose interface version is already published carries no
-        // pending work — arming the timer for it would leave the
-        // publisher permanently "behind" its own output.
-        if event.interface_version <= st.published_version && !st.generating && !st.force_now {
-            return;
-        }
-        match strategy {
-            PublicationStrategy::ChangeDriven => {
-                if event.distributed_change {
-                    st.force_now = true;
-                    self.cond.notify_all();
-                }
-            }
-            PublicationStrategy::Periodic(_) => {
-                // Polling ignores change notifications; the worker re-arms
-                // its own deadline.
-            }
-            PublicationStrategy::StableTimeout(timeout) => {
-                // §5.6: a change starts the countdown; further
-                // distributed-interface changes reset it (other changes
-                // leave a running timer alone).
-                if st.deadline.is_none() || event.distributed_change {
-                    st.deadline = Some(Instant::now() + timeout);
-                    obs::events::record(
-                        &self.class.name(),
-                        VersionEventKind::TimerReset,
-                        event.interface_version,
-                    );
-                    self.cond.notify_all();
-                }
-            }
-        }
-    }
-}
-
-fn listener_loop(core: Weak<PublisherCore>, events: Receiver<ClassEvent>) {
-    while let Ok(event) = events.recv() {
-        let Some(core) = core.upgrade() else {
-            return;
+        let edit = Input::Edit {
+            version: event.interface_version,
+            distributed: event.distributed_change,
         };
-        core.on_change(&event);
-        if core.state.lock().shutdown {
-            return;
-        }
+        drop(self.drive(self.state.lock(), edit, false));
     }
-}
 
-fn worker_loop(core: Arc<PublisherCore>) {
-    loop {
-        // Decide whether to generate now, wait, or exit. The flag records
-        // whether this round was forced (stale call / manual trigger) as
-        // opposed to a timer running out on its own.
-        let was_forced = {
-            let mut st = core.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                // Periodic strategy arms its own deadline.
-                if st.deadline.is_none() && !st.force_now {
-                    if let PublicationStrategy::Periodic(interval) = *core.strategy.lock() {
-                        st.deadline = Some(Instant::now() + interval);
+    fn drive<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, Runner>,
+        input: Input,
+        here: bool,
+    ) -> MutexGuard<'a, Runner> {
+        let out = st.machine.step(input);
+        self.execute(st, out, here)
+    }
+
+    /// Carries out the machine's outputs, feeding back what they answer.
+    /// A generation runs on this thread when `here` and no latency is
+    /// modelled, else on the clock.
+    fn execute<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, Runner>,
+        mut out: Outputs,
+        here: bool,
+    ) -> MutexGuard<'a, Runner> {
+        loop {
+            let mut work = None;
+            for output in out {
+                match output {
+                    Output::Arm(after) => self.arm(&mut st, after),
+                    Output::Cancel => st.deadline = None,
+                    Output::Release => self.released.notify_all(),
+                    Output::Generate { .. } if !here || !st.latency.is_zero() => {
+                        clock().at(Instant::now() + st.latency, &self.me, Job::Generate);
                     }
-                }
-                let now = Instant::now();
-                let timer_expired = st.deadline.is_some_and(|d| d <= now);
-                if st.force_now || timer_expired {
-                    let forced = st.force_now;
-                    if timer_expired
-                        && !forced
-                        && matches!(*core.strategy.lock(), PublicationStrategy::StableTimeout(_))
-                    {
-                        obs::events::record(
-                            &core.class.name(),
-                            VersionEventKind::StabilityTimeout,
-                            core.class.interface_version(),
-                        );
-                    }
-                    st.force_now = false;
-                    st.deadline = None;
-                    st.generating = true;
-                    break forced;
-                }
-                match st.deadline {
-                    Some(d) => {
-                        core.cond.wait_until(&mut st, d);
-                    }
-                    None => core.cond.wait(&mut st),
+                    Output::Generate { .. } | Output::Publish { .. } => work = Some(output),
+                    Output::Current => {}
                 }
             }
-        };
-
-        // Generation happens outside the lock — the timer keeps running
-        // independently (§5.6).
-        let latency = *core.generation_latency.lock();
-        let span = obs::trace::Span::timed(core.o.generation_ns.clone());
-        if !latency.is_zero() {
-            thread::sleep(latency);
-        }
-        let doc = (core.generator)();
-        span.finish();
-        core.metrics.generations.fetch_add(1, Ordering::Relaxed);
-        core.o.generations.inc();
-        obs::events::record(
-            &core.class.name(),
-            VersionEventKind::Generation,
-            doc.version,
-        );
-
-        // Publish if the interface actually changed.
-        let mut st = core.state.lock();
-        if doc.version != st.published_version {
-            st.published_version = doc.version;
-            drop(st);
-            (core.sink)(&doc);
-            core.metrics.publications.fetch_add(1, Ordering::Relaxed);
-            core.o.publications.inc();
-            let kind = if was_forced {
-                VersionEventKind::ForcedPublication
-            } else {
-                VersionEventKind::Publication
+            let input = match work {
+                None => return st,
+                Some(Output::Publish { forced }) => {
+                    let doc = st.doc.take().expect("a generated document");
+                    drop(st);
+                    self.publish(&doc, forced);
+                    st = self.state.lock();
+                    Input::Published
+                }
+                Some(_) => {
+                    drop(st);
+                    let input;
+                    (st, input) = self.generate();
+                    input
+                }
             };
-            obs::events::record(&core.class.name(), kind, doc.version);
-            obs::trace::event(
-                "sde::publisher",
-                "publish",
-                format!(
-                    "class={} version={} forced={was_forced}",
-                    core.class.name(),
-                    doc.version
-                ),
-            );
-            st = core.state.lock();
+            out = st.machine.step(input);
         }
-        st.generating = false;
-        // If the just-published document already covers every change, a
-        // still-armed timer has nothing left to publish: cancel it
-        // ("publishing if necessary", §5.6). The check is conservative —
-        // any change arriving after this read re-arms the timer through
-        // its own event.
-        if st.published_version == core.class.interface_version()
-            && !st.force_now
-            && !matches!(*core.strategy.lock(), PublicationStrategy::Periodic(_))
-        {
-            st.deadline = None;
+    }
+
+    fn arm(&self, st: &mut Runner, after: Duration) {
+        if let PublicationStrategy::StableTimeout(_) = st.machine.strategy() {
+            let version = self.class.interface_version();
+            obs::events::record(&self.name, VersionEventKind::TimerReset, version);
         }
-        core.cond.notify_all();
-        // If the timer expired again during generation (or a force
-        // arrived), the loop immediately runs another generation — the
-        // queued-regeneration rule of §5.6.
-        drop(st);
+        let due = Instant::now() + after;
+        st.deadline = Some(due);
+        // One entry per publisher: an entry due before a reset deadline
+        // requeues itself when it finds the deadline moved.
+        if st.entry.is_none_or(|at| at > due) {
+            st.entry = Some(due);
+            clock().at(due, &self.me, Job::Countdown);
+        }
+    }
+
+    /// A countdown entry came due.
+    fn countdown(&self) {
+        let mut st = self.state.lock();
+        let now = Instant::now();
+        if st.entry.is_some_and(|at| at <= now) {
+            st.entry = None;
+        }
+        match st.deadline {
+            Some(due) if due <= now => {
+                st.deadline = None;
+                if let PublicationStrategy::StableTimeout(_) = st.machine.strategy() {
+                    let version = self.class.interface_version();
+                    obs::events::record(&self.name, VersionEventKind::StabilityTimeout, version);
+                }
+                drop(self.drive(st, Input::Fired, true));
+            }
+            Some(due) if st.entry.is_none() => {
+                st.entry = Some(due);
+                clock().at(due, &self.me, Job::Countdown);
+            }
+            _ => {}
+        }
+    }
+
+    /// Runs the generator outside the lock; returns the lock and the
+    /// machine's input.
+    fn generate(&self) -> (MutexGuard<'_, Runner>, Input) {
+        let span = obs::trace::Span::timed(self.o.generation_ns.clone());
+        let doc = (self.generator)();
+        span.finish();
+        self.metrics.generations.fetch_add(1, Ordering::Relaxed);
+        self.o.generations.inc();
+        obs::events::record(&self.name, VersionEventKind::Generation, doc.version);
+        let mut st = self.state.lock();
+        let input = Input::Generated(doc.version);
+        st.doc = Some(doc);
+        (st, input)
+    }
+
+    fn publish(&self, doc: &GeneratedDoc, forced: bool) {
+        (self.sink)(doc);
+        self.metrics.publications.fetch_add(1, Ordering::Relaxed);
+        self.o.publications.inc();
+        let kind = if forced {
+            VersionEventKind::ForcedPublication
+        } else {
+            VersionEventKind::Publication
+        };
+        obs::events::record(&self.name, kind, doc.version);
+        obs::trace::event(
+            "sde::publisher",
+            "publish",
+            format!(
+                "class={} version={} forced={forced}",
+                self.name, doc.version
+            ),
+        );
     }
 }
 
 impl Drop for PublisherCore {
     fn drop(&mut self) {
-        let mut st = self.state.lock();
-        st.shutdown = true;
-        drop(st);
-        self.cond.notify_all();
+        self.class.unobserve(&self.observer);
+    }
+}
+
+/// What a clock entry does when it comes due.
+#[derive(Clone, Copy)]
+enum Job {
+    Countdown,
+    Generate,
+}
+
+/// Clock entries by due time (and arrival, to keep equal times apart).
+type Queue = BTreeMap<(Instant, u64), (Weak<PublisherCore>, Job)>;
+
+/// The publication clock: one deadline queue for every publisher in the
+/// process, served by one thread started on first use.
+struct Clock {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    seq: AtomicU64,
+}
+
+fn clock() -> &'static Clock {
+    static CLOCK: OnceLock<Clock> = OnceLock::new();
+    CLOCK.get_or_init(|| {
+        thread::Builder::new()
+            .name("publish-clock".into())
+            .spawn(|| clock().run())
+            .expect("spawn the publication clock");
+        Clock {
+            queue: Mutex::new(BTreeMap::new()),
+            wake: Condvar::new(),
+            seq: AtomicU64::new(0),
+        }
+    })
+}
+
+impl Clock {
+    fn at(&self, at: Instant, core: &Weak<PublisherCore>, job: Job) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.queue.lock().insert((at, seq), (core.clone(), job));
+        self.wake.notify_one();
+    }
+
+    fn run(&self) {
+        loop {
+            let mut queue = self.queue.lock();
+            let (core, job) = loop {
+                match queue.first_key_value().map(|(&(at, _), _)| at) {
+                    Some(at) if at <= Instant::now() => {
+                        break queue.pop_first().expect("a due entry").1;
+                    }
+                    Some(at) => drop(self.wake.wait_until(&mut queue, at)),
+                    None => self.wake.wait(&mut queue),
+                }
+            };
+            drop(queue);
+            let Some(core) = core.upgrade() else {
+                continue;
+            };
+            match job {
+                Job::Countdown => core.countdown(),
+                Job::Generate => {
+                    let (st, input) = core.generate();
+                    drop(core.drive(st, input, true));
+                }
+            }
+        }
     }
 }
 
@@ -532,6 +764,177 @@ mod tests {
     use super::*;
     use jpie::{MethodBuilder, TypeDesc};
     use std::sync::Mutex as StdMutex;
+
+    const HOUR: Duration = Duration::from_secs(3600);
+    const STABLE: PublicationStrategy = PublicationStrategy::StableTimeout(HOUR);
+
+    fn edit(version: u64) -> Input {
+        Input::Edit {
+            version,
+            distributed: true,
+        }
+    }
+
+    /// Steps `machine` through `inputs`, returning every output in order.
+    fn run(machine: &mut Publication, inputs: &[Input]) -> Vec<Output> {
+        inputs.iter().flat_map(|&i| machine.step(i)).collect()
+    }
+
+    use Output::{Arm, Cancel, Current, Generate, Publish, Release};
+
+    #[test]
+    fn a_burst_publishes_once_after_the_countdown() {
+        let mut m = Publication::new(STABLE, 0);
+        let out = run(&mut m, &[edit(1), edit(2), edit(3), edit(4)]);
+        assert_eq!(out, vec![Arm(HOUR); 4], "each edit resets the countdown");
+        assert_eq!(m.published(), 0, "no publication mid-burst");
+        let out = run(
+            &mut m,
+            &[Input::Fired, Input::Generated(4), Input::Published],
+        );
+        let unforced = Generate { forced: false };
+        assert_eq!(out, vec![unforced, Publish { forced: false }, Release]);
+        assert!(m.is_current(4));
+    }
+
+    #[test]
+    fn a_countdown_during_a_generation_queues_one_follow_up() {
+        let mut m = Publication::new(STABLE, 0);
+        run(&mut m, &[edit(1), Input::Fired]);
+        // The generation reads v1; v2 lands and its countdown runs out
+        // while the generation is still in flight.
+        assert_eq!(run(&mut m, &[edit(2), Input::Fired]), vec![Arm(HOUR)]);
+        let out = run(&mut m, &[Input::Generated(1), Input::Published]);
+        let unforced = Generate { forced: false };
+        assert_eq!(out, vec![Publish { forced: false }, unforced]);
+        let out = run(&mut m, &[Input::Generated(2), Input::Published]);
+        assert_eq!(out, vec![Publish { forced: false }, Release]);
+        assert_eq!(m.published(), 2);
+    }
+
+    #[test]
+    fn a_countdown_publishes_nothing_it_did_not_see_stay_stable() {
+        let mut m = Publication::new(STABLE, 0);
+        run(&mut m, &[edit(1), Input::Fired]);
+        // The generation reads an edit whose event has not arrived yet.
+        assert_eq!(run(&mut m, &[Input::Generated(2)]), vec![Release]);
+        assert_eq!(m.published(), 0);
+        assert_eq!(
+            run(&mut m, &[edit(2)]),
+            vec![Arm(HOUR)],
+            "the late edit re-arms"
+        );
+        run(
+            &mut m,
+            &[Input::Fired, Input::Generated(2), Input::Published],
+        );
+        assert!(m.is_current(2));
+    }
+
+    #[test]
+    fn a_body_edit_starts_but_does_not_reset_the_countdown() {
+        let mut m = Publication::new(STABLE, 0);
+        let body = |version| Input::Edit {
+            version,
+            distributed: false,
+        };
+        assert_eq!(run(&mut m, &[body(0)]), vec![], "nothing to publish");
+        assert_eq!(run(&mut m, &[edit(1), body(1)]), vec![Arm(HOUR)]);
+        let out = run(&mut m, &[Input::Stale(1)]);
+        assert_eq!(out, vec![Cancel, Generate { forced: true }]);
+    }
+
+    #[test]
+    fn change_driven_generates_on_every_distributed_edit() {
+        let mut m = Publication::new(PublicationStrategy::ChangeDriven, 0);
+        let forced = Generate { forced: true };
+        assert_eq!(run(&mut m, &[edit(1)]), vec![forced]);
+        assert_eq!(run(&mut m, &[edit(2)]), vec![], "queued behind the first");
+        let out = run(&mut m, &[Input::Generated(1), Input::Published]);
+        assert_eq!(out, vec![Publish { forced: true }, forced]);
+        run(&mut m, &[Input::Generated(2), Input::Published]);
+        assert_eq!(m.published(), 2);
+    }
+
+    #[test]
+    fn periodic_polls_and_publishes_only_changes() {
+        let every = Duration::from_millis(15);
+        let mut m = Publication::new(PublicationStrategy::Periodic(every), 0);
+        let periodic = Input::Strategy(PublicationStrategy::Periodic(every));
+        assert_eq!(run(&mut m, &[periodic]), vec![Arm(every)]);
+        assert_eq!(run(&mut m, &[edit(1)]), vec![], "polling ignores edits");
+        let out = run(
+            &mut m,
+            &[Input::Fired, Input::Generated(1), Input::Published],
+        );
+        let unforced = Generate { forced: false };
+        assert_eq!(
+            out,
+            vec![unforced, Publish { forced: false }, Arm(every), Release]
+        );
+        let out = run(&mut m, &[Input::Fired, Input::Generated(1)]);
+        assert_eq!(
+            out,
+            vec![unforced, Arm(every), Release],
+            "no change, no publication"
+        );
+    }
+
+    #[test]
+    fn stale_calls_follow_the_three_cases_of_5_7() {
+        // Case 1: nothing running and nothing newer — no work.
+        let mut m = Publication::new(STABLE, 3);
+        assert_eq!(run(&mut m, &[Input::Stale(3)]), vec![Current]);
+        // Case 2: a generation in flight, no countdown — wait for it.
+        run(&mut m, &[Input::Force]);
+        assert_eq!(run(&mut m, &[Input::Stale(3)]), vec![]);
+        assert!(!m.settled());
+        run(&mut m, &[Input::Generated(3)]);
+        assert!(m.settled());
+        // Case 3: a generation in flight and a countdown running — the
+        // countdown folds into one forced follow-up.
+        run(&mut m, &[Input::Force, edit(4)]);
+        assert_eq!(run(&mut m, &[Input::Stale(4)]), vec![Cancel]);
+        let out = run(&mut m, &[Input::Generated(3)]);
+        assert_eq!(out, vec![Generate { forced: true }]);
+        let out = run(&mut m, &[Input::Generated(4), Input::Published]);
+        assert_eq!(out, vec![Publish { forced: true }, Release]);
+    }
+
+    #[test]
+    fn a_rogue_client_cannot_force_generations() {
+        let mut m = Publication::new(STABLE, 5);
+        for _ in 0..100 {
+            assert_eq!(run(&mut m, &[Input::Stale(5)]), vec![Current]);
+        }
+    }
+
+    #[test]
+    fn the_strategy_changes_live() {
+        let mut m = Publication::new(STABLE, 0);
+        run(
+            &mut m,
+            &[Input::Strategy(PublicationStrategy::ChangeDriven)],
+        );
+        assert_eq!(m.strategy(), PublicationStrategy::ChangeDriven);
+        assert_eq!(run(&mut m, &[edit(1)]), vec![Generate { forced: true }]);
+    }
+
+    #[test]
+    fn shutdown_releases_waiters_and_publishes_nothing_more() {
+        let mut m = Publication::new(STABLE, 0);
+        run(&mut m, &[edit(1), Input::Stale(1)]);
+        assert_eq!(
+            run(&mut m, &[Input::Shutdown]),
+            vec![],
+            "a generation is in flight"
+        );
+        assert_eq!(run(&mut m, &[Input::Generated(1)]), vec![Release]);
+        assert_eq!(
+            run(&mut m, &[edit(2), Input::Force, Input::Stale(2)]),
+            vec![Current]
+        );
+    }
 
     fn test_class(name: &str) -> ClassHandle {
         let class = ClassHandle::new(name);
@@ -561,354 +964,65 @@ mod tests {
         (core, log)
     }
 
-    fn wait_for<F: Fn() -> bool>(cond: F, what: &str) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            thread::sleep(Duration::from_millis(2));
-        }
+    fn add(class: &ClassHandle, name: &str) {
+        class
+            .add_method(MethodBuilder::new(name, TypeDesc::Void).distributed(true))
+            .unwrap();
     }
 
     #[test]
     fn initial_document_published_at_start() {
         let class = test_class("P0");
-        let (core, log) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(20)),
-        );
+        let (core, log) = start_publisher(&class, STABLE);
         assert_eq!(log.lock().unwrap().len(), 1);
         assert!(core.is_current());
-        core.shutdown();
-    }
-
-    #[test]
-    fn stable_timeout_waits_for_quiet_period() {
-        let class = test_class("P1");
-        let (core, log) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(40)),
-        );
-
-        // Burst of edits with gaps shorter than the timeout: no
-        // publication until the burst ends.
-        for i in 0..4 {
-            class
-                .add_method(MethodBuilder::new(format!("m{i}"), TypeDesc::Void).distributed(true))
-                .unwrap();
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(log.lock().unwrap().len(), 1, "no publication mid-burst");
-
-        wait_for(|| core.is_current(), "stable publication");
-        let published = log.lock().unwrap().clone();
-        // Exactly one publication for the whole burst, at the final version.
-        assert_eq!(published.len(), 2);
-        assert_eq!(*published.last().unwrap(), class.interface_version());
-        core.shutdown();
-    }
-
-    #[test]
-    fn change_driven_publishes_every_change() {
-        let class = test_class("P2");
-        let (core, log) = start_publisher(&class, PublicationStrategy::ChangeDriven);
-        for i in 0..3 {
-            class
-                .add_method(MethodBuilder::new(format!("m{i}"), TypeDesc::Void).distributed(true))
-                .unwrap();
-            wait_for(|| core.is_current(), "change-driven publication");
-        }
-        // Initial + one per change.
-        assert_eq!(log.lock().unwrap().len(), 4);
-        core.shutdown();
-    }
-
-    #[test]
-    fn non_distributed_changes_do_not_reset_but_do_start_timer() {
-        let class = test_class("P3");
-        let (core, _log) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(30)),
-        );
-        // A body change starts the timer (per §5.6 "a change to the
-        // relevant server class").
-        let m = class.find_method("seed").unwrap();
-        class.set_body_block(m, vec![]).unwrap();
-        assert!(!core.is_current() || core.published_version() == class.interface_version());
-        // It publishes nothing new (interface version unchanged)...
-        wait_for(|| core.is_current(), "timer drain");
-        assert_eq!(core.published_version(), class.interface_version());
-        core.shutdown();
-    }
-
-    #[test]
-    fn force_publish_expires_timer_immediately() {
-        let class = test_class("P4");
-        let (core, log) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_secs(3600)),
-        );
-        class
-            .add_method(MethodBuilder::new("late", TypeDesc::Void).distributed(true))
-            .unwrap();
-        assert_eq!(log.lock().unwrap().len(), 1, "huge timeout still pending");
-        core.force_publish();
-        wait_for(|| core.is_current(), "forced publication");
-        assert_eq!(
-            *log.lock().unwrap().last().unwrap(),
-            class.interface_version()
-        );
-        core.shutdown();
-    }
-
-    #[test]
-    fn ensure_current_is_noop_when_idle() {
-        let class = test_class("P5");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(10)),
-        );
-        wait_for(|| core.is_current(), "initial quiesce");
         assert!(!core.ensure_current(), "no work when already current");
         let (_, _, forced, already) = core.metrics().snapshot();
-        assert_eq!(forced, 0);
-        assert_eq!(already, 1);
+        assert_eq!((forced, already), (0, 1));
         core.shutdown();
     }
 
     #[test]
-    fn ensure_current_waits_for_pending_timer() {
-        let class = test_class("P6");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_secs(3600)),
-        );
-        class
-            .add_method(MethodBuilder::new("fresh", TypeDesc::Void).distributed(true))
-            .unwrap();
-        // Timer armed with an hour to go; ensure_current must not wait an
-        // hour — it forces the publication.
-        let start = Instant::now();
+    fn an_hour_long_countdown_is_forced() {
+        let class = test_class("P4");
+        let (core, log) = start_publisher(&class, STABLE);
+        add(&class, "late");
+        assert_eq!(log.lock().unwrap().len(), 1, "huge timeout still pending");
+        assert!(!core.is_current());
+        // A forced publication runs on the clock; `ensure_current` waits.
+        core.force_publish();
         assert!(core.ensure_current());
-        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(*log.lock().unwrap(), vec![1, 2]);
+        // A stale call forces an hour-long countdown on its own thread.
+        add(&class, "later");
+        assert!(core.ensure_current());
         assert_eq!(core.published_version(), class.interface_version());
+        assert!(obs::events::count("P4", VersionEventKind::InterfaceEdit) >= 2);
+        assert!(obs::events::count("P4", VersionEventKind::TimerReset) >= 2);
+        assert!(obs::events::count("P4", VersionEventKind::ForcedPublication) >= 2);
+        let latest = obs::events::latest_published_version("P4");
+        assert_eq!(latest, Some(class.interface_version()));
         core.shutdown();
     }
 
     #[test]
-    fn ensure_current_waits_for_inflight_generation() {
+    fn a_modelled_generation_cost_is_a_clock_deadline() {
         let class = test_class("P7");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(5)),
-        );
+        let (core, log) = start_publisher(&class, STABLE);
         core.set_generation_latency(Duration::from_millis(60));
-        class
-            .add_method(MethodBuilder::new("slow", TypeDesc::Void).distributed(true))
-            .unwrap();
-        // Let the timer expire so the slow generation starts.
-        thread::sleep(Duration::from_millis(20));
+        add(&class, "slow");
+        let began = Instant::now();
         assert!(core.ensure_current());
-        assert_eq!(core.published_version(), class.interface_version());
-        core.shutdown();
-    }
-
-    #[test]
-    fn timer_expiry_during_generation_queues_followup() {
-        let class = test_class("P8");
-        let (core, log) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(10)),
-        );
-        core.set_generation_latency(Duration::from_millis(80));
-        // First change arms the timer; generation (slow) starts at ~10ms.
-        class
-            .add_method(MethodBuilder::new("a", TypeDesc::Void).distributed(true))
-            .unwrap();
-        thread::sleep(Duration::from_millis(30)); // generation of v+1 in flight
-                                                  // Second change while generating: arms the timer again, expiring
-                                                  // mid-generation → a follow-up generation must run.
-        class
-            .add_method(MethodBuilder::new("b", TypeDesc::Void).distributed(true))
-            .unwrap();
-        wait_for(
-            || core.published_version() == class.interface_version(),
-            "follow-up generation",
-        );
-        let published = log.lock().unwrap().clone();
-        assert_eq!(*published.last().unwrap(), class.interface_version());
-        core.shutdown();
-    }
-
-    #[test]
-    fn periodic_strategy_polls() {
-        let class = test_class("P9");
-        let (core, log) = start_publisher(
-            &class,
-            PublicationStrategy::Periodic(Duration::from_millis(15)),
-        );
-        class
-            .add_method(MethodBuilder::new("x", TypeDesc::Void).distributed(true))
-            .unwrap();
-        wait_for(
-            || core.published_version() == class.interface_version(),
-            "poll publication",
-        );
-        // Let several more poll cycles pass: no further publications
-        // because the version is unchanged.
-        let count = log.lock().unwrap().len();
-        thread::sleep(Duration::from_millis(60));
-        assert_eq!(log.lock().unwrap().len(), count);
-        core.shutdown();
-    }
-
-    #[test]
-    fn rogue_client_cannot_force_generations() {
-        let class = test_class("P10");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(10)),
-        );
-        wait_for(|| core.is_current(), "quiesce");
-        let (gens_before, _, _, _) = core.metrics().snapshot();
-        // 100 stale-call prompts with no intervening edits.
-        for _ in 0..100 {
-            core.ensure_current();
-        }
-        let (gens_after, _, forced, already) = core.metrics().snapshot();
-        assert_eq!(gens_after, gens_before, "no generation triggered");
-        assert_eq!(forced, 0);
-        assert_eq!(already, 100);
-        core.shutdown();
-    }
-
-    #[test]
-    fn strategy_can_be_changed_live() {
-        let class = test_class("P11");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_secs(3600)),
-        );
-        core.set_strategy(PublicationStrategy::ChangeDriven);
-        assert_eq!(core.strategy(), PublicationStrategy::ChangeDriven);
-        class
-            .add_method(MethodBuilder::new("now", TypeDesc::Void).distributed(true))
-            .unwrap();
-        wait_for(
-            || core.published_version() == class.interface_version(),
-            "immediate publication after strategy switch",
-        );
-        core.shutdown();
-    }
-
-    #[test]
-    fn published_versions_are_monotonic_under_random_schedules() {
-        use obs::rng::XorShift64;
-
-        for seed in 0..6u64 {
-            let mut rng = XorShift64::seed_from_u64(seed);
-            let class = test_class(&format!("PMono{seed}"));
-            let log = Arc::new(StdMutex::new(Vec::<u64>::new()));
-            let gen_class = class.clone();
-            let sink_log = log.clone();
-            let core = PublisherCore::start(
-                class.clone(),
-                PublicationStrategy::StableTimeout(Duration::from_millis(3)),
-                Box::new(move || GeneratedDoc {
-                    text: String::new(),
-                    version: gen_class.interface_version(),
-                }),
-                Box::new(move |doc| sink_log.lock().unwrap().push(doc.version)),
-            );
-            if rng.gen_bool(0.5) {
-                core.set_generation_latency(Duration::from_millis(2));
-            }
-
-            let mut method_n = 0u32;
-            for _ in 0..30 {
-                match rng.gen_range(0, 4) {
-                    0 => {
-                        method_n += 1;
-                        class
-                            .add_method(
-                                MethodBuilder::new(format!("r{method_n}"), TypeDesc::Void)
-                                    .distributed(true),
-                            )
-                            .unwrap();
-                    }
-                    1 => core.force_publish(),
-                    2 => {
-                        core.ensure_current();
-                    }
-                    _ => thread::sleep(Duration::from_millis(rng.gen_range(0, 4) as u64)),
-                }
-            }
-            // Quiesce: after ensure_current the published doc reflects all
-            // edits made before the call.
-            core.ensure_current();
-            assert_eq!(
-                core.published_version(),
-                class.interface_version(),
-                "seed {seed}"
-            );
-            // The publication stream never goes backwards.
-            let versions = log.lock().unwrap().clone();
-            assert!(
-                versions.windows(2).all(|w| w[0] <= w[1]),
-                "seed {seed}: non-monotonic publications {versions:?}"
-            );
-            core.shutdown();
-        }
-    }
-
-    #[test]
-    fn version_event_log_tracks_lifecycle() {
-        let class = test_class("PEvents");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_millis(10)),
-        );
-        assert!(
-            obs::events::count("PEvents", VersionEventKind::Publication) >= 1,
-            "initial publication recorded"
-        );
-        class
-            .add_method(MethodBuilder::new("evt", TypeDesc::Void).distributed(true))
-            .unwrap();
-        wait_for(|| core.is_current(), "stable publication");
-        assert!(obs::events::count("PEvents", VersionEventKind::InterfaceEdit) >= 1);
-        assert!(obs::events::count("PEvents", VersionEventKind::TimerReset) >= 1);
-        assert_eq!(
-            obs::events::latest_published_version("PEvents"),
-            Some(class.interface_version())
-        );
-        core.shutdown();
-    }
-
-    #[test]
-    fn forced_publication_recorded_as_forced() {
-        let class = test_class("PForced");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_secs(3600)),
-        );
-        class
-            .add_method(MethodBuilder::new("f", TypeDesc::Void).distributed(true))
-            .unwrap();
-        assert!(core.ensure_current());
-        assert!(obs::events::count("PForced", VersionEventKind::ForcedPublication) >= 1);
+        assert!(began.elapsed() >= Duration::from_millis(60));
+        assert_eq!(*log.lock().unwrap(), vec![1, 2]);
         core.shutdown();
     }
 
     #[test]
     fn concurrent_ensure_current_callers() {
         let class = test_class("P12");
-        let (core, _) = start_publisher(
-            &class,
-            PublicationStrategy::StableTimeout(Duration::from_secs(3600)),
-        );
-        class
-            .add_method(MethodBuilder::new("c", TypeDesc::Void).distributed(true))
-            .unwrap();
+        let (core, log) = start_publisher(&class, STABLE);
+        add(&class, "c");
         let mut handles = Vec::new();
         for _ in 0..8 {
             let core = core.clone();
@@ -918,6 +1032,19 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(core.published_version(), class.interface_version());
+        assert_eq!(*log.lock().unwrap(), vec![1, 2], "one forced publication");
+        let (generations, ..) = core.metrics().snapshot();
+        assert_eq!(generations, 1, "the callers share one generation");
         core.shutdown();
+    }
+
+    #[test]
+    fn shutdown_stops_observing_the_class() {
+        let class = test_class("P13");
+        let (core, log) = start_publisher(&class, PublicationStrategy::ChangeDriven);
+        core.shutdown();
+        add(&class, "after");
+        assert!(!core.ensure_current());
+        assert_eq!(*log.lock().unwrap(), vec![1]);
     }
 }

@@ -59,11 +59,12 @@ impl SoapServer {
             class,
             strategy,
             Box::new(move || {
+                let (version, signatures) = gen_class.distributed_interface();
                 let doc = WsdlDocument::from_signatures(
                     gen_class.name(),
                     gen_endpoint.clone(),
-                    &gen_class.distributed_signatures(),
-                    gen_class.interface_version(),
+                    &signatures,
+                    version,
                 );
                 GeneratedDoc {
                     text: doc.to_xml(),

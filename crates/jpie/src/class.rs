@@ -5,12 +5,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use obs::sync::{Mutex, RwLock};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use obs::sync::{Mutex, RwLock, RwLockWriteGuard};
 
 use crate::edit::{EditLabel, EditRecord};
 use crate::error::JpieError;
-use crate::event::{ClassEvent, EventKind};
+use crate::event::{ClassEvent, ClassObserver};
 use crate::expr::{block_any, walk_block_mut, Block, Expr, Stmt};
 use crate::instance::{Fields, Instance};
 use crate::lower::{lower_methods, LoweredMethod};
@@ -262,7 +261,7 @@ pub(crate) struct ClassInner {
     interface_version: u64,
     undo_stack: Vec<EditRecord>,
     redo_stack: Vec<EditRecord>,
-    listeners: Vec<Sender<ClassEvent>>,
+    observers: Observers,
     instantiated: bool,
     /// The live instance's field store (if any), so field renames can
     /// migrate stored values instead of resetting them.
@@ -273,6 +272,17 @@ pub(crate) struct ClassInner {
     /// Lazily rebuilt snapshot of the distributed signatures, shared
     /// with the RMI gateway's dispatch cache.
     dist_cache: Option<Arc<Vec<SignatureView>>>,
+}
+
+/// The observer list, shared so an edit can call it after releasing the
+/// class lock without copying it.
+#[derive(Clone)]
+struct Observers(Arc<[Arc<ClassObserver>]>);
+
+impl fmt::Debug for Observers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} observers", self.0.len())
+    }
 }
 
 impl ClassInner {
@@ -383,7 +393,7 @@ impl ClassHandle {
                 interface_version: 0,
                 undo_stack: Vec::new(),
                 redo_stack: Vec::new(),
-                listeners: Vec::new(),
+                observers: Observers(Arc::new([])),
                 instantiated: false,
                 live_fields: None,
                 table_cache: None,
@@ -417,13 +427,28 @@ impl ClassHandle {
         }
     }
 
-    /// Subscribes to change events. Every mutation — including
-    /// [`ClassHandle::undo`] / [`ClassHandle::redo`] — sends one
-    /// [`ClassEvent`] to every subscriber.
-    pub fn subscribe(&self) -> Receiver<ClassEvent> {
-        let (tx, rx) = channel();
-        self.inner.write().listeners.push(tx);
-        rx
+    /// Registers `observer` for change events. Every mutation — including
+    /// [`ClassHandle::undo`] / [`ClassHandle::redo`] — calls it once, on
+    /// the editing thread, after the class lock is released (so it may
+    /// read the class), before the edit returns.
+    pub fn observe(&self, observer: Arc<ClassObserver>) {
+        let mut inner = self.inner.write();
+        let mut observers = inner.observers.0.to_vec();
+        observers.push(observer);
+        inner.observers = Observers(observers.into());
+    }
+
+    /// Removes an observer [`ClassHandle::observe`] registered.
+    pub fn unobserve(&self, observer: &Arc<ClassObserver>) {
+        let mut inner = self.inner.write();
+        let observers: Vec<_> = inner
+            .observers
+            .0
+            .iter()
+            .filter(|o| !Arc::ptr_eq(o, observer))
+            .cloned()
+            .collect();
+        inner.observers = Observers(observers.into());
     }
 
     /// Number of edits available to undo / redo.
@@ -439,7 +464,6 @@ impl ClassHandle {
     fn mutate<T>(
         &self,
         label: EditLabel,
-        kind: impl FnOnce(&T) -> EventKind,
         op: impl FnOnce(&mut ClassInner) -> Result<T, JpieError>,
     ) -> Result<T, JpieError> {
         let mut inner = self.inner.write();
@@ -478,17 +502,19 @@ impl ClassHandle {
         });
         inner.redo_stack.clear();
         let event = ClassEvent {
-            class: inner.name.clone(),
-            kind: kind(&out),
             interface_version: inner.interface_version,
             distributed_change,
         };
-        Self::fire(&mut inner, event);
+        Self::notify(inner, event);
         Ok(out)
     }
 
-    fn fire(inner: &mut ClassInner, event: ClassEvent) {
-        inner.listeners.retain(|tx| tx.send(event.clone()).is_ok());
+    fn notify(inner: RwLockWriteGuard<'_, ClassInner>, event: ClassEvent) {
+        let observers = inner.observers.clone();
+        drop(inner);
+        for observer in observers.0.iter() {
+            observer(&event);
+        }
     }
 
     /// Clears the cached snapshots and bumps the edit epoch. Must be
@@ -509,48 +535,44 @@ impl ClassHandle {
     /// Fails if another method already has the same name, or a parameter
     /// name repeats.
     pub fn add_method(&self, builder: MethodBuilder) -> Result<MethodId, JpieError> {
-        self.mutate(
-            EditLabel::AddMethod(builder.name.clone()),
-            |id| EventKind::MethodAdded(*id),
-            move |inner| {
-                validate_ident(&builder.name)?;
-                if inner
-                    .methods
-                    .iter()
-                    .any(|m| m.signature.name == builder.name)
-                {
+        self.mutate(EditLabel::AddMethod(builder.name.clone()), move |inner| {
+            validate_ident(&builder.name)?;
+            if inner
+                .methods
+                .iter()
+                .any(|m| m.signature.name == builder.name)
+            {
+                return Err(JpieError::Invalid(format!(
+                    "duplicate method name {:?}",
+                    builder.name
+                )));
+            }
+            let mut params = Vec::new();
+            for (name, ty) in builder.params {
+                validate_ident(&name)?;
+                if params.iter().any(|p: &Param| p.name == name) {
                     return Err(JpieError::Invalid(format!(
-                        "duplicate method name {:?}",
-                        builder.name
+                        "duplicate parameter name {name:?}"
                     )));
                 }
-                let mut params = Vec::new();
-                for (name, ty) in builder.params {
-                    validate_ident(&name)?;
-                    if params.iter().any(|p: &Param| p.name == name) {
-                        return Err(JpieError::Invalid(format!(
-                            "duplicate parameter name {name:?}"
-                        )));
-                    }
-                    let id = ParamId(inner.next_id);
-                    inner.next_id += 1;
-                    params.push(Param { id, name, ty });
-                }
-                let id = MethodId(inner.next_id);
+                let id = ParamId(inner.next_id);
                 inner.next_id += 1;
-                inner.methods.push(DynamicMethod {
-                    id,
-                    signature: MethodSignature {
-                        name: builder.name,
-                        params,
-                        return_ty: builder.return_ty,
-                        distributed: builder.distributed,
-                    },
-                    body: builder.body,
-                });
-                Ok(id)
-            },
-        )
+                params.push(Param { id, name, ty });
+            }
+            let id = MethodId(inner.next_id);
+            inner.next_id += 1;
+            inner.methods.push(DynamicMethod {
+                id,
+                signature: MethodSignature {
+                    name: builder.name,
+                    params,
+                    return_ty: builder.return_ty,
+                    distributed: builder.distributed,
+                },
+                body: builder.body,
+            });
+            Ok(id)
+        })
     }
 
     /// Removes a method. Call sites in other interpreted bodies are left
@@ -561,15 +583,11 @@ impl ClassHandle {
     ///
     /// Fails if `id` does not name a current method.
     pub fn remove_method(&self, id: MethodId) -> Result<(), JpieError> {
-        self.mutate(
-            EditLabel::RemoveMethod(id),
-            |_| EventKind::MethodRemoved(id),
-            |inner| {
-                inner.method(id)?;
-                inner.methods.retain(|m| m.id != id);
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::RemoveMethod(id), |inner| {
+            inner.method(id)?;
+            inner.methods.retain(|m| m.id != id);
+            Ok(())
+        })
     }
 
     /// Renames a method, rewriting every call site in interpreted bodies
@@ -580,28 +598,24 @@ impl ClassHandle {
     /// Fails if `id` is stale, the name is invalid, or the name collides.
     pub fn rename_method(&self, id: MethodId, new_name: &str) -> Result<(), JpieError> {
         let new_name = new_name.to_string();
-        self.mutate(
-            EditLabel::RenameMethod(id),
-            |_| EventKind::SignatureChanged(id),
-            move |inner| {
-                validate_ident(&new_name)?;
-                if inner
-                    .methods
-                    .iter()
-                    .any(|m| m.id != id && m.signature.name == new_name)
-                {
-                    return Err(JpieError::Invalid(format!(
-                        "duplicate method name {new_name:?}"
-                    )));
-                }
-                let old = inner.method(id)?.signature.name.clone();
-                inner.method_mut(id)?.signature.name = new_name.clone();
-                inner.rewrite_calls_of(&old, &mut |e| {
-                    e.rename_method_uses(&old, &new_name);
-                });
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::RenameMethod(id), move |inner| {
+            validate_ident(&new_name)?;
+            if inner
+                .methods
+                .iter()
+                .any(|m| m.id != id && m.signature.name == new_name)
+            {
+                return Err(JpieError::Invalid(format!(
+                    "duplicate method name {new_name:?}"
+                )));
+            }
+            let old = inner.method(id)?.signature.name.clone();
+            inner.method_mut(id)?.signature.name = new_name.clone();
+            inner.rewrite_calls_of(&old, &mut |e| {
+                e.rename_method_uses(&old, &new_name);
+            });
+            Ok(())
+        })
     }
 
     /// Toggles the `distributed` modifier — the paper's gesture for adding
@@ -611,14 +625,10 @@ impl ClassHandle {
     ///
     /// Fails if `id` is stale.
     pub fn set_distributed(&self, id: MethodId, distributed: bool) -> Result<(), JpieError> {
-        self.mutate(
-            EditLabel::SetDistributed(id, distributed),
-            |_| EventKind::DistributedChanged(id),
-            move |inner| {
-                inner.method_mut(id)?.signature.distributed = distributed;
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::SetDistributed(id, distributed), move |inner| {
+            inner.method_mut(id)?.signature.distributed = distributed;
+            Ok(())
+        })
     }
 
     /// Changes the return type.
@@ -627,14 +637,10 @@ impl ClassHandle {
     ///
     /// Fails if `id` is stale.
     pub fn set_return_type(&self, id: MethodId, ty: TypeDesc) -> Result<(), JpieError> {
-        self.mutate(
-            EditLabel::SetReturnType(id),
-            |_| EventKind::SignatureChanged(id),
-            move |inner| {
-                inner.method_mut(id)?.signature.return_ty = ty;
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::SetReturnType(id), move |inner| {
+            inner.method_mut(id)?.signature.return_ty = ty;
+            Ok(())
+        })
     }
 
     /// Appends a parameter. Every existing call site of the method gains a
@@ -646,40 +652,36 @@ impl ClassHandle {
     /// is `void`.
     pub fn add_param(&self, id: MethodId, name: &str, ty: TypeDesc) -> Result<ParamId, JpieError> {
         let name = name.to_string();
-        self.mutate(
-            EditLabel::AddParam(id, name.clone()),
-            |_| EventKind::SignatureChanged(id),
-            move |inner| {
-                validate_ident(&name)?;
-                if ty == TypeDesc::Void {
-                    return Err(JpieError::Invalid("void parameter".into()));
-                }
-                let method_name = inner.method(id)?.signature.name.clone();
-                if inner
-                    .method(id)?
-                    .signature
-                    .params
-                    .iter()
-                    .any(|p| p.name == name)
-                {
-                    return Err(JpieError::Invalid(format!(
-                        "duplicate parameter name {name:?}"
-                    )));
-                }
-                let pid = ParamId(inner.next_id);
-                inner.next_id += 1;
-                let default = ty.default_value();
-                inner.method_mut(id)?.signature.params.push(Param {
-                    id: pid,
-                    name: name.clone(),
-                    ty,
-                });
-                inner.rewrite_calls_of(&method_name, &mut |e| {
-                    e.add_param_uses(&method_name, &name, &default);
-                });
-                Ok(pid)
-            },
-        )
+        self.mutate(EditLabel::AddParam(id, name.clone()), move |inner| {
+            validate_ident(&name)?;
+            if ty == TypeDesc::Void {
+                return Err(JpieError::Invalid("void parameter".into()));
+            }
+            let method_name = inner.method(id)?.signature.name.clone();
+            if inner
+                .method(id)?
+                .signature
+                .params
+                .iter()
+                .any(|p| p.name == name)
+            {
+                return Err(JpieError::Invalid(format!(
+                    "duplicate parameter name {name:?}"
+                )));
+            }
+            let pid = ParamId(inner.next_id);
+            inner.next_id += 1;
+            let default = ty.default_value();
+            inner.method_mut(id)?.signature.params.push(Param {
+                id: pid,
+                name: name.clone(),
+                ty,
+            });
+            inner.rewrite_calls_of(&method_name, &mut |e| {
+                e.add_param_uses(&method_name, &name, &default);
+            });
+            Ok(pid)
+        })
     }
 
     /// Removes a parameter; call sites lose the corresponding argument.
@@ -688,30 +690,26 @@ impl ClassHandle {
     ///
     /// Fails if `id` or `pid` is stale.
     pub fn remove_param(&self, id: MethodId, pid: ParamId) -> Result<(), JpieError> {
-        self.mutate(
-            EditLabel::RemoveParam(id, pid),
-            |_| EventKind::SignatureChanged(id),
-            move |inner| {
-                let method_name = inner.method(id)?.signature.name.clone();
-                let param_name = inner
-                    .method(id)?
-                    .signature
-                    .params
-                    .iter()
-                    .find(|p| p.id == pid)
-                    .map(|p| p.name.clone())
-                    .ok_or_else(|| JpieError::Invalid(format!("no parameter {pid}")))?;
-                inner
-                    .method_mut(id)?
-                    .signature
-                    .params
-                    .retain(|p| p.id != pid);
-                inner.rewrite_calls_of(&method_name, &mut |e| {
-                    e.remove_param_uses(&method_name, &param_name);
-                });
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::RemoveParam(id, pid), move |inner| {
+            let method_name = inner.method(id)?.signature.name.clone();
+            let param_name = inner
+                .method(id)?
+                .signature
+                .params
+                .iter()
+                .find(|p| p.id == pid)
+                .map(|p| p.name.clone())
+                .ok_or_else(|| JpieError::Invalid(format!("no parameter {pid}")))?;
+            inner
+                .method_mut(id)?
+                .signature
+                .params
+                .retain(|p| p.id != pid);
+            inner.rewrite_calls_of(&method_name, &mut |e| {
+                e.remove_param_uses(&method_name, &param_name);
+            });
+            Ok(())
+        })
     }
 
     /// Renames a parameter, rewriting references inside the method's own
@@ -727,50 +725,46 @@ impl ClassHandle {
         new_name: &str,
     ) -> Result<(), JpieError> {
         let new_name = new_name.to_string();
-        self.mutate(
-            EditLabel::RenameParam(id, pid),
-            |_| EventKind::SignatureChanged(id),
-            move |inner| {
-                validate_ident(&new_name)?;
-                let method_name = inner.method(id)?.signature.name.clone();
-                let sig = &inner.method(id)?.signature;
-                if sig.params.iter().any(|p| p.id != pid && p.name == new_name) {
-                    return Err(JpieError::Invalid(format!(
-                        "duplicate parameter name {new_name:?}"
-                    )));
+        self.mutate(EditLabel::RenameParam(id, pid), move |inner| {
+            validate_ident(&new_name)?;
+            let method_name = inner.method(id)?.signature.name.clone();
+            let sig = &inner.method(id)?.signature;
+            if sig.params.iter().any(|p| p.id != pid && p.name == new_name) {
+                return Err(JpieError::Invalid(format!(
+                    "duplicate parameter name {new_name:?}"
+                )));
+            }
+            let old = sig
+                .params
+                .iter()
+                .find(|p| p.id == pid)
+                .map(|p| p.name.clone())
+                .ok_or_else(|| JpieError::Invalid(format!("no parameter {pid}")))?;
+            for p in &mut inner.method_mut(id)?.signature.params {
+                if p.id == pid {
+                    p.name = new_name.clone();
                 }
-                let old = sig
-                    .params
-                    .iter()
-                    .find(|p| p.id == pid)
-                    .map(|p| p.name.clone())
-                    .ok_or_else(|| JpieError::Invalid(format!("no parameter {pid}")))?;
-                for p in &mut inner.method_mut(id)?.signature.params {
-                    if p.id == pid {
-                        p.name = new_name.clone();
-                    }
-                }
-                // References inside the renamed method's own body.
-                if let MethodBody::Interpreted(block) = &mut inner.method_mut(id)?.body {
-                    rewrite_shared(
-                        block,
-                        &|e| matches!(e, Expr::Param(n) if *n == old),
-                        &mut |e| {
-                            if let Expr::Param(n) = e {
-                                if *n == old {
-                                    *n = new_name.clone();
-                                }
+            }
+            // References inside the renamed method's own body.
+            if let MethodBody::Interpreted(block) = &mut inner.method_mut(id)?.body {
+                rewrite_shared(
+                    block,
+                    &|e| matches!(e, Expr::Param(n) if *n == old),
+                    &mut |e| {
+                        if let Expr::Param(n) = e {
+                            if *n == old {
+                                *n = new_name.clone();
                             }
-                        },
-                    );
-                }
-                // Named arguments at every call site.
-                inner.rewrite_calls_of(&method_name, &mut |e| {
-                    e.rename_param_uses(&method_name, &old, &new_name);
-                });
-                Ok(())
-            },
-        )
+                        }
+                    },
+                );
+            }
+            // Named arguments at every call site.
+            inner.rewrite_calls_of(&method_name, &mut |e| {
+                e.rename_param_uses(&method_name, &old, &new_name);
+            });
+            Ok(())
+        })
     }
 
     /// Reorders the parameter list. Call sites are unaffected because
@@ -782,31 +776,27 @@ impl ClassHandle {
     /// Fails unless `order` is a permutation of the current parameter ids.
     pub fn reorder_params(&self, id: MethodId, order: &[ParamId]) -> Result<(), JpieError> {
         let order = order.to_vec();
-        self.mutate(
-            EditLabel::ReorderParams(id),
-            |_| EventKind::SignatureChanged(id),
-            move |inner| {
-                let params = &inner.method(id)?.signature.params;
-                if order.len() != params.len()
-                    || !order.iter().all(|pid| params.iter().any(|p| p.id == *pid))
-                {
-                    return Err(JpieError::Invalid(
-                        "order is not a permutation of the parameter ids".into(),
-                    ));
-                }
-                let mut reordered = Vec::with_capacity(order.len());
-                for pid in &order {
-                    let p = params
-                        .iter()
-                        .find(|p| p.id == *pid)
-                        .expect("validated above")
-                        .clone();
-                    reordered.push(p);
-                }
-                inner.method_mut(id)?.signature.params = reordered;
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::ReorderParams(id), move |inner| {
+            let params = &inner.method(id)?.signature.params;
+            if order.len() != params.len()
+                || !order.iter().all(|pid| params.iter().any(|p| p.id == *pid))
+            {
+                return Err(JpieError::Invalid(
+                    "order is not a permutation of the parameter ids".into(),
+                ));
+            }
+            let mut reordered = Vec::with_capacity(order.len());
+            for pid in &order {
+                let p = params
+                    .iter()
+                    .find(|p| p.id == *pid)
+                    .expect("validated above")
+                    .clone();
+                reordered.push(p);
+            }
+            inner.method_mut(id)?.signature.params = reordered;
+            Ok(())
+        })
     }
 
     /// Replaces the body with a single `return expr`.
@@ -909,14 +899,10 @@ impl ClassHandle {
     ///
     /// Fails if `id` is stale.
     pub fn set_body_block(&self, id: MethodId, block: Block) -> Result<(), JpieError> {
-        self.mutate(
-            EditLabel::SetBody(id),
-            |_| EventKind::BodyChanged(id),
-            move |inner| {
-                inner.method_mut(id)?.body = MethodBody::Interpreted(Arc::new(block));
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::SetBody(id), move |inner| {
+            inner.method_mut(id)?.body = MethodBody::Interpreted(Arc::new(block));
+            Ok(())
+        })
     }
 
     /// Replaces the body with a native closure.
@@ -928,14 +914,10 @@ impl ClassHandle {
     where
         F: Fn(&mut Fields, &[Value]) -> Result<Value, JpieError> + Send + Sync + 'static,
     {
-        self.mutate(
-            EditLabel::SetBody(id),
-            |_| EventKind::BodyChanged(id),
-            move |inner| {
-                inner.method_mut(id)?.body = MethodBody::Native(Arc::new(f));
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::SetBody(id), move |inner| {
+            inner.method_mut(id)?.body = MethodBody::Native(Arc::new(f));
+            Ok(())
+        })
     }
 
     /// Declares an instance field. Live instances gain it immediately with
@@ -946,21 +928,17 @@ impl ClassHandle {
     /// Fails on an invalid or duplicate name, or a `void` type.
     pub fn add_field(&self, name: &str, ty: TypeDesc) -> Result<(), JpieError> {
         let name = name.to_string();
-        self.mutate(
-            EditLabel::AddField(name.clone()),
-            |_| EventKind::FieldsChanged,
-            move |inner| {
-                validate_ident(&name)?;
-                if ty == TypeDesc::Void {
-                    return Err(JpieError::Invalid("void field".into()));
-                }
-                if inner.fields.iter().any(|(n, _)| *n == name) {
-                    return Err(JpieError::Invalid(format!("duplicate field {name:?}")));
-                }
-                inner.fields.push((name, ty));
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::AddField(name.clone()), move |inner| {
+            validate_ident(&name)?;
+            if ty == TypeDesc::Void {
+                return Err(JpieError::Invalid("void field".into()));
+            }
+            if inner.fields.iter().any(|(n, _)| *n == name) {
+                return Err(JpieError::Invalid(format!("duplicate field {name:?}")));
+            }
+            inner.fields.push((name, ty));
+            Ok(())
+        })
     }
 
     /// Renames an instance field, rewriting every read (`this.old`) and
@@ -974,46 +952,42 @@ impl ClassHandle {
     pub fn rename_field(&self, old: &str, new: &str) -> Result<(), JpieError> {
         let old = old.to_string();
         let new = new.to_string();
-        self.mutate(
-            EditLabel::RenameField(old.clone()),
-            |_| EventKind::FieldsChanged,
-            move |inner| {
-                validate_ident(&new)?;
-                if !inner.fields.iter().any(|(n, _)| *n == old) {
-                    return Err(JpieError::NoSuchField(old.clone()));
+        self.mutate(EditLabel::RenameField(old.clone()), move |inner| {
+            validate_ident(&new)?;
+            if !inner.fields.iter().any(|(n, _)| *n == old) {
+                return Err(JpieError::NoSuchField(old.clone()));
+            }
+            if inner.fields.iter().any(|(n, _)| *n == new) {
+                return Err(JpieError::Invalid(format!("duplicate field {new:?}")));
+            }
+            for (n, _) in &mut inner.fields {
+                if *n == old {
+                    *n = new.clone();
                 }
-                if inner.fields.iter().any(|(n, _)| *n == new) {
-                    return Err(JpieError::Invalid(format!("duplicate field {new:?}")));
-                }
-                for (n, _) in &mut inner.fields {
+            }
+            // Field reads inside expressions.
+            inner.rewrite_bodies(&|e| matches!(e, Expr::FieldRef(n) if *n == old), &mut |e| {
+                if let Expr::FieldRef(n) = e {
                     if *n == old {
                         *n = new.clone();
                     }
                 }
-                // Field reads inside expressions.
-                inner.rewrite_bodies(&|e| matches!(e, Expr::FieldRef(n) if *n == old), &mut |e| {
-                    if let Expr::FieldRef(n) = e {
-                        if *n == old {
-                            *n = new.clone();
-                        }
-                    }
-                });
-                // Field writes are statements, not expressions: walk the
-                // statement tree of every interpreted body that has one.
-                for m in &mut inner.methods {
-                    if let MethodBody::Interpreted(block) = &mut m.body {
-                        if sets_field(block, &old) {
-                            rename_setfield_targets(Arc::make_mut(block), &old, &new);
-                        }
+            });
+            // Field writes are statements, not expressions: walk the
+            // statement tree of every interpreted body that has one.
+            for m in &mut inner.methods {
+                if let MethodBody::Interpreted(block) = &mut m.body {
+                    if sets_field(block, &old) {
+                        rename_setfield_targets(Arc::make_mut(block), &old, &new);
                     }
                 }
-                // Migrate the live instance's stored value.
-                if let Some(store) = inner.live_fields.as_ref().and_then(Weak::upgrade) {
-                    store.lock().rename(&old, &new);
-                }
-                Ok(())
-            },
-        )
+            }
+            // Migrate the live instance's stored value.
+            if let Some(store) = inner.live_fields.as_ref().and_then(Weak::upgrade) {
+                store.lock().rename(&old, &new);
+            }
+            Ok(())
+        })
     }
 
     /// Removes an instance field.
@@ -1023,23 +997,19 @@ impl ClassHandle {
     /// Fails if the field does not exist.
     pub fn remove_field(&self, name: &str) -> Result<(), JpieError> {
         let name = name.to_string();
-        self.mutate(
-            EditLabel::RemoveField(name.clone()),
-            |_| EventKind::FieldsChanged,
-            move |inner| {
-                let before = inner.fields.len();
-                inner.fields.retain(|(n, _)| *n != name);
-                if inner.fields.len() == before {
-                    return Err(JpieError::NoSuchField(name.clone()));
-                }
-                Ok(())
-            },
-        )
+        self.mutate(EditLabel::RemoveField(name.clone()), move |inner| {
+            let before = inner.fields.len();
+            inner.fields.retain(|(n, _)| *n != name);
+            if inner.fields.len() == before {
+                return Err(JpieError::NoSuchField(name.clone()));
+            }
+            Ok(())
+        })
     }
 
     // -- undo / redo ---------------------------------------------------------
 
-    /// Undoes the most recent edit. Fires [`EventKind::Undone`].
+    /// Undoes the most recent edit.
     ///
     /// # Errors
     ///
@@ -1048,8 +1018,7 @@ impl ClassHandle {
         self.step_history(true)
     }
 
-    /// Re-applies the most recently undone edit. Fires
-    /// [`EventKind::Redone`].
+    /// Re-applies the most recently undone edit.
     ///
     /// # Errors
     ///
@@ -1082,16 +1051,10 @@ impl ClassHandle {
             inner.interface_version += 1;
         }
         let event = ClassEvent {
-            class: inner.name.clone(),
-            kind: if undo {
-                EventKind::Undone
-            } else {
-                EventKind::Redone
-            },
             interface_version: inner.interface_version,
             distributed_change,
         };
-        Self::fire(&mut inner, event);
+        Self::notify(inner, event);
         Ok(())
     }
 
@@ -1174,10 +1137,27 @@ impl ClassHandle {
     /// with callers (the RMI gateway caches it keyed by the epoch so
     /// name→method resolution does not clone signatures per call).
     pub fn distributed_signatures_shared(&self) -> (u64, Arc<Vec<SignatureView>>) {
+        let (epoch, _, sigs) = self.distributed_snapshot();
+        (epoch, sigs)
+    }
+
+    /// The interface version and the distributed signatures it numbers,
+    /// read under one lock: a WSDL/IDL generator publishes them together,
+    /// so an edit between two reads would label old signatures with the
+    /// new version.
+    pub fn distributed_interface(&self) -> (u64, Arc<Vec<SignatureView>>) {
+        let (_, version, sigs) = self.distributed_snapshot();
+        (version, sigs)
+    }
+
+    /// `(epoch, interface version, distributed signatures)`, all read
+    /// under one lock.
+    fn distributed_snapshot(&self) -> (u64, u64, Arc<Vec<SignatureView>>) {
         {
             let inner = self.inner.read();
             if let Some(s) = &inner.dist_cache {
-                return (self.epoch.load(Ordering::Relaxed), s.clone());
+                let epoch = self.epoch.load(Ordering::Relaxed);
+                return (epoch, inner.interface_version, s.clone());
             }
         }
         let mut inner = self.inner.write();
@@ -1196,7 +1176,8 @@ impl ClassHandle {
                 s
             }
         };
-        (self.epoch.load(Ordering::Relaxed), sigs)
+        let epoch = self.epoch.load(Ordering::Relaxed);
+        (epoch, inner.interface_version, sigs)
     }
 
     /// Finds a method id by current name.
@@ -1576,21 +1557,20 @@ mod tests {
     #[test]
     fn events_carry_distributed_flag() {
         let (class, f) = simple_class();
-        let rx = class.subscribe();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let observer: Arc<ClassObserver> =
+            Arc::new(move |e: &ClassEvent| log.lock().push(e.clone()));
+        class.observe(observer.clone());
         class.set_body_expr(f, Expr::lit(0)).unwrap();
-        let e = rx.try_recv().unwrap();
-        assert!(matches!(e.kind, EventKind::BodyChanged(_)));
-        assert!(!e.distributed_change);
-
         class.rename_method(f, "g").unwrap();
-        let e = rx.try_recv().unwrap();
-        assert!(matches!(e.kind, EventKind::SignatureChanged(_)));
-        assert!(e.distributed_change);
-
         class.undo().unwrap();
-        let e = rx.try_recv().unwrap();
-        assert!(matches!(e.kind, EventKind::Undone));
-        assert!(e.distributed_change);
+        class.unobserve(&observer);
+        class.redo().unwrap();
+        let events = seen.lock().clone();
+        let flags: Vec<_> = events.iter().map(|e| e.distributed_change).collect();
+        assert_eq!(flags, [false, true, true]);
+        assert_eq!(events.len(), 3, "an unobserved class calls no one");
     }
 
     #[test]

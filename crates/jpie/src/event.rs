@@ -2,40 +2,12 @@
 //!
 //! The paper's DL Publishers "listen to changes in the corresponding
 //! dynamic class by monitoring the JPie undo/redo stack" (§5.6). Here every
-//! mutation of a [`crate::ClassHandle`] — including undo and redo — emits a
-//! [`ClassEvent`] on each subscriber channel.
-
-use crate::class::MethodId;
-
-/// What changed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A method was added.
-    MethodAdded(MethodId),
-    /// A method was removed.
-    MethodRemoved(MethodId),
-    /// A method's signature changed (rename, parameter or return-type
-    /// change).
-    SignatureChanged(MethodId),
-    /// The `distributed` modifier was toggled.
-    DistributedChanged(MethodId),
-    /// A method body changed (does not affect the published interface).
-    BodyChanged(MethodId),
-    /// Instance fields were added or removed.
-    FieldsChanged,
-    /// An edit was undone.
-    Undone,
-    /// An edit was redone.
-    Redone,
-}
+//! mutation of a [`crate::ClassHandle`] — including undo and redo — calls
+//! each observer with a [`ClassEvent`].
 
 /// A change notification from a dynamic class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassEvent {
-    /// Name of the class that changed.
-    pub class: String,
-    /// What changed.
-    pub kind: EventKind,
     /// The class's interface version *after* this change. Advances exactly
     /// when the set of distributed method signatures changes.
     pub interface_version: u64,
@@ -43,3 +15,6 @@ pub struct ClassEvent {
     /// requires republication of the WSDL/IDL document).
     pub distributed_change: bool,
 }
+
+/// A change observer (see [`crate::ClassHandle::observe`]).
+pub type ClassObserver = dyn Fn(&ClassEvent) + Send + Sync;

@@ -19,7 +19,7 @@
 //!   changes.
 //! * The **undo/redo stack** ([`ClassHandle::undo`]/[`ClassHandle::redo`])
 //!   that the paper's DL Publishers monitor for changes (§5.6), surfaced
-//!   here as [`ClassEvent`]s on subscriber channels.
+//!   here as [`ClassEvent`]s passed to class observers.
 //! * The **JPie debugger** ([`JpieDebugger`]) that catches exceptions from
 //!   remote calls, shows them to the user, and supports the *try again*
 //!   re-execution used in §6.
@@ -80,7 +80,7 @@ pub use class::{
 };
 pub use debugger::{DebuggerEntry, JpieDebugger, TryAgain};
 pub use error::JpieError;
-pub use event::{ClassEvent, EventKind};
+pub use event::{ClassEvent, ClassObserver};
 pub use instance::Instance;
 pub use registry::{ClassLoaded, ClassRegistry};
 pub use value::{StructValue, TypeDesc, Value};
