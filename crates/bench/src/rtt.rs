@@ -130,8 +130,8 @@ fn measure(calls: usize, warmup: usize, mut call: impl FnMut()) -> Measured {
 pub fn measure_sde_soap(cfg: &RttConfig) -> RttRow {
     let manager = SdeManager::new(SdeConfig {
         transport: cfg.transport,
-        // Quiescent publisher: development-time machinery present (stall
-        // lock, dynamic dispatch) but no edits during the measurement.
+        // Quiescent publisher: development-time machinery present (the
+        // publisher, dynamic dispatch) but no edits during the measurement.
         strategy: PublicationStrategy::StableTimeout(Duration::from_secs(3600)),
         wal_dir: None,
     })

@@ -64,6 +64,48 @@ impl PublishedDocument {
     pub fn etag(&self) -> String {
         format!("\"v{}\"", self.version)
     }
+
+    /// The same document, version and type with `body` in place of its
+    /// bytes (a router rewriting addresses in it).
+    pub fn with_body(&self, body: Vec<u8>) -> PublishedDocument {
+        PublishedDocument {
+            body: body.into(),
+            ..self.clone()
+        }
+    }
+
+    /// Answers a `GET` or `HEAD` for this document: every server of
+    /// documents answers with this, so `ETag`, `304`, `HEAD` and
+    /// `Content-Length` agree wherever a document is served.
+    pub fn answer(&self, req: &Request) -> Response {
+        let etag = self.etag();
+        // Conditional GET: a client that already holds this version gets
+        // a bodyless 304 — the watcher's steady state costs headers only,
+        // never a re-download.
+        if req.headers().get("If-None-Match") == Some(etag.as_str()) {
+            let mut resp =
+                Response::new(httpd::Status::NOT_MODIFIED, Vec::new(), self.content_type);
+            resp.headers_mut().set("ETag", etag);
+            resp.headers_mut()
+                .set("X-Interface-Version", self.version.to_string());
+            return resp;
+        }
+        // HEAD gets the headers (length, version) without the body —
+        // clients use it to poll for version changes cheaply.
+        let mut resp = if req.method() == httpd::Method::Head {
+            Response::ok(Vec::new(), self.content_type)
+        } else {
+            // The shared body Arc goes straight to the socket writer: no
+            // per-request copy of the document.
+            Response::ok_shared(self.body(), self.content_type)
+        };
+        resp.headers_mut()
+            .set("X-Interface-Version", self.version.to_string());
+        resp.headers_mut().set("ETag", etag);
+        resp.headers_mut()
+            .set("Content-Length", self.len().to_string());
+        resp
+    }
 }
 
 impl DocumentStore {
@@ -157,35 +199,7 @@ impl Handler for StoreHandler {
     fn handle(&self, req: &Request) -> Response {
         let path = req.path().split('?').next().unwrap_or("/");
         match self.store.get(path) {
-            Some(doc) => {
-                let etag = doc.etag();
-                // Conditional GET: a client that already holds this
-                // version gets a bodyless 304 — the watcher's steady
-                // state costs headers only, never a re-download.
-                if req.headers().get("If-None-Match") == Some(etag.as_str()) {
-                    let mut resp =
-                        Response::new(httpd::Status::NOT_MODIFIED, Vec::new(), doc.content_type);
-                    resp.headers_mut().set("ETag", etag);
-                    resp.headers_mut()
-                        .set("X-Interface-Version", doc.version.to_string());
-                    return resp;
-                }
-                // HEAD gets the headers (length, version) without the body
-                // — clients use it to poll for version changes cheaply.
-                let mut resp = if req.method() == httpd::Method::Head {
-                    Response::ok(Vec::new(), doc.content_type)
-                } else {
-                    // The shared body Arc goes straight to the socket
-                    // writer: no per-request copy of the document.
-                    Response::ok_shared(doc.body(), doc.content_type)
-                };
-                resp.headers_mut()
-                    .set("X-Interface-Version", doc.version.to_string());
-                resp.headers_mut().set("ETag", etag);
-                resp.headers_mut()
-                    .set("Content-Length", doc.len().to_string());
-                resp
-            }
+            Some(doc) => doc.answer(req),
             None => Response::not_found(&format!("no document published at {path}")),
         }
     }

@@ -161,25 +161,16 @@ pub struct GatewayCore {
     /// [`ClassHandle::edit_epoch`]).
     dispatch_cache: Mutex<Option<(u64, Arc<Vec<SignatureView>>)>>,
     instance: RwLock<Option<Arc<Instance>>>,
-    /// §5.7: while a stale call forces publication, processing of incoming
-    /// messages is stalled. Normal calls take the read side; the stale
-    /// path takes the write side.
-    stall: RwLock<()>,
     metrics: HandlerMetrics,
     o: GatewayObs,
-    /// Invoked on a stale call *after* processing stalls; wired by the
-    /// SDE Manager to prompt the DL Publisher (§5.7's
-    /// handler → manager → publisher notification chain).
+    /// Invoked on a stale call; wired by the SDE Manager to prompt the DL
+    /// Publisher (§5.7's handler → manager → publisher notification
+    /// chain).
     stale_notify: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
     /// Whether the §5.7 reactive mechanism is enabled. `false` models the
     /// *active publishing* regime of Fig 7 (publication and RMI paths
     /// fully independent), used by the consistency-matrix experiment.
     reactive: AtomicBool,
-    /// Whether a stale call is currently stalling processing and forcing
-    /// publication. Concurrent stale calls piggyback on that pass
-    /// instead of queueing their own write-stall: a steady stream of
-    /// stall writers would starve the (reader-side) call path.
-    forcing: AtomicBool,
     /// At-most-once execution: replies to id-carrying calls, keyed by
     /// call id, consulted by the call handlers before dispatching.
     reply_cache: ReplyCache,
@@ -217,12 +208,10 @@ impl GatewayCore {
             class_name,
             dispatch_cache: Mutex::new(None),
             instance: RwLock::new(None),
-            stall: RwLock::new(()),
             metrics: HandlerMetrics::default(),
             o,
             stale_notify: RwLock::new(None),
             reactive: AtomicBool::new(true),
-            forcing: AtomicBool::new(false),
             reply_cache,
             calls: AtomicU64::new(0),
         })
@@ -345,21 +334,6 @@ impl GatewayCore {
         // Relaxed: pure statistics (see [`HandlerMetrics::snapshot`]).
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         self.o.requests.inc();
-        // Normal processing holds the stall read lock: it is blocked while
-        // a stale call is forcing publication (§5.7 "stalls the processing
-        // of incoming messages").
-        let traced = obs::tracectx::has_active();
-        let stall_wait_start = if traced { obs::uptime_micros() } else { 0 };
-        let _processing = self.stall.read();
-        if traced {
-            let stall_waited = obs::uptime_micros().saturating_sub(stall_wait_start);
-            if stall_waited > 0 {
-                obs::tracectx::annotate_active(
-                    "stall_wait_us",
-                    obs::tracectx::AnnValue::U64(stall_waited),
-                );
-            }
-        }
 
         let Some(instance) = self.instance() else {
             self.metrics.faults.fetch_add(1, Ordering::Relaxed);
@@ -368,7 +342,6 @@ impl GatewayCore {
         };
 
         let Some(bound) = self.match_distributed(method, args) else {
-            drop(_processing);
             return Err(self.stale_path(method));
         };
         self.o.method_counter(&self.class_name, method).inc();
@@ -382,7 +355,6 @@ impl GatewayCore {
             // The method disappeared between matching and invocation (a
             // live edit raced us): same stale treatment.
             Err(JpieError::NoSuchMethod(_) | JpieError::ArgumentMismatch(_)) => {
-                drop(_processing);
                 Err(self.stale_path(method))
             }
             Err(e) => {
@@ -393,9 +365,12 @@ impl GatewayCore {
         }
     }
 
-    /// §5.7: the call names no current method. Stall message processing,
-    /// notify the manager (which prompts the DL Publisher to get the
-    /// published description current), then report the stale condition.
+    /// §5.7: the call names no current method. Notify the manager, which
+    /// prompts the DL Publisher and returns once the published description
+    /// is current, then report the stale condition. Only stale callers
+    /// wait: concurrent ones share one generation, and calls that match
+    /// run on (§6 needs no more — see DESIGN.md, "§5.7 without the
+    /// stall").
     fn stale_path(&self, method: &str) -> InvokeFailure {
         self.metrics.stale.fetch_add(1, Ordering::Relaxed);
         self.metrics.faults.fetch_add(1, Ordering::Relaxed);
@@ -419,25 +394,7 @@ impl GatewayCore {
         }
         let notify = self.stale_notify.read().clone();
         if let Some(notify) = notify {
-            if self
-                .forcing
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                // First stale call: stall processing (§5.7 "stalls the
-                // processing of incoming messages") and force publication.
-                let _stalled = self.stall.write();
-                notify();
-                self.forcing.store(false, Ordering::SeqCst);
-            } else {
-                // Another stale call is already stalling the gateway.
-                // Piggyback on its pass — `ensure_current` blocks until
-                // the interface document is current, which is all §6
-                // needs — without queueing another writer on the stall
-                // lock: a continuous stream of writers would starve the
-                // reader-side call path under load.
-                notify();
-            }
+            notify();
         }
         InvokeFailure::NoMatch
     }

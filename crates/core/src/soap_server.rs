@@ -264,7 +264,7 @@ impl SoapCallHandler {
                 fault_response(&SoapFault::server_not_initialized())
             }
             Err(InvokeFailure::NoMatch) => {
-                // §5.7 ran inside dispatch (stall + forced publication);
+                // §5.7 ran inside dispatch (publication made current);
                 // now the exception goes back. The body never ran, so
                 // the claim is released uncached.
                 if let Some(claim) = claim {

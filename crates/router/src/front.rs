@@ -1,9 +1,9 @@
 //! The router's fronts, one per wire, on the one connection engine:
 //!
-//! * [`FrontHandler`] — the HTTP front. Interface documents are fetched
-//!   from the owning backend on a dispatch worker and rewritten so
-//!   clients only see router addresses; a SOAP call is claimed by
-//!   [`Handler::forward`] on the shard thread and relayed.
+//! * [`FrontHandler`] — the HTTP front. Interface documents are read
+//!   from the owning backend's store and served with router addresses in
+//!   them; a SOAP call is claimed by [`Handler::forward`] on the shard
+//!   thread and relayed.
 //! * [`GiopFront`] — the GIOP front. Every CORBA class's rewritten IOR
 //!   names it; a `Request` is routed by its object key and relayed, and
 //!   what can be answered without a backend is answered inline.
@@ -25,7 +25,8 @@ use corba::giop::{
 };
 use corba::{Ior, SystemExceptionKind};
 use httpd::engine::{Forward, Framed, Refusal, Relayed, Reply, Wire as EngineWire};
-use httpd::{Handler, HttpError, Method, ReadBuf, Request, Response, Status, Upstream};
+use httpd::{Handler, HttpError, Method, ReadBuf, Request, Response, Upstream};
+use sde::PublishedDocument;
 
 use crate::router::{Route, RouterInner, Wire};
 
@@ -87,7 +88,7 @@ impl Upstream for Route {
 
     fn failed(&self, why: &HttpError) -> Duration {
         match self.inner.upgrade() {
-            Some(inner) => inner.forward_failed(self, "call", why),
+            Some(inner) => inner.forward_failed(self, why),
             None => Duration::from_secs(1),
         }
     }
@@ -97,22 +98,77 @@ impl Upstream for Route {
     }
 }
 
+impl Route {
+    /// The document at `path` (`/{class}.wsdl`, `.idl` or `.ior`) as the
+    /// front serves it: the backend's, with the address clients call —
+    /// the SOAP endpoint in a WSDL, the ORB in an IOR — rewritten to the
+    /// front's, once per version. `None`: the backend publishes nothing
+    /// there (now).
+    fn document(&self, class: &str, path: &str) -> Option<PublishedDocument> {
+        let doc = self.docs.get(path)?;
+        let rewrite = match self.wire {
+            Wire::Soap => path.ends_with(".wsdl"),
+            Wire::Corba => path.ends_with(".ior"),
+        };
+        if !rewrite {
+            return Some(doc);
+        }
+        let mut memo = self.rewritten.lock();
+        if let Some(hit) = memo.as_ref().filter(|d| d.version == doc.version) {
+            return Some(hit.clone());
+        }
+        let inner = self.inner.upgrade()?;
+        let body = match self.wire {
+            Wire::Soap => {
+                let front = format!("{}/{class}", *inner.front_base.read());
+                doc.content().replace(&self.soap_url, &front).into_bytes()
+            }
+            Wire::Corba => match Ior::parse(doc.content()) {
+                Ok(mut ior) => {
+                    ior.address = inner.giop_addr.clone();
+                    ior.to_ior_string().into_bytes()
+                }
+                Err(_) => return Some(doc),
+            },
+        };
+        let served = doc.with_body(body);
+        *memo = Some(served.clone());
+        Some(served)
+    }
+}
+
 /// The HTTP front: documents for both wires, calls for SOAP.
 pub(crate) struct FrontHandler {
     pub(crate) inner: Arc<RouterInner>,
 }
 
 impl Handler for FrontHandler {
+    /// A document is answered from the class's route as the backend's
+    /// Interface Server answers it ([`PublishedDocument::answer`]). The
+    /// route is swapped with the backend, so a request never sees a
+    /// document of a backend its class has left.
     fn handle(&self, req: &Request) -> Response {
         let path = req.path();
-        let path = path.split('?').next().unwrap_or(path).to_string();
-        if let Some(class) = doc_class(&path) {
-            return self.proxy_doc(&class, &path, req);
+        let path = path.split('?').next().unwrap_or(path);
+        let Some(class) = doc_class(path) else {
+            if req.method() == Method::Post {
+                return self.unforwarded_call(path);
+            }
+            return Response::not_found("router: unknown path");
+        };
+        let Some(route) = self.inner.routes.read().get(class).cloned() else {
+            return Response::not_found("router: unknown class");
+        };
+        match route.document(class, path) {
+            Some(doc) => doc.answer(req),
+            // Retracted by a backend that died or handed the class on:
+            // the next route serves it shortly.
+            None if route.wire == Wire::Corba || path.ends_with(".wsdl") => {
+                let retry_after = self.inner.jittered_retry_after();
+                Response::unavailable("router: class moving or failing over", retry_after)
+            }
+            None => Response::not_found("router: no such document"),
         }
-        if req.method() == Method::Post {
-            return self.unforwarded_call(&path);
-        }
-        Response::not_found("router: unknown path")
     }
 
     /// A SOAP call goes to its class's backend, relayed by the front
@@ -138,77 +194,15 @@ fn call_class(path: &str) -> &str {
 }
 
 /// `/Calc.wsdl` → `Calc` (also `.idl` / `.ior`).
-fn doc_class(path: &str) -> Option<String> {
+fn doc_class(path: &str) -> Option<&str> {
     let name = path.strip_prefix('/')?;
-    for ext in [".wsdl", ".idl", ".ior"] {
-        if let Some(class) = name.strip_suffix(ext) {
-            if !class.is_empty() && !class.contains('/') {
-                return Some(class.to_string());
-            }
-        }
-    }
-    None
+    [".wsdl", ".idl", ".ior"]
+        .iter()
+        .find_map(|ext| name.strip_suffix(ext))
+        .filter(|class| !class.is_empty() && !class.contains('/'))
 }
 
 impl FrontHandler {
-    /// Forwards an interface-document fetch to the owning shard,
-    /// rewriting endpoint addresses so clients only ever see router
-    /// addresses.
-    fn proxy_doc(&self, class: &str, path: &str, req: &Request) -> Response {
-        let Some(route) = self.inner.routes.read().get(class).cloned() else {
-            return Response::not_found("router: unknown class");
-        };
-        let _span = obs::trace::span("router_doc_forward_ns");
-        let head = req.method() == Method::Head;
-        let mut fwd = if head {
-            Request::head(path)
-        } else {
-            Request::get(path)
-        };
-        if let Some(tag) = req.headers().get("If-None-Match") {
-            fwd.headers_mut().set("If-None-Match", tag);
-        }
-        let resp = match self.inner.pool.send(&route.doc_authority, &fwd) {
-            Ok(resp) => resp,
-            Err(e) => {
-                let retry_after = self.inner.forward_failed(&route, "doc", &e);
-                return Response::unavailable("router: shard failing over", retry_after);
-            }
-        };
-        self.inner.note_success(route.shard);
-        obs::registry()
-            .counter_with("router_forward_total", &[("kind", "doc")])
-            .inc();
-        let mut body = resp.body().to_vec();
-        if resp.status() == 200 {
-            if path.ends_with(".wsdl") && !route.soap_url.is_empty() {
-                // The backend's WSDL advertises its own endpoint; clients
-                // must call through the router instead.
-                let front = self.inner.front_base.read().clone();
-                body = String::from_utf8_lossy(&body)
-                    .replace(&route.soap_url, &format!("{front}/{class}"))
-                    .into_bytes();
-            } else if path.ends_with(".ior") {
-                // Same for the IOR: the backend ORB's address becomes the
-                // GIOP front's; the object key routes the call there.
-                let ior = std::str::from_utf8(&body).ok().map(Ior::parse);
-                if let Some(Ok(mut ior)) = ior {
-                    ior.address = self.inner.giop_addr.clone();
-                    body = ior.to_ior_string().into_bytes();
-                }
-            }
-        }
-        let mut out = rebuild_response(&resp, body);
-        if head {
-            // A `HEAD` answer has no body to measure: the document's
-            // length is the backend's (clients poll it cheaply).
-            if let Some(len) = resp.headers().get("Content-Length") {
-                out.headers_mut().set("Content-Length", len);
-            }
-        }
-        out
-    }
-
     /// A call `forward` did not admit: its class is unknown, not served
     /// over SOAP, or draining — parked with a jittered `Retry-After`,
     /// which the CDE client stack honours.
@@ -224,31 +218,6 @@ impl FrontHandler {
             ),
         }
     }
-}
-
-/// Copies headers across a proxy hop, skipping the ones that describe
-/// the connection rather than the message.
-fn copy_headers(src: &httpd::Headers, dst: &mut httpd::Headers) {
-    for (name, value) in src.iter() {
-        let hop = name.eq_ignore_ascii_case("host")
-            || name.eq_ignore_ascii_case("content-length")
-            || name.eq_ignore_ascii_case("content-type")
-            || name.eq_ignore_ascii_case("connection");
-        if !hop {
-            dst.set(name, value);
-        }
-    }
-}
-
-fn rebuild_response(resp: &Response, body: Vec<u8>) -> Response {
-    let content_type = resp
-        .headers()
-        .get("Content-Type")
-        .unwrap_or("application/octet-stream")
-        .to_string();
-    let mut out = Response::new(Status(resp.status()), body, &content_type);
-    copy_headers(resp.headers(), out.headers_mut());
-    out
 }
 
 /// The GIOP front: whole frames in, routed by object key. A `Request`

@@ -21,7 +21,7 @@ use sde::{ClassExport, SdeError, SdeManager, VersionWal, WalFollower};
 
 use crate::reconfig::{Abort, Event, Input, Output, Phase, Plan, Reconfig, Timer};
 use crate::router::{
-    fresh_addr, leader_manager, probe_shard, rerr, start_backend, FailoverEvent, Probe,
+    fresh_addr, gateway, leader_manager, probe_shard, rerr, start_backend, FailoverEvent, Probe,
     RouterError, RouterInner,
 };
 
@@ -667,7 +667,12 @@ fn import_at_target(
 /// generation moved since the plan: the class joins the target's list,
 /// its route swaps (front connections still linked to the source find a
 /// new route `Arc` on their next call and reconnect), and it leaves the
-/// source's list.
+/// source's list. Both backends publish the one class until then, each
+/// into its own store, so the source's publisher stops first and the
+/// target's document is made current after: the front, which serves the
+/// route's store, never goes back a version across the swap, and a client
+/// refreshing after a stale reply from the source finds at least what
+/// that reply waited for (§6).
 fn commit(inner: &Arc<RouterInner>, class: &str, from: (usize, u64), to: (usize, u64)) -> bool {
     let mut source = inner.shards[from.0].lock();
     let mut target = inner.shards[to.0].lock();
@@ -676,6 +681,12 @@ fn commit(inner: &Arc<RouterInner>, class: &str, from: (usize, u64), to: (usize,
     let Some(at) = at.filter(|_| !moved) else {
         return false;
     };
+    if let Some(gateway) = gateway(&source.backend.manager, class) {
+        gateway.publisher().shutdown();
+    }
+    if let Some(gateway) = gateway(&target.backend.manager, class) {
+        gateway.publisher().ensure_current();
+    }
     let spec = source.classes.remove(at);
     let route = inner.route_for(to.0, to.1, &spec, &target.backend);
     inner.routes.write().insert(class.to_string(), route);
@@ -714,8 +725,6 @@ fn promote(
         routes.insert(spec.name.clone(), inner.route_for(n, gen, spec, &backend));
     }
     drop(routes);
-    // The retired generation's pooled document connections go with it.
-    inner.pool.purge(&shard.backend.doc_authority);
     (shard.backend, shard.generation, shard.dead) = (backend, gen, false);
     Ok(())
 }

@@ -11,13 +11,13 @@ use std::time::{Duration, Instant};
 use cde::{BreakerState, CircuitBreaker};
 use httpd::engine::Serving;
 use httpd::transport::Listener;
-use httpd::{Connection, ConnectionPool, HttpClient, HttpError, HttpServer, PoolConfig, Request};
-use jpie::Value;
+use httpd::{Connection, HttpClient, HttpError, HttpServer, PoolConfig, Request};
+use jpie::{ClassHandle, Value};
 use obs::metrics::{Counter, Histogram};
 use obs::rng::XorShift64;
 use obs::sync::{Condvar, Mutex, RwLock};
-use sde::{PublicationStrategy, SdeConfig, SdeError, SdeManager, SdeServerGateway, TransportKind};
-use sde::{WalFollower, WalReplicator};
+use sde::{DocumentStore, PublicationStrategy, PublishedDocument, SdeConfig, SdeError, SdeManager};
+use sde::{SdeServerGateway, TransportKind, WalFollower, WalReplicator};
 
 use crate::front::{FrontHandler, GiopFront};
 use crate::migrate::{self, Inbox, MigrationEvent, MigrationHandle, MoveOpts};
@@ -198,17 +198,22 @@ pub(crate) struct Shard {
 }
 
 /// What the fronts need per class, snapshotted under RwLock so the hot
-/// path never touches a shard mutex. Immutable: a failover or migration
-/// swaps in a new `Arc`, and the swap is what retires every front
-/// connection's upstream to the old backend, on both wires (the engine
-/// keeps an upstream only while its target is the same `Arc`).
+/// path never touches a shard mutex. Immutable but for its memo: a
+/// failover or migration swaps in a new `Arc`, and the swap is what
+/// retires every front connection's upstream to the old backend, on both
+/// wires (the engine keeps an upstream only while its target is the same
+/// `Arc`), and what the front's documents come from.
 pub(crate) struct Route {
     pub(crate) shard: usize,
     /// The shard's generation the route was built for: a relay failure
     /// charges that generation's breaker, never a newer one's.
     pub(crate) generation: u64,
     pub(crate) wire: Wire,
-    pub(crate) doc_authority: String,
+    /// The backend's published documents, in process: what its Interface
+    /// Server serves.
+    pub(crate) docs: DocumentStore,
+    /// The last WSDL (SOAP) or IOR (CORBA) the front served, rewritten.
+    pub(crate) rewritten: Mutex<Option<PublishedDocument>>,
     /// Where calls go: the backend's SOAP endpoint authority, or its
     /// ORB's address.
     pub(crate) authority: String,
@@ -237,9 +242,6 @@ pub(crate) struct RouterInner {
     pub(crate) ring: HashRing,
     pub(crate) shards: Vec<Mutex<Shard>>,
     pub(crate) routes: RwLock<HashMap<String, Arc<Route>>>,
-    /// Interface-document fetches (calls are relayed by the fronts'
-    /// engine instead).
-    pub(crate) pool: ConnectionPool,
     /// `router_forward_total{kind="call"}` and `router_call_forward_ns`,
     /// for both wires.
     pub(crate) call_forwards: Arc<Counter>,
@@ -355,7 +357,6 @@ impl Router {
             ring,
             shards,
             routes: RwLock::new(HashMap::new()),
-            pool: ConnectionPool::new(HttpClient::new().with_read_timeout(Duration::from_secs(5))),
             call_forwards: registry.counter_with("router_forward_total", &[("kind", "call")]),
             call_forward_ns: registry.histogram("router_call_forward_ns"),
             front_base: RwLock::new(String::new()),
@@ -578,20 +579,23 @@ impl Router {
         }
     }
 
+    /// The live handle of `class` on its current backend: what a
+    /// developer edits.
+    pub fn class(&self, name: &str) -> Option<ClassHandle> {
+        let shard_id = self.inner.routes.read().get(name)?.shard;
+        let shard = self.inner.shards[shard_id].lock();
+        gateway(&shard.backend.manager, name).map(|g| g.class().clone())
+    }
+
     /// Published interface-document version for `class` on its current
     /// backend.
     pub fn doc_version(&self, class: &str) -> Option<u64> {
-        let (shard_id, wire) = {
-            let routes = self.inner.routes.read();
-            let r = routes.get(class)?;
-            (r.shard, r.wire)
-        };
-        let shard = self.inner.shards[shard_id].lock();
-        let path = match wire {
+        let route = self.inner.routes.read().get(class).cloned()?;
+        let path = match route.wire {
             Wire::Soap => format!("/{class}.wsdl"),
             Wire::Corba => format!("/{class}.idl"),
         };
-        shard.backend.manager.store().get(&path).map(|d| d.version)
+        route.docs.get(&path).map(|d| d.version)
     }
 
     /// Waits until every shard is alive, unsuspected, with a connected,
@@ -688,6 +692,16 @@ pub(crate) fn start_backend(
     })
 }
 
+/// `class`'s gateway on `manager`, whichever wire it serves.
+pub(crate) fn gateway(manager: &SdeManager, class: &str) -> Option<Arc<dyn SdeServerGateway>> {
+    match manager.soap_server(class) {
+        Some(soap) => Some(soap),
+        None => manager
+            .corba_server(class)
+            .map(|corba| corba as Arc<dyn SdeServerGateway>),
+    }
+}
+
 pub(crate) fn authority_of(url: &str) -> String {
     if let Some(scheme_end) = url.find("://") {
         let rest = &url[scheme_end + 3..];
@@ -748,7 +762,8 @@ impl RouterInner {
             shard,
             generation,
             wire: spec.wire,
-            doc_authority: backend.doc_authority.clone(),
+            docs: manager.store().clone(),
+            rewritten: Mutex::new(None),
             authority,
             soap_url,
             gate: self.class_gate(&spec.name),
@@ -761,10 +776,10 @@ impl RouterInner {
     /// with the shard — so a retry shortly preserves exactly-once over
     /// surviving state, and the failure doubles as a health signal.
     /// Returns the retry hint.
-    pub(crate) fn forward_failed(&self, route: &Route, kind: &str, e: &HttpError) -> Duration {
+    pub(crate) fn forward_failed(&self, route: &Route, e: &HttpError) -> Duration {
         let shard = route.shard;
         obs::registry()
-            .counter_with("router_forward_errors_total", &[("kind", kind)])
+            .counter_with("router_forward_errors_total", &[("kind", "call")])
             .inc();
         obs::trace::event("router", "forward-failed", format!("shard={shard} {e}"));
         self.note_failure(shard, route.generation);

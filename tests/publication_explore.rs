@@ -14,9 +14,9 @@
 //! * a generation: reading the class (one step, or two when `torn`), the
 //!   result reaching the machine, the sink reaching the Interface Server,
 //!   and that reaching the machine;
-//! * the gateway's §5.7 stall lock: a call is matched under its read side;
-//!   the first stale call takes the write side while it forces
-//!   publication, later ones piggyback on its pass;
+//! * the gateway: a call is matched against the class as it is; a stale
+//!   one waits in `ensure_current` until the machine settles, and calls
+//!   that match run on meanwhile (there is no stall lock);
 //! * two CDE clients: `A` makes one call with the interface it holds;
 //!   client 1, a rogue repeater, calls the renamed method twice. A reply is
 //!   received, and with reactive publication on, a stale one refreshes
@@ -99,9 +99,8 @@ enum At {
     Sent,
     /// Matched no method at this server version.
     Stale(u8),
-    /// In `ensure_current`, waiting for the machine to settle; whether it
-    /// holds the stall's write side.
-    Waiting(u8, bool),
+    /// In `ensure_current`, waiting for the machine to settle.
+    Waiting(u8),
     /// The reply in flight: the server version a stale call was processed
     /// under (`None`: it was served), and whether the publisher had
     /// stopped when it left.
@@ -163,8 +162,6 @@ struct World {
     /// version of the signatures it carries.
     doc: (u8, u8),
     clients: [Client; 2],
-    writer: bool,
-    forcing: bool,
     watched: bool,
     forced: bool,
     shut: bool,
@@ -199,8 +196,6 @@ impl World {
             gen: None,
             doc: (0, 0),
             clients: [client(1), client(2)],
-            writer: false,
-            forcing: false,
             watched: false,
             forced: false,
             shut: false,
@@ -243,7 +238,7 @@ impl World {
         for (c, client) in self.clients.iter().enumerate() {
             match client.at {
                 At::Idle if client.calls > 0 => steps.push(Step::Send(c)),
-                At::Sent if !self.writer => steps.push(Step::Match(c)),
+                At::Sent => steps.push(Step::Match(c)),
                 At::Stale(_) => steps.push(Step::Ensure(c)),
                 At::Waiting(..) if self.machine.settled() => steps.push(Step::Wake(c)),
                 At::Replied(..) => steps.push(Step::Receive(c)),
@@ -416,13 +411,6 @@ impl World {
                 let At::Stale(sv) = self.clients[c].at else {
                     unreachable!()
                 };
-                // The first stale call stalls processing; later ones
-                // piggyback on its pass.
-                let writer = !self.forcing;
-                if writer {
-                    self.forcing = true;
-                    self.writer = true;
-                }
                 let current =
                     self.doc == (self.version, self.version) && !self.timer && self.gen.is_none();
                 let out = self.machine.step(Input::Stale(self.version.into()));
@@ -431,17 +419,15 @@ impl World {
                 }
                 self.run(out, None)?;
                 self.clients[c].at = if out.contains(Output::Current) {
-                    self.unstall(writer);
                     At::Replied(Some(sv), self.shut)
                 } else {
-                    At::Waiting(sv, writer)
+                    At::Waiting(sv)
                 };
             }
             Step::Wake(c) => {
-                let At::Waiting(sv, writer) = self.clients[c].at else {
+                let At::Waiting(sv) = self.clients[c].at else {
                     unreachable!()
                 };
-                self.unstall(writer);
                 self.clients[c].at = At::Replied(Some(sv), self.shut);
             }
             Step::Receive(c) => {
@@ -507,13 +493,6 @@ impl World {
             }
         }
         Ok(())
-    }
-
-    fn unstall(&mut self, writer: bool) {
-        if writer {
-            self.writer = false;
-            self.forcing = false;
-        }
     }
 
     /// Forgets what no later step reads, so equivalent states hash alike.

@@ -10,12 +10,12 @@
 //!
 //! * a bare forwarding front over a plain backend, where the test
 //!   controls the backend — restarts it at the same authority, kills it
-//!   mid-forward, sheds with `Connection: close`, echoes 4 MiB;
+//!   mid-forward, sheds with `Connection: close`, echoes 4 MiB — and the
+//!   front, whose workers it can block while calls keep flowing;
 //! * a real `Router` over two shards serving SOAP, for what only the
 //!   router has — pipelined SOAP calls, call ids and trace context end to
-//!   end, the class gate's quiescence, the connection pool left alone,
-//!   calls that keep flowing while every front worker is blocked, fd
-//!   hygiene, and the document path's `HEAD` and health probes;
+//!   end, the class gate's quiescence, the connection pool left alone, fd
+//!   hygiene, the documents the front serves, and health probes;
 //! * the same router serving CORBA, driven with raw GIOP frames — the
 //!   GIOP front's table: pipelining, one dial per connection, what it
 //!   answers without a backend, drain refusals, a dead backend, the
@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 
 use corba::giop::{self, GiopBufs, LocateStatus, MsgType, ReplyBody, ReplyMessage};
 use corba::{Ior, OrbConnection, SystemExceptionKind};
-use httpd::fault::{self, FaultPlan, FaultRule};
 use httpd::transport::{connect, Stream};
 use httpd::{
     Handler, HttpClient, HttpError, HttpServer, Method, PoolConfig, ReadBuf, Request, Response,
@@ -163,11 +162,16 @@ impl Upstream for Hop {
     }
 }
 
-/// Forwards every `POST`; anything else is its own business.
-struct Front(Arc<Hop>);
+/// Forwards every `POST`; anything else is its own business, and
+/// `/block` holds a dispatch worker until the hooks' gate opens.
+struct Front(Arc<Hop>, Arc<Hooks>);
 
 impl Handler for Front {
-    fn handle(&self, _req: &Request) -> Response {
+    fn handle(&self, req: &Request) -> Response {
+        if req.path() == "/block" {
+            self.1.block();
+            return Response::ok(Vec::new(), "text/plain");
+        }
         Response::not_found("not forwarded")
     }
 
@@ -222,6 +226,8 @@ fn bind_backend(addr: &str, cfg: PoolConfig, hooks: Arc<Hooks>) -> HttpServer {
 struct Bare {
     front: HttpServer,
     hop: Arc<Hop>,
+    /// What the front's `/block` waits on.
+    hooks: Arc<Hooks>,
 }
 
 impl Bare {
@@ -232,8 +238,9 @@ impl Bare {
             relayed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
         });
-        let front = HttpServer::bind(front_addr, Front(hop.clone())).unwrap();
-        Bare { front, hop }
+        let hooks = Arc::new(Hooks::default());
+        let front = HttpServer::bind(front_addr, Front(hop.clone(), hooks.clone())).unwrap();
+        Bare { front, hop, hooks }
     }
 }
 
@@ -429,6 +436,55 @@ fn connection_headers_stay_on_their_hop() {
         assert_eq!(resp.headers().get("Connection"), Some("close"));
         assert_eq!(resp.headers().get("X-Seen-Connection"), Some("none"));
         assert!(peer.closed(), "{front}: still open after Connection: close");
+        bare.front.shutdown();
+        backend.shutdown();
+    });
+}
+
+#[test]
+fn soap_calls_go_through_while_every_front_worker_is_blocked() {
+    const STALL: Duration = Duration::from_secs(2);
+    on_both_schemes("stall", |front_addr, backend_addr| {
+        let backend = bind_backend(backend_addr, PoolConfig::default(), Arc::default());
+        let bare = Bare::new(front_addr, &backend.base_url());
+        let front = bare.front.base_url();
+        let mut peer = Peer::connect(&front);
+        peer.send(&raw_post("/echo", b"warm", ""));
+        assert_eq!(peer.answer().unwrap().body(), b"warm");
+
+        // Every front worker, and two queued requests behind them, wait
+        // in the front's handler.
+        let workers = PoolConfig::default().workers;
+        let stalled = Instant::now();
+        let blocked: Vec<_> = (0..workers + 2)
+            .map(|_| {
+                let url = format!("{front}/block");
+                std::thread::spawn(move || HttpClient::new().get(&url))
+            })
+            .collect();
+        settles("every worker blocked", workers, || {
+            bare.hooks.entered.load(Ordering::SeqCst)
+        });
+
+        for i in 0..20 {
+            let text = i.to_string();
+            peer.send(&raw_post("/echo", text.as_bytes(), ""));
+            assert_eq!(peer.answer().unwrap().body(), text.as_bytes());
+        }
+        assert_eq!(
+            bare.hooks.entered.load(Ordering::SeqCst),
+            workers,
+            "the workers were blocked"
+        );
+        assert!(
+            stalled.elapsed() < STALL / 2,
+            "{front}: calls waited for a worker: {:?}",
+            stalled.elapsed()
+        );
+        bare.hooks.open_gate();
+        for fetch in blocked {
+            assert_eq!(fetch.join().unwrap().unwrap().status(), 200);
+        }
         bare.front.shutdown();
         backend.shutdown();
     });
@@ -816,73 +872,6 @@ fn soap_calls_skip_the_pool_and_connect_once_per_connection() {
 }
 
 #[test]
-fn soap_calls_go_through_while_every_front_worker_is_blocked() {
-    const STALL: Duration = Duration::from_secs(2);
-    on_both_transports(|transport| {
-        let fleet = Fleet::start(transport, "stall");
-        let class = &fleet.classes[0];
-        let mut peer = Peer::connect(&fleet.front());
-        peer.send(&echo(class, "warm"));
-        assert_eq!(
-            soap_value(&peer.answer().unwrap()),
-            Value::Str("warm".into())
-        );
-
-        // Every front worker fetches a document whose backend connect
-        // the chaos layer holds for `STALL`.
-        let workers = PoolConfig::default().workers;
-        let doc_authority = fleet.router.status()[0].doc_authority.clone();
-        let delays = || {
-            obs::registry().snapshot().counter(&obs::metrics::key(
-                "faults_injected_total",
-                &[("kind", "delay")],
-            ))
-        };
-        let before = delays();
-        FaultPlan::seeded(1)
-            .rule(FaultRule::delay(&doc_authority, 1.0, STALL, Duration::ZERO))
-            .install();
-        let stalled = Instant::now();
-        let fetched = Arc::new(AtomicUsize::new(0));
-        let fetches: Vec<_> = (0..workers + 2)
-            .map(|_| {
-                let url = fleet.router.wsdl_url(class);
-                let fetched = fetched.clone();
-                std::thread::spawn(move || {
-                    let resp = HttpClient::new().get(&url);
-                    fetched.fetch_add(1, Ordering::SeqCst);
-                    resp
-                })
-            })
-            .collect();
-        settles("every worker stalled", workers as u64, || delays() - before);
-        fault::clear();
-
-        for i in 0..20 {
-            peer.send(&echo(class, &i.to_string()));
-            assert_eq!(
-                soap_value(&peer.answer().unwrap()),
-                Value::Str(i.to_string())
-            );
-        }
-        assert_eq!(
-            fetched.load(Ordering::SeqCst),
-            0,
-            "the workers were blocked"
-        );
-        assert!(
-            stalled.elapsed() < STALL / 2,
-            "calls waited for a worker: {:?}",
-            stalled.elapsed()
-        );
-        for fetch in fetches {
-            assert_eq!(fetch.join().unwrap().unwrap().status(), 200);
-        }
-        fleet.shutdown();
-    });
-}
-
-#[test]
 fn fds_and_registrations_return_to_baseline() {
     on_both_transports(|transport| {
         // Whatever opens fds once (reactor shards) is open after this.
@@ -909,25 +898,40 @@ fn fds_and_registrations_return_to_baseline() {
 }
 
 #[test]
-fn head_through_the_front_keeps_the_backend_length() {
+fn head_through_the_front_matches_its_get() {
     on_both_transports(|transport| {
         let fleet = Fleet::start(transport, "head");
         let class = &fleet.classes[0];
         let backend = fleet.router.status()[0].doc_authority.clone();
         let client = HttpClient::new();
+        let url = fleet.router.wsdl_url(class);
         let direct = client.head(&format!("{backend}/{class}.wsdl")).unwrap();
-        let fronted = client.head(&fleet.router.wsdl_url(class)).unwrap();
+        let head = client.head(&url).unwrap();
+        let get = client.get(&url).unwrap();
         assert_eq!(direct.status(), 200);
-        assert_eq!(fronted.status(), 200);
-        for header in ["Content-Length", "ETag", "X-Interface-Version"] {
+        assert_eq!(head.status(), 200);
+        assert_eq!(get.status(), 200);
+        // The front's document carries the front's address, so its
+        // length is its own, and `HEAD` says what `GET` sends.
+        assert!(get.body_str().contains(&fleet.front()), "{url}");
+        assert_eq!(
+            head.headers().get("Content-Length"),
+            Some(get.body().len().to_string().as_str()),
+            "{url}"
+        );
+        // The version is the backend's.
+        for header in ["ETag", "X-Interface-Version"] {
             assert!(direct.headers().get(header).is_some(), "{header}");
-            assert_eq!(
-                fronted.headers().get(header),
-                direct.headers().get(header),
-                "{header}"
-            );
+            assert_eq!(head.headers().get(header), direct.headers().get(header));
+            assert_eq!(get.headers().get(header), direct.headers().get(header));
         }
-        assert_ne!(fronted.headers().get("Content-Length"), Some("0"));
+        let etag = direct.headers().get("ETag").unwrap();
+        let mut conn = client.connect(&url).unwrap();
+        let mut revalidate = Request::get(format!("/{class}.wsdl"));
+        revalidate.headers_mut().set("If-None-Match", etag);
+        let not_modified = conn.send(&revalidate).unwrap();
+        assert_eq!(not_modified.status(), 304, "{url}");
+        assert!(not_modified.body().is_empty());
         fleet.shutdown();
     });
 }
