@@ -5,7 +5,7 @@
 //! server, each driven by a static client. This crate provides those
 //! comparators on the same substrates as SDE, but with everything the
 //! live middleware adds stripped away: a fixed dispatch table instead of
-//! a dynamic class, no DL Publisher, no stall lock, no interface
+//! a dynamic class, no DL Publisher, no stale-call path, no interface
 //! versioning. The RTT difference between these servers and the SDE ones
 //! is therefore exactly the overhead §7 measures.
 //!

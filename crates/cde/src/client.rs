@@ -337,9 +337,6 @@ impl ClientEnvironment {
                 });
             }
             counters.0.inc();
-            obs::trace::verbose_event("cde::client", "retry", || {
-                format!("method={method} attempt={attempt} wait={retry_wait:?}")
-            });
             std::thread::sleep(retry_wait);
         }
     }
@@ -359,11 +356,6 @@ impl ClientEnvironment {
                 // interface *before* surfacing the exception.
                 obs::registry().counter("cde_stale_recoveries_total").inc();
                 let _ = stub.refresh();
-                obs::trace::event(
-                    "cde::client",
-                    "stale-recovery",
-                    format!("method={m} view-version={}", stub.interface_version()),
-                );
                 let retry_stub = stub.clone();
                 let retry_method = m.clone();
                 let retry_args = args.to_vec();

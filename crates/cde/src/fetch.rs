@@ -1,7 +1,7 @@
 //! Conditional, keep-alive document fetching for client stubs.
 //!
-//! The Interface Server serves every document with an `ETag` derived
-//! from the interface version. The fetcher remembers the validator per
+//! The Interface Server serves every document with an `ETag` made of
+//! the interface version and a digest of the document body. The fetcher remembers the validator per
 //! URL and sends `If-None-Match` on every re-fetch, so the steady state
 //! of [`crate::InterfaceWatcher`] polling is a handful of header bytes
 //! and a `304 Not Modified` — no document re-download, no re-parse.
@@ -85,7 +85,6 @@ impl DocFetcher {
             if !breaker.try_acquire() {
                 if self.seen.lock().contains(url) {
                     obs::registry().counter("cde_stale_served_total").inc();
-                    obs::trace::verbose_event("cde::fetch", "stale-serve", || format!("url={url}"));
                     return Ok(Fetched::Stale);
                 }
                 return Err(HttpError::Malformed(format!(

@@ -235,7 +235,7 @@ impl CircuitBreaker {
         let mut inner = self.inner.lock();
         inner.consecutive_failures = 0;
         if inner.state != BreakerState::Closed {
-            obs::trace::event(
+            obs::events::note(
                 "cde::resilience",
                 "breaker-close",
                 format!("authority={}", self.authority),
@@ -260,7 +260,7 @@ impl CircuitBreaker {
                 inner.consecutive_failures += 1;
                 if inner.consecutive_failures >= self.threshold {
                     obs::registry().counter("breaker_trips_total").inc();
-                    obs::trace::event(
+                    obs::events::note(
                         "cde::resilience",
                         "breaker-trip",
                         format!(

@@ -218,11 +218,7 @@ impl DynamicStub {
     pub fn refresh(&self) -> Result<(), CallError> {
         obs::registry().counter("cde_refreshes_total").inc();
         let refreshed = self.refresh_inner();
-        if refreshed.is_ok() {
-            obs::trace::verbose_event("cde::stub", "refresh", || {
-                format!("version={}", self.view.read().version)
-            });
-        } else {
+        if refreshed.is_err() {
             obs::registry().counter("cde_refresh_failures_total").inc();
         }
         refreshed

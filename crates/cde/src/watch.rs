@@ -97,7 +97,7 @@ impl ClientEnvironment {
                     if version != last {
                         last = version;
                         updates.inc();
-                        obs::trace::event(
+                        obs::events::note(
                             "cde::watch",
                             "interface-update",
                             format!("version={version}"),

@@ -259,15 +259,6 @@ impl DynamicImplementation for CorbaCallHandler {
                 }
                 server_span.fail("non-existent-method");
                 fault_counter("non_existent_method").inc();
-                obs::trace::event(
-                    "sde::corba",
-                    "non-existent-method",
-                    format!(
-                        "class={} operation={}",
-                        self.core.class().name(),
-                        request.operation()
-                    ),
-                );
                 request.set_exception(CorbaError::non_existent_method(request.operation()))
             }
             Err(InvokeFailure::AppException(msg)) => {

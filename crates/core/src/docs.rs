@@ -31,6 +31,9 @@ pub struct DocumentStore {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishedDocument {
     body: Arc<[u8]>,
+    /// FNV-1a digest of the body as published, computed once in
+    /// [`DocumentStore::publish`].
+    digest: u64,
     /// Interface version the document reflects.
     pub version: u64,
     /// MIME type served with it.
@@ -58,15 +61,23 @@ impl PublishedDocument {
         self.body.is_empty()
     }
 
-    /// Strong validator for conditional GETs, derived from the interface
-    /// version (the store only republishes on version change, so the
-    /// version uniquely identifies the bytes).
+    /// Strong validator for conditional GETs: the interface version and
+    /// the body's digest. The version alone does not identify the bytes:
+    /// [`DocumentStore::publish`] replaces a document at the same
+    /// version (a class rebuilt from its source after a failover is
+    /// republished at its old version with other signatures).
     pub fn etag(&self) -> String {
-        format!("\"v{}\"", self.version)
+        format!("\"v{}-{:016x}\"", self.version, self.digest)
     }
 
-    /// The same document, version and type with `body` in place of its
-    /// bytes (a router rewriting addresses in it).
+    /// Whether `other` carries the same [`etag`](Self::etag).
+    pub fn same_etag(&self, other: &PublishedDocument) -> bool {
+        (self.version, self.digest) == (other.version, other.digest)
+    }
+
+    /// The same document, version, type and digest with `body` in place
+    /// of its bytes (a router rewriting addresses in it): a rewritten
+    /// copy keeps the validator of the document it was made from.
     pub fn with_body(&self, body: Vec<u8>) -> PublishedDocument {
         PublishedDocument {
             body: body.into(),
@@ -140,7 +151,7 @@ impl DocumentStore {
                 obs::registry()
                     .counter("sde_docs_publish_refused_total")
                     .inc();
-                obs::trace::event(
+                obs::events::note(
                     "sde::docs",
                     "publish-refused",
                     format!("path={path} version={version} wal append failed: {e}"),
@@ -151,6 +162,7 @@ impl DocumentStore {
         self.docs.write().insert(
             path.to_string(),
             PublishedDocument {
+                digest: fnv1a(content.as_bytes()),
                 body: content.into_bytes().into(),
                 version,
                 content_type,
@@ -162,9 +174,6 @@ impl DocumentStore {
             .or_default()
             .push(version);
         obs::registry().counter("sde_docs_published_total").inc();
-        obs::trace::verbose_event("sde::docs", "publish", || {
-            format!("path={path} version={version}")
-        });
         true
     }
 
@@ -189,6 +198,15 @@ impl DocumentStore {
     pub fn paths(&self) -> Vec<String> {
         self.docs.read().keys().cloned().collect()
     }
+}
+
+/// 64-bit FNV-1a: one xor and one multiply per byte, the same on every
+/// platform. The router's hash ring places classes with it; the
+/// Interface Server digests each published document with it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 struct StoreHandler {
@@ -259,6 +277,13 @@ impl InterfaceServer {
 mod tests {
     use super::*;
     use httpd::HttpClient;
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn publish_and_fetch() {
@@ -383,7 +408,7 @@ mod tests {
             .get("ETag")
             .expect("ETag served")
             .to_string();
-        assert_eq!(etag, "\"v1\"");
+        assert_eq!(etag, format!("\"v1-{:016x}\"", fnv1a(b"<wsdl v1/>")));
 
         // Same version: 304, no body.
         let mut req = httpd::Request::get("/Svc.wsdl");
@@ -402,8 +427,31 @@ mod tests {
         let refreshed = conn.send(&req).unwrap();
         assert_eq!(refreshed.status(), 200);
         assert_eq!(refreshed.body_str(), "<wsdl v2/>");
-        assert_eq!(refreshed.headers().get("ETag"), Some("\"v2\""));
+        let v2 = format!("\"v2-{:016x}\"", fnv1a(b"<wsdl v2/>"));
+        assert_eq!(refreshed.headers().get("ETag"), Some(v2.as_str()));
         server.shutdown();
+    }
+
+    #[test]
+    fn republication_at_the_same_version_is_not_a_304() {
+        let store = DocumentStore::new();
+        store.publish("/Svc.wsdl", "<op name=\"f\"/>".into(), 2, "text/xml");
+        let held = store.get("/Svc.wsdl").unwrap();
+        store.publish("/Svc.wsdl", "<op name=\"g\"/>".into(), 2, "text/xml");
+        let now = store.get("/Svc.wsdl").unwrap();
+        assert_ne!(held.etag(), now.etag());
+        assert!(!held.same_etag(&now));
+
+        let mut req = httpd::Request::get("/Svc.wsdl");
+        req.headers_mut().set("If-None-Match", held.etag());
+        let resp = now.answer(&req);
+        assert_eq!(resp.status(), 200);
+        assert_eq!(resp.body(), "<op name=\"g\"/>".as_bytes());
+
+        // A rewritten copy keeps the validator it was made from.
+        let rewritten = now.with_body(b"<op name=\"g\" at=\"front\"/>".to_vec());
+        assert_eq!(rewritten.etag(), now.etag());
+        assert!(rewritten.same_etag(&now));
     }
 
     #[test]

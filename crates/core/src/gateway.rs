@@ -311,7 +311,7 @@ impl GatewayCore {
     /// named when the wire format carries names (SOAP), unnamed (empty
     /// names) otherwise (CORBA).
     pub fn dispatch(&self, method: &str, args: &[(String, Value)]) -> Result<Value, InvokeFailure> {
-        let span = obs::trace::Span::timed(self.o.dispatch_ns.clone());
+        let span = obs::Span::timed(self.o.dispatch_ns.clone());
         let dispatch_span = obs::tracectx::child("dispatch");
         let out = self.dispatch_inner(method, args);
         if let Err(e) = &out {
@@ -342,7 +342,7 @@ impl GatewayCore {
         };
 
         let Some(bound) = self.match_distributed(method, args) else {
-            return Err(self.stale_path(method));
+            return Err(self.stale_path());
         };
         self.o.method_counter(&self.class_name, method).inc();
 
@@ -355,7 +355,7 @@ impl GatewayCore {
             // The method disappeared between matching and invocation (a
             // live edit raced us): same stale treatment.
             Err(JpieError::NoSuchMethod(_) | JpieError::ArgumentMismatch(_)) => {
-                Err(self.stale_path(method))
+                Err(self.stale_path())
             }
             Err(e) => {
                 self.metrics.faults.fetch_add(1, Ordering::Relaxed);
@@ -371,19 +371,13 @@ impl GatewayCore {
     /// wait: concurrent ones share one generation, and calls that match
     /// run on (§6 needs no more — see DESIGN.md, "§5.7 without the
     /// stall").
-    fn stale_path(&self, method: &str) -> InvokeFailure {
+    fn stale_path(&self) -> InvokeFailure {
         self.metrics.stale.fetch_add(1, Ordering::Relaxed);
         self.metrics.faults.fetch_add(1, Ordering::Relaxed);
         self.o.stale.inc();
         self.o.faults.inc();
-        let class = self.class.name();
-        obs::trace::event(
-            "sde::gateway",
-            "stale-call",
-            format!("class={class} method={method}"),
-        );
         obs::events::record(
-            &class,
+            &self.class_name,
             VersionEventKind::StaleCall,
             self.class.interface_version(),
         );

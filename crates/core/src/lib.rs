@@ -38,7 +38,7 @@ pub mod wal;
 pub mod walrepl;
 
 pub use corba_server::CorbaServer;
-pub use docs::{DocumentStore, InterfaceServer, PublishedDocument};
+pub use docs::{fnv1a, DocumentStore, InterfaceServer, PublishedDocument};
 pub use error::SdeError;
 pub use gateway::{GatewayCore, HandlerMetrics, InvokeFailure, SdeServerGateway, Technology};
 pub use manager::{ClassExport, SdeConfig, SdeManager, TransportKind};

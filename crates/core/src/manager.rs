@@ -239,7 +239,7 @@ impl SdeManager {
                 let source = logs.pop().expect("one log");
                 std::fs::rename(&source, &target)
                     .map_err(|e| SdeError::State(format!("wal adopt: {e}")))?;
-                obs::trace::event(
+                obs::events::note(
                     "sde::manager",
                     "wal-adopt",
                     format!("from={} to={}", source.display(), target.display()),
@@ -266,7 +266,7 @@ impl SdeManager {
             .max();
         if let Some(floor) = floor {
             class.restore_version_floor(floor);
-            obs::trace::event(
+            obs::events::note(
                 "sde::manager",
                 "wal-restore",
                 format!("class={name} version_floor={floor}"),
@@ -323,7 +323,7 @@ impl SdeManager {
         obs::registry()
             .counter_with("sde_deploys_total", &[("tech", "soap")])
             .inc();
-        obs::trace::event("sde::manager", "deploy", format!("class={name} tech=SOAP"));
+        obs::events::note("sde::manager", "deploy", format!("class={name} tech=SOAP"));
         self.servers
             .write()
             .insert(name, ManagedServer::Soap(server.clone()));
@@ -352,7 +352,7 @@ impl SdeManager {
         obs::registry()
             .counter_with("sde_deploys_total", &[("tech", "corba")])
             .inc();
-        obs::trace::event("sde::manager", "deploy", format!("class={name} tech=CORBA"));
+        obs::events::note("sde::manager", "deploy", format!("class={name} tech=CORBA"));
         self.servers
             .write()
             .insert(name, ManagedServer::Corba(server.clone()));
@@ -455,7 +455,7 @@ impl SdeManager {
             .remove(class_name)
             .ok_or_else(|| SdeError::NotManaged(class_name.to_string()))?;
         entry.gateway().shutdown();
-        obs::trace::event("sde::manager", "undeploy", format!("class={class_name}"));
+        obs::events::note("sde::manager", "undeploy", format!("class={class_name}"));
         Ok(())
     }
 
@@ -482,7 +482,7 @@ impl SdeManager {
     ) -> Result<ClassExport, SdeError> {
         let (core, technology) = self.core_of(class_name)?;
         let instance = core.retire(within)?;
-        obs::trace::event(
+        obs::events::note(
             "sde::manager",
             "export-class",
             format!("class={class_name} tech={technology}"),
@@ -550,7 +550,7 @@ impl SdeManager {
             core.adopt_instance(instance.clone());
         }
         core.reply_cache().import_entries(replies.clone());
-        obs::trace::event(
+        obs::events::note(
             "sde::manager",
             "import-class",
             format!("class={name} tech={technology}"),
@@ -616,7 +616,7 @@ impl SdeManager {
             }
         };
         let new_tech = new_entry.gateway().technology();
-        obs::trace::event(
+        obs::events::note(
             "sde::manager",
             "switch-technology",
             format!("class={class_name} {old_tech} -> {new_tech}"),

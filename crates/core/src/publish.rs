@@ -524,7 +524,7 @@ impl PublisherCore {
         }
         self.metrics.forced.fetch_add(1, Ordering::Relaxed);
         self.o.forced.inc();
-        obs::trace::event(
+        obs::events::note(
             "sde::publisher",
             "ensure-current-forced",
             format!("class={} version={version}", self.name),
@@ -653,7 +653,7 @@ impl PublisherCore {
     /// Runs the generator outside the lock; returns the lock and the
     /// machine's input.
     fn generate(&self) -> (MutexGuard<'_, Runner>, Input) {
-        let span = obs::trace::Span::timed(self.o.generation_ns.clone());
+        let span = obs::Span::timed(self.o.generation_ns.clone());
         let doc = (self.generator)();
         span.finish();
         self.metrics.generations.fetch_add(1, Ordering::Relaxed);
@@ -675,14 +675,6 @@ impl PublisherCore {
             VersionEventKind::Publication
         };
         obs::events::record(&self.name, kind, doc.version);
-        obs::trace::event(
-            "sde::publisher",
-            "publish",
-            format!(
-                "class={} version={} forced={forced}",
-                self.name, doc.version
-            ),
-        );
     }
 }
 
@@ -990,8 +982,12 @@ mod tests {
         assert_eq!(log.lock().unwrap().len(), 1, "huge timeout still pending");
         assert!(!core.is_current());
         // A forced publication runs on the clock; `ensure_current` waits.
+        // The modelled cost keeps it in flight until the wait begins: a
+        // free generation can finish before this thread runs again.
+        core.set_generation_latency(Duration::from_millis(20));
         core.force_publish();
         assert!(core.ensure_current());
+        core.set_generation_latency(Duration::ZERO);
         assert_eq!(*log.lock().unwrap(), vec![1, 2]);
         // A stale call forces an hour-long countdown on its own thread.
         add(&class, "later");

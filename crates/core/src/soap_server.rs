@@ -272,15 +272,6 @@ impl SoapCallHandler {
                 }
                 server_span.fail("non-existent-method");
                 fault_counter("non_existent_method").inc();
-                obs::trace::event(
-                    "sde::soap",
-                    "non-existent-method",
-                    format!(
-                        "class={} method={}",
-                        self.core.class().name(),
-                        soap_req.method()
-                    ),
-                );
                 fault_response(&SoapFault::non_existent_method(soap_req.method()))
             }
             Err(InvokeFailure::AppException(msg)) => {

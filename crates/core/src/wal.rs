@@ -95,7 +95,7 @@ impl VersionWal {
             // new record after the torn bytes would be unreadable at the
             // next replay (the scan stops at the first bad record).
             file.set_len(good_len)?;
-            obs::trace::event(
+            obs::events::note(
                 "sde::wal",
                 "truncate-torn-tail",
                 format!(
@@ -106,7 +106,7 @@ impl VersionWal {
             );
         }
         if !floors.is_empty() {
-            obs::trace::event(
+            obs::events::note(
                 "sde::wal",
                 "replay",
                 format!("path={} documents={}", path.display(), floors.len()),
@@ -163,7 +163,7 @@ impl VersionWal {
             if inner.file.set_len(good_len).is_err() {
                 inner.poisoned = true;
             }
-            obs::trace::event(
+            obs::events::note(
                 "sde::wal",
                 "append-failed",
                 format!("path={doc_path} version={version} error={e}"),

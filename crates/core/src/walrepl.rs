@@ -168,7 +168,7 @@ impl WalReplicator {
                             .name("wal-repl-stream".into())
                             .spawn(move || {
                                 if let Err(e) = stream_to_follower(&wal, stream, &stop, &acked) {
-                                    obs::trace::event(
+                                    obs::events::note(
                                         "sde::walrepl",
                                         "leader-stream-end",
                                         format!("error={e}"),
@@ -243,7 +243,7 @@ fn stream_to_follower(
         full_resync(wal, &mut stream, stop)?
     };
     obs::registry().counter("wal_repl_followers_total").inc();
-    obs::trace::event(
+    obs::events::note(
         "sde::walrepl",
         "follower-attached",
         format!(
@@ -341,7 +341,7 @@ impl WalFollower {
                             Err(e) => {
                                 shared.connected.store(false, Ordering::SeqCst);
                                 if !stop.load(Ordering::SeqCst) {
-                                    obs::trace::event(
+                                    obs::events::note(
                                         "sde::walrepl",
                                         "follower-reconnect",
                                         format!("error={e}"),
@@ -457,7 +457,7 @@ fn follow_once(
                             write_frame(&mut stream, ACK, new_len, &[])?;
                         }
                         Err(e) => {
-                            obs::trace::event(
+                            obs::events::note(
                                 "sde::walrepl",
                                 "follower-append-failed",
                                 format!("error={e}"),

@@ -352,9 +352,6 @@ pub(crate) fn inject(endpoint: &str, side: FaultSide) -> Option<Injected> {
             );
         }
     }
-    obs::trace::verbose_event("httpd::fault", "inject", || {
-        format!("endpoint={endpoint} kind={}", kind.label())
-    });
     Some(match kind {
         FaultKind::Refuse => Injected::Refuse,
         FaultKind::Delay => Injected::Delay(delay),

@@ -161,12 +161,9 @@ impl Wire for HttpWire {
         }
         let metrics = http_metrics();
         metrics.requests.inc();
-        let span = obs::trace::Span::timed(metrics.request_ns.clone());
+        let span = obs::Span::timed(metrics.request_ns.clone());
         let bytes = std::mem::take(frame).into_vec();
         let req = Request::framed(call.method, call.path.clone(), call.block.clone(), bytes);
-        obs::trace::verbose_event("httpd", "request", || {
-            format!("{} {}", req.method(), req.path())
-        });
         let resp = self.handler.handle(&req);
         // The storage goes back to receive a later request.
         *frame = ReadBuf::recycle(req.into_bytes());

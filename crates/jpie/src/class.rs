@@ -485,12 +485,6 @@ impl ClassHandle {
         if distributed_change {
             obs::registry().counter("jpie_interface_edits_total").inc();
         }
-        obs::trace::verbose_event("jpie::class", "edit", || {
-            format!(
-                "class={} version={} distributed={distributed_change}",
-                inner.name, inner.interface_version
-            )
-        });
         let after_methods = inner.methods.clone();
         let after_fields = inner.fields.clone();
         inner.undo_stack.push(EditRecord {

@@ -252,7 +252,7 @@ impl Instance {
                 args.len()
             )));
         }
-        let span = obs::trace::Span::timed(invoke_ns_histogram().clone());
+        let span = obs::Span::timed(invoke_ns_histogram().clone());
         let mut interp = Interp::new(&snapshot.methods, &self.fields);
         let out = interp.invoke(idx, args.len(), |_, p, i| {
             args[i].widen_to(&p.ty).ok_or_else(|| {

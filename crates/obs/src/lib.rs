@@ -10,26 +10,23 @@
 //!   benchmarks.
 //! * [`metrics`] — atomic counters, gauges, and log-bucketed latency
 //!   histograms behind a global name→handle registry, with snapshot /
-//!   delta arithmetic and Prometheus text rendering.
-//! * [`trace`] — a bounded in-process ring of structured trace events
-//!   plus RAII spans that record durations into histograms.
+//!   delta arithmetic and Prometheus text rendering, plus the RAII
+//!   [`Span`] timer that records a duration into a histogram.
 //! * [`tracectx`] — cross-process distributed tracing: wire-propagated
 //!   trace context, span trees, and a tail-sampled bounded span store.
-//! * [`events`] — the queryable version-event log: interface edits,
-//!   stability timeouts, generations, publications, and stale calls,
-//!   in arrival order per class.
+//! * [`events`] — the process's one event log: typed version events
+//!   (interface edits, stability timeouts, generations, publications,
+//!   stale calls) and lifecycle notes, each fact once, in arrival order.
 
 pub mod callid;
 pub mod events;
 pub mod metrics;
 pub mod rng;
 pub mod sync;
-pub mod trace;
 pub mod tracectx;
 
 pub use callid::CallId;
-pub use metrics::{registry, Counter, Gauge, Histogram, Registry, Snapshot};
-pub use trace::{span, Span};
+pub use metrics::{registry, Counter, Gauge, Histogram, Registry, Snapshot, Span};
 pub use tracectx::{SpanId, TraceContext, TraceId};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,7 +36,7 @@ use std::time::Instant;
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
 /// Globally enable or disable the *expensive* parts of observability
-/// (histogram recording and trace events). Counters and gauges stay on —
+/// (histogram recording and the event log). Counters and gauges stay on —
 /// a relaxed atomic increment is cheaper than the branch would be worth.
 ///
 /// The bench crate uses this to measure the instrumentation-on vs
@@ -48,13 +45,13 @@ pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
 }
 
-/// Whether histogram recording and trace events are currently enabled.
+/// Whether histogram recording and the event log are currently enabled.
 pub fn recording() -> bool {
     RECORDING.load(Ordering::Relaxed)
 }
 
 /// Microseconds elapsed since the first call into `obs` in this process.
-/// Used to timestamp trace and version events without a wall clock.
+/// Used to timestamp log events without a wall clock.
 pub fn uptime_micros() -> u64 {
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_micros() as u64

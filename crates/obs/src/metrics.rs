@@ -1,5 +1,6 @@
 //! Atomic counters, gauges, and log-bucketed latency histograms behind a
-//! global name→handle registry.
+//! global name→handle registry, and the RAII [`Span`] timer that feeds
+//! a histogram.
 //!
 //! Handles are `Arc`s resolved once (at construction time of whatever is
 //! being instrumented) so the hot path is a relaxed atomic op — no map
@@ -14,6 +15,7 @@ use crate::sync::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 // -------------------------------------------------------------- Counter
 
@@ -176,6 +178,45 @@ impl std::fmt::Debug for Histogram {
         f.debug_struct("Histogram")
             .field("count", &self.count())
             .finish()
+    }
+}
+
+/// An RAII timer: on drop, records its elapsed nanoseconds into the
+/// histogram it was opened with.
+pub struct Span {
+    start: Instant,
+    hist: Option<Arc<Histogram>>,
+}
+
+impl Span {
+    /// A span that records into `hist` when dropped.
+    pub fn timed(hist: Arc<Histogram>) -> Span {
+        Span {
+            start: Instant::now(),
+            hist: Some(hist),
+        }
+    }
+
+    /// Elapsed nanoseconds so far (saturating at `u64::MAX`).
+    pub fn elapsed_ns(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Close the span early, returning the recorded duration.
+    pub fn finish(mut self) -> u64 {
+        let ns = self.elapsed_ns();
+        if let Some(h) = self.hist.take() {
+            h.record(ns);
+        }
+        ns
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(h) = self.hist.take() {
+            h.record(self.elapsed_ns());
+        }
     }
 }
 
@@ -555,6 +596,15 @@ mod tests {
             let (lo, hi) = bucket_bounds(bucket_index(42));
             assert!(p >= lo && p <= hi.min(s.max), "q={q} p={p}");
         }
+    }
+
+    #[test]
+    fn span_records_into_histogram() {
+        let h = Arc::new(Histogram::new());
+        {
+            let _s = Span::timed(h.clone());
+        }
+        assert_eq!(h.count(), 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Cross-process distributed tracing: wire-propagated trace context,
 //! span trees, and tail-based sampling.
 //!
-//! The [`crate::trace`] ring answers "what happened recently in this
-//! process"; this module answers "where did *this call* spend its
-//! time, across processes". Every logical RMI call opens a **root
+//! The event log ([`crate::events`]) answers "what happened recently
+//! in this process"; this module answers "where did *this call* spend
+//! its time, across processes". Every logical RMI call opens a **root
 //! span** on the client ([`client_root`]); each transport attempt,
 //! server dispatch, reply-cache admission, and marshal step nests
 //! under it as a child span. The context (128-bit trace id + parent
@@ -479,8 +479,8 @@ pub fn current() -> Option<TraceContext> {
 }
 
 /// Annotates the innermost active span, if any — the hook used by
-/// fault injection and [`crate::trace::event`], which do not hold a
-/// guard.
+/// fault injection and the event log ([`crate::events`]), which hold
+/// no guard.
 pub fn annotate_active(key: &'static str, value: AnnValue) {
     if !tracing() {
         return;

@@ -1,7 +1,8 @@
 //! Bounded worker pool for application handlers.
 //!
-//! Reactor callbacks must not block, but request handlers can (the SDE
-//! gateway parks callers during a §5.7 publication stall). So handler
+//! Reactor callbacks must not block, but request handlers can (a stale
+//! SDE call waits in `ensure_current` for the §5.7 forced publication,
+//! which may wait on a WAL fsync). So handler
 //! execution hops to a `DispatchPool`: the connection suspends itself
 //! off epoll, a worker runs the handler, then resumes the connection
 //! with the response. The queue is bounded; a full queue is the

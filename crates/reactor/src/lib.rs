@@ -21,10 +21,11 @@
 //!   handlers run, so a slow handler never stalls an event loop.
 //!
 //! The event-source contract: callbacks run on the reactor thread and
-//! must never block. Work that can block (running a request handler,
-//! waiting on a publication stall) is handed to a [`DispatchPool`];
-//! while dispatched the source is [`Action::Suspend`]ed — off epoll —
-//! and the worker re-enters it with [`ReactorHandle::resume`].
+//! must never block. Work that can block (running a request handler: a
+//! stale call waiting in `ensure_current` for its forced publication, a
+//! WAL fsync) is handed to a [`DispatchPool`]; while dispatched the
+//! source is [`Action::Suspend`]ed — off epoll — and the worker
+//! re-enters it with [`ReactorHandle::resume`].
 
 // The one statement of the platform: epoll and eventfd here, and every
 // server in the workspace is served by this crate.

@@ -86,9 +86,9 @@ impl Upstream for Route {
         }
     }
 
-    fn failed(&self, why: &HttpError) -> Duration {
+    fn failed(&self, _why: &HttpError) -> Duration {
         match self.inner.upgrade() {
-            Some(inner) => inner.forward_failed(self, why),
+            Some(inner) => inner.forward_failed(self),
             None => Duration::from_secs(1),
         }
     }
@@ -102,8 +102,8 @@ impl Route {
     /// The document at `path` (`/{class}.wsdl`, `.idl` or `.ior`) as the
     /// front serves it: the backend's, with the address clients call —
     /// the SOAP endpoint in a WSDL, the ORB in an IOR — rewritten to the
-    /// front's, once per version. `None`: the backend publishes nothing
-    /// there (now).
+    /// front's, once per backend document (`ETag`). `None`: the backend
+    /// publishes nothing there (now).
     fn document(&self, class: &str, path: &str) -> Option<PublishedDocument> {
         let doc = self.docs.get(path)?;
         let rewrite = match self.wire {
@@ -114,7 +114,7 @@ impl Route {
             return Some(doc);
         }
         let mut memo = self.rewritten.lock();
-        if let Some(hit) = memo.as_ref().filter(|d| d.version == doc.version) {
+        if let Some(hit) = memo.as_ref().filter(|d| d.same_etag(&doc)) {
             return Some(hit.clone());
         }
         let inner = self.inner.upgrade()?;

@@ -186,7 +186,7 @@ pub(crate) fn drain_shard(
             .ok_or_else(|| rerr("no other shard to drain to"))?;
         events.push(begin_move(inner, &class, to, MoveOpts::default()).join()?);
     }
-    obs::trace::event("router", "shard-drained", format!("shard={n}"));
+    obs::events::note("router", "shard-drained", format!("shard={n}"));
     Ok(events)
 }
 
@@ -610,7 +610,7 @@ fn move_plan(inner: &RouterInner, ctx: &mut Ctx) -> Result<Plan, RouterError> {
     ctx.from = from;
     let to_gen = inner.shards[to].lock().generation;
     let start = format!("class={class} from={from} to={to} gen={from_gen}");
-    obs::trace::event("router", "migration-start", start);
+    obs::events::note("router", "migration-start", start);
     Ok(Plan::Move {
         class,
         from: (from, from_gen),
@@ -729,8 +729,8 @@ fn promote(
     Ok(())
 }
 
-/// Counts, times and traces a completed failover or migration.
-fn record(what: &str, total_ms: f64, detail: String) {
+/// Counts, times and logs a completed failover or migration.
+fn record(what: &'static str, total_ms: f64, detail: String) {
     obs::registry()
         .counter(&format!("router_{what}s_total"))
         .inc();
@@ -738,7 +738,7 @@ fn record(what: &str, total_ms: f64, detail: String) {
     obs::registry()
         .histogram(&format!("router_{what}_ns"))
         .record(ns);
-    obs::trace::event("router", what, detail);
+    obs::events::note("router", what, detail);
 }
 
 /// Reports a finished operation: its event and metrics, then its
@@ -755,20 +755,20 @@ fn done(inner: &RouterInner, ctx: Ctx, result: Result<(), Abort>) {
             .counter("router_failover_errors_total")
             .inc();
         let detail = format!("shard={n} {}", error(why));
-        return obs::trace::event("router", "failover-failed", detail);
+        return obs::events::note("router", "failover-failed", detail);
     };
     if ctx.class.is_empty() {
         if result.is_ok() {
             obs::registry().counter("router_restarts_total").inc();
             let gen = inner.shards[n].lock().generation;
-            obs::trace::event("router", "shard-restarted", format!("shard={n} gen={gen}"));
+            obs::events::note("router", "shard-restarted", format!("shard={n} gen={gen}"));
         }
         let _ = waiter.done.send(result.map(|()| None).map_err(error));
         return;
     }
     if let Err(why) = result {
         if why == Abort::Cancelled {
-            obs::trace::event(
+            obs::events::note(
                 "router",
                 "migration-cancelled",
                 format!("class={}", ctx.class),

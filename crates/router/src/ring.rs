@@ -6,16 +6,6 @@
 //! vnode count) — every router replica computes identical assignments
 //! with no coordination.
 
-/// FNV-1a, 64-bit. Deterministic across platforms and dependency-free.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// SplitMix64 finalizer. Raw FNV-1a of near-identical short strings
 /// (`Class0`, `Class1`, …) clusters in the high bits, which a sorted
 /// ring keys on — without this avalanche step, sequential class names
@@ -29,7 +19,7 @@ fn mix(mut h: u64) -> u64 {
 }
 
 fn ring_hash(bytes: &[u8]) -> u64 {
-    mix(fnv1a(bytes))
+    mix(sde::fnv1a(bytes))
 }
 
 /// The ring: sorted (point, shard) pairs.

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use cde::{BreakerState, CircuitBreaker};
 use httpd::engine::Serving;
 use httpd::transport::Listener;
-use httpd::{Connection, HttpClient, HttpError, HttpServer, PoolConfig, Request};
+use httpd::{Connection, HttpClient, HttpServer, PoolConfig, Request};
 use jpie::{ClassHandle, Value};
 use obs::metrics::{Counter, Histogram};
 use obs::rng::XorShift64;
@@ -477,7 +477,7 @@ impl Router {
         drop(shard);
         *self.inner.suspected_at[n].lock() = Some(Instant::now());
         obs::registry().counter("router_shards_killed_total").inc();
-        obs::trace::event("router", "shard-killed", format!("shard={n}"));
+        obs::events::note("router", "shard-killed", format!("shard={n}"));
     }
 
     /// Point-in-time status of every shard.
@@ -776,13 +776,11 @@ impl RouterInner {
     /// with the shard — so a retry shortly preserves exactly-once over
     /// surviving state, and the failure doubles as a health signal.
     /// Returns the retry hint.
-    pub(crate) fn forward_failed(&self, route: &Route, e: &HttpError) -> Duration {
-        let shard = route.shard;
+    pub(crate) fn forward_failed(&self, route: &Route) -> Duration {
         obs::registry()
             .counter_with("router_forward_errors_total", &[("kind", "call")])
             .inc();
-        obs::trace::event("router", "forward-failed", format!("shard={shard} {e}"));
-        self.note_failure(shard, route.generation);
+        self.note_failure(route.shard, route.generation);
         self.jittered_retry_after()
     }
 

@@ -89,12 +89,11 @@ SDE Manager Interface commands:
                                            floors interface versions at pre-crash
   servers                                  list managed servers
   stats [filter]                           metrics snapshot (Prometheus text format)
-  trace [n]                                most recent trace events (default 20)
+  trace [n]                                most recent event-log entries (default 20)
   trace show [id-prefix]                   list tail-sampled traces / render one
                                            as a span waterfall (prefix matches
                                            trace id or call id)
-  events [Class]                           the queryable version-event log
-  verbose on|off                           toggle per-request trace events
+  events [Class]                           the event log's version events
   chaos                                    show the installed fault plan
   chaos off | chaos seed <n>               clear the plan / set the RNG seed
   shards                                   demo router cluster: ring assignments,
@@ -242,7 +241,6 @@ impl Repl {
             "stats" => Ok(cmd_stats(rest)),
             "trace" => cmd_trace(rest),
             "events" => Ok(cmd_events(rest)),
-            "verbose" => cmd_verbose(rest),
             "chaos" => self.cmd_chaos(rest),
             "shards" => self.cmd_shards(rest),
             "servers" => Ok(self
@@ -1005,16 +1003,21 @@ fn cmd_trace(rest: &str) -> Result<String, String> {
         rest.parse()
             .map_err(|_| format!("usage: trace [n] | trace show [prefix] (got {rest:?})"))?
     };
-    let events = obs::trace::recent(n);
+    let events = obs::events::recent(n);
     if events.is_empty() {
         return Ok("trace: no events recorded".into());
     }
     Ok(events
         .iter()
         .map(|e| {
+            let detail = if e.is_version_event() {
+                format!("class={} version={}", e.class, e.version)
+            } else {
+                e.detail.clone()
+            };
             format!(
-                "[{}] +{:>8}us {} {} {}",
-                e.seq, e.at_micros, e.target, e.name, e.detail
+                "[{}] +{:>8}us {} {} {detail}",
+                e.seq, e.at_micros, e.target, e.name
             )
         })
         .collect::<Vec<_>>()
@@ -1032,29 +1035,11 @@ fn cmd_events(rest: &str) -> String {
         .map(|e| {
             format!(
                 "[{}] +{:>8}us {} {} v{}",
-                e.seq,
-                e.at_micros,
-                e.class,
-                e.kind.as_str(),
-                e.version
+                e.seq, e.at_micros, e.class, e.name, e.version
             )
         })
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-fn cmd_verbose(rest: &str) -> Result<String, String> {
-    match rest {
-        "on" => {
-            obs::trace::set_verbose(true);
-            Ok("verbose tracing on".into())
-        }
-        "off" => {
-            obs::trace::set_verbose(false);
-            Ok("verbose tracing off".into())
-        }
-        _ => Err("usage: verbose on|off".into()),
-    }
 }
 
 fn live_rmi_export_soap(
@@ -1349,10 +1334,6 @@ mod tests {
             "{trace}"
         );
         assert!(run(&mut repl, "trace nonsense").contains("error"));
-
-        assert_eq!(run(&mut repl, "verbose on"), "verbose tracing on");
-        assert_eq!(run(&mut repl, "verbose off"), "verbose tracing off");
-        assert!(run(&mut repl, "verbose maybe").contains("error"));
     }
 
     #[test]

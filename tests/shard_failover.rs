@@ -267,3 +267,80 @@ fn corba_calls_reconverge_through_giop_proxy_after_failover() {
     router.shutdown();
     let _ = std::fs::remove_dir_all(&wal_root);
 }
+
+/// A `304` confirms only the bytes it names. A class renamed `f` → `g`
+/// just before its shard dies comes back on the promoted follower
+/// rebuilt from its source at the same interface version (the edit is
+/// lost — a known gap of failover). A client revalidating the pre-crash
+/// WSDL through the front must then get the promoted class's document,
+/// not a `304` that confirms `g`.
+#[test]
+fn revalidation_after_failover_names_the_promoted_interface() {
+    let wal_root = temp_root("sf-etag");
+    let cfg = RouterConfig::new(2, TransportKind::Mem, &wal_root, "sf-etag");
+    let name = "FoEtag".to_string();
+    let source = format!("class {name} {{ distributed int f(int x) {{ return x; }} }}");
+    let router =
+        Router::start(cfg, vec![ClassSpec::soap(name.clone(), source)]).expect("router start");
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    let class = router.class(&name).expect("class");
+    let f = class.find_method("f").expect("f");
+    class.rename_method(f, "g").expect("rename");
+    let url = router.wsdl_url(&name);
+    let http = httpd::HttpClient::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let held = loop {
+        let resp = http.get(&url).expect("front GET");
+        let version = resp.headers().get("X-Interface-Version");
+        if resp.status() == 200 && version == Some(&class.interface_version().to_string()) {
+            break resp;
+        }
+        assert!(Instant::now() < deadline, "the rename was never published");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(held.body_str().contains("\"g\""), "{}", held.body_str());
+    let etag = held.headers().get("ETag").expect("ETag").to_string();
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    router.kill_shard(router.shard_of(&name));
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while router.last_failover().is_none() || router.class(&name).is_none() {
+        assert!(Instant::now() < deadline, "no failover");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut req = httpd::Request::get(format!("/{name}.wsdl"));
+    req.headers_mut().set("If-None-Match", &etag);
+    let resp = loop {
+        let resp = http
+            .connect(&url)
+            .expect("connect")
+            .send(&req)
+            .expect("revalidate");
+        if resp.status() != 503 {
+            break resp;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the front never served the promoted class"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        resp.status(),
+        200,
+        "a 304 would confirm the pre-crash interface"
+    );
+    let served = soap::WsdlDocument::parse(&resp.body_str()).expect("WSDL");
+    let promoted = router.class(&name).expect("promoted class");
+    let expected: Vec<_> = promoted
+        .distributed_signatures()
+        .iter()
+        .map(soap::WsdlOperation::from_signature)
+        .collect();
+    assert_eq!(served.operations, expected);
+
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
