@@ -4,9 +4,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jpie::{ClassHandle, JpieDebugger, MethodBuilder, TypeDesc, Value};
+use jpie::{ClassHandle, JpieDebugger, MethodBuilder, Value};
 
 use crate::error::CallError;
+use crate::refresh::Input;
 use crate::resilience::{breaker_for, Backoff, ResiliencePolicy};
 use crate::stub::DynamicStub;
 
@@ -143,15 +144,8 @@ impl ClientEnvironment {
     }
 
     /// Invokes a remote method with the full §6 client-side protocol
-    /// under the environment's resilience policy.
-    ///
-    /// The call is treated as non-idempotent: transport failures are not
-    /// retried (the request may have executed) unless the server has
-    /// advertised a reply cache — in which case the retry redelivers the
-    /// same call id and a duplicate is served from the cache instead of
-    /// re-executing. 503 load-shed responses are retried regardless (the
-    /// request never reached the SOAP engine), and the per-authority
-    /// circuit breaker applies.
+    /// under the environment's resilience policy, as a non-idempotent
+    /// call (see [`ClientEnvironment::call_with`] for what is retried).
     ///
     /// # Errors
     ///
@@ -196,10 +190,11 @@ impl ClientEnvironment {
     /// are likewise retried under an advertised cache: the request may
     /// have executed, and the redelivery fetches the stored reply. 503
     /// load-shed responses are retried regardless (honoring the server's
-    /// `Retry-After` hint over the backoff schedule). Consecutive
-    /// transport failures trip the authority's circuit breaker, after
-    /// which calls fail fast with [`CallError::CircuitOpen`] until a
-    /// half-open probe succeeds.
+    /// `Retry-After` hint over the backoff schedule). From the second
+    /// transport failure on, the interface documents are refetched
+    /// before the retry. Consecutive transport failures trip the
+    /// authority's circuit breaker, after which calls fail fast with
+    /// [`CallError::CircuitOpen`] until a half-open probe succeeds.
     ///
     /// # Errors
     ///
@@ -263,20 +258,14 @@ impl ClientEnvironment {
                         root.fail("transport");
                         return Err(CallError::Transport(m));
                     }
-                    if attempt >= 2 {
-                        // Two consecutive transport failures suggest the
-                        // endpoint is gone, not merely flaky — and a
-                        // sharded deployment answers exactly that case
-                        // by republishing the interface documents at a
-                        // promoted authority. Refetch before retrying so
-                        // the next attempt targets wherever the class
-                        // lives *now*; if the documents are unchanged
-                        // this is one cheap 304.
-                        if stub.refresh().is_ok() {
-                            obs::registry()
-                                .counter("cde_failover_refetches_total")
-                                .inc();
-                        }
+                    // From the second failure on, the refresh machine
+                    // refetches before the retry, so the next attempt
+                    // targets wherever the class lives *now*; unchanged
+                    // documents cost one 304.
+                    if let Some(Ok(())) = stub.settle(Input::TransportFailed(attempt)) {
+                        obs::registry()
+                            .counter("cde_failover_refetches_total")
+                            .inc();
                     }
                     backoff.next_delay()
                 }
@@ -355,7 +344,7 @@ impl ClientEnvironment {
                 // §6: update the client view to the currently published
                 // interface *before* surfacing the exception.
                 obs::registry().counter("cde_stale_recoveries_total").inc();
-                let _ = stub.refresh();
+                let _ = stub.settle(Input::Stale);
                 let retry_stub = stub.clone();
                 let retry_method = m.clone();
                 let retry_args = args.to_vec();
@@ -408,12 +397,9 @@ impl ClientEnvironment {
                     removed += 1;
                 }
                 Some(op) => {
-                    let local_params: Vec<(String, TypeDesc)> = sig
-                        .params
-                        .iter()
-                        .map(|(_, n, t)| (n.clone(), t.clone()))
-                        .collect();
-                    if local_params != op.params || sig.return_ty != op.return_ty {
+                    let local = sig.params.iter().map(|(_, n, t)| (n, t));
+                    let remote = op.params.iter().map(|(n, t)| (n, t));
+                    if !local.eq(remote) || sig.return_ty != op.return_ty {
                         let _ = class.remove_method(sig.id);
                         self.add_forwarding_method(class, stub, op);
                         mutated += 1;

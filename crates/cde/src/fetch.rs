@@ -1,15 +1,16 @@
 //! Conditional, keep-alive document fetching for client stubs.
 //!
 //! The Interface Server serves every document with an `ETag` made of
-//! the interface version and a digest of the document body. The fetcher remembers the validator per
-//! URL and sends `If-None-Match` on every re-fetch, so the steady state
+//! the interface version and a digest of the document body. The fetcher
+//! remembers the validator per URL and sends `If-None-Match` on every
+//! re-fetch, so the steady state
 //! of [`crate::InterfaceWatcher`] polling is a handful of header bytes
 //! and a `304 Not Modified` — no document re-download, no re-parse.
 //! Keep-alive connections are parked in an [`httpd::ConnectionPool`]
 //! per authority and reused across fetches instead of a fresh TCP/mem
 //! handshake per poll.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,11 +45,9 @@ pub(crate) struct DocFetcher {
     /// stale-connection retry handled by the pool.
     pool: ConnectionPool,
     policy: Arc<ResiliencePolicy>,
-    /// Last `ETag` seen per URL.
-    etags: Mutex<HashMap<String, String>>,
-    /// URLs fetched successfully at least once — eligible for stale
-    /// serving while the authority's breaker is open.
-    seen: Mutex<HashSet<String>>,
+    /// The last `ETag` per URL fetched successfully at least once: such
+    /// a URL is served stale while the authority's breaker is open.
+    validators: Mutex<HashMap<String, Option<String>>>,
 }
 
 impl DocFetcher {
@@ -62,8 +61,7 @@ impl DocFetcher {
             pool: ConnectionPool::new(HttpClient::new().with_read_timeout(policy.request_timeout))
                 .with_max_idle(1),
             policy,
-            etags: Mutex::new(HashMap::new()),
-            seen: Mutex::new(HashSet::new()),
+            validators: Mutex::new(HashMap::new()),
         }
     }
 
@@ -83,7 +81,7 @@ impl DocFetcher {
         loop {
             attempt += 1;
             if !breaker.try_acquire() {
-                if self.seen.lock().contains(url) {
+                if self.validators.lock().contains_key(url) {
                     obs::registry().counter("cde_stale_served_total").inc();
                     return Ok(Fetched::Stale);
                 }
@@ -92,7 +90,7 @@ impl DocFetcher {
                 )));
             }
             let mut req = Request::get(path.clone());
-            if let Some(etag) = self.etags.lock().get(url) {
+            if let Some(Some(etag)) = self.validators.lock().get(url) {
                 req.headers_mut().set("If-None-Match", etag);
             }
             let outcome = self.pool.send(&authority, &req);
@@ -100,22 +98,14 @@ impl DocFetcher {
                 Ok(resp) => match resp.status() {
                     200 => {
                         breaker.on_success();
-                        let mut etags = self.etags.lock();
-                        match resp.headers().get("ETag") {
-                            Some(etag) => {
-                                etags.insert(url.to_string(), etag.to_string());
-                            }
-                            None => {
-                                etags.remove(url);
-                            }
-                        }
-                        self.seen.lock().insert(url.to_string());
+                        let etag = resp.headers().get("ETag").map(str::to_string);
+                        self.validators.lock().insert(url.to_string(), etag);
                         obs::registry().counter("cde_fetch_full_total").inc();
                         return Ok(Fetched::New(resp.body_str().into_owned()));
                     }
+                    // Answers the validator `url` already holds.
                     304 => {
                         breaker.on_success();
-                        self.seen.lock().insert(url.to_string());
                         obs::registry()
                             .counter("cde_fetch_not_modified_total")
                             .inc();
@@ -156,12 +146,14 @@ impl DocFetcher {
     /// re-download. Used when a downloaded document fails to parse: the
     /// validator must not outlive state that was never applied.
     pub(crate) fn invalidate(&self, url: &str) {
-        self.etags.lock().remove(url);
+        if let Some(etag) = self.validators.lock().get_mut(url) {
+            *etag = None;
+        }
     }
 }
 
 /// Splits `scheme://authority/path` into (`scheme://authority`, `/path`).
-fn split_authority(url: &str) -> (String, String) {
+pub(crate) fn split_authority(url: &str) -> (String, String) {
     if let Some(scheme_end) = url.find("://") {
         let rest = &url[scheme_end + 3..];
         if let Some(slash) = rest.find('/') {

@@ -37,6 +37,7 @@
 mod client;
 mod error;
 mod fetch;
+pub mod refresh;
 mod resilience;
 mod stub;
 mod watch;

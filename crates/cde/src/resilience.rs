@@ -139,27 +139,18 @@ impl Backoff {
     }
 }
 
-/// Circuit-breaker states (the classic three-state machine).
+/// Circuit-breaker states (the classic three-state machine). The
+/// discriminant is the `breaker_state` gauge's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation; failures are counted.
-    Closed,
+    Closed = 0,
     /// Tripped: calls fail fast (or serve stale documents) until the
     /// cooldown elapses.
-    Open,
+    Open = 1,
     /// One probe is in flight; its outcome closes or re-opens the
     /// breaker.
-    HalfOpen,
-}
-
-impl BreakerState {
-    fn gauge_value(self) -> i64 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        }
-    }
+    HalfOpen = 2,
 }
 
 #[derive(Debug)]
@@ -283,7 +274,7 @@ impl CircuitBreaker {
 
     fn transition(&self, inner: &mut BreakerInner, to: BreakerState) {
         inner.state = to;
-        self.state_gauge.set(to.gauge_value());
+        self.state_gauge.set(to as i64);
     }
 }
 

@@ -11,7 +11,8 @@ use obs::sync::{Mutex, RwLock};
 use soap::{SoapFault, SoapResponse, WsdlDocument};
 
 use crate::error::CallError;
-use crate::fetch::{DocFetcher, Fetched};
+use crate::fetch::{split_authority, DocFetcher, Fetched};
+use crate::refresh::{Input, Output, Refresh};
 use crate::resilience::ResiliencePolicy;
 
 /// One remote operation as the client currently sees it.
@@ -31,7 +32,11 @@ struct InterfaceView {
     operations: Vec<Operation>,
     /// Per operation, built with the view so that a call clones nothing.
     keys: Vec<CallKeys>,
-    version: u64,
+    /// The SOAP target namespace (empty in a CORBA view).
+    namespace: String,
+    /// Decides which fetched documents replace this view; its version is
+    /// the view's.
+    refresh: Refresh,
 }
 
 /// What a call needs of an operation besides its signature.
@@ -44,20 +49,20 @@ struct CallKeys {
 }
 
 impl InterfaceView {
+    /// Replaces the operations once [`Refresh`] ordered an install.
     /// `namespace` is the SOAP target namespace (`None` for CORBA).
-    fn new(operations: Vec<Operation>, version: u64, namespace: Option<&str>) -> InterfaceView {
-        let keys = operations
+    fn install(&mut self, operations: Vec<Operation>, namespace: Option<String>) {
+        self.keys = operations
             .iter()
             .map(|o| CallKeys {
                 name: Arc::from(o.name.as_str()),
-                soap_action: namespace.map_or_else(String::new, |ns| soap_action(ns, &o.name)),
+                soap_action: namespace
+                    .as_deref()
+                    .map_or_else(String::new, |ns| soap_action(ns, &o.name)),
             })
             .collect();
-        InterfaceView {
-            operations,
-            keys,
-            version,
-        }
+        self.operations = operations;
+        self.namespace = namespace.unwrap_or_default();
     }
 }
 
@@ -80,7 +85,6 @@ struct SoapRoute {
 enum Backend {
     Soap {
         wsdl_url: String,
-        namespace: RwLock<String>,
         route: RwLock<SoapRoute>,
     },
     Corba {
@@ -149,23 +153,15 @@ impl DynamicStub {
         wsdl_url: &str,
         policy: Arc<ResiliencePolicy>,
     ) -> Result<DynamicStub, CallError> {
-        let stub = DynamicStub {
-            backend: Backend::Soap {
-                wsdl_url: wsdl_url.to_string(),
-                namespace: RwLock::new(String::new()),
-                route: RwLock::new(SoapRoute {
-                    authority: Arc::from(""),
-                    path: Arc::from("/"),
-                }),
-            },
-            view: RwLock::new(InterfaceView::default()),
-            pool: ConnectionPool::new(HttpClient::new().with_read_timeout(policy.request_timeout)),
-            fetcher: DocFetcher::with_policy(policy.clone()),
-            policy,
-            server_caches: AtomicBool::new(false),
+        let route = SoapRoute {
+            authority: Arc::from(""),
+            path: Arc::from("/"),
         };
-        stub.refresh()?;
-        Ok(stub)
+        let backend = Backend::Soap {
+            wsdl_url: wsdl_url.to_string(),
+            route: RwLock::new(route),
+        };
+        DynamicStub::connect(backend, policy)
     }
 
     /// Builds a CORBA stub from the published CORBA-IDL and IOR documents
@@ -189,14 +185,20 @@ impl DynamicStub {
         ior_url: &str,
         policy: Arc<ResiliencePolicy>,
     ) -> Result<DynamicStub, CallError> {
+        let backend = Backend::Corba {
+            idl_url: idl_url.to_string(),
+            ior_url: ior_url.to_string(),
+            ior: RwLock::new(None),
+            authority: RwLock::new(split_authority(ior_url).0.into()),
+            conn: Mutex::new(None),
+        };
+        DynamicStub::connect(backend, policy)
+    }
+
+    /// A stub over `backend`, with its first view fetched.
+    fn connect(backend: Backend, policy: Arc<ResiliencePolicy>) -> Result<DynamicStub, CallError> {
         let stub = DynamicStub {
-            backend: Backend::Corba {
-                idl_url: idl_url.to_string(),
-                ior_url: ior_url.to_string(),
-                ior: RwLock::new(None),
-                authority: RwLock::new(split_authority(ior_url).0.into()),
-                conn: Mutex::new(None),
-            },
+            backend,
             view: RwLock::new(InterfaceView::default()),
             pool: ConnectionPool::new(HttpClient::new().with_read_timeout(policy.request_timeout)),
             fetcher: DocFetcher::with_policy(policy.clone()),
@@ -209,28 +211,44 @@ impl DynamicStub {
 
     /// Re-fetches the published interface description and replaces the
     /// client view (the §6 "client view ... is updated to the currently
-    /// published one").
+    /// published one") unless a newer view was installed meanwhile.
     ///
     /// # Errors
     ///
     /// Fails if the document cannot be fetched or parsed; the old view is
     /// kept in that case.
     pub fn refresh(&self) -> Result<(), CallError> {
+        self.settle(Input::Refresh).unwrap_or(Ok(()))
+    }
+
+    /// Tells the refresh machine `input` and runs the fetch it asks for;
+    /// `None` when it asks for none.
+    pub(crate) fn settle(&self, input: Input) -> Option<Result<(), CallError>> {
+        let Some(Output::Fetch(ticket)) = self.view.write().refresh.step(input) else {
+            return None;
+        };
         obs::registry().counter("cde_refreshes_total").inc();
-        let refreshed = self.refresh_inner();
+        let refreshed = self.fetch_view(ticket);
         if refreshed.is_err() {
             obs::registry().counter("cde_refresh_failures_total").inc();
         }
-        refreshed
+        Some(refreshed)
     }
 
-    fn refresh_inner(&self) -> Result<(), CallError> {
+    /// The view's version when it moved from `last`, the version a
+    /// watcher last reported.
+    pub(crate) fn tick(&self, last: u64) -> Option<u64> {
+        match self.view.write().refresh.step(Input::Tick(last)) {
+            Some(Output::Update(version)) => Some(version),
+            _ => None,
+        }
+    }
+
+    /// Fetches the documents for the fetch issued as `ticket` and installs
+    /// what the refresh machine lets through.
+    fn fetch_view(&self, ticket: u64) -> Result<(), CallError> {
         match &self.backend {
-            Backend::Soap {
-                wsdl_url,
-                namespace,
-                route,
-            } => {
+            Backend::Soap { wsdl_url, route } => {
                 // 304: the parsed view already reflects the published
                 // document — skip the re-parse entirely. Stale: the
                 // authority's breaker is open, keep the cached view.
@@ -238,38 +256,27 @@ impl DynamicStub {
                     Fetched::NotModified | Fetched::Stale => return Ok(()),
                     Fetched::New(body) => body,
                 };
-                let doc = WsdlDocument::parse(&body).map_err(|e| {
-                    // The validator must not outlive a document that was
-                    // never applied to the view.
-                    self.fetcher.invalidate(wsdl_url);
-                    CallError::Interface(e.to_string())
-                })?;
+                let doc = WsdlDocument::parse(&body).map_err(|e| self.unapplied(wsdl_url, e))?;
+                let namespace = doc.namespace();
                 let (authority, path) = split_authority(&doc.endpoint);
-                {
+                let operations = doc.operations.into_iter().map(|o| Operation {
+                    name: o.name,
+                    params: o.params,
+                    return_ty: o.return_ty,
+                });
+                self.install(wsdl_url, ticket, doc.version, |view| {
                     let mut route = route.write();
-                    if &*route.authority != authority.as_str() {
-                        // The endpoint moved: idle connections to the
-                        // old authority can never serve it again.
+                    if *route.authority != authority {
+                        // The endpoint moved: idle connections to the old
+                        // authority can never serve it again.
                         self.pool.purge(&route.authority);
                     }
                     *route = SoapRoute {
                         authority: authority.into(),
                         path: path.into(),
                     };
-                }
-                let ns = doc.namespace();
-                let operations = doc
-                    .operations
-                    .iter()
-                    .map(|o| Operation {
-                        name: o.name.clone(),
-                        params: o.params.clone(),
-                        return_ty: o.return_ty.clone(),
-                    })
-                    .collect();
-                let view = InterfaceView::new(operations, doc.version, Some(&ns));
-                *namespace.write() = ns;
-                *self.view.write() = view;
+                    view.install(operations.collect(), Some(namespace));
+                });
             }
             Backend::Corba {
                 idl_url,
@@ -281,31 +288,22 @@ impl DynamicStub {
                 // The IDL and the IOR revalidate independently: an
                 // unchanged document costs a 304, not a re-parse.
                 if let Fetched::New(idl_body) = self.fetch(idl_url)? {
-                    let module = IdlModule::parse(&idl_body).map_err(|e| {
-                        self.fetcher.invalidate(idl_url);
-                        CallError::Interface(e.to_string())
-                    })?;
-                    let operations = module
-                        .primary_interface()
-                        .map(|iface| {
-                            iface
-                                .operations
-                                .iter()
-                                .map(|o| Operation {
-                                    name: o.name.clone(),
-                                    params: o.params.clone(),
-                                    return_ty: o.return_ty.clone(),
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    *self.view.write() = InterfaceView::new(operations, module.version, None);
+                    let module =
+                        IdlModule::parse(&idl_body).map_err(|e| self.unapplied(idl_url, e))?;
+                    let iface = module.interfaces.into_iter().next();
+                    let operations = iface.into_iter().flat_map(|i| i.operations);
+                    let operations = operations.map(|o| Operation {
+                        name: o.name,
+                        params: o.params,
+                        return_ty: o.return_ty,
+                    });
+                    self.install(idl_url, ticket, module.version, |view| {
+                        view.install(operations.collect(), None);
+                    });
                 }
                 if let Fetched::New(ior_body) = self.fetch(ior_url)? {
-                    let parsed_ior = Ior::parse(&ior_body).map_err(|e| {
-                        self.fetcher.invalidate(ior_url);
-                        CallError::Interface(e.to_string())
-                    })?;
+                    let parsed_ior =
+                        Ior::parse(&ior_body).map_err(|e| self.unapplied(ior_url, e))?;
                     *authority.write() = Arc::from(parsed_ior.address.as_str());
                     *ior.write() = Some(Arc::new(parsed_ior));
                     // A connection cached against the old IOR may point
@@ -315,6 +313,32 @@ impl DynamicStub {
             }
         }
         Ok(())
+    }
+
+    /// Tells the refresh machine that the fetch issued with `ticket`
+    /// returned `url`'s document at `version`, and under the same write
+    /// lock runs `install` if the machine lets the document in.
+    fn install(
+        &self,
+        url: &str,
+        ticket: u64,
+        version: u64,
+        install: impl FnOnce(&mut InterfaceView),
+    ) {
+        let mut view = self.view.write();
+        if view.refresh.step(Input::Fetched { ticket, version }) == Some(Output::Install) {
+            install(&mut view);
+        } else {
+            drop(view);
+            self.fetcher.invalidate(url);
+        }
+    }
+
+    /// A document that was never applied to the view: its validator must
+    /// not outlive it.
+    fn unapplied(&self, url: &str, e: impl std::fmt::Display) -> CallError {
+        self.fetcher.invalidate(url);
+        CallError::Interface(e.to_string())
     }
 
     fn fetch(&self, url: &str) -> Result<Fetched, CallError> {
@@ -349,7 +373,7 @@ impl DynamicStub {
     /// The interface version of the client's current view — the quantity
     /// the §6 recency guarantee is stated over.
     pub fn interface_version(&self) -> u64 {
-        self.view.read().version
+        self.view.read().refresh.view()
     }
 
     /// The authority (`scheme://host`) that calls are routed to — the key
@@ -412,9 +436,7 @@ impl DynamicStub {
         call_id: Option<obs::CallId>,
     ) -> Result<Value, CallError> {
         match &self.backend {
-            Backend::Soap {
-                namespace, route, ..
-            } => {
+            Backend::Soap { route, .. } => {
                 thread_local! {
                     /// Per-thread SOAP encode buffer, recycled through
                     /// the request body and back: a warm call encodes
@@ -430,46 +452,30 @@ impl DynamicStub {
                 {
                     // Parameter names come from the client's current
                     // view — exactly what a live client knows.
-                    let ns = namespace.read();
                     let view = self.view.read();
+                    let ns = view.namespace.as_str();
                     let at = view.operations.iter().position(|o| o.name == method);
-                    match at.map(|i| &view.operations[i]) {
-                        Some(op) if op.params.len() >= args.len() => {
-                            soap::encode_request_traced_into(
-                                &ns,
-                                method,
-                                op.params.iter().map(|(n, _)| n.as_str()).zip(args),
-                                call_id,
-                                trace,
-                                &mut body,
-                            );
-                        }
-                        op => {
-                            // The view names fewer parameters than were
-                            // passed (or the method is unknown): fall
-                            // back to positional names.
-                            let names: Vec<String> =
-                                (0..args.len()).map(|i| format!("arg{i}")).collect();
-                            soap::encode_request_traced_into(
-                                &ns,
-                                method,
-                                args.iter().enumerate().map(|(i, v)| {
-                                    let name = op
-                                        .and_then(|o| o.params.get(i))
-                                        .map_or(names[i].as_str(), |(n, _)| n.as_str());
-                                    (name, v)
-                                }),
-                                call_id,
-                                trace,
-                                &mut body,
-                            );
-                        }
-                    }
+                    let params = at.map_or(&[][..], |i| &view.operations[i].params[..]);
+                    // Arguments the view names no parameter for (or all,
+                    // if the method is unknown) go by position.
+                    let positional: Vec<String> = (params.len()..args.len())
+                        .map(|i| format!("arg{i}"))
+                        .collect();
+                    let names = params.iter().map(|(n, _)| n.as_str());
+                    let names = names.chain(positional.iter().map(String::as_str));
+                    soap::encode_request_traced_into(
+                        ns,
+                        method,
+                        names.zip(args),
+                        call_id,
+                        trace,
+                        &mut body,
+                    );
                     http_req = httpd::Request::post(&*route.path, body, "text/xml");
                     let headers = http_req.headers_mut();
                     match at {
                         Some(i) => headers.set("SOAPAction", &view.keys[i].soap_action),
-                        None => headers.set("SOAPAction", soap_action(&ns, method)),
+                        None => headers.set("SOAPAction", soap_action(ns, method)),
                     };
                 }
                 let sent = self.pool.send(&route.authority, &http_req);
@@ -572,20 +578,6 @@ impl DynamicStub {
     }
 }
 
-/// Splits `scheme://authority/path` into (`scheme://authority`, `/path`).
-fn split_authority(url: &str) -> (String, String) {
-    if let Some(scheme_end) = url.find("://") {
-        let rest = &url[scheme_end + 3..];
-        if let Some(slash) = rest.find('/') {
-            return (
-                url[..scheme_end + 3 + slash].to_string(),
-                rest[slash..].to_string(),
-            );
-        }
-    }
-    (url.to_string(), "/".to_string())
-}
-
 fn fault_to_error(method: &str, fault: &SoapFault) -> CallError {
     if fault.is_non_existent_method() {
         CallError::StaleMethod {
@@ -684,5 +676,133 @@ mod tests {
     #[test]
     fn from_wsdl_fails_on_missing_document() {
         assert!(DynamicStub::from_wsdl("mem://not-bound/x.wsdl").is_err());
+    }
+
+    /// A server for `path` that answers `v1` to request 0, holds request 1
+    /// until `release` fires and then answers `v1` as well, and answers
+    /// `v2` to every later request (`304` to a matching `If-None-Match`).
+    /// Every other path gets `other`. `held` fires when request 1 arrives.
+    struct Scripted {
+        server: httpd::HttpServer,
+        held: std::sync::mpsc::Receiver<()>,
+        release: std::sync::mpsc::Sender<()>,
+    }
+
+    fn scripted(name: &str, path: &'static str, v1: String, v2: String, other: String) -> Scripted {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc::channel;
+        let (held_tx, held) = channel();
+        let (release, release_rx) = channel();
+        let (held_tx, release_rx) = (Mutex::new(held_tx), Mutex::new(release_rx));
+        let requests = AtomicUsize::new(0);
+        let server =
+            httpd::HttpServer::bind(&format!("mem://{name}"), move |req: &httpd::Request| {
+                let answer = |body: &str, etag: &str| {
+                    let mut resp = httpd::Response::ok(body.as_bytes().to_vec(), "text/xml");
+                    resp.headers_mut().set("ETag", etag);
+                    resp
+                };
+                if req.path() != path {
+                    return answer(&other, "\"other\"");
+                }
+                match requests.fetch_add(1, Ordering::SeqCst) {
+                    0 => answer(&v1, "\"v1\""),
+                    1 => {
+                        held_tx.lock().send(()).unwrap();
+                        release_rx.lock().recv().unwrap();
+                        answer(&v1, "\"v1\"")
+                    }
+                    _ if req.headers().get("If-None-Match") == Some("\"v2\"") => {
+                        httpd::Response::new(httpd::Status::NOT_MODIFIED, Vec::new(), "text/xml")
+                    }
+                    _ => answer(&v2, "\"v2\""),
+                }
+            })
+            .unwrap();
+        Scripted {
+            server,
+            held,
+            release,
+        }
+    }
+
+    /// A refresh issued first and answered last (the watcher's, say)
+    /// must not undo the newer view a second refresh installed.
+    fn race(stub: DynamicStub, script: &Scripted) {
+        let stub = Arc::new(stub);
+        let late = {
+            let stub = stub.clone();
+            std::thread::spawn(move || stub.refresh())
+        };
+        script.held.recv().unwrap();
+        stub.refresh().unwrap();
+        assert_eq!(stub.interface_version(), 2);
+        script.release.send(()).unwrap();
+        late.join().unwrap().unwrap();
+        assert_eq!(
+            stub.interface_version(),
+            2,
+            "the late answer rolled the view back"
+        );
+        assert!(stub.operation("g").is_some() && stub.operation("f").is_none());
+        // Its validator went with it: the next refresh revalidates v2.
+        stub.refresh().unwrap();
+        assert_eq!(stub.interface_version(), 2);
+    }
+
+    #[test]
+    fn a_refresh_answered_late_keeps_the_newer_wsdl_view() {
+        let wsdl = |version, name: &str| {
+            let op = soap::WsdlOperation {
+                name: name.into(),
+                params: Vec::new(),
+                return_ty: TypeDesc::Int,
+            };
+            WsdlDocument {
+                service_name: "Race".into(),
+                endpoint: "mem://stub-race-soap-endpoint/Race".into(),
+                operations: vec![op],
+                version,
+            }
+            .to_xml()
+        };
+        let path = "/Race.wsdl";
+        let script = scripted(
+            "stub-race-soap",
+            path,
+            wsdl(1, "f"),
+            wsdl(2, "g"),
+            String::new(),
+        );
+        let url = format!("{}{path}", script.server.base_url());
+        race(DynamicStub::from_wsdl(&url).unwrap(), &script);
+    }
+
+    #[test]
+    fn a_refresh_answered_late_keeps_the_newer_idl_view() {
+        let idl = |version, name: &str| {
+            let op = corba::IdlOperation {
+                name: name.into(),
+                params: Vec::new(),
+                return_ty: TypeDesc::Int,
+            };
+            let iface = corba::IdlInterface {
+                name: "Race".into(),
+                operations: vec![op],
+            };
+            IdlModule {
+                name: "Race".into(),
+                interfaces: vec![iface],
+                version,
+            }
+            .to_idl()
+        };
+        let ior = Ior::new("IDL:Race:1.0", "mem://stub-race-orb", b"Race".to_vec());
+        let path = "/Race.idl";
+        let (v1, v2) = (idl(1, "f"), idl(2, "g"));
+        let script = scripted("stub-race-corba", path, v1, v2, ior.to_ior_string());
+        let base = script.server.base_url();
+        let stub = DynamicStub::from_idl(&format!("{base}{path}"), &format!("{base}/Race.ior"));
+        race(stub.unwrap(), &script);
     }
 }

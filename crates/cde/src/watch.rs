@@ -8,8 +8,7 @@
 //! version advances, refreshes the stub (and optionally reconciles a
 //! bound dynamic class).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -22,7 +21,8 @@ use crate::stub::DynamicStub;
 /// A running interface watcher. Dropping it stops the background thread.
 #[derive(Debug)]
 pub struct InterfaceWatcher {
-    stop: Arc<AtomicBool>,
+    /// Dropped to stop the thread, which waits on it between polls.
+    stop: Option<Sender<()>>,
     thread: Option<JoinHandle<()>>,
     updates: Receiver<u64>,
 }
@@ -30,13 +30,7 @@ pub struct InterfaceWatcher {
 impl InterfaceWatcher {
     /// Drains the versions observed since the last call (oldest first).
     pub fn updates(&self) -> Vec<u64> {
-        let mut versions = Vec::new();
-        loop {
-            match self.updates.try_recv() {
-                Ok(v) => versions.push(v),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return versions,
-            }
-        }
+        self.updates.try_iter().collect()
     }
 
     /// Blocks until the next version change (or timeout).
@@ -44,22 +38,16 @@ impl InterfaceWatcher {
         self.updates.recv_timeout(timeout).ok()
     }
 
-    /// Stops the watcher and joins its thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stops the watcher and joins its thread, as dropping it does.
+    pub fn stop(self) {}
 }
 
 impl Drop for InterfaceWatcher {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop = None;
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -74,9 +62,8 @@ impl ClientEnvironment {
         interval: Duration,
         bound: Option<ClassHandle>,
     ) -> InterfaceWatcher {
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = channel::<()>();
         let (tx, rx) = channel();
-        let thread_stop = stop.clone();
         let env = self.clone();
         let thread = std::thread::Builder::new()
             .name("cde-interface-watcher".into())
@@ -84,38 +71,56 @@ impl ClientEnvironment {
                 let polls = obs::registry().counter("cde_watch_polls_total");
                 let updates = obs::registry().counter("cde_watch_updates_total");
                 let mut last = stub.interface_version();
-                while !thread_stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(interval);
-                    if thread_stop.load(Ordering::SeqCst) {
-                        return;
-                    }
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     polls.inc();
-                    if stub.refresh().is_err() {
-                        continue; // transient fetch failure: keep watching
+                    // A transient fetch failure, or nothing new: keep
+                    // watching.
+                    let Some(version) = stub.refresh().ok().and_then(|()| stub.tick(last)) else {
+                        continue;
+                    };
+                    last = version;
+                    updates.inc();
+                    obs::events::note(
+                        "cde::watch",
+                        "interface-update",
+                        format!("version={version}"),
+                    );
+                    if let Some(class) = &bound {
+                        env.sync_bound_class(class, &stub);
                     }
-                    let version = stub.interface_version();
-                    if version != last {
-                        last = version;
-                        updates.inc();
-                        obs::events::note(
-                            "cde::watch",
-                            "interface-update",
-                            format!("version={version}"),
-                        );
-                        if let Some(class) = &bound {
-                            env.sync_bound_class(class, &stub);
-                        }
-                        if tx.send(version).is_err() {
-                            return; // receiver gone
-                        }
+                    if tx.send(version).is_err() {
+                        return; // receiver gone
                     }
                 }
             })
             .expect("spawn watcher thread");
         InterfaceWatcher {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
             updates: rx,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn a_watcher_stops_without_waiting_out_its_interval() {
+        let doc = soap::WsdlDocument::minimal("Idle", "mem://watch-stop-endpoint/Idle").to_xml();
+        let server = httpd::HttpServer::bind("mem://watch-stop", move |_: &httpd::Request| {
+            httpd::Response::ok(doc.as_bytes().to_vec(), "text/xml")
+        })
+        .unwrap();
+        let url = format!("{}/Idle.wsdl", server.base_url());
+        let env = ClientEnvironment::new();
+        let stub = env.connect_soap(&url).unwrap();
+        let watcher = env.watch(stub, Duration::from_secs(2), None);
+        let began = Instant::now();
+        watcher.stop();
+        let took = began.elapsed();
+        assert!(took < Duration::from_millis(500), "stop took {took:?}");
     }
 }

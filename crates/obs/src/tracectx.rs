@@ -577,7 +577,6 @@ struct StoreInner {
     cached_p99_us: u64,
     rng: XorShift64,
     random_sample: f64,
-    slow_factor: f64,
     /// Histogram bucket (ns scale) → most recent retained exemplar
     /// `(trace, root duration ns)`.
     exemplars: HashMap<usize, (u128, u64)>,
@@ -618,7 +617,6 @@ impl SpanStore {
                 cached_p99_us: 0,
                 rng: XorShift64::seed_from_u64(0x7261_6365_5f73_7472), // "race_str"
                 random_sample: DEFAULT_RANDOM_SAMPLE,
-                slow_factor: DEFAULT_SLOW_FACTOR,
                 exemplars: HashMap::new(),
             }),
         }
@@ -645,11 +643,6 @@ impl SpanStore {
     /// for determinism, 0.0 to isolate the rule-based reasons).
     pub fn set_random_sample(&self, p: f64) {
         self.inner.lock().random_sample = p.clamp(0.0, 1.0);
-    }
-
-    /// Sets the slow-trace threshold factor relative to the recent p99.
-    pub fn set_slow_factor(&self, f: f64) {
-        self.inner.lock().slow_factor = f.max(1.0);
     }
 
     /// Drops all state (tests).
@@ -870,7 +863,7 @@ fn retention_reason(
     }
     if g.completions > u64::try_from(DURATION_WINDOW / 2).expect("small const")
         && g.cached_p99_us > 0
-        && (root_duration_us as f64) >= g.slow_factor * g.cached_p99_us as f64
+        && (root_duration_us as f64) >= DEFAULT_SLOW_FACTOR * g.cached_p99_us as f64
     {
         return Some("slow");
     }

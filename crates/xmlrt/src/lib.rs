@@ -8,7 +8,7 @@
 //! * [`escape`] / [`unescape`] — entity escaping for text and attributes
 //!   (plus [`escape_into`] / [`escape_attr_into`] buffer variants), all
 //!   scanning a word at a time and copying clean runs in bulk,
-//! * [`XmlWriter`] — a streaming, optionally pretty-printing writer,
+//! * [`XmlWriter`] — a streaming writer,
 //! * [`XmlBufWriter`] — serialization into a caller-supplied reusable
 //!   `Vec<u8>` for the allocation-free wire path,
 //! * [`XmlPull`] — the one XML reader: a zero-copy pull parser whose

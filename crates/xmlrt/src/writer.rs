@@ -1,4 +1,4 @@
-//! Streaming XML writer with optional pretty-printing.
+//! Streaming XML writer.
 
 use crate::error::XmlError;
 use crate::escape::{escape, escape_attr};
@@ -33,36 +33,18 @@ pub struct XmlWriter {
     /// True while the current open tag has not been closed with `>` yet
     /// (attributes may still be appended).
     tag_open: bool,
-    pretty: bool,
-    /// Set when the element at the top of the stack has child elements
-    /// (used by pretty printing to decide whether to indent the close tag).
-    had_children: Vec<bool>,
-    /// Set when the element at the top of the stack has text content.
-    had_text: Vec<bool>,
     /// Set once a root element has been opened and closed.
     root_done: bool,
 }
 
 impl XmlWriter {
-    /// Creates a compact (single-line) writer.
+    /// Creates a writer; the document comes out on one line.
     pub fn new() -> Self {
         XmlWriter {
             out: String::new(),
             stack: Vec::new(),
             tag_open: false,
-            pretty: false,
-            had_children: Vec::new(),
-            had_text: Vec::new(),
             root_done: false,
-        }
-    }
-
-    /// Creates a pretty-printing writer indenting nested elements by two
-    /// spaces. Text-only elements stay on one line.
-    pub fn pretty() -> Self {
-        XmlWriter {
-            pretty: true,
-            ..XmlWriter::new()
         }
     }
 
@@ -78,9 +60,6 @@ impl XmlWriter {
         }
         self.out
             .push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-        if self.pretty {
-            self.out.push('\n');
-        }
         Ok(())
     }
 
@@ -88,17 +67,6 @@ impl XmlWriter {
         if self.tag_open {
             self.out.push('>');
             self.tag_open = false;
-        }
-    }
-
-    fn indent(&mut self) {
-        if self.pretty && !self.out.is_empty() && !self.out.ends_with('\n') {
-            self.out.push('\n');
-        }
-        if self.pretty {
-            for _ in 0..self.stack.len() {
-                self.out.push_str("  ");
-            }
         }
     }
 
@@ -114,15 +82,9 @@ impl XmlWriter {
             return Err(XmlError::writer("document may have only one root element"));
         }
         self.close_pending_tag();
-        if let Some(flag) = self.had_children.last_mut() {
-            *flag = true;
-        }
-        self.indent();
         self.out.push('<');
         self.out.push_str(name);
         self.stack.push(name.to_string());
-        self.had_children.push(false);
-        self.had_text.push(false);
         self.tag_open = true;
         Ok(())
     }
@@ -157,9 +119,6 @@ impl XmlWriter {
             return Err(XmlError::writer("text outside of root element"));
         }
         self.close_pending_tag();
-        if let Some(flag) = self.had_text.last_mut() {
-            *flag = true;
-        }
         self.out.push_str(&escape(content));
         Ok(())
     }
@@ -168,10 +127,6 @@ impl XmlWriter {
     /// `- -` to keep the document well-formed.
     pub fn comment(&mut self, body: &str) -> Result<(), XmlError> {
         self.close_pending_tag();
-        if let Some(flag) = self.had_children.last_mut() {
-            *flag = true;
-        }
-        self.indent();
         self.out.push_str("<!--");
         self.out.push_str(&body.replace("--", "- -"));
         self.out.push_str("-->");
@@ -188,8 +143,6 @@ impl XmlWriter {
             .stack
             .pop()
             .ok_or_else(|| XmlError::writer("end_elem() with no open element"))?;
-        let had_children = self.had_children.pop().unwrap_or(false);
-        let had_text = self.had_text.pop().unwrap_or(false);
         if self.tag_open {
             // No content at all: use the empty-element form.
             self.out.push_str("/>");
@@ -198,9 +151,6 @@ impl XmlWriter {
                 self.root_done = true;
             }
             return Ok(());
-        }
-        if self.pretty && had_children && !had_text {
-            self.indent();
         }
         self.out.push_str("</");
         self.out.push_str(&name);
@@ -329,17 +279,6 @@ mod tests {
         w.begin_elem("a").unwrap();
         w.end_elem().unwrap();
         assert!(w.finish().starts_with("<?xml"));
-    }
-
-    #[test]
-    fn pretty_printing_indents_children() {
-        let mut w = XmlWriter::pretty();
-        w.begin_elem("root").unwrap();
-        w.begin_elem("child").unwrap();
-        w.text("v").unwrap();
-        w.end_elem().unwrap();
-        w.end_elem().unwrap();
-        assert_eq!(w.finish(), "<root>\n  <child>v</child>\n</root>");
     }
 
     #[test]

@@ -17,26 +17,29 @@
 //! * the gateway: a call is matched against the class as it is; a stale
 //!   one waits in `ensure_current` until the machine settles, and calls
 //!   that match run on meanwhile (there is no stall lock);
-//! * two CDE clients: `A` makes one call with the interface it holds;
-//!   client 1, a rogue repeater, calls the renamed method twice. A reply is
-//!   received, and with reactive publication on, a stale one refreshes
-//!   the client's view before it surfaces (§6);
-//! * at most once each: `A`'s background watcher refreshing its view, the
-//!   developer forcing publication, and shutdown.
+//! * two CDE clients running the real `cde::refresh::Refresh`: `A` makes
+//!   one call with the interface it holds; client 1, a rogue repeater,
+//!   calls the renamed method twice. With reactive publication on, a stale
+//!   reply asks the machine for a fetch, which reads the Interface
+//!   Server's document; the error surfaces once the answer has reached
+//!   the machine, which installs or discards it (§6). Only `A` has a
+//!   second fetch to race, so only its answers are steps of their own;
+//! * at most once each: `A`'s background watcher, the developer forcing
+//!   publication, and shutdown.
 //!
-//! Visited states are hashed; the search covers every reachable state.
-//! After every step it checks: on every stale return the refreshed view
-//! carries signatures at least as new as the version the server used
-//! (§6; with reactive publication on, and unless the publisher had
-//! stopped when the reply left); published versions never
-//! decrease; at most one generation is in flight; a stale call to a
-//! publisher whose current document is in the Interface Server, with no
-//! countdown or generation running, causes no generation (§5.7's rogue
-//! claim); no unforced publication carries signatures that did not stay
-//! unchanged over a whole countdown (§5.6: no transients); and in a state
-//! with no step left, no caller is blocked and a running publisher's
-//! document is current. A violation fails the test with a shortest
-//! replayable schedule.
+//! After every step the search (`explore/mod.rs`) checks: on every stale
+//! return the refreshed view carries signatures at least as new as the
+//! version the server used (§6; with reactive publication on, and unless
+//! the publisher had stopped when the reply left); no client's view goes
+//! back to an older version; published versions never decrease; at most
+//! one generation is in flight; a stale call to a publisher whose current
+//! document is in the Interface Server, with no countdown or generation
+//! running, causes no generation (§5.7's rogue claim); no unforced
+//! publication carries signatures that did not stay unchanged over a
+//! whole countdown (§5.6: no transients); and in a state with no step
+//! left, no caller is blocked and a running publisher's document is
+//! current. A violation fails the test with a shortest replayable
+//! schedule.
 //!
 //! A stale call of `A`'s also places its schedule in a cell of the paper's
 //! Figures 7 and 8 by the phase of the call — before it is sent, in
@@ -44,13 +47,17 @@
 //! something happened. Figure 7 (reactive publication off) places the
 //! first publication of the version the call was processed under and the
 //! watcher's refresh; Figure 8 (on) places the developer's forced
-//! publication and the watcher's refresh. A cell is a RACE when some
-//! schedule in it leaves the change invisible at display.
+//! publication and the watcher's refresh, placed where its fetch read the
+//! document if its answer reached the view before display. A cell is a
+//! RACE when some schedule in it leaves the change invisible at display.
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::time::{Duration, Instant};
+mod explore;
 
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use explore::{explore, render, replay, Explorer, Model, DEPTH};
+use live_rmi::cde::refresh::{self, Refresh};
 use live_rmi::sde::publish::{Input, Output, Outputs, Publication, PublicationStrategy};
 
 const STRATEGY: PublicationStrategy = PublicationStrategy::StableTimeout(Duration::from_secs(1));
@@ -59,9 +66,6 @@ const STRATEGY: PublicationStrategy = PublicationStrategy::StableTimeout(Duratio
 const EDITS: [bool; 3] = [true, false, true];
 /// Client `A`; client 1 is the rogue repeater.
 const A: usize = 0;
-/// The bound on a schedule's length. The whole reachable state space
-/// lies within it (the search asserts that it cut nothing off).
-const DEPTH: usize = 64;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Config {
@@ -71,26 +75,36 @@ struct Config {
     torn: bool,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Gen {
+/// A generation in flight: where it is, whether it was forced, the
+/// version the document is labelled with and the version of the
+/// signatures it carries (each 0 until read).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+struct Gen {
+    at: Stage,
+    forced: bool,
+    label: u8,
+    content: u8,
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+enum Stage {
     /// Asked for; the class not yet read.
-    Asked { forced: bool },
+    #[default]
+    Asked,
     /// A torn read: the signatures read, the version not yet.
-    Half { forced: bool, content: u8 },
-    /// The version the document is labelled with and the version of the
-    /// signatures it carries.
-    Read {
-        forced: bool,
-        label: u8,
-        content: u8,
-    },
-    Sinking {
-        forced: bool,
-        label: u8,
-        content: u8,
-    },
+    Half,
+    Read,
+    Sinking,
     /// In the Interface Server; not yet fed back.
     Sunk,
+}
+
+/// A client's fetch in flight: its ticket, and the Interface Server's
+/// document (version label, signatures' version) it read when issued.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Fetch {
+    ticket: u64,
+    doc: (u8, u8),
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -105,6 +119,8 @@ enum At {
     /// under (`None`: it was served), and whether the publisher had
     /// stopped when it left.
     Replied(Option<u8>, bool),
+    /// Received stale; surfaces once its refresh's fetch is answered.
+    Refreshing(Option<u8>, bool, Fetch),
     /// Received, not yet displayed (client `A`).
     Received(Option<u8>, bool),
     Done,
@@ -113,9 +129,44 @@ enum At {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Client {
     at: At,
-    /// The signatures' version in the client's view of the interface.
-    view: u8,
     calls: u8,
+    refresh: Refresh,
+    /// The installed document: its version label and the version of the
+    /// signatures it carries.
+    view: (u8, u8),
+}
+
+impl Client {
+    /// Feeds `input` to the refresh machine; the fetch it asks for reads
+    /// `doc` at once.
+    fn issue(&mut self, input: refresh::Input, doc: (u8, u8)) -> Option<Fetch> {
+        match self.refresh.step(input) {
+            Some(refresh::Output::Fetch(ticket)) => Some(Fetch { ticket, doc }),
+            _ => None,
+        }
+    }
+
+    /// The answer to `fetch` reaches the machine under the view's lock,
+    /// and goes in if the machine says so.
+    fn answer(&mut self, fetch: Fetch) {
+        let version = fetch.doc.0.into();
+        let fetched = refresh::Input::Fetched {
+            ticket: fetch.ticket,
+            version,
+        };
+        if self.refresh.step(fetched) == Some(refresh::Output::Install) {
+            self.view = fetch.doc;
+        }
+    }
+}
+
+/// `A`'s background watcher: one poll, its fetch issued in one step and
+/// answered in another.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Watch {
+    Ready,
+    Fetching(Fetch),
+    Done,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -133,8 +184,10 @@ enum Step {
     Ensure(usize),
     Wake(usize),
     Receive(usize),
+    Answer(usize),
     Display,
     Watch,
+    WatchAnswer,
     Force,
     Shutdown,
 }
@@ -162,12 +215,12 @@ struct World {
     /// version of the signatures it carries.
     doc: (u8, u8),
     clients: [Client; 2],
-    watched: bool,
+    watch: Watch,
     forced: bool,
     shut: bool,
     /// Figure slots of `A`'s call (0: not yet): when the Interface Server
     /// first carried each version, when the developer forced
-    /// publication, when `A`'s watcher refreshed its view.
+    /// publication, when `A`'s watcher issued its fetch.
     first: [u8; 3],
     force_at: u8,
     watch_at: u8,
@@ -181,8 +234,9 @@ impl World {
         assert_eq!(machine.step(Input::Strategy(STRATEGY)), Outputs::default());
         let client = |calls| Client {
             at: At::Idle,
-            view: 0,
             calls,
+            refresh: Refresh::default(),
+            view: (0, 0),
         };
         World {
             cfg,
@@ -196,7 +250,7 @@ impl World {
             gen: None,
             doc: (0, 0),
             clients: [client(1), client(2)],
-            watched: false,
+            watch: Watch::Ready,
             forced: false,
             shut: false,
             first: [1, 0, 0],
@@ -212,10 +266,64 @@ impl World {
         match self.clients[A].at {
             At::Idle => 1,
             At::Sent | At::Stale(_) | At::Waiting(..) | At::Replied(..) => 2,
-            At::Received(..) => 3,
+            At::Refreshing(..) | At::Received(..) => 3,
             At::Done => 4,
         }
     }
+
+    /// Carries out the machine's outputs as the runner does. `read` is the
+    /// generation a `Publish` hands to the sink.
+    fn run(&mut self, out: Outputs, read: Option<Gen>) -> Result<(), String> {
+        for output in out {
+            match output {
+                Output::Arm(_) => {
+                    self.timer = true;
+                    self.armed_at = self.version;
+                }
+                Output::Cancel => self.timer = false,
+                Output::Generate { forced } => {
+                    if self.gen.is_some() {
+                        return Err("a second generation started".into());
+                    }
+                    let gen = Gen::default();
+                    self.gen = Some(Gen { forced, ..gen });
+                }
+                Output::Publish { .. } => {
+                    let read = read.expect("publish follows a generation");
+                    self.gen = Some(Gen {
+                        at: Stage::Sinking,
+                        ..read
+                    });
+                }
+                Output::Current | Output::Release => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The call surfaces: §6 holds of the view it surfaces with.
+    fn surface(&mut self, c: usize, sv: Option<u8>, stopped: bool) -> Result<(), String> {
+        let client = &mut self.clients[c];
+        if let (true, Some(sv), false) = (self.cfg.reactive, sv, stopped) {
+            let view = client.view.1;
+            if view < sv {
+                return Err(format!(
+                    "client {c} surfaced a stale call processed at v{sv} with a view of v{view}"
+                ));
+            }
+        }
+        client.at = match (c, client.calls) {
+            (A, _) => At::Received(sv, stopped),
+            (_, 0) => At::Done,
+            _ => At::Idle,
+        };
+        Ok(())
+    }
+}
+
+impl Model for World {
+    type Step = Step;
+    type Mark = Cell;
 
     fn enabled(&self) -> Vec<Step> {
         let mut steps = Vec::new();
@@ -228,12 +336,12 @@ impl World {
         if self.timer {
             steps.push(Step::Fire);
         }
-        steps.extend(self.gen.map(|g| match g {
-            Gen::Asked { .. } => Step::Read,
-            Gen::Half { .. } => Step::ReadVersion,
-            Gen::Read { .. } => Step::Generated,
-            Gen::Sinking { .. } => Step::Sink,
-            Gen::Sunk => Step::Published,
+        steps.extend(self.gen.map(|g| match g.at {
+            Stage::Asked => Step::Read,
+            Stage::Half => Step::ReadVersion,
+            Stage::Read => Step::Generated,
+            Stage::Sinking => Step::Sink,
+            Stage::Sunk => Step::Published,
         }));
         for (c, client) in self.clients.iter().enumerate() {
             match client.at {
@@ -242,14 +350,18 @@ impl World {
                 At::Stale(_) => steps.push(Step::Ensure(c)),
                 At::Waiting(..) if self.machine.settled() => steps.push(Step::Wake(c)),
                 At::Replied(..) => steps.push(Step::Receive(c)),
+                At::Refreshing(..) => steps.push(Step::Answer(c)),
                 At::Received(..) => steps.push(Step::Display),
                 _ => {}
             }
         }
         let slot = self.slot();
         // Figure 7's view updates happen once the call is sent.
-        if !self.watched && slot < 4 && (self.cfg.reactive || slot > 1) {
+        if self.watch == Watch::Ready && slot < 4 && (self.cfg.reactive || slot > 1) {
             steps.push(Step::Watch);
+        }
+        if let Watch::Fetching(_) = self.watch {
+            steps.push(Step::WatchAnswer);
         }
         if !self.forced && slot < 4 {
             steps.push(Step::Force);
@@ -258,43 +370,6 @@ impl World {
             steps.push(Step::Shutdown);
         }
         steps
-    }
-
-    /// Carries out the machine's outputs as the runner does. `doc` is the
-    /// generation a `Publish` hands to the sink.
-    fn run(&mut self, out: Outputs, doc: Option<(bool, u8, u8)>) -> Result<(), String> {
-        for output in out {
-            match output {
-                Output::Arm(_) => {
-                    self.timer = true;
-                    self.armed_at = self.version;
-                }
-                Output::Cancel => self.timer = false,
-                Output::Generate { forced } => {
-                    if self.gen.is_some() {
-                        return Err("a second generation started".into());
-                    }
-                    self.gen = Some(Gen::Asked { forced });
-                }
-                Output::Publish { forced } => {
-                    let (_, label, content) = doc.expect("publish follows a generation");
-                    self.gen = Some(Gen::Sinking {
-                        forced,
-                        label,
-                        content,
-                    });
-                }
-                Output::Current | Output::Release => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn stale(&self, c: usize) -> bool {
-        match c {
-            A => self.clients[A].view < self.version,
-            _ => self.version > 0,
-        }
     }
 
     fn apply(&mut self, step: Step) -> Result<(), String> {
@@ -325,52 +400,28 @@ impl World {
                 self.run(out, None)?;
             }
             Step::Read => {
-                let Some(Gen::Asked { forced }) = self.gen else {
-                    unreachable!()
-                };
-                let content = self.version;
-                self.gen = Some(if self.cfg.torn {
-                    Gen::Half { forced, content }
-                } else {
-                    Gen::Read {
-                        forced,
-                        label: content,
-                        content,
-                    }
-                });
+                let g = self.gen.as_mut().expect("enabled");
+                (g.at, g.content) = (Stage::Half, self.version);
+                if !self.cfg.torn {
+                    (g.at, g.label) = (Stage::Read, self.version);
+                }
             }
             Step::ReadVersion => {
-                let Some(Gen::Half { forced, content }) = self.gen else {
-                    unreachable!()
-                };
-                let label = self.version;
-                self.gen = Some(Gen::Read {
-                    forced,
-                    label,
-                    content,
-                });
+                let g = self.gen.as_mut().expect("enabled");
+                (g.at, g.label) = (Stage::Read, self.version);
             }
             Step::Generated => {
-                let Some(Gen::Read {
-                    forced,
-                    label,
-                    content,
-                }) = self.gen.take()
-                else {
-                    unreachable!()
-                };
-                let out = self.machine.step(Input::Generated(label.into()));
-                self.run(out, Some((forced, label, content)))?;
+                let read = self.gen.take().expect("enabled");
+                let out = self.machine.step(Input::Generated(read.label.into()));
+                self.run(out, Some(read))?;
             }
             Step::Sink => {
-                let Some(Gen::Sinking {
+                let Gen {
                     forced,
                     label,
                     content,
-                }) = self.gen
-                else {
-                    unreachable!()
-                };
+                    ..
+                } = self.gen.expect("enabled");
                 if label < self.doc.0 {
                     return Err(format!("published v{label} after v{}", self.doc.0));
                 }
@@ -388,7 +439,11 @@ impl World {
                         }
                     }
                 }
-                self.gen = Some(Gen::Sunk);
+                let gen = Gen::default();
+                self.gen = Some(Gen {
+                    at: Stage::Sunk,
+                    ..gen
+                });
             }
             Step::Published => {
                 self.gen = None;
@@ -400,7 +455,8 @@ impl World {
                 self.clients[c].at = At::Sent;
             }
             Step::Match(c) => {
-                let stale = self.stale(c);
+                let view = if c == A { self.clients[A].view.1 } else { 0 };
+                let stale = view < self.version;
                 self.clients[c].at = match (stale, self.cfg.reactive) {
                     (false, _) => At::Replied(None, false),
                     (true, true) => At::Stale(self.version),
@@ -431,36 +487,44 @@ impl World {
                 self.clients[c].at = At::Replied(Some(sv), self.shut);
             }
             Step::Receive(c) => {
-                let At::Replied(sv, stopped) = self.clients[c].at else {
+                let client = &mut self.clients[c];
+                let At::Replied(sv, stopped) = client.at else {
                     unreachable!()
                 };
-                if let (true, Some(sv)) = (self.cfg.reactive, sv) {
-                    // §6: refresh the view before surfacing the error.
-                    let view = self.doc.1;
-                    if view < sv && !stopped {
-                        return Err(format!(
-                            "client {c} surfaced a stale call processed at v{sv} with a view of v{view}"
-                        ));
-                    }
-                    if c == A {
-                        self.clients[A].view = view;
-                    }
-                }
-                let client = &mut self.clients[c];
-                client.at = match (c, client.calls) {
-                    (A, _) => At::Received(sv, stopped),
-                    (_, 0) => At::Done,
-                    _ => At::Idle,
+                // §6: a stale reply refreshes the view before it surfaces.
+                let fetch = match (self.cfg.reactive, sv) {
+                    (true, Some(_)) => client.issue(refresh::Input::Stale, self.doc),
+                    _ => None,
                 };
+                match fetch {
+                    Some(fetch) => client.at = At::Refreshing(sv, stopped, fetch),
+                    None => self.surface(c, sv, stopped)?,
+                }
+                // Client 1 has no other fetch to race: its answer may as
+                // well follow at once.
+                if c != A && fetch.is_some() {
+                    self.apply(Step::Answer(c))?;
+                }
+            }
+            Step::Answer(c) => {
+                let At::Refreshing(sv, stopped, fetch) = self.clients[c].at else {
+                    unreachable!()
+                };
+                self.clients[c].answer(fetch);
+                self.surface(c, sv, stopped)?;
             }
             Step::Display => {
                 let At::Received(sv, stopped) = self.clients[A].at else {
                     unreachable!()
                 };
                 self.clients[A].at = At::Done;
+                // A refresh whose answer has not reached the view yet.
+                if let Watch::Fetching(_) = self.watch {
+                    self.watch_at = 0;
+                }
                 // A stopped server guarantees nothing about what it answered.
                 if let (Some(sv), false) = (sv, stopped) {
-                    let ok = self.clients[A].view >= sv;
+                    let ok = self.clients[A].view.1 >= sv;
                     self.shown = Some(if self.cfg.reactive {
                         let extra = |at: u8| if at == 0 { 4 } else { at };
                         (extra(self.force_at), extra(self.watch_at), ok)
@@ -476,9 +540,20 @@ impl World {
                 }
             }
             Step::Watch => {
-                self.watched = true;
+                let fetch = self.clients[A].issue(refresh::Input::Refresh, self.doc);
+                self.watch = Watch::Fetching(fetch.expect("a refresh fetches"));
                 self.watch_at = self.slot();
-                self.clients[A].view = self.doc.1;
+                // Without reactive publication, `A` has no other fetch.
+                if !self.cfg.reactive {
+                    self.apply(Step::WatchAnswer)?;
+                }
+            }
+            Step::WatchAnswer => {
+                let Watch::Fetching(fetch) = self.watch else {
+                    unreachable!()
+                };
+                self.watch = Watch::Done;
+                self.clients[A].answer(fetch);
             }
             Step::Force => {
                 self.forced = true;
@@ -495,21 +570,41 @@ impl World {
         Ok(())
     }
 
-    /// Forgets what no later step reads, so equivalent states hash alike.
+    fn check(&self, next: &World) -> Result<(), String> {
+        let (was, is) = (self.machine.published(), next.machine.published());
+        if is < was {
+            return Err(format!("the published version went {was} -> {is}"));
+        }
+        for c in 0..2 {
+            let (was, is) = (self.clients[c].view.0, next.clients[c].view.0);
+            if is < was {
+                return Err(format!("client {c}'s view went v{was} -> v{is}"));
+            }
+        }
+        Ok(())
+    }
+
     fn canonical(&mut self) {
         self.shown = None;
         if !self.timer {
             self.armed_at = 0;
         }
+        // Nothing reads client 1's view after its refresh's step.
+        self.clients[1].view = (0, 0);
+        self.clients[1].refresh = Refresh::default();
         if self.clients[A].at == At::Done {
             self.first = [0; 3];
             self.force_at = 0;
             self.watch_at = 0;
-            self.clients[A].view = 0;
+            // Nothing reads `A`'s view once its watcher is done too.
+            if !matches!(self.watch, Watch::Fetching(_)) {
+                self.watch = Watch::Done;
+                self.clients[A].view = (0, 0);
+                self.clients[A].refresh = Refresh::default();
+            }
         }
     }
 
-    /// What must hold where no step is left.
     fn terminal(&self) -> Result<(), String> {
         for (c, client) in self.clients.iter().enumerate() {
             if let At::Waiting(..) = client.at {
@@ -528,251 +623,66 @@ impl World {
         }
         Ok(())
     }
-}
 
-/// The invariants between two consecutive states.
-fn check(prev: &World, next: &World) -> Result<(), String> {
-    let (was, is) = (prev.machine.published(), next.machine.published());
-    if is < was {
-        return Err(format!("the published version went {was} -> {is}"));
-    }
-    Ok(())
-}
-
-/// A multiply-rotate hasher: the search hashes every state it reaches,
-/// and this is several times cheaper than SipHash in a debug build.
-#[derive(Default)]
-struct Fx(u64);
-
-impl Hasher for Fx {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+    fn observe(&self) -> Option<Cell> {
+        self.shown
     }
 }
 
-struct Explorer {
-    cfg: Config,
-    depth: usize,
-    shrinking: bool,
-    /// A state at the bound still had steps to take.
-    cut: bool,
-    visited: HashMap<u64, usize, BuildHasherDefault<Fx>>,
-    path: Vec<Step>,
-    violation: Option<(Vec<Step>, String)>,
-    cells: BTreeSet<Cell>,
-    deepest: usize,
-}
-
-impl Explorer {
-    fn run(cfg: Config, depth: usize, shrinking: bool) -> Explorer {
-        let mut explorer = Explorer {
-            cfg,
-            depth,
-            shrinking,
-            cut: false,
-            visited: HashMap::with_capacity_and_hasher(1 << 16, Default::default()),
-            path: Vec::new(),
-            violation: None,
-            cells: BTreeSet::new(),
-            deepest: 0,
-        };
-        explorer.dfs(&World::start(cfg));
-        explorer
-    }
-
-    fn dfs(&mut self, w: &World) {
-        self.deepest = self.deepest.max(self.path.len());
-        let enabled = w.enabled();
-        if enabled.is_empty() {
-            if let Err(why) = w.terminal() {
-                self.violation = Some((self.path.clone(), why));
-            }
-            return;
-        }
-        if self.path.len() >= self.depth {
-            self.cut = true;
-            return;
-        }
-        for step in enabled {
-            let mut next = w.clone();
-            self.path.push(step);
-            let verdict = next.apply(step).and_then(|()| check(w, &next));
-            if let Err(why) = verdict {
-                self.violation = Some((self.path.clone(), why));
-                return;
-            }
-            self.cells.extend(next.shown);
-            next.canonical();
-            let mut hasher = Fx::default();
-            next.hash(&mut hasher);
-            let depth = self.path.len();
-            // When shrinking, a state first met deep is explored again when
-            // met shallower, with more steps left under the bound.
-            let fresh = match self.visited.get(&hasher.finish()) {
-                Some(&seen) => self.shrinking && depth < seen,
-                None => true,
-            };
-            if fresh {
-                self.visited.insert(hasher.finish(), depth);
-                self.dfs(&next);
-                if self.violation.is_some() {
-                    return;
-                }
-            }
-            self.path.pop();
-        }
-    }
-
-    /// Searches again below a violation's length until no shorter
-    /// schedule fails; returns the shortest.
-    fn shrink(self) -> Option<(Vec<Step>, String)> {
-        let (mut schedule, mut why) = self.violation?;
-        while schedule.len() > 1 {
-            match Explorer::run(self.cfg, schedule.len() - 1, true).violation {
-                Some(shorter) => (schedule, why) = shorter,
-                None => break,
-            }
-        }
-        Some((schedule, why))
-    }
-}
-
-fn render(schedule: &[Step]) -> String {
-    let steps: Vec<String> = schedule.iter().map(|s| format!("    {s:?},")).collect();
-    steps.join("\n")
-}
-
-/// Applies `schedule` from the start; how a printed schedule is
-/// replayed.
-fn replay(cfg: Config, schedule: &[Step]) -> Result<World, String> {
-    let mut w = World::start(cfg);
-    for (i, &step) in schedule.iter().enumerate() {
-        if !w.enabled().contains(&step) {
-            return Err(format!("step {i} {step:?} is not enabled"));
-        }
-        let mut next = w.clone();
-        next.apply(step).and_then(|()| check(&w, &next))?;
-        next.canonical();
-        w = next;
-    }
-    if w.enabled().is_empty() {
-        w.terminal()?;
-    }
-    Ok(w)
-}
-
-/// Explores `cfg` and fails with the shortest violating schedule.
-fn explore(cfg: Config) -> Explorer {
-    let began = Instant::now();
-    let explorer = Explorer::run(cfg, DEPTH, false);
-    if explorer.violation.is_some() {
-        let (schedule, why) = explorer.shrink().expect("a violation");
-        panic!(
-            "{why}\nminimal schedule ({} steps):\n{}",
-            schedule.len(),
-            render(&schedule)
-        );
-    }
-    println!(
-        "publication explorer (reactive {}): {} states, depth {} (bound {DEPTH}), {:.1?}",
-        cfg.reactive,
-        explorer.visited.len(),
-        explorer.deepest,
-        began.elapsed()
-    );
-    assert!(!explorer.cut, "the bound cut the search short");
-    explorer
-}
-
-/// The figure's grid: `RACE` where some schedule leaves the change
-/// invisible at display, `OK` where every schedule shows it.
-fn figure(title: &str, cells: &BTreeSet<Cell>, publish: &[&str], update: &[&str]) -> String {
+/// Explores `cfg`, prints its figure and returns the cells where some
+/// schedule leaves the change invisible at display (RACE; the others are
+/// OK: every schedule shows it).
+fn figure(cfg: Config, title: &str, publish: &[&str], update: &[&str]) -> BTreeSet<(u8, u8)> {
+    let name = format!("publication explorer (reactive {})", cfg.reactive);
+    let cells = explore(&name, &World::start(cfg)).marks;
     let mut out = format!("{title}\npublish\\update");
     for u in update {
         out += &format!("  {u:<4}");
     }
+    let mut races = BTreeSet::new();
     for (p, label) in publish.iter().enumerate() {
         out += &format!("\n{label:<14}");
         for u in 0..update.len() {
             let (p, u) = (p as u8 + 1, u as u8 + 1);
+            let race = cells.contains(&(p, u, false));
             assert!(
-                cells.contains(&(p, u, true)) || cells.contains(&(p, u, false)),
+                race || cells.contains(&(p, u, true)),
                 "no schedule reaches cell ({p},{u})"
             );
-            let verdict = if cells.contains(&(p, u, false)) {
-                "RACE"
-            } else {
-                "OK"
-            };
-            out += &format!("  {verdict:<4}");
+            out += if race { "  RACE" } else { "  OK  " };
+            if race {
+                races.insert((p, u));
+            }
         }
     }
-    out
-}
-
-fn races(cells: &BTreeSet<Cell>) -> BTreeSet<(u8, u8)> {
-    cells
-        .iter()
-        .filter(|c| !c.2)
-        .map(|&(p, u, _)| (p, u))
-        .collect()
+    println!("{out}");
+    races
 }
 
 #[test]
 fn reactive_publication_keeps_every_invariant_and_figure_8() {
-    let explorer = explore(Config {
+    let cfg = Config {
         reactive: true,
         torn: false,
-    });
-    let slots = ["1", "2", "3", "4"];
-    let rows = ["i", "ii", "iii", "iv"];
-    println!(
-        "{}",
-        figure(
-            "Figure 8: reactive publishing, over every interleaving",
-            &explorer.cells,
-            &slots,
-            &rows
-        )
-    );
-    assert_eq!(races(&explorer.cells), BTreeSet::new());
+    };
+    let (slots, rows) = (["1", "2", "3", "4"], ["i", "ii", "iii", "iv"]);
+    let title = "Figure 8: reactive publishing, over every interleaving";
+    assert_eq!(figure(cfg, title, &slots, &rows), BTreeSet::new());
 }
 
 #[test]
 fn active_publication_races_in_exactly_figure_7s_cells() {
-    let explorer = explore(Config {
+    let cfg = Config {
         reactive: false,
         torn: false,
-    });
-    println!(
-        "{}",
-        figure(
-            "Figure 7: active publishing, over every interleaving",
-            &explorer.cells,
-            &["1", "2", "3"],
-            &["i", "ii", "iii"]
-        )
-    );
+    };
+    let (slots, rows) = (["1", "2", "3"], ["i", "ii", "iii"]);
+    let title = "Figure 7: active publishing, over every interleaving";
     let racy = [(1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)];
-    assert_eq!(races(&explorer.cells), racy.into_iter().collect());
+    assert_eq!(
+        figure(cfg, title, &slots, &rows),
+        racy.into_iter().collect()
+    );
 }
 
 /// A generator that reads the signatures and the version under two
@@ -784,13 +694,14 @@ fn a_torn_generator_read_breaks_recency() {
         reactive: true,
         torn: true,
     };
-    let (schedule, why) = Explorer::run(cfg, DEPTH, false)
+    let start = World::start(cfg);
+    let (schedule, why) = Explorer::run(&start, DEPTH, false)
         .shrink()
         .expect("the torn read is found");
     println!(
-        "torn generator: {why}\nminimal schedule ({} steps):\n{}",
+        "torn generator: {why}\nminimal schedule ({} steps):{}",
         schedule.len(),
         render(&schedule)
     );
-    assert!(replay(cfg, &schedule).is_err(), "the schedule replays");
+    assert!(replay(&start, &schedule).is_err(), "the schedule replays");
 }

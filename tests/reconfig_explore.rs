@@ -39,10 +39,11 @@
 //! was before the move. A violation fails the test with a shortest
 //! replayable schedule.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::time::Instant;
+mod explore;
 
+use std::collections::VecDeque;
+
+use explore::{explore, replay, Model};
 use live_rmi::router::reconfig::{Abort, Event, Input, Output, Phase, Plan, Reconfig, Timer};
 
 const CLASSES: [&str; 2] = ["A", "B"];
@@ -52,10 +53,6 @@ const CALL_CLASS: [usize; 3] = [0, 0, 1];
 const MOVE: u64 = 0;
 const FROM: usize = 0;
 const TO: usize = 1;
-/// The bound on a schedule's length. The whole reachable state space
-/// lies within it (the search asserts that it cut nothing off): its
-/// deepest schedule is 52 steps.
-const DEPTH: usize = 64;
 
 fn class_index(name: &str) -> usize {
     CLASSES
@@ -240,28 +237,6 @@ impl World {
         w
     }
 
-    /// Calls 0 and 1 are interchangeable (one class, one retry each):
-    /// order them, so a state and its mirror image hash alike.
-    fn canonical(&mut self) {
-        if (self.attempts[1], self.answered[1]) >= (self.attempts[0], self.answered[0]) {
-            return;
-        }
-        self.attempts.swap(0, 1);
-        self.answered.swap(0, 1);
-        for runs in &mut self.instances {
-            runs.swap(0, 1);
-        }
-        let swap = |m: u8| (m & !3) | ((m & 1) << 1) | ((m >> 1) & 1);
-        for s in &mut self.shards {
-            for d in s.deploys.iter_mut().flatten() {
-                d.cache = swap(d.cache);
-            }
-        }
-        if let Some((_, cache)) = &mut self.export {
-            *cache = swap(*cache);
-        }
-    }
-
     fn snapshot(&self) -> Snapshot {
         let shape = |s: &Shard| s.deploys.clone().map(|d| d.map(|d| d.instance.is_some()));
         Snapshot {
@@ -291,95 +266,6 @@ impl World {
             .any(|o| matches!(o.plan, Plan::Bounce { shard: s, .. } if s == shard))
     }
 
-    fn enabled(&self) -> Vec<Step> {
-        let mut steps = Vec::new();
-        if !self.pending.is_empty() {
-            steps.push(Step::Exec);
-        }
-        if self.deferred.is_some() {
-            steps.push(Step::Deliver);
-        }
-        let source = &self.shards[FROM];
-        // The runner polls only once it has executed every output.
-        let phase = self.phase().filter(|_| self.pending.is_empty());
-        let converging = matches!(phase, Some(Phase::CatchUp | Phase::Converge));
-        if converging && self.following && (source.alive || self.replica == source.wal[0]) {
-            steps.push(Step::SeeCaughtUp);
-        }
-        if phase == Some(Phase::Drain) && self.in_flight[0] == 0 {
-            steps.push(Step::SeeGateIdle);
-        }
-        if phase == Some(Phase::Settle) && self.armed == Some(Timer::Settle) {
-            steps.push(Step::Settle);
-        }
-        let busy = self.exporting.is_some()
-            && source.deploys[0]
-                .as_ref()
-                .is_some_and(|d| d.handlers > 0 && source.alive);
-        if self.exporting.is_some() && !busy {
-            steps.push(Step::ExportDone);
-        }
-        for n in 0..2 {
-            let s = &self.shards[n];
-            if !s.alive && self.machine.generation(n) == s.gen && !self.bouncing(n) {
-                steps.push(Step::Probe(n as u8));
-            }
-        }
-        for (fault, ok) in [
-            (Fault::KillSource, self.shards[FROM].alive),
-            (Fault::KillTarget, self.shards[TO].alive),
-            (Fault::Cancel, self.phase().is_some()),
-            (Fault::Shutdown, true),
-            (
-                Fault::Deadline,
-                self.exporting.is_some()
-                    || matches!(
-                        (phase, self.armed),
-                        (Some(Phase::CatchUp), Some(Timer::CatchUp))
-                            | (Some(Phase::Drain | Phase::Converge), Some(Timer::Drain))
-                    ),
-            ),
-            (
-                Fault::Edit,
-                self.owner(0).is_some_and(|n| self.shards[n].alive),
-            ),
-        ] {
-            if ok && self.fault.is_none() {
-                steps.push(Step::Fault(fault));
-            }
-        }
-        for c in 0..3 {
-            if self.answered[c] {
-                continue;
-            }
-            for k in 0..2 {
-                let a = self.attempts[c][k];
-                let (c, k) = (c as u8, k as u8);
-                match a.at {
-                    At::Idle if k == 0 || self.retry_ready(c as usize) => {
-                        steps.push(Step::Admit(c, k))
-                    }
-                    At::Counted => steps.push(Step::Route(c, k)),
-                    At::Sent(..) => steps.push(Step::Arrive(c, k)),
-                    At::Inside(n, gen) => {
-                        let s = &self.shards[n as usize];
-                        let gone = s.gen != gen || s.deploys[CALL_CLASS[c as usize]].is_none();
-                        if s.alive || gone {
-                            steps.push(Step::Execute(c, k));
-                        }
-                    }
-                    _ => {}
-                }
-                // Only a call of the moving class can outlive its relay
-                // into an export.
-                if a.live && matches!(a.at, At::Sent(..)) && CALL_CLASS[c as usize] == 0 {
-                    steps.push(Step::GiveUp(c, k));
-                }
-            }
-        }
-        steps
-    }
-
     /// The client retries once the first attempt's relay ended without
     /// an answer.
     fn retry_ready(&self, c: usize) -> bool {
@@ -401,119 +287,6 @@ impl World {
 
     fn owner(&self, c: usize) -> Option<usize> {
         self.routable(c).first().copied()
-    }
-
-    fn apply(&mut self, step: Step) -> Result<(), String> {
-        match step {
-            Step::Exec => {
-                let (id, output) = self.pending.pop_front().expect("enabled");
-                self.exec(id, output)?;
-            }
-            Step::Deliver => {
-                let input = self.deferred.take().expect("enabled");
-                self.feed(input);
-            }
-            Step::SeeCaughtUp => {
-                // The follower copies what the source has, and the
-                // runner sees it there.
-                self.replica = self.shards[FROM].wal[0];
-                self.feed(Input::Op(MOVE, Event::CaughtUp));
-            }
-            Step::SeeGateIdle => self.feed(Input::Op(MOVE, Event::GateIdle)),
-            Step::Settle => self.feed(Input::Op(MOVE, Event::Deadline)),
-            Step::ExportDone => {
-                let instance = self.exporting.take().expect("enabled");
-                let result = match &self.shards[FROM].deploys[0] {
-                    Some(d) => {
-                        self.export = Some((instance, d.cache));
-                        Input::Op(MOVE, Event::Exported)
-                    }
-                    None => Input::Op(MOVE, Event::Failed),
-                };
-                self.feed(result);
-            }
-            Step::Probe(n) => {
-                let gen = self.shards[n as usize].gen;
-                self.feed(Input::Failed(n as usize, gen));
-            }
-            Step::Fault(fault) => {
-                self.fault = Some(fault);
-                match fault {
-                    Fault::KillSource => self.shards[FROM].alive = false,
-                    Fault::KillTarget => self.shards[TO].alive = false,
-                    Fault::Cancel => self.feed(Input::Op(MOVE, Event::Cancel)),
-                    Fault::Shutdown => self.feed(Input::Shutdown),
-                    Fault::Deadline => match self.exporting.take() {
-                        // The export's own wait runs out: the instance
-                        // goes back.
-                        Some(instance) => {
-                            if let Some(d) = &mut self.shards[FROM].deploys[0] {
-                                d.instance = Some(instance);
-                            }
-                            self.feed(Input::Op(MOVE, Event::Deadline));
-                        }
-                        None => self.feed(Input::Op(MOVE, Event::Deadline)),
-                    },
-                    Fault::Edit => {
-                        let n = self.owner(0).expect("enabled");
-                        let s = &mut self.shards[n];
-                        let d = s.deploys[0].as_mut().expect("owner");
-                        d.version += 1;
-                        s.wal[0] = d.version;
-                    }
-                }
-            }
-            Step::Admit(c, k) => {
-                let cl = CALL_CLASS[c as usize];
-                self.in_flight[cl] += 1;
-                self.attempts[c as usize][k as usize] = Attempt {
-                    at: At::Counted,
-                    live: true,
-                };
-                // Nothing drains `B`: its admission's two steps need no
-                // interleaving.
-                if cl == 1 {
-                    self.apply(Step::Route(c, k))?;
-                }
-            }
-            Step::Route(c, k) => {
-                let cl = CALL_CLASS[c as usize];
-                let a = &mut self.attempts[c as usize][k as usize];
-                match self.routes[cl] {
-                    Some((n, gen)) if !self.draining[cl] => a.at = At::Sent(n, gen),
-                    // Parked: refused at the gate, and tried again later.
-                    _ => {
-                        self.in_flight[cl] -= 1;
-                        *a = Attempt {
-                            at: At::Idle,
-                            live: false,
-                        };
-                    }
-                }
-            }
-            Step::Arrive(c, k) => self.arrive(c as usize, k as usize)?,
-            Step::Execute(c, k) => self.execute(c as usize, k as usize),
-            Step::GiveUp(c, k) => self.release(c as usize, k as usize),
-        }
-        // Outputs no call can observe run at once: interleaving them
-        // with calls would only multiply equal schedules.
-        while let Some((_, output)) = self.pending.front() {
-            let unseen = matches!(
-                output,
-                Output::Arm(_)
-                    | Output::StartCatchUp(_)
-                    | Output::StopCatchUp
-                    | Output::FreshBreaker(..)
-                    | Output::RemoveDir
-                    | Output::Done(_)
-            );
-            if !unseen {
-                break;
-            }
-            let (id, output) = self.pending.pop_front().expect("peeked");
-            self.exec(id, output)?;
-        }
-        self.publish()
     }
 
     /// A relay ends: its gate count goes.
@@ -714,212 +487,300 @@ impl World {
     }
 }
 
-/// The invariants between two consecutive states.
-fn check(prev: &World, next: &World) -> Result<(), String> {
-    for (c, name) in CLASSES.iter().enumerate() {
-        let owners = next.routable(c);
-        if owners.len() > 1 {
-            return Err(format!("class {name} has routable owners {owners:?}"));
+impl Model for World {
+    type Step = Step;
+    type Mark = &'static str;
+
+    fn enabled(&self) -> Vec<Step> {
+        let mut steps = Vec::new();
+        if !self.pending.is_empty() {
+            steps.push(Step::Exec);
         }
-        let listed: Vec<usize> = (0..2)
-            .filter(|&n| next.shards[n].classes & (1 << c) != 0)
-            .collect();
-        if listed.len() != 1 {
-            return Err(format!("class {name} listed on shards {listed:?}"));
+        if self.deferred.is_some() {
+            steps.push(Step::Deliver);
         }
-        if let Some((n, gen)) = next.routes[c] {
-            if listed[0] != n as usize {
-                return Err(format!(
-                    "class {name} routed to shard {n} but listed on shard {}",
-                    listed[0]
-                ));
+        let source = &self.shards[FROM];
+        // The runner polls only once it has executed every output.
+        let phase = self.phase().filter(|_| self.pending.is_empty());
+        let converging = matches!(phase, Some(Phase::CatchUp | Phase::Converge));
+        if converging && self.following && (source.alive || self.replica == source.wal[0]) {
+            steps.push(Step::SeeCaughtUp);
+        }
+        if phase == Some(Phase::Drain) && self.in_flight[0] == 0 {
+            steps.push(Step::SeeGateIdle);
+        }
+        if phase == Some(Phase::Settle) && self.armed == Some(Timer::Settle) {
+            steps.push(Step::Settle);
+        }
+        let busy = self.exporting.is_some()
+            && source.deploys[0]
+                .as_ref()
+                .is_some_and(|d| d.handlers > 0 && source.alive);
+        if self.exporting.is_some() && !busy {
+            steps.push(Step::ExportDone);
+        }
+        for n in 0..2 {
+            let s = &self.shards[n];
+            if !s.alive && self.machine.generation(n) == s.gen && !self.bouncing(n) {
+                steps.push(Step::Probe(n as u8));
             }
-            let current = next.shards[n as usize].gen;
-            if gen != current {
-                return Err(format!(
-                    "class {name} routed to shard {n} generation {gen}, fenced by {current}"
-                ));
+        }
+        for (fault, ok) in [
+            (Fault::KillSource, self.shards[FROM].alive),
+            (Fault::KillTarget, self.shards[TO].alive),
+            (Fault::Cancel, self.phase().is_some()),
+            (Fault::Shutdown, true),
+            (
+                Fault::Deadline,
+                self.exporting.is_some()
+                    || matches!(
+                        (phase, self.armed),
+                        (Some(Phase::CatchUp), Some(Timer::CatchUp))
+                            | (Some(Phase::Drain | Phase::Converge), Some(Timer::Drain))
+                    ),
+            ),
+            (
+                Fault::Edit,
+                self.owner(0).is_some_and(|n| self.shards[n].alive),
+            ),
+        ] {
+            if ok && self.fault.is_none() {
+                steps.push(Step::Fault(fault));
             }
         }
-    }
-    for n in 0..2 {
-        let (was, is) = (prev.shards[n].gen, next.shards[n].gen);
-        if is < was || next.machine.generation(n) < prev.machine.generation(n) {
-            return Err(format!("shard {n} generation went {was} -> {is}"));
-        }
-    }
-    for (i, runs) in next.instances.iter().enumerate() {
-        if let Some(c) = runs.iter().position(|&r| r > 1) {
-            return Err(format!(
-                "call {c} executed {} times on instance {i}",
-                runs[c]
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Named paths the search must reach.
-fn milestones(w: &World) -> Vec<&'static str> {
-    let mut seen = Vec::new();
-    match w.outcome {
-        Some(Ok(())) if w.routes[0] == Some((TO as u8, 0)) => seen.push("move committed"),
-        Some(Ok(())) if w.routes[0] == Some((TO as u8, 1)) => {
-            seen.push("committed move lives on at the promoted target")
-        }
-        Some(Err(Abort::FailedOver(0))) if w.routes[0] == Some((0, 1)) => {
-            seen.push("source death mid-migration degrades into failover")
-        }
-        Some(Err(Abort::FailedOver(1))) => seen.push("target death aborts the move"),
-        Some(Err(Abort::Cancelled)) => seen.push("cancel aborts the move"),
-        Some(Err(Abort::DrainMissed)) => seen.push("a missed drain aborts the move"),
-        Some(Err(Abort::Shutdown)) => seen.push("shutdown aborts the move"),
-        _ => {}
-    }
-    seen
-}
-
-/// A multiply-rotate hasher: the search hashes every state it reaches,
-/// and this is several times cheaper than SipHash in a debug build.
-#[derive(Default)]
-struct Fx(u64);
-
-impl Hasher for Fx {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-struct Explorer {
-    depth: usize,
-    shrinking: bool,
-    /// A state at the bound still had steps to take.
-    cut: bool,
-    visited: HashMap<u64, usize, BuildHasherDefault<Fx>>,
-    path: Vec<Step>,
-    violation: Option<(Vec<Step>, String)>,
-    reached: HashSet<&'static str>,
-    deepest: usize,
-}
-
-impl Explorer {
-    fn run(depth: usize, shrinking: bool) -> Explorer {
-        let mut explorer = Explorer {
-            depth,
-            shrinking,
-            cut: false,
-            visited: HashMap::with_capacity_and_hasher(1 << 20, Default::default()),
-            path: Vec::new(),
-            violation: None,
-            reached: HashSet::new(),
-            deepest: 0,
-        };
-        explorer.dfs(&World::start());
-        explorer
-    }
-
-    fn dfs(&mut self, w: &World) {
-        self.deepest = self.deepest.max(self.path.len());
-        let enabled = w.enabled();
-        if self.path.len() >= self.depth {
-            self.cut |= !enabled.is_empty();
-            return;
-        }
-        for step in enabled {
-            let mut next = w.clone();
-            self.path.push(step);
-            let verdict = next.apply(step).and_then(|()| check(w, &next));
-            if let Err(why) = verdict {
-                self.violation = Some((self.path.clone(), why));
-                return;
+        for c in 0..3 {
+            if self.answered[c] {
+                continue;
             }
-            next.canonical();
-            self.reached.extend(milestones(&next));
-            let mut hasher = Fx::default();
-            next.hash(&mut hasher);
-            let depth = self.path.len();
-            // When shrinking, a state first met deep is explored again when
-            // met shallower, with more steps left under the bound.
-            let fresh = match self.visited.get(&hasher.finish()) {
-                Some(&seen) => self.shrinking && depth < seen,
-                None => true,
-            };
-            if fresh {
-                self.visited.insert(hasher.finish(), depth);
-                self.dfs(&next);
-                if self.violation.is_some() {
-                    return;
+            for k in 0..2 {
+                let a = self.attempts[c][k];
+                let (c, k) = (c as u8, k as u8);
+                match a.at {
+                    At::Idle if k == 0 || self.retry_ready(c as usize) => {
+                        steps.push(Step::Admit(c, k))
+                    }
+                    At::Counted => steps.push(Step::Route(c, k)),
+                    At::Sent(..) => steps.push(Step::Arrive(c, k)),
+                    At::Inside(n, gen) => {
+                        let s = &self.shards[n as usize];
+                        let gone = s.gen != gen || s.deploys[CALL_CLASS[c as usize]].is_none();
+                        if s.alive || gone {
+                            steps.push(Step::Execute(c, k));
+                        }
+                    }
+                    _ => {}
+                }
+                // Only a call of the moving class can outlive its relay
+                // into an export.
+                if a.live && matches!(a.at, At::Sent(..)) && CALL_CLASS[c as usize] == 0 {
+                    steps.push(Step::GiveUp(c, k));
                 }
             }
-            self.path.pop();
         }
+        steps
     }
-}
 
-/// Applies `schedule` from the start and returns the verdict of its
-/// last step — how a printed schedule is replayed.
-fn replay(schedule: &[Step]) -> Result<World, String> {
-    let mut w = World::start();
-    for (i, &step) in schedule.iter().enumerate() {
-        if !w.enabled().contains(&step) {
-            return Err(format!("step {i} {step:?} is not enabled"));
+    fn apply(&mut self, step: Step) -> Result<(), String> {
+        match step {
+            Step::Exec => {
+                let (id, output) = self.pending.pop_front().expect("enabled");
+                self.exec(id, output)?;
+            }
+            Step::Deliver => {
+                let input = self.deferred.take().expect("enabled");
+                self.feed(input);
+            }
+            Step::SeeCaughtUp => {
+                // The follower copies what the source has, and the
+                // runner sees it there.
+                self.replica = self.shards[FROM].wal[0];
+                self.feed(Input::Op(MOVE, Event::CaughtUp));
+            }
+            Step::SeeGateIdle => self.feed(Input::Op(MOVE, Event::GateIdle)),
+            Step::Settle => self.feed(Input::Op(MOVE, Event::Deadline)),
+            Step::ExportDone => {
+                let instance = self.exporting.take().expect("enabled");
+                let result = match &self.shards[FROM].deploys[0] {
+                    Some(d) => {
+                        self.export = Some((instance, d.cache));
+                        Input::Op(MOVE, Event::Exported)
+                    }
+                    None => Input::Op(MOVE, Event::Failed),
+                };
+                self.feed(result);
+            }
+            Step::Probe(n) => {
+                let gen = self.shards[n as usize].gen;
+                self.feed(Input::Failed(n as usize, gen));
+            }
+            Step::Fault(fault) => {
+                self.fault = Some(fault);
+                match fault {
+                    Fault::KillSource => self.shards[FROM].alive = false,
+                    Fault::KillTarget => self.shards[TO].alive = false,
+                    Fault::Cancel => self.feed(Input::Op(MOVE, Event::Cancel)),
+                    Fault::Shutdown => self.feed(Input::Shutdown),
+                    Fault::Deadline => match self.exporting.take() {
+                        // The export's own wait runs out: the instance
+                        // goes back.
+                        Some(instance) => {
+                            if let Some(d) = &mut self.shards[FROM].deploys[0] {
+                                d.instance = Some(instance);
+                            }
+                            self.feed(Input::Op(MOVE, Event::Deadline));
+                        }
+                        None => self.feed(Input::Op(MOVE, Event::Deadline)),
+                    },
+                    Fault::Edit => {
+                        let n = self.owner(0).expect("enabled");
+                        let s = &mut self.shards[n];
+                        let d = s.deploys[0].as_mut().expect("owner");
+                        d.version += 1;
+                        s.wal[0] = d.version;
+                    }
+                }
+            }
+            Step::Admit(c, k) => {
+                let cl = CALL_CLASS[c as usize];
+                self.in_flight[cl] += 1;
+                self.attempts[c as usize][k as usize] = Attempt {
+                    at: At::Counted,
+                    live: true,
+                };
+                // Nothing drains `B`: its admission's two steps need no
+                // interleaving.
+                if cl == 1 {
+                    self.apply(Step::Route(c, k))?;
+                }
+            }
+            Step::Route(c, k) => {
+                let cl = CALL_CLASS[c as usize];
+                let a = &mut self.attempts[c as usize][k as usize];
+                match self.routes[cl] {
+                    Some((n, gen)) if !self.draining[cl] => a.at = At::Sent(n, gen),
+                    // Parked: refused at the gate, and tried again later.
+                    _ => {
+                        self.in_flight[cl] -= 1;
+                        *a = Attempt {
+                            at: At::Idle,
+                            live: false,
+                        };
+                    }
+                }
+            }
+            Step::Arrive(c, k) => self.arrive(c as usize, k as usize)?,
+            Step::Execute(c, k) => self.execute(c as usize, k as usize),
+            Step::GiveUp(c, k) => self.release(c as usize, k as usize),
         }
-        let mut next = w.clone();
-        next.apply(step).and_then(|()| check(&w, &next))?;
-        next.canonical();
-        w = next;
+        // Outputs no call can observe run at once: interleaving them
+        // with calls would only multiply equal schedules.
+        while let Some((_, output)) = self.pending.front() {
+            let unseen = matches!(
+                output,
+                Output::Arm(_)
+                    | Output::StartCatchUp(_)
+                    | Output::StopCatchUp
+                    | Output::FreshBreaker(..)
+                    | Output::RemoveDir
+                    | Output::Done(_)
+            );
+            if !unseen {
+                break;
+            }
+            let (id, output) = self.pending.pop_front().expect("peeked");
+            self.exec(id, output)?;
+        }
+        self.publish()
     }
-    Ok(w)
+
+    fn check(&self, next: &World) -> Result<(), String> {
+        for (c, name) in CLASSES.iter().enumerate() {
+            let owners = next.routable(c);
+            if owners.len() > 1 {
+                return Err(format!("class {name} has routable owners {owners:?}"));
+            }
+            let listed: Vec<usize> = (0..2)
+                .filter(|&n| next.shards[n].classes & (1 << c) != 0)
+                .collect();
+            if listed.len() != 1 {
+                return Err(format!("class {name} listed on shards {listed:?}"));
+            }
+            if let Some((n, gen)) = next.routes[c] {
+                if listed[0] != n as usize {
+                    return Err(format!(
+                        "class {name} routed to shard {n} but listed on shard {}",
+                        listed[0]
+                    ));
+                }
+                let current = next.shards[n as usize].gen;
+                if gen != current {
+                    return Err(format!(
+                        "class {name} routed to shard {n} generation {gen}, fenced by {current}"
+                    ));
+                }
+            }
+        }
+        for n in 0..2 {
+            let (was, is) = (self.shards[n].gen, next.shards[n].gen);
+            if is < was || next.machine.generation(n) < self.machine.generation(n) {
+                return Err(format!("shard {n} generation went {was} -> {is}"));
+            }
+        }
+        for (i, runs) in next.instances.iter().enumerate() {
+            if let Some(c) = runs.iter().position(|&r| r > 1) {
+                return Err(format!(
+                    "call {c} executed {} times on instance {i}",
+                    runs[c]
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Calls 0 and 1 are interchangeable (one class, one retry each):
+    /// order them, so a state and its mirror image hash alike.
+    fn canonical(&mut self) {
+        if (self.attempts[1], self.answered[1]) >= (self.attempts[0], self.answered[0]) {
+            return;
+        }
+        self.attempts.swap(0, 1);
+        self.answered.swap(0, 1);
+        for runs in &mut self.instances {
+            runs.swap(0, 1);
+        }
+        let swap = |m: u8| (m & !3) | ((m & 1) << 1) | ((m >> 1) & 1);
+        for s in &mut self.shards {
+            for d in s.deploys.iter_mut().flatten() {
+                d.cache = swap(d.cache);
+            }
+        }
+        if let Some((_, cache)) = &mut self.export {
+            *cache = swap(*cache);
+        }
+    }
+
+    /// Named paths the search must reach.
+    fn observe(&self) -> Option<&'static str> {
+        Some(match self.outcome? {
+            Ok(()) if self.routes[0] == Some((TO as u8, 0)) => "move committed",
+            Ok(()) if self.routes[0] == Some((TO as u8, 1)) => {
+                "committed move lives on at the promoted target"
+            }
+            Err(Abort::FailedOver(0)) if self.routes[0] == Some((0, 1)) => {
+                "source death mid-migration degrades into failover"
+            }
+            Err(Abort::FailedOver(1)) => "target death aborts the move",
+            Err(Abort::Cancelled) => "cancel aborts the move",
+            Err(Abort::DrainMissed) => "a missed drain aborts the move",
+            Err(Abort::Shutdown) => "shutdown aborts the move",
+            _ => return None,
+        })
+    }
 }
 
 #[test]
 fn every_interleaving_keeps_the_routers_invariants() {
-    let began = Instant::now();
-    let explorer = Explorer::run(DEPTH, false);
-    if let Some((mut schedule, mut why)) = explorer.violation {
-        // Shrink: search again below the schedule's length until no
-        // shorter one fails.
-        while schedule.len() > 1 {
-            match Explorer::run(schedule.len() - 1, true).violation {
-                Some((shorter, because)) => (schedule, why) = (shorter, because),
-                None => break,
-            }
-        }
-        let steps: Vec<String> = schedule
-            .iter()
-            .map(|s| format!("    Step::{s:?},"))
-            .collect();
-        panic!(
-            "{why}\nminimal schedule ({} steps), replay with `replay(&[...])`:\n{}",
-            schedule.len(),
-            steps.join("\n")
-        );
-    }
-    println!(
-        "reconfig explorer: {} states visited, depth {} (bound {DEPTH}), {:.1?}",
-        explorer.visited.len(),
-        explorer.deepest,
-        began.elapsed()
-    );
-    assert!(!explorer.cut, "the bound cut the search short");
+    let explorer = explore("reconfig explorer", &World::start());
     for path in [
         "move committed",
         "committed move lives on at the promoted target",
@@ -929,7 +790,7 @@ fn every_interleaving_keeps_the_routers_invariants() {
         "a missed drain aborts the move",
         "shutdown aborts the move",
     ] {
-        assert!(explorer.reached.contains(path), "never explored: {path}");
+        assert!(explorer.marks.contains(path), "never explored: {path}");
     }
 }
 
@@ -950,7 +811,7 @@ fn a_replayed_schedule_commits_the_move() {
         schedule.push(step);
         w.apply(step).expect("no invariant breaks");
     }
-    let w = replay(&schedule).expect("the schedule replays");
+    let w = replay(&World::start(), &schedule).expect("the schedule replays");
     assert_eq!(w.outcome, Some(Ok(())));
     assert_eq!(w.routes[0], Some((TO as u8, 0)));
     assert_eq!(w.snapshot().shape[FROM][0], None, "the source undeployed");
